@@ -2,10 +2,12 @@
 bundle, and Lie brackets.
 
 Linear, constant and polynomial fields carry analytic Jacobians; arbitrary
-callables fall back to central finite differences. A lifted field is kept as
-a pair of ambient maps (horizontal, vertical), so its projection onto the
-base field holds by construction; the bracket-identity check flattens lifted
-fields to 2n ambient dimensions only internally.
+callables fall back to central finite differences. Linear and constant
+fields evaluate batches of points natively; the others loop over the rows.
+A lifted field is kept as a pair of ambient maps (horizontal, vertical), so
+its projection onto the base field holds by construction; the
+bracket-identity check flattens lifted fields to 2n ambient dimensions only
+internally.
 """
 
 from __future__ import annotations
@@ -138,6 +140,10 @@ class VectorField:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self._value(np.asarray(x, dtype=float)), dtype=float)
 
+    def rows(self, xs: np.ndarray) -> np.ndarray:
+        """Values at each row of a (B, n) batch of points."""
+        return np.array([self(x) for x in xs])
+
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self._jacobian is not None:
@@ -162,6 +168,9 @@ class LinearField(VectorField):
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("linear field needs a square matrix")
         super().__init__(lambda x: self.matrix @ x, lambda x: self.matrix, name)
+
+    def rows(self, xs: np.ndarray) -> np.ndarray:
+        return xs @ self.matrix.T
 
     @property
     def has_analytic_jacobian(self) -> bool:
@@ -190,6 +199,9 @@ class ConstantField(VectorField):
         self.vector = np.asarray(vector, dtype=float)
         n = self.vector.shape[0]
         super().__init__(lambda x: self.vector.copy(), lambda x: np.zeros((n, n)), name)
+
+    def rows(self, xs: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(self.vector, xs.shape)
 
     @property
     def has_analytic_jacobian(self) -> bool:

@@ -1,10 +1,11 @@
 """Affine control systems, piecewise-constant control signals, fixed-step
 integration of the base and lifted dynamics, and the flow-level checks.
 
-The lifted integrator advances the base state with literally the same
-arithmetic as the base integrator, so the base component of a lifted
-trajectory is bitwise identical to the plain base trajectory on the shared
-grid. Control-segment boundaries always land on grid nodes.
+Base runs, lifted runs (a fiber vector), fiber transitions (a matrix of
+fiber columns) and batches of constant-control candidates all go through one
+RK4 stepper, so the base component of a lifted trajectory is bitwise
+identical to the plain base trajectory on the shared grid by construction.
+Control-segment boundaries always land on grid nodes.
 """
 
 from __future__ import annotations
@@ -190,6 +191,15 @@ class AffineSystem:
                 out = out + ui * fld(x)
         return out
 
+    def rhs_rows(self, xs: np.ndarray, u_values: np.ndarray) -> np.ndarray:
+        """rhs over a batch: row r is rhs(xs[r], u_values[r]) up to rounding."""
+        out = self.drift.rows(xs)
+        for i, fld in enumerate(self.controlled):
+            ui = u_values[:, i:i + 1]
+            if np.any(ui):
+                out = out + ui * fld.rows(xs)
+        return out
+
     def rhs_jacobian(self, x: np.ndarray, u_value: np.ndarray) -> np.ndarray:
         out = self.drift.jacobian(x)
         for ui, fld in zip(u_value, self.controlled):
@@ -245,6 +255,82 @@ def _segment_grid(duration: float, step: float) -> tuple[int, float]:
     return n, duration / n
 
 
+def _renormalize(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Project a state, or each row of a batch, back onto the unit sphere;
+    also return the largest drift |‖x‖ - 1| before projection."""
+    if x.ndim == 1:
+        nrm = np.linalg.norm(x)
+        return x / nrm, abs(nrm - 1.0)
+    nrm = np.linalg.norm(x, axis=1, keepdims=True)
+    return x / nrm, float(np.max(np.abs(nrm - 1.0)))
+
+
+def _rk4_combine(y, h, k1, k2, k3, k4):
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4(f, jac, uval, x, v, h, n_steps: int, on_sphere: bool, t=0.0, rows=None):
+    """The one RK4 stepper (classical four-stage Runge-Kutta, Hairer,
+    Nørsett & Wanner, Solving ODEs I, §II.1): n_steps steps of size h of
+    dx/dt = f(x, uval) and, unless v is None, of the variational equation
+    dv/dt = jac(x, uval) v along the same base stages.
+
+    x is one state (n,) with a scalar h, or a batch of rows (B, n) with
+    uval of shape (B, m) and h of shape (B, 1), advanced together by a
+    row-wise f. v is one fiber vector (n,) or k fiber columns (n, k) carried
+    along a single state. On the sphere each state is renormalized after
+    every step, raising IntegrationError past DRIFT_TOL, and the fiber is
+    re-projected onto the new tangent plane. rows, when given, receives
+    (t, x, v) after every step. Returns (x, v, t, max_drift).
+    """
+    max_drift = 0.0
+    for _ in range(n_steps):
+        k1 = f(x, uval)
+        x2 = x + 0.5 * h * k1
+        k2 = f(x2, uval)
+        x3 = x + 0.5 * h * k2
+        k3 = f(x3, uval)
+        x4 = x + h * k3
+        k4 = f(x4, uval)
+        if v is not None:
+            k1v = jac(x, uval) @ v
+            k2v = jac(x2, uval) @ (v + 0.5 * h * k1v)
+            k3v = jac(x3, uval) @ (v + 0.5 * h * k2v)
+            k4v = jac(x4, uval) @ (v + h * k3v)
+            v = _rk4_combine(v, h, k1v, k2v, k3v, k4v)
+        x = _rk4_combine(x, h, k1, k2, k3, k4)
+        if on_sphere:
+            x, drift = _renormalize(x)
+            if drift > DRIFT_TOL:
+                raise IntegrationError(f"off-manifold drift {drift:.3e} at t={np.max(t + h)}")
+            max_drift = max(max_drift, drift)
+            if v is not None:
+                v = v - (x * (x @ v) if v.ndim == 1 else np.outer(x, x @ v))
+        t = t + h
+        if rows is not None:
+            rows.append((t, x.copy(), None if v is None else v.copy()))
+    return x, v, t, max_drift
+
+
+def _integrate(sys: AffineSystem, x: np.ndarray, v, u: ControlSignal, step: float):
+    """Run the stepper from the validated start (x, v) over every segment of
+    u, each on its own grid with boundaries on grid nodes. Returns the
+    (t, x, v) of every grid node and the largest drift off the sphere."""
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    sys.check_signal(u)
+    on_sphere = sys.manifold.kind is ManifoldKind.SPHERE2
+    rows = [(0.0, x.copy(), None if v is None else v.copy())]
+    t = 0.0
+    max_drift = 0.0
+    for duration, uval in u.segments:
+        n_steps, h = _segment_grid(duration, step)
+        x, v, t, drift = _rk4(sys.rhs, sys.rhs_jacobian, uval, x, v, h, n_steps,
+                              on_sphere, t, rows)
+        max_drift = max(max_drift, drift)
+    return rows, max_drift
+
+
 def integrate_base(sys: AffineSystem, x0: np.ndarray, u: ControlSignal,
                    step: float = DEFAULT_STEP) -> Trajectory:
     """Classical RK4 with fixed step, segment boundaries on grid nodes.
@@ -252,83 +338,65 @@ def integrate_base(sys: AffineSystem, x0: np.ndarray, u: ControlSignal,
     On the sphere the state is renormalized after every step; the drift off
     the manifold before renormalization is monitored and reported.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
     x = np.asarray(sys.manifold.check_point(x0), dtype=float)
-    sys.check_signal(u)
-    on_sphere = sys.manifold.kind is ManifoldKind.SPHERE2
-    times = [0.0]
-    states = [x.copy()]
-    t = 0.0
-    max_drift = 0.0
-    for duration, uval in u.segments:
-        n_steps, h = _segment_grid(duration, step)
-        for _ in range(n_steps):
-            k1 = sys.rhs(x, uval)
-            k2 = sys.rhs(x + 0.5 * h * k1, uval)
-            k3 = sys.rhs(x + 0.5 * h * k2, uval)
-            k4 = sys.rhs(x + h * k3, uval)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if on_sphere:
-                nrm = np.linalg.norm(x)
-                drift = abs(nrm - 1.0)
-                if drift > DRIFT_TOL:
-                    raise IntegrationError(f"off-manifold drift {drift:.3e} at t={t + h}")
-                max_drift = max(max_drift, drift)
-                x = x / nrm
-            t = t + h
-            times.append(t)
-            states.append(x.copy())
+    rows, max_drift = _integrate(sys, x, None, u, step)
+    times, states, _ = zip(*rows)
     return Trajectory(np.asarray(times), np.asarray(states), None, u, max_drift)
 
 
 def integrate_lifted(sys: AffineSystem, p0: TangentPoint, u: ControlSignal,
                      step: float = DEFAULT_STEP) -> Trajectory:
     """Integrate the coupled system (base equation plus the linear variational
-    equation on the fiber) on the same grid and with the same base arithmetic
-    as integrate_base. On the sphere the fiber is re-projected to the tangent
+    equation on the fiber) with the same stepper, grid and base arithmetic as
+    integrate_base. On the sphere the fiber is re-projected to the tangent
     plane of the new base point after every step."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
     p0.validate(sys.manifold)
-    sys.check_signal(u)
-    x = np.asarray(p0.x, dtype=float).copy()
-    v = np.asarray(p0.v, dtype=float).copy()
+    x = np.asarray(p0.x, dtype=float)
+    v = np.asarray(p0.v, dtype=float)
+    rows, max_drift = _integrate(sys, x, v, u, step)
+    times, states, fibers = zip(*rows)
+    return Trajectory(np.asarray(times), np.asarray(states), np.asarray(fibers), u,
+                      max_drift)
+
+
+def fiber_flow(sys: AffineSystem, x0: np.ndarray, fibers: np.ndarray, u: ControlSignal,
+               step: float = DEFAULT_STEP) -> tuple[np.ndarray, np.ndarray]:
+    """End base point of the run from x0 under u, and the columns of the
+    (n, k) matrix `fibers` carried along it by the variational flow.
+
+    One integration for all k columns; column i equals the fiber of
+    integrate_lifted from (x0, fibers[:, i]) up to rounding.
+    """
+    x = np.asarray(sys.manifold.check_point(x0), dtype=float)
+    rows, _ = _integrate(sys, x, np.asarray(fibers, dtype=float), u, step)
+    _, x_end, v_end = rows[-1]
+    return x_end, v_end
+
+
+def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.ndarray,
+                               durations, steps) -> np.ndarray:
+    """Final base states from x0, row r under the constant control
+    controls[r] held for durations[r].
+
+    Row r runs on the grid integrate_base would use with step steps[r]. Rows
+    with equal step counts advance together as one batch, so a row's end
+    state equals integrate_base's up to rounding.
+    """
+    x = np.asarray(sys.manifold.check_point(x0), dtype=float)
+    controls = np.asarray(controls, dtype=float)
+    sys.check_signal(ControlSignal(tuple(zip(durations, controls))))
     on_sphere = sys.manifold.kind is ManifoldKind.SPHERE2
-    times = [0.0]
-    states = [x.copy()]
-    fibers = [v.copy()]
-    t = 0.0
-    max_drift = 0.0
-    for duration, uval in u.segments:
-        n_steps, h = _segment_grid(duration, step)
-        for _ in range(n_steps):
-            k1 = sys.rhs(x, uval)
-            k1v = sys.rhs_jacobian(x, uval) @ v
-            x2 = x + 0.5 * h * k1
-            k2 = sys.rhs(x2, uval)
-            k2v = sys.rhs_jacobian(x2, uval) @ (v + 0.5 * h * k1v)
-            x3 = x + 0.5 * h * k2
-            k3 = sys.rhs(x3, uval)
-            k3v = sys.rhs_jacobian(x3, uval) @ (v + 0.5 * h * k2v)
-            x4 = x + h * k3
-            k4 = sys.rhs(x4, uval)
-            k4v = sys.rhs_jacobian(x4, uval) @ (v + h * k3v)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            if on_sphere:
-                nrm = np.linalg.norm(x)
-                drift = abs(nrm - 1.0)
-                if drift > DRIFT_TOL:
-                    raise IntegrationError(f"off-manifold drift {drift:.3e} at t={t + h}")
-                max_drift = max(max_drift, drift)
-                x = x / nrm
-                v = v - x * (x @ v)
-            t = t + h
-            times.append(t)
-            states.append(x.copy())
-            fibers.append(v.copy())
-    return Trajectory(np.asarray(times), np.asarray(states), np.asarray(fibers), u, max_drift)
+    grids = [_segment_grid(float(d), float(s)) for d, s in zip(durations, steps)]
+    batches: dict[int, list] = {}
+    for r, (n_steps, _) in enumerate(grids):
+        batches.setdefault(n_steps, []).append(r)
+    ends = np.empty((len(grids), x.shape[0]))
+    for n_steps, batch in batches.items():
+        h = np.array([[grids[r][1]] for r in batch])
+        start = np.tile(x, (len(batch), 1))
+        ends[batch], _, _, _ = _rk4(sys.rhs_rows, None, controls[batch], start, None, h,
+                                    n_steps, on_sphere)
+    return ends
 
 
 def check_flow_formula(sys: AffineSystem, x0: np.ndarray, v0: np.ndarray,

@@ -25,7 +25,8 @@ from .flow import (
     DEFAULT_STEP,
     AffineSystem,
     ControlSignal,
-    integrate_base,
+    constant_control_endpoints,
+    fiber_flow,
     integrate_lifted,
     split_signal,
 )
@@ -207,7 +208,10 @@ class SearchOracle:
 
     Candidate plans are integrated with a step proportional to their duration,
     coarse enough to keep the search cheap and far below the steering
-    tolerance in accuracy.
+    tolerance in accuracy. Each grid level runs as batches of candidates that
+    share a step count; the winner is the first strict minimum of the
+    endpoint error in t-major, u-minor order, as if the candidates had been
+    tried one at a time.
     """
 
     steer_tol = SEARCH_STEER_TOL
@@ -220,10 +224,10 @@ class SearchOracle:
         self.levels = int(levels)
         self.eval_step = float(eval_step)
 
-    def _endpoint_error(self, x, y, u, t) -> float:
-        step = max(self.eval_step, t / 120.0)
-        traj = integrate_base(self.sys, x, ControlSignal.constant(u, t), step)
-        return self.sys.manifold.base_distance(traj.final_state, y)
+    def _endpoint_errors(self, x, y, durations, controls) -> np.ndarray:
+        steps = np.maximum(self.eval_step, durations / 120.0)
+        ends = constant_control_endpoints(self.sys, x, controls, durations, steps)
+        return np.array([self.sys.manifold.base_distance(end, y) for end in ends])
 
     def solve(self, x: np.ndarray, y: np.ndarray) -> tuple[float, ControlSignal]:
         m = self.sys.n_controls
@@ -238,14 +242,17 @@ class SearchOracle:
             t_grid = np.linspace(t_lo, t_hi, 9)
             u_grids = [np.linspace(u_lo[i], u_hi[i], 5) for i in range(m)]
             mesh = np.stack(np.meshgrid(*u_grids, indexing="ij"), axis=-1).reshape(-1, m)
-            for t in t_grid:
-                for u in mesh:
-                    if evals >= self.budget:
-                        break
-                    evals += 1
-                    err = self._endpoint_error(x, y, u, float(t))
-                    if err < best[0]:
-                        best = (err, float(t), u.copy())
+            # the level's candidates in t-major, u-minor order, cut at the budget
+            n = max(0, min(len(t_grid) * len(mesh), self.budget - evals))
+            durations = np.repeat(t_grid, len(mesh))[:n]
+            controls = np.tile(mesh, (len(t_grid), 1))[:n]
+            evals += n
+            if n:
+                errs = self._endpoint_errors(x, y, durations, controls)
+                # a NaN error never wins, as no comparison with NaN holds
+                i = int(np.argmin(np.where(np.isnan(errs), np.inf, errs)))
+                if errs[i] < best[0]:
+                    best = (float(errs[i]), float(durations[i]), controls[i].copy())
             if best[1] is None or evals >= self.budget or best[0] <= self.steer_tol:
                 break
             # shrink every range around the incumbent
@@ -410,20 +417,20 @@ def _detour_point(manifold: Manifold, x: np.ndarray) -> np.ndarray:
     return d / np.linalg.norm(d)
 
 
-def _padded_plan(oracle, manifold: Manifold, x: np.ndarray, y: np.ndarray,
-                 min_leg: float) -> ControlSignal:
-    """A base plan x -> y strictly longer than min_leg, padded with round
-    trips y -> x -> y (through a detour point when x and y coincide)."""
-    _, sig = oracle.solve(x, y)
+def _padded_plan(solve, manifold: Manifold, x: np.ndarray, y: np.ndarray,
+                 min_leg: float, sig: ControlSignal) -> ControlSignal:
+    """sig, a plan ending at y, padded with round trips y -> x -> y (through
+    a detour point when x and y coincide) until strictly longer than min_leg.
+    solve(a, b) is the oracle's plan from a to b."""
     guard = 0
     while sig.total_duration <= min_leg:
-        _, back = oracle.solve(y, x)
-        _, fwd = oracle.solve(x, y)
+        _, back = solve(y, x)
+        _, fwd = solve(x, y)
         added = back.segments + fwd.segments
         if not added:
             d = _detour_point(manifold, y)
-            _, back = oracle.solve(y, d)
-            _, fwd = oracle.solve(d, y)
+            _, back = solve(y, d)
+            _, fwd = solve(d, y)
             added = back.segments + fwd.segments
             if not added:
                 raise SteeringFailure("oracle produced only zero-duration plans")
@@ -454,17 +461,9 @@ def _fiber_transition(sys: AffineSystem, base_point: np.ndarray,
     tangent bases of the start and end base points."""
     m = sys.manifold
     b_start = m.tangent_basis(base_point)
-    d = m.intrinsic_dim
-    end_fibers = []
-    end_base = None
-    for i in range(d):
-        traj = integrate_lifted(sys, TangentPoint(base_point, b_start[:, i]), chunk, step)
-        end = traj.final_point
-        end_fibers.append(end.v)
-        end_base = end.x
+    end_base, end_fibers = fiber_flow(sys, base_point, b_start, chunk, step)
     b_end = m.tangent_basis(end_base)
-    mat = b_end.T @ np.column_stack(end_fibers)
-    return mat, b_start, b_end, end_base
+    return b_end.T @ end_fibers, b_start, b_end, end_base
 
 
 def _chunk_transitions(sys: AffineSystem, start_base: np.ndarray, chunks, step: float):
@@ -556,7 +555,15 @@ def plan_chain(sys: AffineSystem, oracle, metric: TangentMetric,
     def finished_chain() -> Chain:
         return Chain(tuple(legs), epsilon, min_duration, source, target, step, seed)
 
-    plan = _padded_plan(oracle, sys.manifold, x, y, min_leg)
+    solved: dict = {}
+
+    def solve(a: np.ndarray, b: np.ndarray) -> tuple[float, ControlSignal]:
+        key = (a.tobytes(), b.tobytes())
+        if key not in solved:
+            solved[key] = oracle.solve(a, b)
+        return solved[key]
+
+    plan = _padded_plan(solve, sys.manifold, x, y, min_leg, solve(x, y)[1])
 
     # Already within reach: try a single unsplit leg back to the target fiber.
     if gap0 <= eps_eff:
@@ -589,24 +596,8 @@ def plan_chain(sys: AffineSystem, oracle, metric: TangentMetric,
     fp_chunks = _chunk_signal(plan, min_leg)
     fp_trans, fp_end = _chunk_transitions(sys, x, fp_chunks, step)
 
-    # One cached round trip through the source base and back.
-    _, back = oracle.solve(y, x)
-    _, fwd = oracle.solve(x, y)
-    loop_sig = ControlSignal(back.segments + fwd.segments)
-    guard = 0
-    while loop_sig.total_duration <= min_leg:
-        extra = back.segments + fwd.segments
-        if not extra:
-            d = _detour_point(sys.manifold, y)
-            _, back = oracle.solve(y, d)
-            _, fwd = oracle.solve(d, y)
-            extra = back.segments + fwd.segments
-            if not extra:
-                raise SteeringFailure("oracle produced only zero-duration round trips")
-        loop_sig = ControlSignal(loop_sig.segments + extra)
-        guard += 1
-        if guard > 64:
-            raise SteeringFailure("could not pad the loop plan past the leg duration")
+    # One round trip through the source base and back.
+    loop_sig = _padded_plan(solve, sys.manifold, x, y, min_leg, ControlSignal.empty())
     loop_chunks = _chunk_signal(loop_sig, min_leg)
     loop_trans, loop_end = _chunk_transitions(sys, y, loop_chunks, step)
     n_loop_chunks = len(loop_chunks)

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +9,15 @@ from liftctl import (
     AffineSystem,
     Chain,
     ConstantField,
+    ControlSignal,
     LinearField,
     LinearGramianOracle,
     Manifold,
     PlanningBudgetError,
+    PolynomialField,
     SearchOracle,
     SphereRotationOracle,
+    SteeringFailure,
     TangentMetric,
     TangentPoint,
     UncontrollablePairError,
@@ -28,7 +32,10 @@ from liftctl import (
     verify_chain,
     zero_field,
 )
-from liftctl.planner import sample_control_signals
+from liftctl.cli import SystemDefinition
+from liftctl.planner import _fiber_transition, sample_control_signals
+
+DEFS = Path(__file__).resolve().parent.parent / "defs"
 
 ROT2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 L3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -156,6 +163,142 @@ def test_plan_chain_with_search_oracle():
     chain = plan_chain(sys, oracle, metric, source, target, 0.25, 0.5)
     report = verify_chain(sys, metric, chain)
     assert report.passed, report.messages
+
+
+def duffing_system():
+    """Polynomial drift and controlled field: batches fall back to row loops."""
+    drift = PolynomialField([[(1.0, (0, 1))], [(-1.0, (1, 0)), (-1.0, (3, 0))]], 2)
+    forcing = PolynomialField([[], [(1.0, (1, 0))]], 2)
+    return AffineSystem(Manifold.flat(2), drift, (forcing,), [[-2.0, 2.0]])
+
+
+def first_level_candidates(sys, t_max=8.0, eval_step=1e-2):
+    """SearchOracle's first grid level in its t-major, u-minor order."""
+    grids = [np.linspace(lo, hi, 5) for lo, hi in sys.bounds]
+    mesh = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, sys.n_controls)
+    return [(float(t), u) for t in np.linspace(eval_step, t_max, 9) for u in mesh]
+
+
+def one_at_a_time_errors(sys, x, y, candidates, eval_step=1e-2):
+    errs = []
+    for t, u in candidates:
+        step = max(eval_step, t / 120.0)
+        end = integrate_base(sys, x, ControlSignal.constant(u, t), step).final_state
+        errs.append(sys.manifold.base_distance(end, y))
+    return np.array(errs)
+
+
+class CountingSearch(SearchOracle):
+    evaluated = 0
+
+    def _endpoint_errors(self, x, y, durations, controls):
+        self.evaluated += len(durations)
+        return super()._endpoint_errors(x, y, durations, controls)
+
+
+@pytest.mark.parametrize("make_sys,x,y", [
+    (bilinear_rotation_system, [1.0, 0.0], [0.2, 0.9]),
+    (sphere_system, [1.0, 0.0, 0.0], [0.0, 0.6, 0.8]),
+    (duffing_system, [0.5, 0.0], [-0.3, 0.4]),
+])
+def test_search_level_matches_one_at_a_time(make_sys, x, y):
+    """A batched grid level scores every candidate as integrate_base does and
+    picks the first strict minimum in t-major, u-minor order."""
+    sys = make_sys()
+    x, y = np.array(x), np.array(y)
+    candidates = first_level_candidates(sys)
+    errs = one_at_a_time_errors(sys, x, y, candidates)
+    oracle = CountingSearch(sys, levels=1)
+    durations = np.array([t for t, _ in candidates])
+    controls = np.array([u for _, u in candidates])
+    assert np.max(np.abs(oracle._endpoint_errors(x, y, durations, controls) - errs)) <= 1e-12
+
+    best = int(np.argmin(errs))
+    oracle = CountingSearch(sys, levels=1)
+    oracle.steer_tol = 2.0 * errs[best]  # accept the level's winner
+    assert sys.manifold.base_distance(x, y) > oracle.steer_tol
+    duration, sig = oracle.solve(x, y)
+    assert oracle.evaluated == len(candidates)
+    assert duration == candidates[best][0]
+    assert np.array_equal(sig.segments[0][1], candidates[best][1])
+
+
+def test_search_budget_caps_candidates():
+    sys = bilinear_rotation_system()
+    x, y = np.array([1.0, 0.0]), np.array([0.2, 0.9])
+    errs = one_at_a_time_errors(sys, x, y, first_level_candidates(sys)[:10])
+    oracle = CountingSearch(sys, budget=10)
+    oracle.steer_tol = 2.0 * errs.min()
+    duration, _ = oracle.solve(x, y)
+    assert oracle.evaluated == 10
+    assert duration == first_level_candidates(sys)[int(np.argmin(errs))][0]
+    with pytest.raises(SteeringFailure):
+        CountingSearch(sys, budget=10).solve(x, y)
+
+
+class FlatSearch(SearchOracle):
+    """Every candidate lands equally far from the target."""
+
+    def _endpoint_errors(self, x, y, durations, controls):
+        return np.full(len(durations), 0.5)
+
+
+def test_search_ties_go_to_the_first_candidate():
+    sys = forced_rotation_system()
+    oracle = FlatSearch(sys)
+    oracle.steer_tol = 0.6
+    duration, sig = oracle.solve(np.zeros(2), np.array([1.0, 0.0]))
+    assert duration == oracle.eval_step
+    assert np.array_equal(sig.segments[0][1], sys.bounds[:, 0])
+
+
+@pytest.mark.parametrize("make_sys,x,chunk", [
+    (lambda: SystemDefinition.load(str(DEFS / "flat_rotation.json")).system, [1.0, 0.3],
+     ControlSignal(((0.6, [0.8]), (0.5, [-1.2])))),
+    (sphere_system, [0.6, 0.0, 0.8],
+     ControlSignal(((0.6, [0.7, -0.4]), (0.5, [-0.3, 0.9])))),
+])
+def test_fiber_transition_matches_column_runs(make_sys, x, chunk):
+    """One (n, d)-fiber integration equals d lifted runs, one per basis column."""
+    sys = make_sys()
+    x = np.array(x)
+    mat, b_start, b_end, end_base = _fiber_transition(sys, x, chunk, 1e-3)
+    ends = [integrate_lifted(sys, TangentPoint(x, b_start[:, i]), chunk, 1e-3).final_point
+            for i in range(sys.manifold.intrinsic_dim)]
+    assert np.array_equal(end_base, ends[0].x)
+    expected = b_end.T @ np.column_stack([end.v for end in ends])
+    assert np.max(np.abs(mat - expected)) <= 1e-12
+
+
+class CountingOracle:
+    def __init__(self, inner):
+        self.inner = inner
+        self.pairs = []
+
+    def solve(self, x, y):
+        self.pairs.append((x.tobytes(), y.tobytes()))
+        return self.inner.solve(x, y)
+
+
+@pytest.mark.parametrize("make_oracle,source,target,t_min,n_pairs", [
+    # x -> y and y -> x
+    (lambda s: LinearGramianOracle.for_system(s, horizon=1.0),
+     TangentPoint([0.0], [0.0]), TangentPoint([1.0], [0.5]), 0.5, 2),
+    # plans shorter than T: padded with the same round trip several times
+    (lambda s: LinearGramianOracle.for_system(s, horizon=1.0),
+     TangentPoint([0.0], [0.0]), TangentPoint([1.0], [0.5]), 2.5, 2),
+    # coincident bases: x -> x, then padding through a detour point d
+    (SphereRotationOracle.for_system,
+     TangentPoint([0.0, 1.0, 0.0], [0.3, 0.0, 0.0]),
+     TangentPoint([0.0, 1.0, 0.0], [0.0, 0.0, 0.3]), 0.5, 3),
+])
+def test_plan_chain_solves_each_pair_once(make_oracle, source, target, t_min, n_pairs):
+    sys = sphere_system() if source.x.shape == (3,) else line_system()
+    oracle = CountingOracle(make_oracle(sys))
+    metric = TangentMetric.for_manifold(sys.manifold)
+    chain = plan_chain(sys, oracle, metric, source, target, 0.25, t_min)
+    assert len(oracle.pairs) == len(set(oracle.pairs)) == n_pairs
+    assert all(leg.duration > t_min for leg in chain.legs)
 
 
 # --- reachable sets ----------------------------------------------------------
