@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys as _sys
 from dataclasses import dataclass
@@ -112,10 +113,12 @@ class SystemDefinition:
                 raise DefinitionError("metric", str(exc)) from exc
 
         step = data.get("step", DEFAULT_STEP)
-        if not isinstance(step, (int, float)) or step <= 0:
-            raise DefinitionError("step", "must be a positive number")
+        # bool is an int subclass; NaN fails every comparison
+        if (isinstance(step, bool) or not isinstance(step, (int, float))
+                or not 0 < step < math.inf):
+            raise DefinitionError("step", "must be a positive finite number")
         seed = data.get("seed", 0)
-        if not isinstance(seed, int):
+        if isinstance(seed, bool) or not isinstance(seed, int):
             raise DefinitionError("seed", "must be an integer")
         env_seed = os.environ.get("LIFTCTL_SEED")
         if env_seed is not None:
@@ -139,6 +142,8 @@ def _parse_vector(text: str, dim: int, flag: str) -> np.ndarray:
         vec = np.asarray([float(p) for p in text.split(",")], dtype=float)
     except ValueError as exc:
         raise DefinitionError(flag, f"expected comma-separated floats: {exc}") from exc
+    if not np.all(np.isfinite(vec)):
+        raise DefinitionError(flag, "components must be finite")
     if vec.shape[0] != dim:
         raise DefinitionError(flag, f"expected {dim} components, got {vec.shape[0]}")
     return vec

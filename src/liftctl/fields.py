@@ -469,11 +469,19 @@ def register_field_type(name: str, builder) -> None:
     _FIELD_BUILDERS[name] = builder
 
 
+def _finite(values, what: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} has a non-finite entry")
+    return values
+
+
 def _build_polynomial(desc: dict) -> PolynomialField:
     comps = [
         [(float(coeff), tuple(int(e) for e in exps)) for coeff, exps in component]
         for component in desc["components"]
     ]
+    _finite([coeff for component in comps for coeff, _ in component], "coefficient")
     return PolynomialField(comps, len(comps))
 
 
@@ -481,12 +489,15 @@ register_field_type("polynomial", _build_polynomial)
 
 
 def field_from_descriptor(desc: dict) -> VectorField:
-    """Deserialize a field descriptor from a system-definition file."""
+    """Deserialize a field descriptor from a system-definition file.
+    Non-finite matrix, vector or coefficient entries raise ValueError."""
+    if not isinstance(desc, dict):
+        raise ValueError("field descriptor must be an object")
     kind = desc.get("type")
     if kind == "linear":
-        return LinearField(np.asarray(desc["matrix"], dtype=float))
+        return LinearField(_finite(desc["matrix"], "matrix"))
     if kind == "constant":
-        return ConstantField(np.asarray(desc["vector"], dtype=float))
+        return ConstantField(_finite(desc["vector"], "vector"))
     if kind == "zero":
         return zero_field(int(desc["dim"]))
     if kind in _FIELD_BUILDERS:

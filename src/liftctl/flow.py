@@ -6,6 +6,16 @@ fiber columns) and batches of constant-control candidates all go through one
 RK4 stepper, so the base component of a lifted trajectory is bitwise
 identical to the plain base trajectory on the shared grid by construction.
 Control-segment boundaries always land on grid nodes.
+
+When every field of the system is linear or constant, the right-hand side on
+a segment with control value u is f(x) = A x + b, and one classical RK4 step
+of size h is exactly the affine map x -> M x + c with
+S = h (I + hA/2 + (hA)^2/6 + (hA)^3/24), M = I + S A and c = S b; the
+variational step is v -> M v. The stepper then builds (M, c) once per segment
+(per row for a batch) and advances by matmul instead of four stage
+evaluations. The iterates are the same RK4 iterates up to rounding. Other
+fields take the four stages. Renormalization, the drift check, fiber
+re-projection and row recording are shared by both.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .fields import VectorField
+from .fields import ConstantField, LinearField, VectorField
 from .manifold import Manifold, ManifoldKind, TangentPoint
 
 DEFAULT_STEP = 1e-3
@@ -37,8 +47,8 @@ class ControlSignal:
         clean = []
         for duration, value in self.segments:
             duration = float(duration)
-            if duration <= 0.0:
-                raise ValueError("segment durations must be positive")
+            if not 0.0 < duration < math.inf:
+                raise ValueError("segment durations must be positive and finite")
             clean.append((duration, np.atleast_1d(np.array(value, dtype=float))))
         object.__setattr__(self, "segments", tuple(clean))
 
@@ -152,6 +162,8 @@ class AffineSystem:
         object.__setattr__(self, "bounds", bounds)
         if len(self.controlled) < 1:
             raise ValueError("need at least one controlled field")
+        if not np.all(np.isfinite(bounds)):
+            raise ValueError("control bounds must be finite")
         if np.any(bounds[:, 0] > bounds[:, 1]):
             raise ValueError("control bounds must satisfy lo <= hi")
         if self.manifold.kind is ManifoldKind.SPHERE2:
@@ -164,7 +176,7 @@ class AffineSystem:
             x = self.manifold.random_point(rng)
             for fld in fields:
                 err = abs(x @ fld(x))
-                if err > tol:
+                if not err <= tol:
                     raise ValueError(
                         f"field {fld.name!r} not tangent to the sphere: |x.X(x)|={err:.2e}"
                     )
@@ -179,10 +191,10 @@ class AffineSystem:
                 raise ValueError(
                     f"control has {value.shape[0]} channels, system expects {self.n_controls}"
                 )
-            if np.any(value < self.bounds[:, 0] - 1e-12) or np.any(
-                value > self.bounds[:, 1] + 1e-12
-            ):
-                raise ValueError("control value outside bounds")
+            # written so that a NaN value fails it
+            if not np.all((value >= self.bounds[:, 0] - 1e-12)
+                          & (value <= self.bounds[:, 1] + 1e-12)):
+                raise ValueError("control value NaN or outside bounds")
 
     def rhs(self, x: np.ndarray, u_value: np.ndarray) -> np.ndarray:
         out = self.drift(x)
@@ -199,6 +211,21 @@ class AffineSystem:
             if np.any(ui):
                 out = out + ui * fld.rows(xs)
         return out
+
+    def affine_parts(self, u_value: np.ndarray):
+        """(A, b) with rhs(x, u_value) = A x + b when every field is linear or
+        constant; None otherwise."""
+        n = self.manifold.ambient_dim
+        a = np.zeros((n, n))
+        b = np.zeros(n)
+        for coeff, fld in zip((1.0, *u_value), (self.drift, *self.controlled)):
+            if isinstance(fld, LinearField):
+                a = a + coeff * fld.matrix
+            elif isinstance(fld, ConstantField):
+                b = b + coeff * fld.vector
+            else:
+                return None
+        return a, b
 
     def rhs_jacobian(self, x: np.ndarray, u_value: np.ndarray) -> np.ndarray:
         out = self.drift.jacobian(x)
@@ -259,7 +286,7 @@ def _renormalize(x: np.ndarray) -> tuple[np.ndarray, float]:
     """Project a state, or each row of a batch, back onto the unit sphere;
     also return the largest drift |‖x‖ - 1| before projection."""
     if x.ndim == 1:
-        nrm = np.linalg.norm(x)
+        nrm = math.sqrt(x @ x)  # the value np.linalg.norm gives, at less cost
         return x / nrm, abs(nrm - 1.0)
     nrm = np.linalg.norm(x, axis=1, keepdims=True)
     return x / nrm, float(np.max(np.abs(nrm - 1.0)))
@@ -269,22 +296,12 @@ def _rk4_combine(y, h, k1, k2, k3, k4):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4(f, jac, uval, x, v, h, n_steps: int, on_sphere: bool, t=0.0, rows=None):
-    """The one RK4 stepper (classical four-stage Runge-Kutta, Hairer,
-    Nørsett & Wanner, Solving ODEs I, §II.1): n_steps steps of size h of
-    dx/dt = f(x, uval) and, unless v is None, of the variational equation
-    dv/dt = jac(x, uval) v along the same base stages.
-
-    x is one state (n,) with a scalar h, or a batch of rows (B, n) with
-    uval of shape (B, m) and h of shape (B, 1), advanced together by a
-    row-wise f. v is one fiber vector (n,) or k fiber columns (n, k) carried
-    along a single state. On the sphere each state is renormalized after
-    every step, raising IntegrationError past DRIFT_TOL, and the fiber is
-    re-projected onto the new tangent plane. rows, when given, receives
-    (t, x, v) after every step. Returns (x, v, t, max_drift).
-    """
-    max_drift = 0.0
-    for _ in range(n_steps):
+def _stage_step(f, jac, uval, h):
+    """One classical RK4 step (Hairer, Nørsett & Wanner, Solving ODEs I,
+    §II.1) of size h of dx/dt = f(x, uval) and, unless v is None, of the
+    variational equation dv/dt = jac(x, uval) v along the same base stages,
+    as a map (x, v) -> (x, v)."""
+    def step(x, v):
         k1 = f(x, uval)
         x2 = x + 0.5 * h * k1
         k2 = f(x2, uval)
@@ -298,37 +315,95 @@ def _rk4(f, jac, uval, x, v, h, n_steps: int, on_sphere: bool, t=0.0, rows=None)
             k3v = jac(x3, uval) @ (v + 0.5 * h * k2v)
             k4v = jac(x4, uval) @ (v + h * k3v)
             v = _rk4_combine(v, h, k1v, k2v, k3v, k4v)
-        x = _rk4_combine(x, h, k1, k2, k3, k4)
+        return _rk4_combine(x, h, k1, k2, k3, k4), v
+    return step
+
+
+def _step_map(a: np.ndarray, b: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(M, c) such that x -> M x + c is exactly the RK4 step of size h of
+    dx/dt = a x + b, and v -> M v that of its variational equation: the four
+    stages sum to S (a x + b) with S = h (I + ha/2 + (ha)^2/6 + (ha)^3/24)."""
+    eye = np.eye(a.shape[0])
+    ha = h * a
+    s = h * (eye + ha @ (0.5 * eye + ha @ (eye / 6.0 + ha / 24.0)))
+    return eye + s @ a, s @ b
+
+
+def _segment_step(sys: AffineSystem, uval: np.ndarray, h):
+    """The RK4 step of size h under the constant control uval, as a map
+    (x, v) -> (x, v).
+
+    uval (m,) with a scalar h steps one state (n,) and its fiber (n,) or
+    (n, k); uval (B, m) with h (B, 1) steps a batch of rows (B, n) with no
+    fiber. When every field is linear or constant the step is the map of
+    _step_map, built once here (per row, by the same call a single run
+    makes, so a row steps bitwise as its single run does); otherwise it
+    evaluates the four stages.
+    """
+    if uval.ndim == 1:
+        parts = sys.affine_parts(uval)
+        if parts is None:
+            return _stage_step(sys.rhs, sys.rhs_jacobian, uval, h)
+        m, c = _step_map(*parts, h)
+        return lambda x, v: (m @ x + c, None if v is None else m @ v)
+    parts = [sys.affine_parts(row) for row in uval]
+    if parts[0] is None:
+        return _stage_step(sys.rhs_rows, None, uval, h)
+    maps = [_step_map(a, b, float(hr)) for (a, b), hr in zip(parts, h[:, 0])]
+    m = np.stack([mr for mr, _ in maps])
+    c = np.stack([cr for _, cr in maps])
+    return lambda x, v: ((m @ x[:, :, None])[:, :, 0] + c, v)
+
+
+def _rk4(step, x, v, h, n_steps: int, on_sphere: bool, t=0.0, rows=None):
+    """The one RK4 stepper: n_steps applications of step (from _segment_step)
+    of size h to the state x and, unless v is None, its fiber v.
+
+    On the sphere each state is renormalized after every step, raising
+    IntegrationError past DRIFT_TOL or on NaN, and the fiber is re-projected
+    onto the new tangent plane. rows, when given, receives (t, x, v) after
+    every step; each step makes new arrays, so the rows need no copies.
+    Returns (x, v, t, max_drift).
+    """
+    max_drift = 0.0
+    for _ in range(n_steps):
+        x, v = step(x, v)
         if on_sphere:
             x, drift = _renormalize(x)
-            if drift > DRIFT_TOL:
+            if not drift <= DRIFT_TOL:
                 raise IntegrationError(f"off-manifold drift {drift:.3e} at t={np.max(t + h)}")
             max_drift = max(max_drift, drift)
             if v is not None:
                 v = v - (x * (x @ v) if v.ndim == 1 else np.outer(x, x @ v))
         t = t + h
         if rows is not None:
-            rows.append((t, x.copy(), None if v is None else v.copy()))
+            rows.append((t, x, v))
     return x, v, t, max_drift
 
 
-def _integrate(sys: AffineSystem, x: np.ndarray, v, u: ControlSignal, step: float):
+def _integrate(sys: AffineSystem, x: np.ndarray, v, u: ControlSignal, step: float,
+               rows=None):
     """Run the stepper from the validated start (x, v) over every segment of
-    u, each on its own grid with boundaries on grid nodes. Returns the
-    (t, x, v) of every grid node and the largest drift off the sphere."""
-    if step <= 0.0:
+    u, each on its own grid with boundaries on grid nodes. rows, when given,
+    receives (t, x, v) at every grid node after the start. Returns the end
+    (x, v) and the largest drift off the sphere; raises IntegrationError when
+    the state or fiber is not finite at a segment end."""
+    if not step > 0.0:
         raise ValueError("step must be positive")
     sys.check_signal(u)
     on_sphere = sys.manifold.kind is ManifoldKind.SPHERE2
-    rows = [(0.0, x.copy(), None if v is None else v.copy())]
     t = 0.0
     max_drift = 0.0
     for duration, uval in u.segments:
         n_steps, h = _segment_grid(duration, step)
-        x, v, t, drift = _rk4(sys.rhs, sys.rhs_jacobian, uval, x, v, h, n_steps,
+        x, v, t, drift = _rk4(_segment_step(sys, uval, h), x, v, h, n_steps,
                               on_sphere, t, rows)
         max_drift = max(max_drift, drift)
-    return rows, max_drift
+        # a non-finite value stays non-finite under the steps, so one test
+        # per segment catches every overflow and NaN
+        if not (np.isfinite(x).all() and (v is None or np.isfinite(v).all())):
+            raise IntegrationError(f"state or fiber not finite at t={t}")
+    return x, v, max_drift
 
 
 def integrate_base(sys: AffineSystem, x0: np.ndarray, u: ControlSignal,
@@ -339,7 +414,8 @@ def integrate_base(sys: AffineSystem, x0: np.ndarray, u: ControlSignal,
     the manifold before renormalization is monitored and reported.
     """
     x = np.asarray(sys.manifold.check_point(x0), dtype=float)
-    rows, max_drift = _integrate(sys, x, None, u, step)
+    rows = [(0.0, x, None)]
+    _, _, max_drift = _integrate(sys, x, None, u, step, rows)
     times, states, _ = zip(*rows)
     return Trajectory(np.asarray(times), np.asarray(states), None, u, max_drift)
 
@@ -353,7 +429,8 @@ def integrate_lifted(sys: AffineSystem, p0: TangentPoint, u: ControlSignal,
     p0.validate(sys.manifold)
     x = np.asarray(p0.x, dtype=float)
     v = np.asarray(p0.v, dtype=float)
-    rows, max_drift = _integrate(sys, x, v, u, step)
+    rows = [(0.0, x, v)]
+    _, _, max_drift = _integrate(sys, x, v, u, step, rows)
     times, states, fibers = zip(*rows)
     return Trajectory(np.asarray(times), np.asarray(states), np.asarray(fibers), u,
                       max_drift)
@@ -364,12 +441,12 @@ def fiber_flow(sys: AffineSystem, x0: np.ndarray, fibers: np.ndarray, u: Control
     """End base point of the run from x0 under u, and the columns of the
     (n, k) matrix `fibers` carried along it by the variational flow.
 
-    One integration for all k columns; column i equals the fiber of
-    integrate_lifted from (x0, fibers[:, i]) up to rounding.
+    One integration for all k columns, recording no grid rows; column i
+    equals the fiber of integrate_lifted from (x0, fibers[:, i]) up to
+    rounding, and the end point is bitwise that of integrate_base.
     """
-    x = np.asarray(sys.manifold.check_point(x0), dtype=float)
-    rows, _ = _integrate(sys, x, np.asarray(fibers, dtype=float), u, step)
-    _, x_end, v_end = rows[-1]
+    x = np.array(sys.manifold.check_point(x0), dtype=float)
+    x_end, v_end, _ = _integrate(sys, x, np.array(fibers, dtype=float), u, step)
     return x_end, v_end
 
 
@@ -380,7 +457,8 @@ def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.n
 
     Row r runs on the grid integrate_base would use with step steps[r]. Rows
     with equal step counts advance together as one batch, so a row's end
-    state equals integrate_base's up to rounding.
+    state equals integrate_base's up to rounding (bitwise on the step-map
+    path off the sphere).
     """
     x = np.asarray(sys.manifold.check_point(x0), dtype=float)
     controls = np.asarray(controls, dtype=float)
@@ -394,7 +472,7 @@ def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.n
     for n_steps, batch in batches.items():
         h = np.array([[grids[r][1]] for r in batch])
         start = np.tile(x, (len(batch), 1))
-        ends[batch], _, _, _ = _rk4(sys.rhs_rows, None, controls[batch], start, None, h,
+        ends[batch], _, _, _ = _rk4(_segment_step(sys, controls[batch], h), start, None, h,
                                     n_steps, on_sphere)
     return ends
 

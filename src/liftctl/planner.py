@@ -19,7 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import PlanningBudgetError, SteeringFailure, UncontrollablePairError
+from .errors import (
+    DefinitionError,
+    PlanningBudgetError,
+    SteeringFailure,
+    UncontrollablePairError,
+)
 from .fields import ConstantField, LinearField
 from .flow import (
     DEFAULT_STEP,
@@ -334,6 +339,19 @@ def check_fiber_reachability(sys: AffineSystem, oracle, p0: TangentPoint,
     return FiberWitness(duration, control, endpoint)
 
 
+def _entry(data, key: str, parse, where: str = ""):
+    """parse(data[key]) for a chain file entry; a missing or ill-typed entry
+    raises DefinitionError naming where + key."""
+    try:
+        value = data[key]
+    except (KeyError, TypeError) as exc:
+        raise DefinitionError(where + key, "missing") from exc
+    try:
+        return parse(value)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise DefinitionError(where + key, f"malformed: {exc!r}") from exc
+
+
 @dataclass(frozen=True)
 class ChainLeg:
     start: TangentPoint
@@ -352,13 +370,13 @@ class ChainLeg:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "ChainLeg":
+    def from_json(data: dict, where: str = "") -> "ChainLeg":
         return ChainLeg(
-            TangentPoint.from_json(data["start"]),
-            ControlSignal.from_json(data["control"]),
-            float(data["duration"]),
-            TangentPoint.from_json(data["jump_target"]),
-            float(data["verified_distance"]),
+            _entry(data, "start", TangentPoint.from_json, where),
+            _entry(data, "control", ControlSignal.from_json, where),
+            _entry(data, "duration", float, where),
+            _entry(data, "jump_target", TangentPoint.from_json, where),
+            _entry(data, "verified_distance", float, where),
         )
 
 
@@ -385,14 +403,19 @@ class Chain:
 
     @staticmethod
     def from_json(data: dict) -> "Chain":
+        """The chain of a parsed chain file; a missing or ill-typed entry
+        raises DefinitionError naming it."""
+        def legs(items):
+            return tuple(ChainLeg.from_json(leg, f"legs[{i}].") for i, leg in enumerate(items))
+
         return Chain(
-            tuple(ChainLeg.from_json(leg) for leg in data["legs"]),
-            float(data["epsilon"]),
-            float(data["T"]),
-            TangentPoint.from_json(data["source"]),
-            TangentPoint.from_json(data["target"]),
-            float(data.get("step", DEFAULT_STEP)),
-            int(data.get("seed", 0)),
+            _entry(data, "legs", legs),
+            _entry(data, "epsilon", float),
+            _entry(data, "T", float),
+            _entry(data, "source", TangentPoint.from_json),
+            _entry(data, "target", TangentPoint.from_json),
+            _entry(data, "step", float) if "step" in data else DEFAULT_STEP,
+            _entry(data, "seed", int) if "seed" in data else 0,
         )
 
 

@@ -132,6 +132,70 @@ def test_chain_verify_only_detects_corruption(tmp_path, capsys):
     assert any("leg 0" in msg for msg in report["messages"])
 
 
+@pytest.mark.parametrize("path,named", [
+    (("legs",), "legs"), (("epsilon",), "epsilon"), (("T",), "T"),
+    (("source",), "source"), (("target",), "target"),
+    (("legs", 0, "control"), "legs[0].control"), (("legs", 0, "start", "v"), "legs[0].start"),
+])
+def test_chain_verify_only_malformed_file(tmp_path, capsys, path, named):
+    """A chain file lacking a required key exits 2 with an error naming it."""
+    out_file = tmp_path / "plan.json"
+    code, _, _ = run_cli(["chain", LINE, "--source", "0;0", "--target", "0;1",
+                          "--out", str(out_file)], capsys)
+    assert code == 0
+    chain = json.loads(out_file.read_text())["chain"]
+    entry = chain
+    for key in path[:-1]:
+        entry = entry[key]
+    del entry[path[-1]]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(chain))
+    code, out, err = run_cli(["chain", LINE, "--verify-only", str(broken)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {named}:")
+
+
+def test_chain_verify_only_ill_typed_entry(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"legs": 5, "epsilon": 0.1, "T": 0.5}))
+    code, _, err = run_cli(["chain", FLAT, "--verify-only", str(bad)], capsys)
+    assert code == 2
+    assert "legs" in err
+
+
+@pytest.mark.parametrize("changes,field", [
+    ({"step": True}, "step"),
+    ({"step": float("nan")}, "step"),
+    ({"seed": True}, "seed"),
+    ({"bounds": [[float("nan"), float("nan")]]}, "bounds"),
+    ({"controlled": [{"type": "constant", "vector": [float("nan")]}]}, "controlled[0]"),
+    ({"drift": {"type": "linear", "matrix": [[float("inf")]]}}, "drift"),
+    ({"drift": {"type": "polynomial", "components": [[[float("nan"), [1]]]]}}, "drift"),
+    ({"drift": 5}, "drift"),
+])
+def test_definition_rejects_non_finite_and_boolean_entries(tmp_path, capsys, changes, field):
+    data = json.loads(Path(LINE).read_text())
+    data.update(changes)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(["simulate", str(bad), "--x0", "0",
+                              "--control", "[[0.003,[0.5]]]"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {field}:")
+
+
+@pytest.mark.parametrize("args", [
+    ["--x0", "0", "--control", "[[0.003,[NaN]]]"],
+    ["--x0", "0", "--control", "[[NaN,[0.5]]]"],
+    ["--x0", "0", "--control", "[[Infinity,[0.5]]]"],
+    ["--x0", "nan"],
+])
+def test_simulate_rejects_non_finite_inputs(capsys, args):
+    code, out, err = run_cli(["simulate", LINE, *args], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_chain_missing_source(capsys):
     code, _, err = run_cli(["chain", LINE, "--eps", "0.25", "--T", "0.5"], capsys)
     assert code == 2

@@ -10,6 +10,7 @@ from liftctl import (
     LinearField,
     Manifold,
     TangentPoint,
+    VectorField,
     check_flow_formula,
     check_invariance,
     concat,
@@ -18,6 +19,7 @@ from liftctl import (
     shift,
     zero_field,
 )
+from liftctl.flow import constant_control_endpoints
 
 ROT2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 L3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -101,9 +103,17 @@ def test_signal_validation():
         ControlSignal(((0.0, [1.0]),))
     with pytest.raises(ValueError):
         ControlSignal(((-1.0, [1.0]),))
+    with pytest.raises(ValueError):
+        ControlSignal(((np.nan, [1.0]),))
     sys = rotation_system()
     with pytest.raises(ValueError):
         integrate_base(sys, [1.0, 0.0], ControlSignal.constant([5.0], 1.0))
+    with pytest.raises(ValueError):
+        integrate_base(sphere_bilinear_system(), [1.0, 0.0, 0.0],
+                       ControlSignal.constant([np.nan], 0.1))
+    with pytest.raises(ValueError):
+        AffineSystem(Manifold.flat(2), LinearField(ROT2), (LinearField(np.eye(2)),),
+                     [[np.nan, np.nan]])
 
 
 # --- integration -----------------------------------------------------------
@@ -186,6 +196,88 @@ def test_drift_monitor_raises_on_huge_step():
     sys = sphere_bilinear_system()
     with pytest.raises(IntegrationError):
         integrate_base(sys, [1.0, 0.0, 0.0], ControlSignal.zero(1, 10.0), 1.0)
+
+
+def callable_copy(fld, n):
+    """The same field as a bare callable with an analytic Jacobian, which
+    integrates by the four RK4 stages instead of the step map."""
+    if isinstance(fld, LinearField):
+        return VectorField(lambda x: fld.matrix @ x, lambda x: fld.matrix)
+    return VectorField(lambda x: fld.vector.copy(), lambda x: np.zeros((n, n)))
+
+
+def random_affine_system(n, constant_drift, rng):
+    drift = (ConstantField(rng.normal(size=n)) if constant_drift
+             else LinearField(0.5 * rng.normal(size=(n, n))))
+    controlled = (LinearField(0.5 * rng.normal(size=(n, n))), ConstantField(rng.normal(size=n)))
+    return AffineSystem(Manifold.flat(n), drift, controlled, [[-1.0, 1.0], [-1.0, 1.0]])
+
+
+def stage_copy(sys):
+    n = sys.manifold.ambient_dim
+    return AffineSystem(sys.manifold, callable_copy(sys.drift, n),
+                        tuple(callable_copy(f, n) for f in sys.controlled), sys.bounds)
+
+
+def sphere_two_axis_system():
+    return AffineSystem(Manifold.sphere2(), zero_field(3),
+                        (LinearField(L1), LinearField(L3)), [[-1.0, 1.0], [-1.0, 1.0]])
+
+
+@pytest.mark.parametrize("n,drift", [(1, "constant"), (1, "linear"), (2, "constant"),
+                                     (2, "linear"), (3, "constant"), (3, "linear"),
+                                     (3, "sphere")])
+def test_step_map_matches_stages(n, drift):
+    """Linear and constant fields step by the precomputed affine map; the
+    same matrices as bare callables step by the four stages. Both are RK4,
+    so states and fibers agree up to rounding; base and lifted runs on the
+    map path stay bitwise equal, with c != 0 when the drift is constant."""
+    rng = np.random.default_rng(100 * n + (drift == "constant"))
+    if drift == "sphere":
+        sys = sphere_two_axis_system()
+        x0 = np.array([0.6, 0.0, 0.8])
+        v0 = np.array([0.8, 0.3, -0.6])
+    else:
+        sys = random_affine_system(n, drift == "constant", rng)
+        x0, v0 = rng.normal(size=n), rng.normal(size=n)
+    stages = stage_copy(sys)
+    u = ControlSignal(tuple((float(rng.uniform(0.2, 0.5)), rng.uniform(-1.0, 1.0, 2))
+                            for _ in range(3)))
+    assert sys.affine_parts(u.segments[0][1]) is not None
+    assert stages.affine_parts(u.segments[0][1]) is None
+    mapped = integrate_lifted(sys, TangentPoint(x0, v0), u, 1e-3)
+    staged = integrate_lifted(stages, TangentPoint(x0, v0), u, 1e-3)
+    for got, want in ((mapped.states, staged.states), (mapped.fibers, staged.fibers)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    base = integrate_base(sys, x0, u, 1e-3)
+    assert np.array_equal(base.times, mapped.times)
+    assert np.array_equal(base.states, mapped.states)
+
+
+@pytest.mark.parametrize("make_sys", [
+    sphere_bilinear_system,
+    lambda: stage_copy(sphere_bilinear_system()),
+])
+def test_nan_state_on_sphere_raises(make_sys):
+    """A NaN state fails the drift test (NaN compares false) on both paths,
+    in single runs and in row batches."""
+    sys = make_sys()
+    with pytest.raises(IntegrationError):
+        integrate_base(sys, [np.nan, 0.0, 0.0], ControlSignal.zero(1, 0.01))
+    with pytest.raises(IntegrationError):
+        constant_control_endpoints(sys, [np.nan, 0.0, 0.0], [[0.5], [-0.5]], [0.01, 0.01],
+                                   [1e-3, 1e-3])
+
+
+def test_overflow_on_flat_raises():
+    sys = AffineSystem(Manifold.flat(2), LinearField(1e200 * np.eye(2)),
+                       (LinearField(np.eye(2)),), [[-1.0, 1.0]])
+    u = ControlSignal.zero(1, 1e-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError):
+            integrate_base(sys, [1.0, 1.0], u, 1e-3)
+        with pytest.raises(IntegrationError):
+            integrate_lifted(sys, TangentPoint([1.0, 1.0], [0.0, 1.0]), u, 1e-3)
 
 
 def test_fiber_flow_superposition():
