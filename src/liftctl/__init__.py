@@ -62,9 +62,8 @@ from .planner import (
     compose_chains,
     plan_chain,
     reachable_sample,
-    steer,
     verify_chain,
 )
-from .sasaki import MetricMode, TangentMetric, distance, fiber_segment_point
+from .sasaki import distance, fiber_segment_point
 
 __version__ = "0.1.0"

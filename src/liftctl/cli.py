@@ -1,8 +1,9 @@
 """Command-line front end: liftctl <simulate|check|chain|larc>.
 
 System definitions are JSON files with a schema version, manifold, field
-descriptors (matrices row-major), per-channel control bounds, metric mode,
-integrator step and seed. All reports go to stdout unless --out is given.
+descriptors (matrices row-major), per-channel control bounds, an optional
+metric name (validated only: the distance follows the manifold), integrator
+step and seed. All reports go to stdout unless --out is given.
 Exit codes: 0 success, 1 domain/planning failure, 2 usage/parse failure.
 """
 
@@ -41,16 +42,19 @@ from .planner import (
     plan_chain,
     verify_chain,
 )
-from .sasaki import MetricMode, TangentMetric
 
 SCHEMA_VERSION = 1
+
+# The metric names a definition may give for each manifold kind. The
+# distance itself follows the manifold (liftctl.sasaki.distance).
+_METRICS = {"flat": ("flat_product", "transport_surrogate"),
+            "sphere2": ("transport_surrogate",)}
 
 
 @dataclass(frozen=True)
 class SystemDefinition:
     manifold: Manifold
     system: AffineSystem
-    metric: TangentMetric
     step: float
     seed: int
 
@@ -103,14 +107,10 @@ class SystemDefinition:
         except ValueError as exc:
             raise DefinitionError("bounds", str(exc)) from exc
 
-        metric_name = data.get("metric")
-        if metric_name is None:
-            metric = TangentMetric.for_manifold(manifold)
-        else:
-            try:
-                metric = TangentMetric(manifold, MetricMode(metric_name))
-            except ValueError as exc:
-                raise DefinitionError("metric", str(exc)) from exc
+        metric = data.get("metric")
+        if metric is not None and metric not in _METRICS[kind]:
+            raise DefinitionError("metric", f"expected one of {_METRICS[kind]} on {kind}, "
+                                            f"got {metric!r}")
 
         step = data.get("step", DEFAULT_STEP)
         # bool is an int subclass; NaN fails every comparison
@@ -123,7 +123,7 @@ class SystemDefinition:
         env_seed = os.environ.get("LIFTCTL_SEED")
         if env_seed is not None:
             seed = int(env_seed)
-        return SystemDefinition(manifold, system, metric, float(step), seed)
+        return SystemDefinition(manifold, system, float(step), seed)
 
     @staticmethod
     def load(path: str) -> "SystemDefinition":
@@ -339,7 +339,7 @@ def cmd_chain(args) -> int:
     if args.verify_only:
         with open(args.verify_only, "r", encoding="utf-8") as fh:
             chain = Chain.from_json(json.load(fh))
-        report = verify_chain(defn.system, defn.metric, chain)
+        report = verify_chain(defn.system, chain)
         _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
         return 0 if report.passed else 1
     if args.source is None or args.target is None:
@@ -348,14 +348,14 @@ def cmd_chain(args) -> int:
     target = _parse_tangent(args.target, n, "--target")
     oracle = resolve_oracle(defn)
     try:
-        chain = plan_chain(defn.system, oracle, defn.metric, source, target,
+        chain = plan_chain(defn.system, oracle, source, target,
                            args.eps, args.T, args.max_legs, defn.step, defn.seed)
     except PlanningBudgetError as exc:
         payload = {"error": str(exc),
                    "partial_chain": exc.best_chain.to_json() if exc.best_chain else None}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 1
-    report = verify_chain(defn.system, defn.metric, chain)
+    report = verify_chain(defn.system, chain)
     payload = {"chain": chain.to_json(), "verification": report.to_json()}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0 if report.passed else 1

@@ -1,9 +1,11 @@
 """Vector fields with Jacobian access, scalar fields, lifts to the tangent
 bundle, and Lie brackets.
 
-Linear, constant and polynomial fields carry analytic Jacobians; arbitrary
-callables fall back to central finite differences. Linear and constant
-fields evaluate batches of points natively; the others loop over the rows.
+Polynomial fields are the one analytic representation: linear and constant
+fields are polynomial fields of degree one and zero, built from a matrix or
+a vector, and any field of degree at most one reports its (A, b) through
+affine(). Polynomial fields carry analytic Jacobians and closed-form
+brackets; arbitrary callables fall back to central finite differences.
 A lifted field is kept as a pair of ambient maps (horizontal, vertical), so
 its projection onto the base field holds by construction; the
 bracket-identity check flattens lifted fields to 2n ambient dimensions only
@@ -11,6 +13,8 @@ internally.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -125,10 +129,9 @@ class VectorField:
     """A point -> ambient-vector map with Jacobian access.
 
     Custom fields built from a bare callable use central finite differences
-    for the Jacobian; the subclasses below carry analytic ones.
+    for the Jacobian unless one is given; polynomial fields carry analytic
+    ones.
     """
-
-    descriptor = "custom"
 
     def __init__(self, value, jacobian=None, name: str = "custom",
                  value_noise: float = 0.0):
@@ -154,74 +157,14 @@ class VectorField:
     def has_analytic_jacobian(self) -> bool:
         return self._jacobian is not None
 
-    def as_polynomial(self):
+    def affine(self):
+        """(A, b) with value A x + b, or None when the field is not known to
+        be affine (always None for a bare callable)."""
         return None
-
-
-class LinearField(VectorField):
-    """x -> A x with constant Jacobian A."""
-
-    descriptor = "linear"
-
-    def __init__(self, matrix: np.ndarray, name: str = "linear"):
-        self.matrix = np.asarray(matrix, dtype=float)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("linear field needs a square matrix")
-        super().__init__(lambda x: self.matrix @ x, lambda x: self.matrix, name)
-
-    def rows(self, xs: np.ndarray) -> np.ndarray:
-        return xs @ self.matrix.T
-
-    @property
-    def has_analytic_jacobian(self) -> bool:
-        return True
-
-    def as_polynomial(self):
-        n = self.matrix.shape[0]
-        comps = []
-        for i in range(n):
-            monos = []
-            for j in range(n):
-                if self.matrix[i, j] != 0.0:
-                    exps = [0] * n
-                    exps[j] = 1
-                    monos.append((self.matrix[i, j], tuple(exps)))
-            comps.append(_mono_collect(monos))
-        return PolynomialField(comps, n, name=self.name)
-
-
-class ConstantField(VectorField):
-    """x -> c with zero Jacobian."""
-
-    descriptor = "constant"
-
-    def __init__(self, vector: np.ndarray, name: str = "constant"):
-        self.vector = np.asarray(vector, dtype=float)
-        n = self.vector.shape[0]
-        super().__init__(lambda x: self.vector.copy(), lambda x: np.zeros((n, n)), name)
-
-    def rows(self, xs: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.vector, xs.shape)
-
-    @property
-    def has_analytic_jacobian(self) -> bool:
-        return True
-
-    def as_polynomial(self):
-        n = self.vector.shape[0]
-        comps = []
-        for i in range(n):
-            if self.vector[i] != 0.0:
-                comps.append(((self.vector[i], (0,) * n),))
-            else:
-                comps.append(())
-        return PolynomialField(comps, n, name=self.name)
 
 
 class PolynomialField(VectorField):
     """Components are polynomials with integer exponents; analytic Jacobian."""
-
-    descriptor = "polynomial"
 
     def __init__(self, components, dim: int, name: str = "polynomial"):
         self.components = tuple(_mono_collect(c) for c in components)
@@ -243,12 +186,48 @@ class PolynomialField(VectorField):
              for i in range(self.dim)]
         )
 
-    @property
-    def has_analytic_jacobian(self) -> bool:
-        return True
+    @functools.cached_property
+    def _affine(self):
+        # built on first use: most bracket fields are never asked
+        monos = [(i, c, e) for i, comp in enumerate(self.components) for c, e in comp]
+        # a negative exponent is not affine even when the degree sums to one
+        if any(sum(e) > 1 or min(e, default=0) < 0 for _, _, e in monos):
+            return None
+        a = np.zeros((self.dim, self.dim))
+        b = np.zeros(self.dim)
+        for i, coeff, exps in monos:
+            if any(exps):
+                a[i, exps.index(1)] = coeff
+            else:
+                b[i] = coeff
+        return a, b
 
-    def as_polynomial(self):
-        return self
+    def affine(self):
+        """(A, b) with value A x + b when the degree is at most one, else
+        None. The arrays are shared; callers must not modify them."""
+        return self._affine
+
+
+class LinearField(PolynomialField):
+    """x -> A x: the degree-one polynomial field of a square matrix."""
+
+    def __init__(self, matrix: np.ndarray, name: str = "linear"):
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError("linear field needs a square matrix")
+        n = matrix.shape[0]
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        super().__init__([[(matrix[i, j], units[j]) for j in range(n)] for i in range(n)],
+                         n, name)
+
+
+class ConstantField(PolynomialField):
+    """x -> c: the degree-zero polynomial field of a vector."""
+
+    def __init__(self, vector: np.ndarray, name: str = "constant"):
+        vector = np.asarray(vector, dtype=float)
+        n = vector.shape[0]
+        super().__init__([[(c, (0,) * n)] for c in vector], n, name)
 
 
 def zero_field(dim: int) -> ConstantField:
@@ -258,16 +237,13 @@ def zero_field(dim: int) -> ConstantField:
 def combine_fields(fields, coeffs) -> VectorField:
     """Pointwise linear combination sum_i coeffs[i] * fields[i].
 
-    Stays Linear when every term is linear; otherwise delegates value and
-    Jacobian to the terms (so analytic terms keep analytic Jacobians).
+    Delegates value and Jacobian to the terms (so analytic terms keep
+    analytic Jacobians).
     """
     fields = list(fields)
     coeffs = [float(c) for c in coeffs]
     if len(fields) != len(coeffs):
         raise ValueError("one coefficient per field")
-    if all(isinstance(f, LinearField) for f in fields):
-        mat = sum(c * f.matrix for f, c in zip(fields, coeffs))
-        return LinearField(mat, name="combination")
 
     def value(x):
         return sum((c * f(x) for f, c in zip(fields, coeffs)),
@@ -315,12 +291,6 @@ class LiftedVectorField:
         vert = self.base.jacobian(p.x) @ p.v
         return h, vert
 
-    def horizontal(self, p: TangentPoint) -> np.ndarray:
-        return self.base(p.x)
-
-    def vertical(self, p: TangentPoint) -> np.ndarray:
-        return self.base.jacobian(p.x) @ p.v
-
 
 def complete_lift(field: VectorField) -> LiftedVectorField:
     return LiftedVectorField(field)
@@ -347,34 +317,22 @@ def vertical_lift_function(f: ScalarField):
 def lie_bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
     """[X, Y](x) = J_Y(x) X(x) - J_X(x) Y(x).
 
-    Brackets of linear/constant/polynomial fields are computed in closed form
-    so iterated brackets keep analytic Jacobians; anything else falls back to
-    a pointwise formula with a finite-difference Jacobian.
+    Brackets of polynomial fields (linear and constant ones included) are
+    computed in closed form so iterated brackets keep analytic Jacobians;
+    anything else falls back to a pointwise formula with a finite-difference
+    Jacobian.
     """
-    if isinstance(x_field, LinearField) and isinstance(y_field, LinearField):
-        a, b = x_field.matrix, y_field.matrix
-        return LinearField(b @ a - a @ b, name=f"[{x_field.name},{y_field.name}]")
-    if isinstance(x_field, LinearField) and isinstance(y_field, ConstantField):
-        return ConstantField(-x_field.matrix @ y_field.vector,
-                             name=f"[{x_field.name},{y_field.name}]")
-    if isinstance(x_field, ConstantField) and isinstance(y_field, LinearField):
-        return ConstantField(y_field.matrix @ x_field.vector,
-                             name=f"[{x_field.name},{y_field.name}]")
-    if isinstance(x_field, ConstantField) and isinstance(y_field, ConstantField):
-        return zero_field(x_field.vector.shape[0])
-
-    xp, yp = x_field.as_polynomial(), y_field.as_polynomial()
-    if xp is not None and yp is not None:
-        n = xp.dim
+    if isinstance(x_field, PolynomialField) and isinstance(y_field, PolynomialField):
+        n = x_field.dim
         comps = []
         for i in range(n):
             acc = ()
             for k in range(n):
                 acc = _mono_collect(
                     list(acc)
-                    + list(_poly_mul(_poly_diff(yp.components[i], k), xp.components[k]))
+                    + list(_poly_mul(_poly_diff(y_field.components[i], k), x_field.components[k]))
                     + [(-c, e) for c, e in
-                       _poly_mul(_poly_diff(xp.components[i], k), yp.components[k])]
+                       _poly_mul(_poly_diff(x_field.components[i], k), y_field.components[k])]
                 )
             comps.append(acc)
         return PolynomialField(comps, n, name=f"[{x_field.name},{y_field.name}]")
@@ -394,26 +352,15 @@ def lie_bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
 def flatten_lift(field: VectorField) -> VectorField:
     """The lift of a field as a single field on the 2n-dimensional ambient
     representation of the tangent bundle: z = (x, v) -> (X(x), J_X(x) v)."""
-    if isinstance(field, LinearField):
-        a = field.matrix
-        n = a.shape[0]
-        big = np.zeros((2 * n, 2 * n))
-        big[:n, :n] = a
-        big[n:, n:] = a
-        return LinearField(big, name=f"{field.name}^c")
-    if isinstance(field, ConstantField):
-        return ConstantField(np.concatenate([field.vector, np.zeros_like(field.vector)]),
-                             name=f"{field.name}^c")
-    poly = field.as_polynomial()
-    if poly is not None:
-        n = poly.dim
+    if isinstance(field, PolynomialField):
+        n = field.dim
         comps = []
         for i in range(n):
-            comps.append(tuple((c, e + (0,) * n) for c, e in poly.components[i]))
+            comps.append(tuple((c, e + (0,) * n) for c, e in field.components[i]))
         for i in range(n):
             monos = []
             for j in range(n):
-                for c, e in _poly_diff(poly.components[i], j):
+                for c, e in _poly_diff(field.components[i], j):
                     v_exp = [0] * n
                     v_exp[j] = 1
                     monos.append((c, e + tuple(v_exp)))
@@ -439,7 +386,8 @@ def check_pi_related(field: VectorField, samples) -> float:
     lifted = complete_lift(field)
     worst = 0.0
     for p in samples:
-        dev = float(np.linalg.norm(lifted.horizontal(p) - field(p.x)))
+        h, _ = lifted(p)
+        dev = float(np.linalg.norm(h - field(p.x)))
         worst = max(worst, dev)
     return worst
 
@@ -506,10 +454,8 @@ def field_from_descriptor(desc: dict) -> VectorField:
 
 
 def field_to_descriptor(field: VectorField) -> dict:
-    if isinstance(field, LinearField):
-        return {"type": "linear", "matrix": field.matrix.tolist()}
-    if isinstance(field, ConstantField):
-        return {"type": "constant", "vector": field.vector.tolist()}
+    """The descriptor of a polynomial field (linear and constant fields give
+    a "polynomial" descriptor of degree one or zero)."""
     if isinstance(field, PolynomialField):
         return {
             "type": "polynomial",

@@ -7,8 +7,9 @@ RK4 stepper, so the base component of a lifted trajectory is bitwise
 identical to the plain base trajectory on the shared grid by construction.
 Control-segment boundaries always land on grid nodes.
 
-When every field of the system is linear or constant, the right-hand side on
-a segment with control value u is f(x) = A x + b, and one classical RK4 step
+When every field of the system is affine (a polynomial field of degree at
+most one, such as a linear or constant field), the right-hand side on a
+segment with control value u is f(x) = A x + b, and one classical RK4 step
 of size h is exactly the affine map x -> M x + c with
 S = h (I + hA/2 + (hA)^2/6 + (hA)^3/24), M = I + S A and c = S b; the
 variational step is v -> M v. The stepper then builds (M, c) once per segment
@@ -20,13 +21,14 @@ re-projection and row recording are shared by both.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IntegrationError
-from .fields import ConstantField, LinearField, VectorField
+from .fields import VectorField
 from .manifold import Manifold, ManifoldKind, TangentPoint
 
 DEFAULT_STEP = 1e-3
@@ -212,19 +214,32 @@ class AffineSystem:
                 out = out + ui * fld.rows(xs)
         return out
 
+    @functools.cached_property
+    def _affine_terms(self):
+        """Each field's (A, b) from affine(), with an all-zero part as None;
+        None when some field is not affine."""
+        terms = []
+        for fld in (self.drift, *self.controlled):
+            parts = fld.affine()
+            if parts is None:
+                return None
+            terms.append(tuple(part if part.any() else None for part in parts))
+        return terms
+
     def affine_parts(self, u_value: np.ndarray):
-        """(A, b) with rhs(x, u_value) = A x + b when every field is linear or
-        constant; None otherwise."""
+        """(A, b) with rhs(x, u_value) = A x + b when every field is affine
+        (a polynomial field of degree at most one); None otherwise."""
+        if self._affine_terms is None:
+            return None
         n = self.manifold.ambient_dim
         a = np.zeros((n, n))
         b = np.zeros(n)
-        for coeff, fld in zip((1.0, *u_value), (self.drift, *self.controlled)):
-            if isinstance(fld, LinearField):
-                a = a + coeff * fld.matrix
-            elif isinstance(fld, ConstantField):
-                b = b + coeff * fld.vector
-            else:
-                return None
+        # skipping an all-zero part changes no bit, as a and b never hold -0.0
+        for coeff, (part_a, part_b) in zip((1.0, *u_value), self._affine_terms):
+            if part_a is not None:
+                a = a + coeff * part_a
+            if part_b is not None:
+                b = b + coeff * part_b
         return a, b
 
     def rhs_jacobian(self, x: np.ndarray, u_value: np.ndarray) -> np.ndarray:
@@ -335,7 +350,7 @@ def _segment_step(sys: AffineSystem, uval: np.ndarray, h):
 
     uval (m,) with a scalar h steps one state (n,) and its fiber (n,) or
     (n, k); uval (B, m) with h (B, 1) steps a batch of rows (B, n) with no
-    fiber. When every field is linear or constant the step is the map of
+    fiber. When every field is affine the step is the map of
     _step_map, built once here (per row, by the same call a single run
     makes, so a row steps bitwise as its single run does); otherwise it
     evaluates the four stages.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import VectorField, complete_lift, flatten_lift, lie_bracket
+from .fields import complete_lift, flatten_lift, lie_bracket
 from .manifold import Manifold, ManifoldKind, TangentPoint
 
 DEFAULT_DEPTH = 4
@@ -161,21 +161,18 @@ def lifted_rank_at(fields, tangent_point: TangentPoint, max_depth: int,
 
 def check_lift_algebra_identity(fields, samples, max_depth: int) -> float:
     """Compare lift-then-bracket against bracket-then-lift for every bracket
-    word, evaluated at every sample; returns the max norm difference."""
+    word, evaluated at every sample; returns the max norm difference.
+
+    The words of the flattened lifts come out of generate_brackets in the
+    same order as those of the fields, so the two lists pair word by word.
+    """
     fields = list(fields)
     entries = generate_brackets(fields, max_depth)
-    flat_leaves = [flatten_lift(f) for f in fields]
-
-    def flat_eval_tree(tree: BracketTree) -> VectorField:
-        if tree.is_leaf:
-            return flat_leaves[tree.index]
-        return lie_bracket(flat_eval_tree(tree.left), flat_eval_tree(tree.right))
-
+    flat_entries = generate_brackets([flatten_lift(f) for f in fields], max_depth)
     worst = 0.0
-    for tree, fld in entries:
+    for (tree, fld), (_, left_field) in zip(entries, flat_entries):
         if tree.is_leaf:
             continue  # both sides are the same lift by definition
-        left_field = flat_eval_tree(tree)
         right_lift = complete_lift(fld)
         for p in samples:
             z = np.concatenate([p.x, p.v])

@@ -7,6 +7,7 @@ primitives are everything the rest of the package needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -46,7 +47,8 @@ class Manifold:
         return self.kind is ManifoldKind.FLAT
 
     def check_point(self, x: np.ndarray) -> np.ndarray:
-        """Validate that x lies on the manifold within POINT_TOL."""
+        """Validate that x is finite and lies on the manifold within
+        POINT_TOL."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.ambient_dim,):
             raise OffManifoldError(
@@ -54,8 +56,10 @@ class Manifold:
             )
         if self.kind is ManifoldKind.SPHERE2:
             err = abs(np.linalg.norm(x) - 1.0)
-            if err > POINT_TOL:
+            if not err <= POINT_TOL:  # a NaN or infinite coordinate fails it too
                 raise OffManifoldError(f"|x| deviates from 1 by {err:.3e}")
+        elif not all(map(math.isfinite, x.tolist())):  # cheaper than numpy on a short x
+            raise OffManifoldError(f"point {x.tolist()} has a non-finite coordinate")
         return x
 
     def project_tangent(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -157,6 +161,8 @@ class TangentPoint:
             raise OffManifoldError(
                 f"fiber vector shape {self.v.shape} != base shape {self.x.shape}"
             )
+        if not np.isfinite(self.v).all():
+            raise OffManifoldError(f"fiber vector {self.v.tolist()} has a non-finite coordinate")
         if manifold.kind is ManifoldKind.SPHERE2:
             err = abs(self.x @ self.v)
             if err > POINT_TOL:
@@ -168,4 +174,9 @@ class TangentPoint:
 
     @staticmethod
     def from_json(data: dict) -> "TangentPoint":
-        return TangentPoint(np.asarray(data["x"], float), np.asarray(data["v"], float))
+        """The point of {"x": [...], "v": [...]}; a non-finite coordinate
+        raises ValueError."""
+        point = TangentPoint(np.asarray(data["x"], float), np.asarray(data["v"], float))
+        if not (np.isfinite(point.x).all() and np.isfinite(point.v).all()):
+            raise ValueError("tangent point has a non-finite coordinate")
+        return point

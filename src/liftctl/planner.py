@@ -25,7 +25,6 @@ from .errors import (
     SteeringFailure,
     UncontrollablePairError,
 )
-from .fields import ConstantField, LinearField
 from .flow import (
     DEFAULT_STEP,
     AffineSystem,
@@ -36,7 +35,7 @@ from .flow import (
     split_signal,
 )
 from .manifold import Manifold, ManifoldKind, TangentPoint
-from .sasaki import TangentMetric, distance, fiber_segment_point
+from .sasaki import distance, fiber_segment_point
 
 GRAMIAN_STEER_TOL = 1e-6
 SEARCH_STEER_TOL = 1e-3
@@ -96,19 +95,16 @@ class LinearGramianOracle:
                    n_segments: int = 64) -> "LinearGramianOracle":
         if not sys.manifold.is_flat:
             raise SteeringFailure("Gramian oracle requires a flat manifold")
-        n = sys.manifold.ambient_dim
-        if isinstance(sys.drift, LinearField):
-            a = sys.drift.matrix
-        elif isinstance(sys.drift, ConstantField) and not np.any(sys.drift.vector):
-            a = np.zeros((n, n))
-        else:
+        drift = sys.drift.affine()
+        if drift is None or np.any(drift[1]):
             raise SteeringFailure("Gramian oracle requires a linear (or zero) drift")
         cols = []
         for fld in sys.controlled:
-            if not isinstance(fld, ConstantField):
+            parts = fld.affine()
+            if parts is None or np.any(parts[0]):
                 raise SteeringFailure("Gramian oracle requires constant controlled fields")
-            cols.append(fld.vector)
-        return LinearGramianOracle(a, np.column_stack(cols), horizon, n_segments)
+            cols.append(parts[1])
+        return LinearGramianOracle(drift[0], np.column_stack(cols), horizon, n_segments)
 
     def solve(self, x: np.ndarray, y: np.ndarray) -> tuple[float, ControlSignal]:
         x = np.asarray(x, dtype=float)
@@ -168,13 +164,14 @@ class SphereRotationOracle:
     def for_system(sys: AffineSystem) -> "SphereRotationOracle":
         if sys.manifold.kind is not ManifoldKind.SPHERE2:
             raise SteeringFailure("rotation oracle requires the sphere")
-        drift_zero = isinstance(sys.drift, ConstantField) and not np.any(sys.drift.vector)
-        if not drift_zero:
+        drift = sys.drift.affine()
+        if drift is None or np.any(drift[0]) or np.any(drift[1]):
             raise SteeringFailure("rotation oracle requires a driftless system")
         gens = []
         for chan, fld in enumerate(sys.controlled):
-            if isinstance(fld, LinearField):
-                gens.append((chan, fld.matrix))
+            parts = fld.affine()
+            if parts is not None and not np.any(parts[1]):
+                gens.append((chan, parts[0]))
         return SphereRotationOracle(gens, sys.bounds)
 
     def _segment(self, channel: int, speed: float, angle: float):
@@ -232,7 +229,11 @@ class SearchOracle:
     def _endpoint_errors(self, x, y, durations, controls) -> np.ndarray:
         steps = np.maximum(self.eval_step, durations / 120.0)
         ends = constant_control_endpoints(self.sys, x, controls, durations, steps)
-        return np.array([self.sys.manifold.base_distance(end, y) for end in ends])
+        finite = np.isfinite(ends).all(axis=1)
+        # a diverged candidate scores NaN without reaching base_distance,
+        # which rejects a non-finite point
+        return np.array([self.sys.manifold.base_distance(end, y) if ok else np.nan
+                         for end, ok in zip(ends, finite)])
 
     def solve(self, x: np.ndarray, y: np.ndarray) -> tuple[float, ControlSignal]:
         m = self.sys.n_controls
@@ -273,11 +274,6 @@ class SearchOracle:
                 f"search budget exhausted: best endpoint error {best[0]:.3e}"
             )
         return best[1], ControlSignal.constant(best[2], best[1])
-
-
-def steer(oracle, x: np.ndarray, y: np.ndarray) -> tuple[float, ControlSignal]:
-    """Ask the oracle for a plan from x to y."""
-    return oracle.solve(x, y)
 
 
 def sample_control_signals(bounds, horizon: float, n_samples: int, seed: int):
@@ -352,6 +348,14 @@ def _entry(data, key: str, parse, where: str = ""):
         raise DefinitionError(where + key, f"malformed: {exc!r}") from exc
 
 
+def _positive(value) -> float:
+    """float(value), which must be positive and finite."""
+    value = float(value)
+    if not 0.0 < value < math.inf:  # NaN fails it too
+        raise ValueError(f"{value} is not positive and finite")
+    return value
+
+
 @dataclass(frozen=True)
 class ChainLeg:
     start: TangentPoint
@@ -403,18 +407,19 @@ class Chain:
 
     @staticmethod
     def from_json(data: dict) -> "Chain":
-        """The chain of a parsed chain file; a missing or ill-typed entry
-        raises DefinitionError naming it."""
+        """The chain of a parsed chain file; a missing or ill-typed entry, or
+        an epsilon, T or step that is not positive and finite, raises
+        DefinitionError naming it."""
         def legs(items):
             return tuple(ChainLeg.from_json(leg, f"legs[{i}].") for i, leg in enumerate(items))
 
         return Chain(
             _entry(data, "legs", legs),
-            _entry(data, "epsilon", float),
-            _entry(data, "T", float),
+            _entry(data, "epsilon", _positive),
+            _entry(data, "T", _positive),
             _entry(data, "source", TangentPoint.from_json),
             _entry(data, "target", TangentPoint.from_json),
-            _entry(data, "step", float) if "step" in data else DEFAULT_STEP,
+            _entry(data, "step", _positive) if "step" in data else DEFAULT_STEP,
             _entry(data, "seed", int) if "seed" in data else 0,
         )
 
@@ -549,8 +554,7 @@ def _choose_loop_count(pre_trans, pre_count: int, v: np.ndarray,
     return n
 
 
-def plan_chain(sys: AffineSystem, oracle, metric: TangentMetric,
-               source: TangentPoint, target: TangentPoint,
+def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentPoint,
                epsilon: float, min_duration: float,
                max_legs: int | None = None, step: float = DEFAULT_STEP,
                seed: int = 0) -> Chain:
@@ -569,7 +573,7 @@ def plan_chain(sys: AffineSystem, oracle, metric: TangentMetric,
     eps_eff = epsilon * (1.0 - JUMP_MARGIN)
     min_leg = min_duration * (1.0 + DURATION_MARGIN)
     x, y = source.x, target.x
-    gap0 = distance(metric, source, target)
+    gap0 = distance(sys.manifold, source, target)
     if max_legs is None:
         max_legs = 10 * math.ceil(max(gap0, epsilon) / epsilon) + 20
 
@@ -591,7 +595,7 @@ def plan_chain(sys: AffineSystem, oracle, metric: TangentMetric,
     # Already within reach: try a single unsplit leg back to the target fiber.
     if gap0 <= eps_eff:
         end = integrate_lifted(sys, source, plan, step).final_point
-        d_end = distance(metric, end, target)
+        d_end = distance(sys.manifold, end, target)
         if d_end <= eps_eff:
             legs.append(ChainLeg(source, plan, plan.total_duration, target, d_end))
             return finished_chain()
@@ -603,7 +607,7 @@ def plan_chain(sys: AffineSystem, oracle, metric: TangentMetric,
                     f"no chain within {max_legs} legs", best_chain=finished_chain()
                 )
             end = integrate_lifted(sys, current, chunk, step).final_point
-            d_target = distance(metric, end, target)
+            d_target = distance(sys.manifold, end, target)
             if d_target <= eps_eff:
                 legs.append(ChainLeg(current, chunk, chunk.total_duration, target, d_target))
                 return None
@@ -612,7 +616,7 @@ def plan_chain(sys: AffineSystem, oracle, metric: TangentMetric,
                 ref = sys.manifold.project_tangent(end.x, ref)
             jumped = fiber_segment_point(end, ref, eps_eff)
             legs.append(ChainLeg(current, chunk, chunk.total_duration, jumped,
-                                 distance(metric, end, jumped)))
+                                 distance(sys.manifold, end, jumped)))
             current = jumped
         return current
 
@@ -685,7 +689,7 @@ class VerificationReport:
         }
 
 
-def verify_chain(sys: AffineSystem, metric: TangentMetric, chain: Chain,
+def verify_chain(sys: AffineSystem, chain: Chain,
                  step: float | None = None) -> VerificationReport:
     """Independently re-check a chain: every leg is re-integrated at half the
     planner's step; durations must exceed T strictly and each flow endpoint
@@ -705,7 +709,7 @@ def verify_chain(sys: AffineSystem, metric: TangentMetric, chain: Chain,
             abs(leg.duration - leg.control.total_duration) <= 1e-9 * (1.0 + leg.duration)
         )
         end = integrate_lifted(sys, leg.start, leg.control, step).final_point
-        d = distance(metric, end, leg.jump_target)
+        d = distance(sys.manifold, end, leg.jump_target)
         distance_ok = d <= chain.epsilon
         checks.append(LegCheck(idx, leg.duration, d, duration_ok, distance_ok, continuity_ok))
         if not duration_ok:
@@ -724,7 +728,7 @@ def verify_chain(sys: AffineSystem, metric: TangentMetric, chain: Chain,
         if not target_ok:
             messages.append("final jump target does not match the chain target")
     else:
-        target_ok = distance(metric, chain.source, chain.target) <= chain.epsilon
+        target_ok = distance(sys.manifold, chain.source, chain.target) <= chain.epsilon
         if not target_ok:
             messages.append("empty chain but source and target are not within epsilon")
     passed = target_ok and all(c.duration_ok and c.distance_ok and c.continuity_ok

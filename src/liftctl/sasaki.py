@@ -1,60 +1,36 @@
-"""Distances on the tangent bundle.
+"""Distances on the tangent bundle, chosen by the base manifold.
 
-On flat space the product metric is the exact tangent-bundle distance. On the
-sphere the geodesic distance of the bundle metric has no closed form, so a
-transport surrogate is used: base distance combined with the fiber gap after
-parallel transport along the minimizing geodesic. The surrogate agrees with
-the exact distance on fibers and on flat space, which is all the chain
+These are not the Sasaki metric. On flat space the distance is the product
+metric: base and fiber gaps combined by hypot, which is the exact
+tangent-bundle distance there. On the sphere the geodesic distance of the
+bundle metric has no closed form, so a transport surrogate is used: base
+distance combined with the fiber gap after parallel transport along the
+minimizing geodesic. The surrogate agrees with the exact distance on fibers
+and, on flat space, with the product metric bitwise, which is all the chain
 construction relies on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
-from .manifold import Manifold, ManifoldKind, TangentPoint
+from .manifold import Manifold, TangentPoint
 
 
-class MetricMode(Enum):
-    FLAT_PRODUCT = "flat_product"
-    TRANSPORT_SURROGATE = "transport_surrogate"
+def distance(manifold: Manifold, p: TangentPoint, q: TangentPoint) -> float:
+    """Tangent-bundle distance between two tangent points on the manifold:
+    the product metric on flat space, the transport surrogate on the sphere.
 
-
-@dataclass(frozen=True)
-class TangentMetric:
-    manifold: Manifold
-    mode: MetricMode
-
-    def __post_init__(self):
-        if self.mode is MetricMode.FLAT_PRODUCT and self.manifold.kind is not ManifoldKind.FLAT:
-            raise ValueError("flat product metric requires a flat manifold")
-
-    @staticmethod
-    def for_manifold(manifold: Manifold) -> "TangentMetric":
-        if manifold.kind is ManifoldKind.FLAT:
-            return TangentMetric(manifold, MetricMode.FLAT_PRODUCT)
-        return TangentMetric(manifold, MetricMode.TRANSPORT_SURROGATE)
-
-    def distance(self, p: TangentPoint, q: TangentPoint) -> float:
-        return distance(self, p, q)
-
-
-def distance(metric: TangentMetric, p: TangentPoint, q: TangentPoint) -> float:
-    """Tangent-bundle distance between two tangent points.
-
-    Same-fiber inputs reduce exactly to the fiber norm in both modes.
+    Same-fiber inputs reduce exactly to the fiber norm on both.
     """
-    if metric.mode is MetricMode.FLAT_PRODUCT:
+    if manifold.is_flat:
         base = float(np.linalg.norm(q.x - p.x))
         fiber = float(np.linalg.norm(q.v - p.v))
         return float(np.hypot(base, fiber))
     if np.array_equal(p.x, q.x):
         return float(np.linalg.norm(q.v - p.v))  # exact on a shared fiber
-    base = metric.manifold.base_distance(p.x, q.x)
-    moved = metric.manifold.parallel_transport(p.x, q.x, p.v)
+    base = manifold.base_distance(p.x, q.x)
+    moved = manifold.parallel_transport(p.x, q.x, p.v)
     fiber = float(np.linalg.norm(q.v - moved))
     return float(np.hypot(base, fiber))
 

@@ -17,7 +17,6 @@ from liftctl import (
     LinearField,
     LinearGramianOracle,
     Manifold,
-    TangentMetric,
     TangentPoint,
     VectorField,
     check_bracket_identity,
@@ -270,11 +269,9 @@ def test_criterion_8_chain_controllability():
     line_sys = AffineSystem(Manifold.flat(1), zero_field(1),
                             (ConstantField([1.0]),), [[-10.0, 10.0]])
     line_oracle = LinearGramianOracle.for_system(line_sys, horizon=1.0)
-    line_metric = TangentMetric.for_manifold(line_sys.manifold)
 
     rot_sys = forced_rotation_system()
     rot_oracle = LinearGramianOracle.for_system(rot_sys, horizon=1.0)
-    rot_metric = TangentMetric.for_manifold(rot_sys.manifold)
     rng = np.random.default_rng(108)
 
     all_ok = True
@@ -283,8 +280,8 @@ def test_criterion_8_chain_controllability():
         start = time.perf_counter()
         source = TangentPoint([0.0], [0.0])
         target = TangentPoint([0.0], [1.0])
-        chain = plan_chain(line_sys, line_oracle, line_metric, source, target, eps, 0.5)
-        report = verify_chain(line_sys, line_metric, chain)
+        chain = plan_chain(line_sys, line_oracle, source, target, eps, 0.5)
+        report = verify_chain(line_sys, chain)
         elapsed = time.perf_counter() - start
         bound = math.ceil(1.0 / eps)
         ok = (report.passed and len(chain.legs) >= bound
@@ -296,8 +293,8 @@ def test_criterion_8_chain_controllability():
         start = time.perf_counter()
         source = TangentPoint(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
         target = TangentPoint(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
-        chain = plan_chain(rot_sys, rot_oracle, rot_metric, source, target, eps, 0.5)
-        report = verify_chain(rot_sys, rot_metric, chain)
+        chain = plan_chain(rot_sys, rot_oracle, source, target, eps, 0.5)
+        report = verify_chain(rot_sys, chain)
         elapsed = time.perf_counter() - start
         ok = report.passed and len(chain.legs) <= 200 and elapsed < 10.0
         all_ok = all_ok and ok
@@ -311,31 +308,29 @@ def test_criterion_8_chain_controllability():
 
 def test_criterion_9_tangent_bundle_distances():
     m = Manifold.flat(3)
-    metric = TangentMetric.for_manifold(m)
     rng = np.random.default_rng(109)
     worst = 0.0
     submersion_ok = True
     for _ in range(1000):
         p = TangentPoint(rng.standard_normal(3), rng.standard_normal(3))
         q = TangentPoint(rng.standard_normal(3), rng.standard_normal(3))
-        d = distance(metric, p, q)
+        d = distance(m, p, q)
         closed = math.sqrt(float(np.sum((q.x - p.x) ** 2) + np.sum((q.v - p.v) ** 2)))
         worst = max(worst, abs(d - closed))
         submersion_ok = submersion_ok and m.base_distance(p.x, q.x) <= d + 1e-15
 
     fiber_exact = True
-    smetric = TangentMetric.for_manifold(Manifold.sphere2())
     sm = Manifold.sphere2()
     for _ in range(200):
         x = rng.standard_normal(3)
         v = rng.standard_normal(3)
         w = rng.standard_normal(3)
-        d_flat = distance(metric, TangentPoint(x, v), TangentPoint(x, w))
+        d_flat = distance(m, TangentPoint(x, v), TangentPoint(x, w))
         fiber_exact = fiber_exact and d_flat == float(np.linalg.norm(w - v))
         sx = sm.random_point(rng)
         sv = sm.random_tangent(sx, rng)
         sw = sm.random_tangent(sx, rng)
-        d_s = distance(smetric, TangentPoint(sx, sv), TangentPoint(sx, sw))
+        d_s = distance(sm, TangentPoint(sx, sv), TangentPoint(sx, sw))
         fiber_exact = fiber_exact and d_s == float(np.linalg.norm(sw - sv))
         submersion_ok = submersion_ok and sm.base_distance(sx, sx) <= d_s
 

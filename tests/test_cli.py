@@ -132,13 +132,9 @@ def test_chain_verify_only_detects_corruption(tmp_path, capsys):
     assert any("leg 0" in msg for msg in report["messages"])
 
 
-@pytest.mark.parametrize("path,named", [
-    (("legs",), "legs"), (("epsilon",), "epsilon"), (("T",), "T"),
-    (("source",), "source"), (("target",), "target"),
-    (("legs", 0, "control"), "legs[0].control"), (("legs", 0, "start", "v"), "legs[0].start"),
-])
-def test_chain_verify_only_malformed_file(tmp_path, capsys, path, named):
-    """A chain file lacking a required key exits 2 with an error naming it."""
+def verify_edited_plan(tmp_path, capsys, path, edit):
+    """Plan a line_shift chain, apply edit(entry, key) to the entry at path
+    of its file, and run --verify-only on the result."""
     out_file = tmp_path / "plan.json"
     code, _, _ = run_cli(["chain", LINE, "--source", "0;0", "--target", "0;1",
                           "--out", str(out_file)], capsys)
@@ -147,10 +143,40 @@ def test_chain_verify_only_malformed_file(tmp_path, capsys, path, named):
     entry = chain
     for key in path[:-1]:
         entry = entry[key]
-    del entry[path[-1]]
+    edit(entry, path[-1])
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(chain))
-    code, out, err = run_cli(["chain", LINE, "--verify-only", str(broken)], capsys)
+    return run_cli(["chain", LINE, "--verify-only", str(broken)], capsys)
+
+
+@pytest.mark.parametrize("path,named", [
+    (("legs",), "legs"), (("epsilon",), "epsilon"), (("T",), "T"),
+    (("source",), "source"), (("target",), "target"),
+    (("legs", 0, "control"), "legs[0].control"), (("legs", 0, "start", "v"), "legs[0].start"),
+])
+def test_chain_verify_only_malformed_file(tmp_path, capsys, path, named):
+    """A chain file lacking a required key exits 2 with an error naming it."""
+    def delete(entry, key):
+        del entry[key]
+
+    code, out, err = verify_edited_plan(tmp_path, capsys, path, delete)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {named}:")
+
+
+@pytest.mark.parametrize("path,value,named", [
+    (("T",), float("-inf"), "T"), (("epsilon",), float("inf"), "epsilon"),
+    (("step",), float("inf"), "step"), (("epsilon",), -0.1, "epsilon"),
+    (("legs", 0, "start", "x"), [float("nan")], "legs[0].start"),
+])
+def test_chain_verify_only_rejects_bad_numbers(tmp_path, capsys, path, value, named):
+    """A chain file cannot lower the bar: an epsilon, T or step that is not
+    positive and finite, or a non-finite point, exits 2 naming the entry
+    (an infinite epsilon or a T of -Infinity used to verify with exit 0)."""
+    def assign(entry, key):
+        entry[key] = value
+
+    code, out, err = verify_edited_plan(tmp_path, capsys, path, assign)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {named}:")
 
@@ -182,6 +208,30 @@ def test_definition_rejects_non_finite_and_boolean_entries(tmp_path, capsys, cha
                               "--control", "[[0.003,[0.5]]]"], capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {field}:")
+
+
+@pytest.mark.parametrize("path,metric", [
+    (SPHERE, "flat_product"), (FLAT, "sasaki"), (LINE, 1),
+])
+def test_definition_rejects_unknown_or_misplaced_metric(tmp_path, capsys, path, metric):
+    """The distance follows the manifold, but the metric name is still
+    checked: flat_product on the sphere, or an unknown name, exits 2."""
+    data = json.loads(Path(path).read_text())
+    data["metric"] = metric
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(["check", str(bad), "--suite", "lift"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: metric:")
+
+
+def test_transport_surrogate_on_flat_still_loads(tmp_path, capsys):
+    data = json.loads(Path(LINE).read_text())
+    data["metric"] = "transport_surrogate"
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps(data))
+    code, _, _ = run_cli(["chain", str(ok), "--source", "0;0", "--target", "0;1"], capsys)
+    assert code == 0
 
 
 @pytest.mark.parametrize("args", [

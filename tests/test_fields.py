@@ -96,8 +96,8 @@ def test_vertical_part_linear_in_v():
     v1 = rng.standard_normal(3)
     v2 = rng.standard_normal(3)
     a, b = 1.5, -0.25
-    combo = lift.vertical(TangentPoint(x, a * v1 + b * v2))
-    expected = a * lift.vertical(TangentPoint(x, v1)) + b * lift.vertical(TangentPoint(x, v2))
+    _, combo = lift(TangentPoint(x, a * v1 + b * v2))
+    expected = a * lift(TangentPoint(x, v1))[1] + b * lift(TangentPoint(x, v2))[1]
     assert np.allclose(combo, expected, rtol=0.0, atol=1e-14)
 
 
@@ -105,9 +105,24 @@ def test_lie_bracket_linear_example():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     b = np.array([[0.0, 0.0], [1.0, 0.0]])
     bracket = lie_bracket(LinearField(a), LinearField(b))
-    assert isinstance(bracket, LinearField)
-    assert np.allclose(bracket.matrix, b @ a - a @ b)
+    assert np.allclose(bracket.affine()[0], b @ a - a @ b)
     assert np.allclose(bracket(np.array([1.0, 1.0])), [-1.0, 1.0])
+
+
+def test_affine_parts():
+    """Linear and constant fields are polynomial fields of degree one and
+    zero whose affine() gives back the matrix and vector; a cubic field, a
+    negative exponent and a bare callable are not affine."""
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((3, 3))
+    c = rng.standard_normal(3)
+    lin_a, lin_b = LinearField(a).affine()
+    assert np.array_equal(lin_a, a) and not np.any(lin_b)
+    const_a, const_b = ConstantField(c).affine()
+    assert not np.any(const_a) and np.array_equal(const_b, c)
+    assert PolynomialField([[(1.0, (0, 1))], [(-1.0, (1, 0)), (-1.0, (3, 0))]], 2).affine() is None
+    assert PolynomialField([[(1.0, (2, -1))], []], 2).affine() is None
+    assert VectorField(lambda x: x).affine() is None
 
 
 def test_lie_bracket_fd_oracle():
@@ -136,7 +151,7 @@ def test_lie_bracket_fd_oracle():
 def test_lie_bracket_antisymmetry_and_constants():
     fld = LinearField(np.array([[1.0, 2.0], [0.0, -1.0]]))
     self_bracket = lie_bracket(fld, fld)
-    assert np.allclose(self_bracket.matrix, 0.0)
+    assert np.allclose(self_bracket.affine()[0], 0.0)
     c1 = ConstantField([1.0, 2.0])
     c2 = ConstantField([-3.0, 0.5])
     assert not np.any(lie_bracket(c1, c2)(np.array([7.0, -2.0])))

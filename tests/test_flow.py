@@ -9,17 +9,19 @@ from liftctl import (
     IntegrationError,
     LinearField,
     Manifold,
+    OffManifoldError,
     TangentPoint,
     VectorField,
     check_flow_formula,
     check_invariance,
     concat,
+    field_from_descriptor,
     integrate_base,
     integrate_lifted,
     shift,
     zero_field,
 )
-from liftctl.flow import constant_control_endpoints
+from liftctl.flow import _rk4, _segment_step, constant_control_endpoints
 
 ROT2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 L3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -198,12 +200,11 @@ def test_drift_monitor_raises_on_huge_step():
         integrate_base(sys, [1.0, 0.0, 0.0], ControlSignal.zero(1, 10.0), 1.0)
 
 
-def callable_copy(fld, n):
+def callable_copy(fld):
     """The same field as a bare callable with an analytic Jacobian, which
     integrates by the four RK4 stages instead of the step map."""
-    if isinstance(fld, LinearField):
-        return VectorField(lambda x: fld.matrix @ x, lambda x: fld.matrix)
-    return VectorField(lambda x: fld.vector.copy(), lambda x: np.zeros((n, n)))
+    a, b = fld.affine()
+    return VectorField(lambda x: a @ x + b, lambda x: a)
 
 
 def random_affine_system(n, constant_drift, rng):
@@ -214,9 +215,8 @@ def random_affine_system(n, constant_drift, rng):
 
 
 def stage_copy(sys):
-    n = sys.manifold.ambient_dim
-    return AffineSystem(sys.manifold, callable_copy(sys.drift, n),
-                        tuple(callable_copy(f, n) for f in sys.controlled), sys.bounds)
+    return AffineSystem(sys.manifold, callable_copy(sys.drift),
+                        tuple(callable_copy(f) for f in sys.controlled), sys.bounds)
 
 
 def sphere_two_axis_system():
@@ -260,13 +260,48 @@ def test_step_map_matches_stages(n, drift):
 ])
 def test_nan_state_on_sphere_raises(make_sys):
     """A NaN state fails the drift test (NaN compares false) on both paths,
-    in single runs and in row batches."""
+    in single runs and in row batches. The entry points reject a NaN start
+    before stepping (test_non_finite_start_raises), so the state goes to the
+    stepper directly."""
     sys = make_sys()
+    h = 1e-3
     with pytest.raises(IntegrationError):
-        integrate_base(sys, [np.nan, 0.0, 0.0], ControlSignal.zero(1, 0.01))
+        _rk4(_segment_step(sys, np.array([0.0]), h), np.array([np.nan, 0.0, 0.0]), None,
+             h, 10, True)
+    rows_h = np.full((2, 1), h)
     with pytest.raises(IntegrationError):
-        constant_control_endpoints(sys, [np.nan, 0.0, 0.0], [[0.5], [-0.5]], [0.01, 0.01],
-                                   [1e-3, 1e-3])
+        _rk4(_segment_step(sys, np.array([[0.5], [-0.5]]), rows_h),
+             np.tile([np.nan, 0.0, 0.0], (2, 1)), None, rows_h, 10, True)
+
+
+@pytest.mark.parametrize("manifold", [Manifold.flat(3), Manifold.sphere2()])
+def test_non_finite_start_raises(manifold):
+    """A NaN or infinite start point or fiber is off the manifold, on flat
+    space too, instead of giving NaN rows."""
+    sys = AffineSystem(manifold, zero_field(3), (LinearField(L3),), [[-1.0, 1.0]])
+    for bad in ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
+        with pytest.raises(OffManifoldError):
+            integrate_base(sys, bad, ControlSignal.empty())
+        with pytest.raises(OffManifoldError):
+            constant_control_endpoints(sys, bad, [[0.5]], [0.01], [1e-3])
+        with pytest.raises(OffManifoldError):
+            integrate_lifted(sys, TangentPoint([0.0, 0.0, 1.0], bad), ControlSignal.empty())
+
+
+def test_degree_one_polynomial_takes_the_step_map():
+    """A "polynomial" descriptor of degree one is affine: it steps by the
+    map and integrates bitwise like the same "linear" descriptor."""
+    lin = field_from_descriptor({"type": "linear", "matrix": [[0.3, -1.1], [0.9, 0.2]]})
+    poly = field_from_descriptor({"type": "polynomial", "components": [
+        [[0.3, [1, 0]], [-1.1, [0, 1]]], [[0.9, [1, 0]], [0.2, [0, 1]]]]})
+    systems = [AffineSystem(Manifold.flat(2), drift, (ConstantField([0.5, -0.25]),),
+                            [[-1.0, 1.0]]) for drift in (lin, poly)]
+    assert systems[1].affine_parts(np.array([0.7])) is not None
+    u = ControlSignal(((0.4, [0.7]), (0.3, [-0.2])))
+    p0 = TangentPoint([0.8, -0.6], [0.1, 0.9])
+    want, got = (integrate_lifted(sys, p0, u) for sys in systems)
+    assert np.array_equal(got.states, want.states)
+    assert np.array_equal(got.fibers, want.fibers)
 
 
 def test_overflow_on_flat_raises():

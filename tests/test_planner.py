@@ -18,7 +18,6 @@ from liftctl import (
     SearchOracle,
     SphereRotationOracle,
     SteeringFailure,
-    TangentMetric,
     TangentPoint,
     UncontrollablePairError,
     check_fiber_reachability,
@@ -28,7 +27,6 @@ from liftctl import (
     integrate_lifted,
     plan_chain,
     reachable_sample,
-    steer,
     verify_chain,
     zero_field,
 )
@@ -70,7 +68,7 @@ def sphere_system():
 def test_gramian_steer_integrator_constant_control():
     sys = integrator_system()
     oracle = LinearGramianOracle.for_system(sys, horizon=1.0)
-    duration, sig = steer(oracle, np.zeros(2), np.array([1.0, 0.0]))
+    duration, sig = oracle.solve(np.zeros(2), np.array([1.0, 0.0]))
     assert duration == pytest.approx(1.0)
     assert len(sig.segments) == 64
     values = np.array([v for _, v in sig.segments])
@@ -83,7 +81,7 @@ def test_gramian_steer_same_point_zero_control():
     sys = integrator_system()
     oracle = LinearGramianOracle.for_system(sys)
     x = np.array([0.4, -0.2])
-    _, sig = steer(oracle, x, x)
+    _, sig = oracle.solve(x, x)
     assert np.allclose([v for _, v in sig.segments], 0.0, atol=1e-12)
 
 
@@ -94,7 +92,7 @@ def test_gramian_steer_with_drift():
     for _ in range(5):
         x = rng.uniform(-1, 1, 2)
         y = rng.uniform(-1, 1, 2)
-        _, sig = steer(oracle, x, y)
+        _, sig = oracle.solve(x, y)
         end = integrate_base(sys, x, sig, 1e-3).final_state
         assert np.linalg.norm(end - y) <= 1e-6
 
@@ -108,7 +106,7 @@ def test_gramian_singular_pair_raises():
 def test_sphere_rotation_steer_quarter_turn():
     sys = sphere_system()
     oracle = SphereRotationOracle.for_system(sys)
-    duration, sig = steer(oracle, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+    duration, sig = oracle.solve(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
     assert duration == pytest.approx(np.pi / 2.0)
     assert len(sig.segments) == 1
     assert np.allclose(sig.segments[0][1], [1.0, 0.0])
@@ -124,7 +122,7 @@ def test_sphere_rotation_steer_random_pairs():
     for _ in range(10):
         x = m.random_point(rng)
         y = m.random_point(rng)
-        _, sig = steer(oracle, x, y)
+        _, sig = oracle.solve(x, y)
         end = integrate_base(sys, x, sig, 1e-3).final_state
         assert m.base_distance(end, y) <= 1e-6
 
@@ -132,10 +130,21 @@ def test_sphere_rotation_steer_random_pairs():
 def test_search_oracle_line():
     sys = line_system()
     oracle = SearchOracle(sys, t_max=3.0)
-    duration, sig = steer(oracle, np.array([0.0]), np.array([1.0]))
+    duration, sig = oracle.solve(np.array([0.0]), np.array([1.0]))
     end = integrate_base(sys, [0.0], sig, 1e-2).final_state
     assert abs(end[0] - 1.0) <= 1e-3
     assert duration > 0.0
+
+
+def test_search_oracle_scores_diverged_candidates_as_misses():
+    """Candidates of dx/dt = 200 x + u overflow to inf. They score NaN
+    without reaching base_distance, which rejects a non-finite point, so
+    the search still ends in a SteeringFailure."""
+    sys = AffineSystem(Manifold.flat(1), LinearField([[200.0]]), (ConstantField([1.0]),),
+                       [[-1.0, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SteeringFailure):
+            SearchOracle(sys).solve(np.array([1.0]), np.array([2.0]))
 
 
 def bilinear_rotation_system():
@@ -148,7 +157,7 @@ def test_search_oracle_bilinear_rotation():
     oracle = SearchOracle(sys)
     x = np.array([1.0, 0.0])
     y = np.array([0.2, 0.9])
-    _, sig = steer(oracle, x, y)
+    _, sig = oracle.solve(x, y)
     end = integrate_base(sys, x, sig, 1e-2).final_state
     assert np.linalg.norm(end - y) <= 1e-3
 
@@ -157,11 +166,10 @@ def test_plan_chain_with_search_oracle():
     """The generic steering fallback supports the whole chain pipeline."""
     sys = bilinear_rotation_system()
     oracle = SearchOracle(sys)
-    metric = TangentMetric.for_manifold(sys.manifold)
     source = TangentPoint([1.0, 0.0], [0.3, 0.1])
     target = TangentPoint([0.2, 0.9], [0.0, 0.5])
-    chain = plan_chain(sys, oracle, metric, source, target, 0.25, 0.5)
-    report = verify_chain(sys, metric, chain)
+    chain = plan_chain(sys, oracle, source, target, 0.25, 0.5)
+    report = verify_chain(sys, chain)
     assert report.passed, report.messages
 
 
@@ -295,8 +303,7 @@ class CountingOracle:
 def test_plan_chain_solves_each_pair_once(make_oracle, source, target, t_min, n_pairs):
     sys = sphere_system() if source.x.shape == (3,) else line_system()
     oracle = CountingOracle(make_oracle(sys))
-    metric = TangentMetric.for_manifold(sys.manifold)
-    chain = plan_chain(sys, oracle, metric, source, target, 0.25, t_min)
+    chain = plan_chain(sys, oracle, source, target, 0.25, t_min)
     assert len(oracle.pairs) == len(set(oracle.pairs)) == n_pairs
     assert all(leg.duration > t_min for leg in chain.legs)
 
@@ -389,13 +396,12 @@ def test_fiber_reachability_matches_variational_oracle():
 def test_plan_chain_line_jump_count_bound():
     sys = line_system()
     oracle = LinearGramianOracle.for_system(sys, horizon=1.0)
-    metric = TangentMetric.for_manifold(sys.manifold)
     source = TangentPoint([0.0], [0.0])
     target = TangentPoint([0.0], [1.0])
-    chain = plan_chain(sys, oracle, metric, source, target, 0.25, 0.5)
+    chain = plan_chain(sys, oracle, source, target, 0.25, 0.5)
     assert len(chain.legs) >= 4  # ceil(|dv| / eps)
     assert len(chain.legs) <= 12
-    report = verify_chain(sys, metric, chain)
+    report = verify_chain(sys, chain)
     assert report.passed, report.messages
     for leg in chain.legs:
         assert leg.duration > 0.5
@@ -404,13 +410,12 @@ def test_plan_chain_line_jump_count_bound():
 def test_plan_chain_single_leg_when_flow_hits_target():
     sys = forced_rotation_system()
     oracle = LinearGramianOracle.for_system(sys, horizon=1.0)
-    metric = TangentMetric.for_manifold(sys.manifold)
     source = TangentPoint([0.4, -0.1], [0.3, 0.8])
     _, sig = oracle.solve(source.x, np.array([-0.5, 0.7]))
     target = integrate_lifted(sys, source, sig, 1e-3).final_point
-    chain = plan_chain(sys, oracle, metric, source, target, 0.25, 0.5)
+    chain = plan_chain(sys, oracle, source, target, 0.25, 0.5)
     assert len(chain.legs) == 1
-    assert verify_chain(sys, metric, chain).passed
+    assert verify_chain(sys, chain).passed
     # zero jump: the flow endpoint itself is within rounding of the target
     assert chain.legs[0].verified_distance <= 1e-9
 
@@ -418,50 +423,46 @@ def test_plan_chain_single_leg_when_flow_hits_target():
 def test_plan_chain_forced_rotation_random_pairs():
     sys = forced_rotation_system()
     oracle = LinearGramianOracle.for_system(sys, horizon=1.0)
-    metric = TangentMetric.for_manifold(sys.manifold)
     rng = np.random.default_rng(63)
     for eps in (0.25, 0.1):
         source = TangentPoint(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
         target = TangentPoint(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
-        chain = plan_chain(sys, oracle, metric, source, target, eps, 0.5)
+        chain = plan_chain(sys, oracle, source, target, eps, 0.5)
         assert len(chain.legs) <= 200
-        report = verify_chain(sys, metric, chain)
+        report = verify_chain(sys, chain)
         assert report.passed, report.messages
 
 
 def test_plan_chain_source_equals_target():
     sys = line_system()
     oracle = LinearGramianOracle.for_system(sys, horizon=1.0)
-    metric = TangentMetric.for_manifold(sys.manifold)
     p = TangentPoint([0.0], [0.5])
-    chain = plan_chain(sys, oracle, metric, p, p, 0.25, 0.5)
+    chain = plan_chain(sys, oracle, p, p, 0.25, 0.5)
     assert len(chain.legs) == 1
-    assert verify_chain(sys, metric, chain).passed
+    assert verify_chain(sys, chain).passed
 
 
 def test_plan_chain_sphere():
     sys = sphere_system()
     oracle = SphereRotationOracle.for_system(sys)
-    metric = TangentMetric.for_manifold(sys.manifold)
     m = sys.manifold
     rng = np.random.default_rng(64)
     x = m.random_point(rng)
     y = m.random_point(rng)
     source = TangentPoint(x, m.random_tangent(x, rng))
     target = TangentPoint(y, m.random_tangent(y, rng))
-    chain = plan_chain(sys, oracle, metric, source, target, 0.3, 0.3)
-    report = verify_chain(sys, metric, chain)
+    chain = plan_chain(sys, oracle, source, target, 0.3, 0.3)
+    report = verify_chain(sys, chain)
     assert report.passed, report.messages
 
 
 def test_plan_chain_budget_error_carries_partial():
     sys = line_system()
     oracle = LinearGramianOracle.for_system(sys, horizon=1.0)
-    metric = TangentMetric.for_manifold(sys.manifold)
     source = TangentPoint([0.0], [0.0])
     target = TangentPoint([0.0], [5.0])
     with pytest.raises(PlanningBudgetError) as err:
-        plan_chain(sys, oracle, metric, source, target, 0.25, 0.5, max_legs=3)
+        plan_chain(sys, oracle, source, target, 0.25, 0.5, max_legs=3)
     assert err.value.best_chain is not None
     assert len(err.value.best_chain.legs) <= 3
 
@@ -469,10 +470,9 @@ def test_plan_chain_budget_error_carries_partial():
 def test_chain_invariants_and_structure():
     sys = forced_rotation_system()
     oracle = LinearGramianOracle.for_system(sys, horizon=1.0)
-    metric = TangentMetric.for_manifold(sys.manifold)
     source = TangentPoint([0.5, 0.5], [1.0, 0.0])
     target = TangentPoint([-0.5, 0.2], [0.0, 1.0])
-    chain = plan_chain(sys, oracle, metric, source, target, 0.25, 0.5)
+    chain = plan_chain(sys, oracle, source, target, 0.25, 0.5)
     assert np.array_equal(chain.legs[0].start.x, source.x)
     assert np.array_equal(chain.legs[0].start.v, source.v)
     last = chain.legs[-1].jump_target
@@ -484,18 +484,17 @@ def test_chain_invariants_and_structure():
         # intermediate jumps never move the base point
         end = integrate_lifted(sys, leg.start, leg.control, chain.step).final_point
         assert np.array_equal(end.x, leg.jump_target.x)
-        assert distance(metric, end, leg.jump_target) <= chain.epsilon
+        assert distance(sys.manifold, end, leg.jump_target) <= chain.epsilon
 
 
 def test_verify_chain_rejects_short_leg():
     sys = line_system()
     oracle = LinearGramianOracle.for_system(sys, horizon=1.0)
-    metric = TangentMetric.for_manifold(sys.manifold)
-    chain = plan_chain(sys, oracle, metric, TangentPoint([0.0], [0.0]),
+    chain = plan_chain(sys, oracle, TangentPoint([0.0], [0.0]),
                        TangentPoint([0.0], [1.0]), 0.25, 0.5)
     bad_leg = dataclasses.replace(chain.legs[0], duration=0.3)
     bad = dataclasses.replace(chain, legs=(bad_leg,) + chain.legs[1:])
-    report = verify_chain(sys, metric, bad)
+    report = verify_chain(sys, bad)
     assert not report.passed
     assert not report.legs[0].duration_ok
     assert any("leg 0" in msg for msg in report.messages)
@@ -504,8 +503,7 @@ def test_verify_chain_rejects_short_leg():
 def test_verify_chain_rejects_oversized_jump():
     sys = line_system()
     oracle = LinearGramianOracle.for_system(sys, horizon=1.0)
-    metric = TangentMetric.for_manifold(sys.manifold)
-    chain = plan_chain(sys, oracle, metric, TangentPoint([0.0], [0.0]),
+    chain = plan_chain(sys, oracle, TangentPoint([0.0], [0.0]),
                        TangentPoint([0.0], [1.0]), 0.25, 0.5)
     idx = 0
     leg = chain.legs[idx]
@@ -515,7 +513,7 @@ def test_verify_chain_rejects_oversized_jump():
     if idx + 1 < len(legs):
         legs[idx + 1] = dataclasses.replace(legs[idx + 1], start=moved)
     bad = dataclasses.replace(chain, legs=tuple(legs))
-    report = verify_chain(sys, metric, bad)
+    report = verify_chain(sys, bad)
     assert not report.passed
     assert not report.legs[idx].distance_ok
 
@@ -523,14 +521,13 @@ def test_verify_chain_rejects_oversized_jump():
 def test_chain_composition():
     sys = line_system()
     oracle = LinearGramianOracle.for_system(sys, horizon=1.0)
-    metric = TangentMetric.for_manifold(sys.manifold)
     p = TangentPoint([0.0], [0.0])
     q = TangentPoint([0.0], [0.6])
     r = TangentPoint([0.0], [1.2])
-    first = plan_chain(sys, oracle, metric, p, q, 0.25, 0.5)
-    second = plan_chain(sys, oracle, metric, q, r, 0.25, 0.5)
+    first = plan_chain(sys, oracle, p, q, 0.25, 0.5)
+    second = plan_chain(sys, oracle, q, r, 0.25, 0.5)
     combined = compose_chains(first, second)
-    assert verify_chain(sys, metric, combined).passed
+    assert verify_chain(sys, combined).passed
     assert len(combined.legs) == len(first.legs) + len(second.legs)
 
 
@@ -538,33 +535,30 @@ def test_monotone_refinement():
     """A chain verified at epsilon also verifies at any larger epsilon."""
     sys = forced_rotation_system()
     oracle = LinearGramianOracle.for_system(sys, horizon=1.0)
-    metric = TangentMetric.for_manifold(sys.manifold)
-    chain = plan_chain(sys, oracle, metric, TangentPoint([0.3, 0.0], [0.0, 0.4]),
+    chain = plan_chain(sys, oracle, TangentPoint([0.3, 0.0], [0.0, 0.4]),
                        TangentPoint([0.0, 0.3], [0.9, 0.0]), 0.1, 0.5)
     relaxed = dataclasses.replace(chain, epsilon=0.25)
-    assert verify_chain(sys, metric, relaxed).passed
+    assert verify_chain(sys, relaxed).passed
 
 
 def test_chain_json_round_trip():
     sys = line_system()
     oracle = LinearGramianOracle.for_system(sys, horizon=1.0)
-    metric = TangentMetric.for_manifold(sys.manifold)
-    chain = plan_chain(sys, oracle, metric, TangentPoint([0.0], [0.0]),
+    chain = plan_chain(sys, oracle, TangentPoint([0.0], [0.0]),
                        TangentPoint([0.0], [1.0]), 0.25, 0.5)
     payload = chain.to_json()
     back = Chain.from_json(payload)
     assert back.epsilon == chain.epsilon
     assert back.min_duration == chain.min_duration
     assert len(back.legs) == len(chain.legs)
-    assert verify_chain(sys, metric, back).passed
+    assert verify_chain(sys, back).passed
 
 
 def test_plan_chain_deterministic():
     sys = forced_rotation_system()
     oracle = LinearGramianOracle.for_system(sys, horizon=1.0)
-    metric = TangentMetric.for_manifold(sys.manifold)
     source = TangentPoint([0.5, 0.5], [1.0, 0.0])
     target = TangentPoint([-0.5, 0.2], [0.0, 1.0])
-    a = plan_chain(sys, oracle, metric, source, target, 0.25, 0.5)
-    b = plan_chain(sys, oracle, metric, source, target, 0.25, 0.5)
+    a = plan_chain(sys, oracle, source, target, 0.25, 0.5)
+    b = plan_chain(sys, oracle, source, target, 0.25, 0.5)
     assert a.to_json() == b.to_json()

@@ -4,76 +4,58 @@ import pytest
 from liftctl import (
     AntipodalPointsError,
     Manifold,
-    MetricMode,
-    TangentMetric,
     TangentPoint,
     distance,
     fiber_segment_point,
 )
 
 
-def flat_metric(n=2):
-    return TangentMetric.for_manifold(Manifold.flat(n))
-
-
-def sphere_metric():
-    return TangentMetric.for_manifold(Manifold.sphere2())
-
-
-def test_mode_selection():
-    assert flat_metric().mode is MetricMode.FLAT_PRODUCT
-    assert sphere_metric().mode is MetricMode.TRANSPORT_SURROGATE
-    with pytest.raises(ValueError):
-        TangentMetric(Manifold.sphere2(), MetricMode.FLAT_PRODUCT)
-
-
 def test_flat_distance_example():
-    met = flat_metric()
+    m = Manifold.flat(2)
     p = TangentPoint([0.0, 0.0], [1.0, 0.0])
     q = TangentPoint([3.0, 4.0], [1.0, 0.0])
-    assert distance(met, p, q) == pytest.approx(5.0)
-    assert distance(met, p, p) == 0.0
+    assert distance(m, p, q) == pytest.approx(5.0)
+    assert distance(m, p, p) == 0.0
 
 
 def test_same_fiber_distance_is_fiber_norm():
-    met = flat_metric()
+    m = Manifold.flat(2)
     x = np.array([0.7, -0.2])
     p = TangentPoint(x, [1.0, 1.0])
     q = TangentPoint(x, [4.0, 5.0])
-    assert distance(met, p, q) == np.linalg.norm(np.array([3.0, 4.0]))
+    assert distance(m, p, q) == np.linalg.norm(np.array([3.0, 4.0]))
 
-    smet = sphere_metric()
+    sm = Manifold.sphere2()
     sx = np.array([0.0, 0.0, 1.0])
     sp = TangentPoint(sx, [1.0, 0.0, 0.0])
     sq = TangentPoint(sx, [0.0, 2.0, 0.0])
-    assert distance(smet, sp, sq) == np.linalg.norm(np.array([1.0, -2.0, 0.0]))
+    assert distance(sm, sp, sq) == np.linalg.norm(np.array([1.0, -2.0, 0.0]))
 
 
 def test_flat_distance_matches_closed_form_random():
-    met = flat_metric(3)
+    m = Manifold.flat(3)
     rng = np.random.default_rng(50)
     for _ in range(1000):
         p = TangentPoint(rng.standard_normal(3), rng.standard_normal(3))
         q = TangentPoint(rng.standard_normal(3), rng.standard_normal(3))
         closed = np.sqrt(np.sum((q.x - p.x) ** 2) + np.sum((q.v - p.v) ** 2))
-        assert abs(distance(met, p, q) - closed) <= 1e-12
+        assert abs(distance(m, p, q) - closed) <= 1e-12
 
 
 def test_flat_metric_axioms():
-    met = flat_metric()
+    m = Manifold.flat(2)
     rng = np.random.default_rng(51)
     pts = [TangentPoint(rng.standard_normal(2), rng.standard_normal(2))
            for _ in range(60)]
     for _ in range(1000):
         i, j, k = rng.integers(0, len(pts), 3)
-        dij = distance(met, pts[i], pts[j])
-        assert abs(dij - distance(met, pts[j], pts[i])) <= 1e-9
-        assert distance(met, pts[i], pts[k]) <= dij + distance(met, pts[j], pts[k]) + 1e-9
+        dij = distance(m, pts[i], pts[j])
+        assert abs(dij - distance(m, pts[j], pts[i])) <= 1e-9
+        assert distance(m, pts[i], pts[k]) <= dij + distance(m, pts[j], pts[k]) + 1e-9
 
 
 def test_surrogate_symmetry_and_identity():
-    met = sphere_metric()
-    m = met.manifold
+    m = Manifold.sphere2()
     rng = np.random.default_rng(52)
     for _ in range(200):
         x = m.random_point(rng)
@@ -82,25 +64,24 @@ def test_surrogate_symmetry_and_identity():
             continue
         p = TangentPoint(x, m.random_tangent(x, rng))
         q = TangentPoint(y, m.random_tangent(y, rng))
-        d = distance(met, p, q)
-        assert abs(d - distance(met, q, p)) <= 1e-12
-        assert distance(met, p, p) == 0.0
+        d = distance(m, p, q)
+        assert abs(d - distance(m, q, p)) <= 1e-12
+        assert distance(m, p, p) == 0.0
         assert d >= 0.0
 
 
 def test_surrogate_antipodal_raises():
-    met = sphere_metric()
+    m = Manifold.sphere2()
     p = TangentPoint([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     q = TangentPoint([-1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     with pytest.raises(AntipodalPointsError):
-        distance(met, p, q)
+        distance(m, p, q)
 
 
-@pytest.mark.parametrize("make_metric", [flat_metric, sphere_metric])
-def test_submersion_bound(make_metric):
+@pytest.mark.parametrize("m", [Manifold.flat(2), Manifold.sphere2()],
+                         ids=["flat_metric", "sphere_metric"])
+def test_submersion_bound(m):
     """Base distance of the projections never exceeds the bundle distance."""
-    met = make_metric()
-    m = met.manifold
     rng = np.random.default_rng(53)
     for _ in range(300):
         x = m.random_point(rng)
@@ -109,7 +90,7 @@ def test_submersion_bound(make_metric):
             continue
         p = TangentPoint(x, m.random_tangent(x, rng))
         q = TangentPoint(y, m.random_tangent(y, rng))
-        assert m.base_distance(x, y) <= distance(met, p, q) + 1e-15
+        assert m.base_distance(x, y) <= distance(m, p, q) + 1e-15
 
 
 def test_fiber_segment_point_examples():
