@@ -143,10 +143,6 @@ class VectorField:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self._value(np.asarray(x, dtype=float)), dtype=float)
 
-    def rows(self, xs: np.ndarray) -> np.ndarray:
-        """Values at each row of a (B, n) batch of points."""
-        return np.array([self(x) for x in xs])
-
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self._jacobian is not None:
@@ -164,13 +160,17 @@ class VectorField:
 
 
 class PolynomialField(VectorField):
-    """Components are polynomials with integer exponents; analytic Jacobian."""
+    """Components are polynomials with one non-negative integer exponent per
+    dimension (ValueError otherwise); analytic Jacobian."""
 
     def __init__(self, components, dim: int, name: str = "polynomial"):
         self.components = tuple(_mono_collect(c) for c in components)
         self.dim = int(dim)
         if len(self.components) != self.dim:
             raise ValueError("polynomial field needs one component per dimension")
+        if any(len(e) != self.dim or min(e, default=0) < 0
+               for comp in self.components for _, e in comp):
+            raise ValueError(f"exponents must be {self.dim} non-negative integers")
         self._partials = tuple(
             tuple(_poly_diff(comp, j) for j in range(self.dim))
             for comp in self.components
@@ -190,8 +190,7 @@ class PolynomialField(VectorField):
     def _affine(self):
         # built on first use: most bracket fields are never asked
         monos = [(i, c, e) for i, comp in enumerate(self.components) for c, e in comp]
-        # a negative exponent is not affine even when the degree sums to one
-        if any(sum(e) > 1 or min(e, default=0) < 0 for _, _, e in monos):
+        if any(sum(e) > 1 for _, _, e in monos):
             return None
         a = np.zeros((self.dim, self.dim))
         b = np.zeros(self.dim)

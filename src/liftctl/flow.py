@@ -17,6 +17,14 @@ variational step is v -> M v. The stepper then builds (M, c) once per segment
 evaluations. The iterates are the same RK4 iterates up to rounding. Other
 fields take the four stages. Renormalization, the drift check, fiber
 re-projection and row recording are shared by both.
+
+When every field is polynomial, the system keeps one table, built on the
+first stage run: the exponents E (M, n) of every monomial of every field's
+components and partials, and per field its value (n, M) and Jacobian
+(n, n, M) coefficients. A segment combines them with (1, *u) once (per row
+for a batch); a stage then evaluates one monomial vector m = prod(x ** E),
+which gives both f(x) and Df(x) by matmul. A system with a bare-callable
+field is evaluated through its rhs and rhs_jacobian instead.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .fields import VectorField
+from .fields import PolynomialField, VectorField
 from .manifold import Manifold, ManifoldKind, TangentPoint
 
 DEFAULT_STEP = 1e-3
@@ -206,13 +214,8 @@ class AffineSystem:
         return out
 
     def rhs_rows(self, xs: np.ndarray, u_values: np.ndarray) -> np.ndarray:
-        """rhs over a batch: row r is rhs(xs[r], u_values[r]) up to rounding."""
-        out = self.drift.rows(xs)
-        for i, fld in enumerate(self.controlled):
-            ui = u_values[:, i:i + 1]
-            if np.any(ui):
-                out = out + ui * fld.rows(xs)
-        return out
+        """rhs over a batch: row r is rhs(xs[r], u_values[r])."""
+        return np.array([self.rhs(x, u) for x, u in zip(xs, u_values)])
 
     @functools.cached_property
     def _affine_terms(self):
@@ -249,6 +252,53 @@ class AffineSystem:
                 out = out + ui * fld.jacobian(x)
         return out
 
+    @functools.cached_property
+    def _polynomial_table(self):
+        """(E, values, jacobians) when every field is a PolynomialField, else
+        None. E (M, n) holds the exponents of every monomial of the fields'
+        components and partials; field f is values[f] @ m(x) with Jacobian
+        jacobians[f] @ m(x), where m(x) = prod(x ** E, axis=1)."""
+        fields = (self.drift, *self.controlled)
+        n = self.manifold.ambient_dim
+        if not all(isinstance(fld, PolynomialField) and fld.dim == n for fld in fields):
+            return None
+        # per field: its n components, then its n * n partials row by row
+        polys = [[*fld.components, *(p for row in fld._partials for p in row)] for fld in fields]
+        monomials = list(dict.fromkeys(e for fp in polys for poly in fp for _, e in poly))
+        index = {exps: k for k, exps in enumerate(monomials)}
+        dense = np.zeros((len(fields), n + n * n, len(index)))
+        for f, fld_polys in enumerate(polys):
+            for i, poly in enumerate(fld_polys):
+                for coeff, exps in poly:
+                    dense[f, i, index[exps]] = coeff
+        exps = np.array(monomials, dtype=float).reshape(len(index), n)
+        return exps, dense[:, :n], dense[:, n:].reshape(len(fields), n, n, len(index))
+
+    def stage_rhs(self, u_values: np.ndarray):
+        """rhs(x, lifted) -> (f(x), Df(x) if lifted else None) under the
+        control u_values (m,), or rows (B, m) for states (B, n) with no fiber:
+        from the polynomial tables, combined here, when there are any; else
+        through rhs, rhs_jacobian or rhs_rows."""
+        if self._polynomial_table is None:
+            if u_values.ndim == 2:
+                return lambda x, lifted: (self.rhs_rows(x, u_values), None)
+            return lambda x, lifted: (self.rhs(x, u_values),
+                                      self.rhs_jacobian(x, u_values) if lifted else None)
+        exps, values, jacobians = self._polynomial_table
+        coeffs = np.insert(u_values, 0, 1.0, axis=-1)
+        values = np.tensordot(coeffs, values, 1)
+        if u_values.ndim == 2:
+            def rows(x, lifted):
+                m = np.multiply.reduce(x[:, None, :] ** exps, axis=2)
+                return (values @ m[:, :, None])[:, :, 0], None
+            return rows
+        jacobians = np.tensordot(coeffs, jacobians, 1)
+
+        def single(x, lifted):
+            m = np.multiply.reduce(x ** exps, axis=1)  # np.prod, at less cost
+            return values @ m, (jacobians @ m if lifted else None)
+        return single
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -276,11 +326,14 @@ class Trajectory:
         if self.fibers is not None:
             header += [f"v{i + 1}" for i in range(n)]
         stream.write(",".join(header) + "\n")
-        for k in range(self.times.shape[0]):
-            row = [self.times[k], *self.states[k]]
-            if self.fibers is not None:
-                row += list(self.fibers[k])
-            stream.write(",".join(f"{val:.17g}" for val in row) + "\n")
+        columns = [self.times[:, None], self.states]
+        if self.fibers is not None:
+            columns.append(self.fibers)
+        # Python floats format about twice as fast as numpy scalars, to the
+        # same bytes; converting a block of rows at a time keeps memory small
+        for start in range(0, self.times.shape[0], 256):
+            for row in np.hstack([col[start:start + 256] for col in columns]).tolist():
+                stream.write(",".join(f"{val:.17g}" for val in row) + "\n")
 
     def to_json(self) -> dict:
         return {
@@ -311,24 +364,27 @@ def _rk4_combine(y, h, k1, k2, k3, k4):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _stage_step(f, jac, uval, h):
+def _stage_step(rhs, h):
     """One classical RK4 step (Hairer, Nørsett & Wanner, Solving ODEs I,
-    §II.1) of size h of dx/dt = f(x, uval) and, unless v is None, of the
-    variational equation dv/dt = jac(x, uval) v along the same base stages,
-    as a map (x, v) -> (x, v)."""
+    §II.1) of size h of dx/dt = f(x) and, unless v is None, of the
+    variational equation dv/dt = Df(x) v along the same base stages, as a
+    map (x, v) -> (x, v). rhs(x, lifted) returns (f(x), Df(x) if lifted
+    else None), so a base run evaluates no Jacobian and the base stages do
+    not depend on the fiber."""
     def step(x, v):
-        k1 = f(x, uval)
+        lifted = v is not None
+        k1, j1 = rhs(x, lifted)
         x2 = x + 0.5 * h * k1
-        k2 = f(x2, uval)
+        k2, j2 = rhs(x2, lifted)
         x3 = x + 0.5 * h * k2
-        k3 = f(x3, uval)
+        k3, j3 = rhs(x3, lifted)
         x4 = x + h * k3
-        k4 = f(x4, uval)
-        if v is not None:
-            k1v = jac(x, uval) @ v
-            k2v = jac(x2, uval) @ (v + 0.5 * h * k1v)
-            k3v = jac(x3, uval) @ (v + 0.5 * h * k2v)
-            k4v = jac(x4, uval) @ (v + h * k3v)
+        k4, j4 = rhs(x4, lifted)
+        if lifted:
+            k1v = j1 @ v
+            k2v = j2 @ (v + 0.5 * h * k1v)
+            k3v = j3 @ (v + 0.5 * h * k2v)
+            k4v = j4 @ (v + h * k3v)
             v = _rk4_combine(v, h, k1v, k2v, k3v, k4v)
         return _rk4_combine(x, h, k1, k2, k3, k4), v
     return step
@@ -352,22 +408,21 @@ def _segment_step(sys: AffineSystem, uval: np.ndarray, h):
     (n, k); uval (B, m) with h (B, 1) steps a batch of rows (B, n) with no
     fiber. When every field is affine the step is the map of
     _step_map, built once here (per row, by the same call a single run
-    makes, so a row steps bitwise as its single run does); otherwise it
-    evaluates the four stages.
+    makes, so a row steps bitwise as its single run does). Otherwise it
+    evaluates the four stages of AffineSystem.stage_rhs, set up once here.
     """
     if uval.ndim == 1:
         parts = sys.affine_parts(uval)
-        if parts is None:
-            return _stage_step(sys.rhs, sys.rhs_jacobian, uval, h)
-        m, c = _step_map(*parts, h)
-        return lambda x, v: (m @ x + c, None if v is None else m @ v)
-    parts = [sys.affine_parts(row) for row in uval]
-    if parts[0] is None:
-        return _stage_step(sys.rhs_rows, None, uval, h)
-    maps = [_step_map(a, b, float(hr)) for (a, b), hr in zip(parts, h[:, 0])]
-    m = np.stack([mr for mr, _ in maps])
-    c = np.stack([cr for _, cr in maps])
-    return lambda x, v: ((m @ x[:, :, None])[:, :, 0] + c, v)
+        if parts is not None:
+            m, c = _step_map(*parts, h)
+            return lambda x, v: (m @ x + c, None if v is None else m @ v)
+    else:
+        parts = [sys.affine_parts(row) for row in uval]
+        if parts[0] is not None:
+            maps = [_step_map(a, b, float(hr)) for (a, b), hr in zip(parts, h[:, 0])]
+            m, c = map(np.stack, zip(*maps))
+            return lambda x, v: ((m @ x[:, :, None])[:, :, 0] + c, v)
+    return _stage_step(sys.stage_rhs(uval), h)
 
 
 def _rk4(step, x, v, h, n_steps: int, on_sphere: bool, t=0.0, rows=None):

@@ -336,12 +336,15 @@ def check_fiber_reachability(sys: AffineSystem, oracle, p0: TangentPoint,
 
 
 def _entry(data, key: str, parse, where: str = ""):
-    """parse(data[key]) for a chain file entry; a missing or ill-typed entry
-    raises DefinitionError naming where + key."""
+    """parse(data[key]) for a chain file entry; a missing or ill-typed entry,
+    a boolean included (no chain entry is one), raises DefinitionError
+    naming where + key."""
     try:
         value = data[key]
     except (KeyError, TypeError) as exc:
         raise DefinitionError(where + key, "missing") from exc
+    if isinstance(value, bool):  # float(True) would read it as 1.0
+        raise DefinitionError(where + key, f"malformed: boolean {value!r}")
     try:
         return parse(value)
     except (KeyError, TypeError, ValueError, IndexError) as exc:

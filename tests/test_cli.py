@@ -168,11 +168,14 @@ def test_chain_verify_only_malformed_file(tmp_path, capsys, path, named):
     (("T",), float("-inf"), "T"), (("epsilon",), float("inf"), "epsilon"),
     (("step",), float("inf"), "step"), (("epsilon",), -0.1, "epsilon"),
     (("legs", 0, "start", "x"), [float("nan")], "legs[0].start"),
+    (("epsilon",), True, "epsilon"), (("T",), True, "T"), (("step",), True, "step"),
+    (("seed",), True, "seed"), (("legs", 0, "duration"), True, "legs[0].duration"),
 ])
 def test_chain_verify_only_rejects_bad_numbers(tmp_path, capsys, path, value, named):
     """A chain file cannot lower the bar: an epsilon, T or step that is not
-    positive and finite, or a non-finite point, exits 2 naming the entry
-    (an infinite epsilon or a T of -Infinity used to verify with exit 0)."""
+    positive and finite, a non-finite point, or a boolean where a number
+    belongs, exits 2 naming the entry (an infinite epsilon or a T of
+    -Infinity used to verify with exit 0, and true read as 1.0)."""
     def assign(entry, key):
         entry[key] = value
 
@@ -198,6 +201,9 @@ def test_chain_verify_only_ill_typed_entry(tmp_path, capsys):
     ({"drift": {"type": "linear", "matrix": [[float("inf")]]}}, "drift"),
     ({"drift": {"type": "polynomial", "components": [[[float("nan"), [1]]]]}}, "drift"),
     ({"drift": 5}, "drift"),
+    ({"drift": {"type": "polynomial", "components": [[[1.0, [-1]]]]}}, "drift"),
+    ({"controlled": [{"type": "polynomial", "components": [[[1.0, [1, 0]]]]}]},
+     "controlled[0]"),
 ])
 def test_definition_rejects_non_finite_and_boolean_entries(tmp_path, capsys, changes, field):
     data = json.loads(Path(LINE).read_text())

@@ -111,8 +111,8 @@ def test_lie_bracket_linear_example():
 
 def test_affine_parts():
     """Linear and constant fields are polynomial fields of degree one and
-    zero whose affine() gives back the matrix and vector; a cubic field, a
-    negative exponent and a bare callable are not affine."""
+    zero whose affine() gives back the matrix and vector; a cubic field and
+    a bare callable are not affine, and a negative exponent cannot be built."""
     rng = np.random.default_rng(15)
     a = rng.standard_normal((3, 3))
     c = rng.standard_normal(3)
@@ -121,7 +121,8 @@ def test_affine_parts():
     const_a, const_b = ConstantField(c).affine()
     assert not np.any(const_a) and np.array_equal(const_b, c)
     assert PolynomialField([[(1.0, (0, 1))], [(-1.0, (1, 0)), (-1.0, (3, 0))]], 2).affine() is None
-    assert PolynomialField([[(1.0, (2, -1))], []], 2).affine() is None
+    with pytest.raises(ValueError):
+        PolynomialField([[(1.0, (2, -1))], []], 2)
     assert VectorField(lambda x: x).affine() is None
 
 

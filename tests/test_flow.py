@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -10,7 +12,9 @@ from liftctl import (
     LinearField,
     Manifold,
     OffManifoldError,
+    PolynomialField,
     TangentPoint,
+    Trajectory,
     VectorField,
     check_flow_formula,
     check_invariance,
@@ -18,11 +22,14 @@ from liftctl import (
     field_from_descriptor,
     integrate_base,
     integrate_lifted,
+    lifted_rank_at,
     shift,
     zero_field,
 )
-from liftctl.flow import _rk4, _segment_step, constant_control_endpoints
+from liftctl.cli import SystemDefinition
+from liftctl.flow import _rk4, _segment_step, constant_control_endpoints, fiber_flow
 
+DUFFING = str(Path(__file__).resolve().parent.parent / "perfbench" / "defs" / "duffing.json")
 ROT2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 L3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 L1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
@@ -254,6 +261,111 @@ def test_step_map_matches_stages(n, drift):
     assert np.array_equal(base.states, mapped.states)
 
 
+def duffing_type_system():
+    drift = PolynomialField([[(1.0, (0, 1))],
+                             [(-1.0, (1, 0)), (-1.0, (3, 0)), (-0.2, (0, 1))]], 2)
+    forcing = PolynomialField([[], [(1.0, (0, 0)), (0.5, (2, 0))]], 2)
+    return AffineSystem(Manifold.flat(2), drift, (forcing,), [[-1.0, 1.0]])
+
+
+def cubic_system_r3():
+    drift = PolynomialField([[(-0.5, (1, 0, 0)), (1.0, (0, 1, 1))],
+                             [(0.3, (2, 0, 1)), (-1.0, (0, 3, 0))],
+                             [(0.7, (1, 1, 1)), (-0.2, (0, 0, 1))]], 3)
+    controlled = (PolynomialField([[(1.0, (0, 0, 0))], [(0.5, (1, 0, 2))], []], 3),
+                  LinearField(L1))
+    return AffineSystem(Manifold.flat(3), drift, controlled, [[-1.0, 1.0], [-1.0, 1.0]])
+
+
+def sphere_polynomial_system():
+    """x3 (-x2, x1, 0), tangent to S2 and not affine, beside a rotation."""
+    twisted = PolynomialField([[(-1.0, (0, 1, 1))], [(1.0, (1, 0, 1))], []], 3)
+    return AffineSystem(Manifold.sphere2(), zero_field(3), (twisted, LinearField(L1)),
+                        [[-1.0, 1.0], [-1.0, 1.0]])
+
+
+def bare_copy(sys):
+    """The same polynomial fields as bare callables, which step by the four
+    stages through rhs and rhs_jacobian instead of the polynomial tables."""
+    def wrap(fld):
+        return VectorField(fld, fld.jacobian)
+    return AffineSystem(sys.manifold, wrap(sys.drift), tuple(map(wrap, sys.controlled)),
+                        sys.bounds)
+
+
+POLYNOMIAL_CASES = [
+    (duffing_type_system, [0.4, -0.3], [1.0, 0.5]),
+    (cubic_system_r3, [0.5, -0.4, 0.3], [0.2, 1.0, -0.7]),
+    (sphere_polynomial_system, [0.6, 0.0, 0.8], [0.8, 0.3, -0.6]),
+]
+
+
+def three_segments(n_controls, rng):
+    return ControlSignal(tuple((float(rng.uniform(0.2, 0.5)), rng.uniform(-1.0, 1.0, n_controls))
+                               for _ in range(3)))
+
+
+@pytest.mark.parametrize("make_sys,x0,v0", POLYNOMIAL_CASES)
+def test_polynomial_tables_match_stages(make_sys, x0, v0):
+    """Polynomial fields step from one monomial vector per stage; the same
+    fields as bare callables take rhs and rhs_jacobian. Both are the same
+    RK4 stages, so states and fibers agree up to rounding, and base and
+    lifted runs on the table path stay bitwise equal."""
+    sys = make_sys()
+    stages = bare_copy(sys)
+    u = three_segments(sys.n_controls, np.random.default_rng(len(x0)))
+    assert sys._polynomial_table is not None and sys.affine_parts(u.segments[0][1]) is None
+    assert stages._polynomial_table is None
+    p0 = TangentPoint(x0, v0)
+    fused = integrate_lifted(sys, p0, u, 1e-3)
+    staged = integrate_lifted(stages, p0, u, 1e-3)
+    for got, want in ((fused.states, staged.states), (fused.fibers, staged.fibers)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    base = integrate_base(sys, x0, u, 1e-3)
+    assert np.array_equal(base.times, fused.times)
+    assert np.array_equal(base.states, fused.states)
+
+
+@pytest.mark.parametrize("make_sys,x0,v0", POLYNOMIAL_CASES)
+def test_polynomial_fiber_flow_matches_columns(make_sys, x0, v0):
+    """An (n, d) fiber on the table path carries each column as a lifted
+    run does."""
+    sys = make_sys()
+    n = len(x0)
+    u = three_segments(sys.n_controls, np.random.default_rng(7 + n))
+    fibers = sys.manifold.tangent_basis(np.array(x0))
+    x_end, v_end = fiber_flow(sys, x0, fibers, u, 1e-3)
+    for i in range(fibers.shape[1]):
+        run = integrate_lifted(sys, TangentPoint(x0, fibers[:, i]), u, 1e-3)
+        assert np.array_equal(run.final_state, x_end)
+        assert np.max(np.abs(v_end[:, i] - run.fibers[-1])) <= 1e-12 * max(
+            1.0, np.max(np.abs(run.fibers[-1])))
+
+
+def test_polynomial_runs_never_call_the_field_evaluators(monkeypatch):
+    """Lifted runs and search batches on polynomial fields step from the
+    system's tables, so they never evaluate a field component by component;
+    loading a definition and the rank computation build no table."""
+    defn = SystemDefinition.load(DUFFING)
+    fields = (defn.system.drift, *defn.system.controlled)
+    lifted_rank_at(fields, TangentPoint([0.3, -0.2], [1.0, 0.5]), 3, defn.manifold)
+    assert "_polynomial_table" not in defn.system.__dict__
+
+    def refuse(self, x):
+        raise AssertionError("polynomial field evaluated outside the tables")
+    monkeypatch.setattr(PolynomialField, "_eval", refuse)
+    monkeypatch.setattr(PolynomialField, "_jac", refuse)
+    sys = SystemDefinition.load(DUFFING).system
+    with pytest.raises(AssertionError):
+        sys.drift([0.0, 0.0])
+    u = ControlSignal(((0.5, [0.3]), (0.5, [-0.7])))
+    run = integrate_lifted(sys, TangentPoint([0.3, -0.2], [1.0, 0.5]), u)
+    assert np.all(np.isfinite(run.fibers))
+    ends = constant_control_endpoints(sys, [0.3, -0.2], [[0.5], [-0.5], [1.0]],
+                                      [0.2, 0.3, 0.2], [1e-2, 1e-2, 1e-2])
+    assert ends.shape == (3, 2) and np.all(np.isfinite(ends))
+
+
 @pytest.mark.parametrize("make_sys", [
     sphere_bilinear_system,
     lambda: stage_copy(sphere_bilinear_system()),
@@ -448,3 +560,38 @@ def test_trajectory_csv_and_json(tmp_path):
     payload = traj.to_json()
     assert payload["fibers"] is not None
     assert len(payload["times"]) == traj.times.shape[0]
+
+
+def per_value_csv(traj):
+    """The CSV writer as it was, formatting one numpy scalar at a time."""
+    n = traj.states.shape[1]
+    header = ["t"] + [f"x{i + 1}" for i in range(n)]
+    if traj.fibers is not None:
+        header += [f"v{i + 1}" for i in range(n)]
+    lines = [",".join(header)]
+    for k in range(traj.times.shape[0]):
+        row = [traj.times[k], *traj.states[k]]
+        if traj.fibers is not None:
+            row += list(traj.fibers[k])
+        lines.append(",".join(f"{val:.17g}" for val in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("lifted", [False, True])
+def test_csv_bytes_match_per_value_writer(lifted):
+    """write_csv formats whole rows at once, with the same bytes as the
+    per-value writer: -0.0, subnormal, huge and integral values included,
+    and rows across the writer's blocks."""
+    import io
+
+    odd = np.array([[-0.0, 5e-324], [1.7976931348623157e308, -2.2250738585072014e-308],
+                    [1.0 / 3.0, -123456789.0], [1e-17, 7.0]])
+    u = ControlSignal.constant([0.5], 2.5)
+    p0 = TangentPoint([1.0, 0.0], [0.0, 1.0])
+    runs = [integrate_lifted(rotation_system(), p0, u, 1e-3) if lifted
+            else integrate_base(rotation_system(), p0.x, u, 1e-3),
+            Trajectory(np.array([0.0, 1e-3, 0.1, 2.5]), odd, odd[::-1] if lifted else None, u)]
+    for traj in runs:
+        buf = io.StringIO()
+        traj.write_csv(buf)
+        assert buf.getvalue() == per_value_csv(traj)

@@ -174,7 +174,8 @@ def test_plan_chain_with_search_oracle():
 
 
 def duffing_system():
-    """Polynomial drift and controlled field: batches fall back to row loops."""
+    """Polynomial drift and controlled field: batches step all rows at once
+    through the system's polynomial tables."""
     drift = PolynomialField([[(1.0, (0, 1))], [(-1.0, (1, 0)), (-1.0, (3, 0))]], 2)
     forcing = PolynomialField([[], [(1.0, (1, 0))]], 2)
     return AffineSystem(Manifold.flat(2), drift, (forcing,), [[-2.0, 2.0]])
