@@ -21,7 +21,6 @@ from .fields import (
     VectorField,
     check_bracket_identity,
     check_pi_related,
-    combine_fields,
     complete_lift,
     complete_lift_function,
     field_from_descriptor,
@@ -42,7 +41,6 @@ from .flow import (
     shift,
 )
 from .liealg import (
-    BracketTree,
     RankReport,
     check_lift_algebra_identity,
     generate_brackets,

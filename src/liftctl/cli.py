@@ -51,6 +51,19 @@ _METRICS = {"flat": ("flat_product", "transport_surrogate"),
             "sphere2": ("transport_surrogate",)}
 
 
+def _load_field(desc, where: str, n: int):
+    """The field of a descriptor, which must act on the manifold's ambient
+    dimension n; a DefinitionError naming `where` otherwise."""
+    try:
+        field = field_from_descriptor(desc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DefinitionError(where, str(exc)) from exc
+    if field.dim != n:
+        raise DefinitionError(where, f"field of dimension {field.dim} on a manifold of "
+                                     f"ambient dimension {n}")
+    return field
+
+
 @dataclass(frozen=True)
 class SystemDefinition:
     manifold: Manifold
@@ -82,22 +95,15 @@ class SystemDefinition:
 
         n = manifold.ambient_dim
         if "drift" in data and data["drift"] is not None:
-            try:
-                drift = field_from_descriptor(data["drift"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DefinitionError("drift", str(exc)) from exc
+            drift = _load_field(data["drift"], "drift", n)
         else:
             drift = zero_field(n)
 
         controlled_desc = data.get("controlled")
         if not isinstance(controlled_desc, list) or not controlled_desc:
             raise DefinitionError("controlled", "expected a non-empty list of field descriptors")
-        controlled = []
-        for i, desc in enumerate(controlled_desc):
-            try:
-                controlled.append(field_from_descriptor(desc))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DefinitionError(f"controlled[{i}]", str(exc)) from exc
+        controlled = [_load_field(desc, f"controlled[{i}]", n)
+                      for i, desc in enumerate(controlled_desc)]
 
         bounds = data.get("bounds")
         if not isinstance(bounds, list) or len(bounds) != len(controlled):
@@ -362,6 +368,8 @@ def cmd_chain(args) -> int:
 
 
 def cmd_larc(args) -> int:
+    if args.depth < 1:
+        raise DefinitionError("--depth", f"must be at least 1, got {args.depth}")
     defn = SystemDefinition.load(args.definition)
     n = defn.manifold.ambient_dim
     fields = (defn.system.drift,) + defn.system.controlled

@@ -233,29 +233,6 @@ def zero_field(dim: int) -> ConstantField:
     return ConstantField(np.zeros(dim), name="zero")
 
 
-def combine_fields(fields, coeffs) -> VectorField:
-    """Pointwise linear combination sum_i coeffs[i] * fields[i].
-
-    Delegates value and Jacobian to the terms (so analytic terms keep
-    analytic Jacobians).
-    """
-    fields = list(fields)
-    coeffs = [float(c) for c in coeffs]
-    if len(fields) != len(coeffs):
-        raise ValueError("one coefficient per field")
-
-    def value(x):
-        return sum((c * f(x) for f, c in zip(fields, coeffs)),
-                   start=np.zeros(np.asarray(x).shape[0]))
-
-    def jac(x):
-        n = np.asarray(x).shape[0]
-        return sum((c * f.jacobian(x) for f, c in zip(fields, coeffs)),
-                   start=np.zeros((n, n)))
-
-    return VectorField(value, jac, name="combination")
-
-
 class ScalarField:
     """A point -> real map with gradient access (analytic or central FD)."""
 
@@ -408,14 +385,6 @@ def check_bracket_identity(x_field: VectorField, y_field: VectorField, samples) 
     return worst
 
 
-# Registry of named custom-field builders for definition files.
-_FIELD_BUILDERS = {}
-
-
-def register_field_type(name: str, builder) -> None:
-    _FIELD_BUILDERS[name] = builder
-
-
 def _finite(values, what: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
@@ -423,21 +392,10 @@ def _finite(values, what: str) -> np.ndarray:
     return values
 
 
-def _build_polynomial(desc: dict) -> PolynomialField:
-    comps = [
-        [(float(coeff), tuple(int(e) for e in exps)) for coeff, exps in component]
-        for component in desc["components"]
-    ]
-    _finite([coeff for component in comps for coeff, _ in component], "coefficient")
-    return PolynomialField(comps, len(comps))
-
-
-register_field_type("polynomial", _build_polynomial)
-
-
-def field_from_descriptor(desc: dict) -> VectorField:
-    """Deserialize a field descriptor from a system-definition file.
-    Non-finite matrix, vector or coefficient entries raise ValueError."""
+def field_from_descriptor(desc: dict) -> PolynomialField:
+    """Deserialize a field descriptor from a system-definition file; every
+    kind gives a polynomial field. Non-finite matrix, vector or coefficient
+    entries raise ValueError."""
     if not isinstance(desc, dict):
         raise ValueError("field descriptor must be an object")
     kind = desc.get("type")
@@ -447,17 +405,12 @@ def field_from_descriptor(desc: dict) -> VectorField:
         return ConstantField(_finite(desc["vector"], "vector"))
     if kind == "zero":
         return zero_field(int(desc["dim"]))
-    if kind in _FIELD_BUILDERS:
-        return _FIELD_BUILDERS[kind](desc)
+    if kind == "polynomial":
+        comps = [
+            [(float(coeff), tuple(int(e) for e in exps)) for coeff, exps in component]
+            for component in desc["components"]
+        ]
+        _finite([coeff for component in comps for coeff, _ in component], "coefficient")
+        return PolynomialField(comps, len(comps))
     raise ValueError(f"unknown field type {kind!r}")
 
-
-def field_to_descriptor(field: VectorField) -> dict:
-    """The descriptor of a polynomial field (linear and constant fields give
-    a "polynomial" descriptor of degree one or zero)."""
-    if isinstance(field, PolynomialField):
-        return {
-            "type": "polynomial",
-            "components": [[[c, list(e)] for c, e in comp] for comp in field.components],
-        }
-    raise ValueError("custom fields have no serializable descriptor")

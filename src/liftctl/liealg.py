@@ -1,9 +1,10 @@
 """Numerical generation of iterated Lie brackets, rank computations for the
 algebra rank condition, and the lift-algebra identity check.
 
-Brackets are enumerated as left-normed words with syntactic deduplication
-only; numerically dependent columns are handled by the SVD threshold, not by
-pruning.
+Brackets are generated as the Lyndon basis of the free Lie algebra on the
+fields, one bracket per basis element. The basis spans what all iterated
+brackets span, so the ranks are those of the full bracket family; numerical
+dependencies among the evaluated columns are left to the SVD threshold.
 """
 
 from __future__ import annotations
@@ -20,66 +21,42 @@ REL_RANK_TOL = 1e-8
 ABS_RANK_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class BracketTree:
-    """A bracket word: either a leaf (field index) or a node of two subtrees."""
-
-    index: int | None = None
-    left: "BracketTree | None" = None
-    right: "BracketTree | None" = None
-
-    @staticmethod
-    def leaf(index: int) -> "BracketTree":
-        return BracketTree(index=index)
-
-    @staticmethod
-    def node(left: "BracketTree", right: "BracketTree") -> "BracketTree":
-        return BracketTree(left=left, right=right)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.index is not None
-
-    @property
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.depth + self.right.depth
-
-    def label(self) -> str:
-        if self.is_leaf:
-            return str(self.index)
-        return f"[{self.left.label()},{self.right.label()}]"
+def _lyndon_words(k: int, max_depth: int):
+    """Lyndon words of length <= max_depth over range(k), in lexicographic
+    order (Duval's next-word step)."""
+    word = [-1] if k else []
+    while word:
+        word[-1] += 1
+        yield tuple(word)
+        period = len(word)
+        while len(word) < max_depth:
+            word.append(word[len(word) - period])
+        while word and word[-1] == k - 1:
+            word.pop()
 
 
 def generate_brackets(fields, max_depth: int):
-    """All left-normed bracket words of depth <= max_depth.
+    """The Lyndon basis of the bracket algebra up to depth max_depth.
 
-    Returns a list of (BracketTree, VectorField) pairs. Depth counts leaves
-    (word length). Self-brackets at depth two are pruned syntactically.
+    Returns (word, VectorField) pairs, where word is a tuple of field indices
+    and depth counts letters; shorter words come first, lexicographic within
+    a length. A word w of length >= 2 is bracketed through its standard
+    factorization w = uv, v the longest proper suffix that is a Lyndon word,
+    so each basis element costs one lie_bracket of two earlier ones.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     fields = list(fields)
-    k = len(fields)
-    entries = [(BracketTree.leaf(i), fields[i]) for i in range(k)]
-    if max_depth == 1:
-        return entries
-    layer = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            tree = BracketTree.node(BracketTree.leaf(i), BracketTree.leaf(j))
-            layer.append((tree, lie_bracket(fields[i], fields[j])))
-    entries.extend(layer)
-    for _ in range(3, max_depth + 1):
-        nxt = []
-        for tree, fld in layer:
-            for t in range(k):
-                new_tree = BracketTree.node(tree, BracketTree.leaf(t))
-                nxt.append((new_tree, lie_bracket(fld, fields[t])))
-        entries.extend(nxt)
-        layer = nxt
-    return entries
+    made = {}
+    for word in sorted(_lyndon_words(len(fields), max_depth), key=len):
+        if len(word) == 1:
+            made[word] = fields[word[0]]
+            continue
+        # shorter words are already made, so the first made suffix is the
+        # longest proper Lyndon suffix
+        i = next(i for i in range(1, len(word)) if word[i:] in made)
+        made[word] = lie_bracket(made[word[:i]], made[word[i:]])
+    return list(made.items())
 
 
 @dataclass(frozen=True)
@@ -170,8 +147,8 @@ def check_lift_algebra_identity(fields, samples, max_depth: int) -> float:
     entries = generate_brackets(fields, max_depth)
     flat_entries = generate_brackets([flatten_lift(f) for f in fields], max_depth)
     worst = 0.0
-    for (tree, fld), (_, left_field) in zip(entries, flat_entries):
-        if tree.is_leaf:
+    for (word, fld), (_, left_field) in zip(entries, flat_entries):
+        if len(word) == 1:
             continue  # both sides are the same lift by definition
         right_lift = complete_lift(fld)
         for p in samples:

@@ -204,6 +204,7 @@ def test_chain_verify_only_ill_typed_entry(tmp_path, capsys):
     ({"drift": {"type": "polynomial", "components": [[[1.0, [-1]]]]}}, "drift"),
     ({"controlled": [{"type": "polynomial", "components": [[[1.0, [1, 0]]]]}]},
      "controlled[0]"),
+    ({"drift": {"type": "zero", "dim": 2}}, "drift"),
 ])
 def test_definition_rejects_non_finite_and_boolean_entries(tmp_path, capsys, changes, field):
     data = json.loads(Path(LINE).read_text())
@@ -214,6 +215,33 @@ def test_definition_rejects_non_finite_and_boolean_entries(tmp_path, capsys, cha
                               "--control", "[[0.003,[0.5]]]"], capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {field}:")
+
+
+CUBE_DRIFT = {"drift": {"type": "polynomial", "components": [
+    [[1.0, [1, 0, 0]]], [[1.0, [0, 1, 0]]], [[1.0, [0, 0, 1]]]]}}
+
+
+@pytest.mark.parametrize("path,changes,named,args", [
+    (FLAT, CUBE_DRIFT, "drift", ["simulate", "--x0", "1,0", "--control", "[[0.01,[0.5]]]"]),
+    (FLAT, CUBE_DRIFT, "drift", ["larc", "--point", "1,0"]),
+    (FLAT, CUBE_DRIFT, "drift", ["check", "--suite", "lift"]),
+    (SPHERE, {"controlled": [{"type": "constant", "vector": [1.0, 0.0]}]}, "controlled[0]",
+     ["simulate", "--x0", "1,0,0"]),
+    (FLAT, {}, "--depth", ["larc", "--point", "1,0", "--depth", "0"]),
+])
+def test_wrong_field_dimension_and_depth_are_named(tmp_path, capsys, path, changes, named,
+                                                    args):
+    """A field whose dimension is not the manifold's ambient dimension exits
+    2 naming the field, whichever command loads it (simulate used to fail on
+    a broadcast error, larc with an IndexError traceback, check on a matmul
+    error, and the sphere case was blamed on bounds); so does larc --depth 0."""
+    data = json.loads(Path(path).read_text())
+    data.update(changes)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli([args[0], str(bad), *args[1:]], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {named}:")
 
 
 @pytest.mark.parametrize("path,metric", [
