@@ -50,6 +50,11 @@ SCHEMA_VERSION = 1
 _METRICS = {"flat": ("flat_product", "transport_surrogate"),
             "sphere2": ("transport_surrogate",)}
 
+# larc refuses a --depth whose Lyndon basis has more columns than this. Each
+# column is one bracket; 9,382 of them (three polynomial fields on R^2 at
+# depth 10) take about 0.7 s, and the count grows about k-fold per depth.
+LARC_MAX_COLUMNS = 10_000
+
 
 def _load_field(desc, where: str, n: int):
     """The field of a descriptor, which must act on the manifold's ambient
@@ -163,19 +168,21 @@ def _parse_tangent(text: str, dim: int, flag: str) -> TangentPoint:
 
 
 def _parse_control(text: str, channels: int) -> ControlSignal:
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = json.loads(text)
-    segments = []
-    for seg in data:
-        duration, value = seg
-        value = np.atleast_1d(np.asarray(value, dtype=float))
-        if value.shape[0] != channels:
-            raise DefinitionError("control", f"segment has {value.shape[0]} channels, expected {channels}")
-        segments.append((float(duration), value))
-    return ControlSignal(tuple(segments))
+    """The signal of --control: JSON segments [[duration, [u, ...]], ...] or
+    @file holding them; anything else raises DefinitionError naming control."""
+    try:
+        if text.startswith("@"):
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        else:
+            data = json.loads(text)
+        control = ControlSignal.from_json(data)
+    except (OSError, TypeError, ValueError) as exc:
+        raise DefinitionError("control", str(exc)) from exc
+    for _, value in control.segments:
+        if value.shape != (channels,):
+            raise DefinitionError("control", f"segment has {value.size} channels, expected {channels}")
+    return control
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -340,18 +347,24 @@ def cmd_check(args) -> int:
 
 
 def cmd_chain(args) -> int:
+    """Plan a chain and verify it, or verify a chain file; either way the
+    requirement is the caller's --eps and --T, and --source and --target
+    where given."""
     defn = SystemDefinition.load(args.definition)
     n = defn.manifold.ambient_dim
+    for flag, value in (("--eps", args.eps), ("--T", args.T)):
+        if not 0.0 < value < math.inf:  # NaN fails it too
+            raise DefinitionError(flag, f"must be positive and finite, got {value}")
+    source = _parse_tangent(args.source, n, "--source") if args.source is not None else None
+    target = _parse_tangent(args.target, n, "--target") if args.target is not None else None
     if args.verify_only:
         with open(args.verify_only, "r", encoding="utf-8") as fh:
             chain = Chain.from_json(json.load(fh))
-        report = verify_chain(defn.system, chain)
+        report = verify_chain(defn.system, chain, args.eps, args.T, source, target)
         _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
         return 0 if report.passed else 1
-    if args.source is None or args.target is None:
+    if source is None or target is None:
         raise DefinitionError("--source/--target", "required unless --verify-only is given")
-    source = _parse_tangent(args.source, n, "--source")
-    target = _parse_tangent(args.target, n, "--target")
     oracle = resolve_oracle(defn)
     try:
         chain = plan_chain(defn.system, oracle, source, target,
@@ -361,7 +374,7 @@ def cmd_chain(args) -> int:
                    "partial_chain": exc.best_chain.to_json() if exc.best_chain else None}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 1
-    report = verify_chain(defn.system, chain)
+    report = verify_chain(defn.system, chain, args.eps, args.T)
     payload = {"chain": chain.to_json(), "verification": report.to_json()}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0 if report.passed else 1
@@ -373,6 +386,15 @@ def cmd_larc(args) -> int:
     defn = SystemDefinition.load(args.definition)
     n = defn.manifold.ambient_dim
     fields = (defn.system.drift,) + defn.system.controlled
+    # Lyndon words of each length n over k letters, counted by Witt's formula
+    # k^n = sum over d | n of d L(d), not generated
+    k, words = len(fields), []
+    for length in range(1, args.depth + 1):
+        words.append((k ** length - sum(d * words[d - 1] for d in range(1, length)
+                                        if length % d == 0)) // length)
+        if sum(words) > LARC_MAX_COLUMNS:
+            raise DefinitionError("--depth", f"{k} fields have more than {LARC_MAX_COLUMNS} "
+                                             f"brackets beyond depth {length - 1}")
     if args.v is not None:
         point = TangentPoint(_parse_vector(args.point, n, "--point"),
                              _parse_vector(args.v, n, "--v"))

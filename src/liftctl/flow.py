@@ -102,7 +102,16 @@ class ControlSignal:
 
     @staticmethod
     def from_json(data) -> "ControlSignal":
-        return ControlSignal(tuple((d, np.asarray(v, float)) for d, v in data))
+        """The signal of JSON segments [[duration, [u, ...]], ...]; anything
+        else, a boolean included (float(True) is 1.0), raises TypeError or
+        ValueError."""
+        segments = []
+        for duration, value in data:
+            numbers = [duration, *(value if isinstance(value, list) else [value])]
+            if not all(isinstance(u, (int, float)) and not isinstance(u, bool) for u in numbers):
+                raise ValueError(f"segment {[duration, value]!r} is not [number, [numbers]]")
+            segments.append((duration, value))
+        return ControlSignal(tuple(segments))
 
 
 def split_signal(u: ControlSignal, s: float) -> tuple[ControlSignal, ControlSignal]:

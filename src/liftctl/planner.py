@@ -3,12 +3,17 @@ chain-controllability algorithm with an independent verifier.
 
 A chain from p to q is a sequence of legs: flow the lifted system for longer
 than the minimum duration, then jump by at most epsilon (in the tangent
-metric) to the start of the next leg. The planner walks the base along
-steered plans, and moves the fiber by jumping toward the pullback of the
-target vector through the remaining planned flow. Because the fiber flow is
-linear, a jump of size s toward the pullback reduces the terminal fiber gap
-by s whenever the variational flow is norm-preserving; expansion beyond the
-leg budget raises an error carrying the best partial chain.
+metric) to the start of the next leg. The planner cuts the oracle's plan
+from the source base x to the target base y into legs, and jumps after each
+toward the pullback of the target vector through the rest of the planned
+flow. Because the fiber flow is linear, a jump of size s toward the pullback
+reduces the terminal fiber gap by s whenever the variational flow is
+norm-preserving. Only when the plan's legs are too few to cover the gap is
+the round trip y -> x -> y solved, and appended as often as the gap needs.
+Where the flow is not norm-preserving, further phases of round trips follow
+until a leg lands within epsilon of the target; running out of legs raises
+an error carrying the best partial chain. The verifier re-checks a chain
+against the caller's epsilon, T and endpoints.
 """
 
 from __future__ import annotations
@@ -486,75 +491,27 @@ def _chunk_signal(sig: ControlSignal, min_leg: float) -> list[ControlSignal]:
     return chunks
 
 
-def _fiber_transition(sys: AffineSystem, base_point: np.ndarray,
-                      chunk: ControlSignal, step: float):
-    """Transition matrix of the fiber flow over one chunk, in orthonormal
-    tangent bases of the start and end base points."""
-    m = sys.manifold
-    b_start = m.tangent_basis(base_point)
-    end_base, end_fibers = fiber_flow(sys, base_point, b_start, chunk, step)
-    b_end = m.tangent_basis(end_base)
-    return b_end.T @ end_fibers, b_start, b_end, end_base
-
-
 def _chunk_transitions(sys: AffineSystem, start_base: np.ndarray, chunks, step: float):
-    """Fiber transitions of consecutive chunks, starting from start_base."""
+    """Fiber transitions of consecutive chunks from start_base, each a matrix
+    in orthonormal tangent bases of the chunk's start and end base points
+    with those bases, and the end base point of the last chunk."""
+    m = sys.manifold
     transitions = []
     base = start_base
+    b_start = m.tangent_basis(base)
     for chunk in chunks:
-        mat, b_start, b_end, base = _fiber_transition(sys, base, chunk, step)
-        transitions.append((mat, b_start, b_end))
+        base, fibers = fiber_flow(sys, base, b_start, chunk, step)
+        b_end = m.tangent_basis(base)
+        transitions.append((b_end.T @ fibers, b_start, b_end))
+        b_start = b_end
     return transitions, base
 
 
-def _deadline_references(transitions, end_base, manifold: Manifold, target_v):
-    """refs[j]: the vector in the fiber at the end of chunk j that flows onto
-    the target vector through all remaining chunks of the itinerary."""
-    ref = target_v
-    if not manifold.is_flat:
-        ref = manifold.project_tangent(end_base, ref)
-    refs = [None] * len(transitions)
-    refs[-1] = ref
-    for j in range(len(transitions) - 2, -1, -1):
-        mat, b_start, b_end = transitions[j + 1]
-        coords = np.linalg.solve(mat, b_end.T @ refs[j + 1])
-        refs[j] = b_start @ coords
-    return refs
-
-
-def _choose_loop_count(pre_trans, pre_count: int, v: np.ndarray,
-                       loop_trans, loop_end, manifold: Manifold,
-                       target_v, eps_eff: float, cap: int = 100000) -> int:
-    """Smallest number of trailing loops whose jump capacity covers the fiber
-    gap between the vector arriving from the current plan and the pullback of
-    the target vector through those loops.
-
-    The gap is measured in tangent coordinates at the (nearly coincident)
-    arrival bases; it is only used to size the itinerary, so the tiny basis
-    mismatch from the steering tolerance is irrelevant.
-    """
-    if pre_trans:
-        a = pre_trans[0][1].T @ v
-        for mat, _, _ in pre_trans:
-            a = mat @ a
-    else:
-        a = loop_trans[0][1].T @ v
-    ref = target_v
-    if not manifold.is_flat:
-        ref = manifold.project_tangent(loop_end, ref)
-    loop_mats = [mat for mat, _, _ in loop_trans]
-    n_loop = len(loop_mats)
-    r = loop_trans[-1][2].T @ ref
-    n = 0
-    gauge = float(np.linalg.norm(a - r))
-    while gauge > (pre_count + n * n_loop) * eps_eff:
-        if n >= cap:
-            return cap
-        n += 1
-        for mat in reversed(loop_mats):
-            r = np.linalg.solve(mat, r)
-        gauge = float(np.linalg.norm(a - r))
-    return n
+def _pull_back(aims: list, transitions) -> None:
+    """Append to aims, whose last entry is a fiber vector at the end of the
+    transitions, the vectors at each chunk start that flow onto it."""
+    for mat, b_start, b_end in reversed(transitions):
+        aims.append(b_start @ np.linalg.solve(mat, b_end.T @ aims[-1]))
 
 
 def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentPoint,
@@ -563,20 +520,22 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
                seed: int = 0) -> Chain:
     """Construct a verified (epsilon, T)-chain from source to target.
 
-    Walks the base from the source to the target under the steering oracle
-    with every leg strictly longer than T, jumping after each leg by at most
-    epsilon within the fiber toward the pullback of the target vector, and
-    loops through the target and source bases until a flow endpoint lands
+    Walks the base from the source to the target along the oracle's plan,
+    cut into legs strictly longer than T, and jumps after each leg by at most
+    epsilon within the fiber toward the pullback of the target vector. When
+    those jumps cannot cover the fiber gap, round trips target -> source ->
+    target follow, as many as the gap needs, until a flow endpoint lands
     within epsilon of the target. Deterministic given its inputs.
     """
     if epsilon <= 0.0 or min_duration <= 0.0:
         raise ValueError("epsilon and T must be positive")
     source.validate(sys.manifold)
     target.validate(sys.manifold)
+    m = sys.manifold
     eps_eff = epsilon * (1.0 - JUMP_MARGIN)
     min_leg = min_duration * (1.0 + DURATION_MARGIN)
     x, y = source.x, target.x
-    gap0 = distance(sys.manifold, source, target)
+    gap0 = distance(m, source, target)
     if max_legs is None:
         max_legs = 10 * math.ceil(max(gap0, epsilon) / epsilon) + 20
 
@@ -593,69 +552,67 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
             solved[key] = oracle.solve(a, b)
         return solved[key]
 
-    plan = _padded_plan(solve, sys.manifold, x, y, min_leg, solve(x, y)[1])
+    plan = _padded_plan(solve, m, x, y, min_leg, solve(x, y)[1])
 
     # Already within reach: try a single unsplit leg back to the target fiber.
     if gap0 <= eps_eff:
         end = integrate_lifted(sys, source, plan, step).final_point
-        d_end = distance(sys.manifold, end, target)
+        d_end = distance(m, end, target)
         if d_end <= eps_eff:
             legs.append(ChainLeg(source, plan, plan.total_duration, target, d_end))
             return finished_chain()
 
-    def run_itinerary(chunks, refs, current: TangentPoint):
-        for j, chunk in enumerate(chunks):
+    # Each phase walks its chunks and aims every jump at the pullback of the
+    # target vector through the rest of the phase. The first phase walks the
+    # first plan, and takes round trips y -> x -> y only when its own jumps
+    # (one of size epsilon per chunk) cannot cover the fiber gap, read in the
+    # plan's end frame; later phases walk round trips only, always the fewest
+    # whose jumps cover the gap. The round trip is solved on first use.
+    loop = None
+    chunks = _chunk_signal(plan, min_leg)
+    trans, end_base = _chunk_transitions(sys, x, chunks, step)
+    current = source
+    while True:
+        # the arriving vector, carried through the first plan, in the frame
+        # where round trips start: the plan's end frame, or y's
+        frame = trans[0][1] if trans else m.tangent_basis(y)
+        a = frame.T @ current.v
+        for mat, _, frame in trans:
+            a = mat @ a
+        aims = [m.project_tangent(end_base, target.v)]
+        if not trans or np.linalg.norm(a - frame.T @ aims[0]) > len(chunks) * eps_eff:
+            if loop is None:
+                loop_chunks = _chunk_signal(
+                    _padded_plan(solve, m, x, y, min_leg, ControlSignal.empty()), min_leg)
+                loop = (loop_chunks, *_chunk_transitions(sys, y, loop_chunks, step))
+            loop_chunks, loop_trans, loop_end = loop
+            aims = [m.project_tangent(loop_end, target.v)]
+            n_loops, gauge = 0, math.inf
+            # a gap the round trips never cover stops at 100000 of them; the
+            # leg budget cuts the walk long before
+            while (gauge > (len(chunks) + n_loops * len(loop_chunks)) * eps_eff
+                   and n_loops < 100000):
+                n_loops += 1
+                _pull_back(aims, loop_trans)
+                gauge = np.linalg.norm(a - frame.T @ aims[-1])
+            chunks = chunks + loop_chunks * n_loops
+        _pull_back(aims, trans)
+        # aims run backward from the phase end; the last, at its start, aims no jump
+        for chunk, aim in zip(chunks, aims[-2::-1]):
             if len(legs) >= max_legs:
                 raise PlanningBudgetError(
                     f"no chain within {max_legs} legs", best_chain=finished_chain()
                 )
             end = integrate_lifted(sys, current, chunk, step).final_point
-            d_target = distance(sys.manifold, end, target)
+            d_target = distance(m, end, target)
             if d_target <= eps_eff:
                 legs.append(ChainLeg(current, chunk, chunk.total_duration, target, d_target))
-                return None
-            ref = refs[j]
-            if not sys.manifold.is_flat:
-                ref = sys.manifold.project_tangent(end.x, ref)
-            jumped = fiber_segment_point(end, ref, eps_eff)
+                return finished_chain()
+            jumped = fiber_segment_point(end, m.project_tangent(end.x, aim), eps_eff)
             legs.append(ChainLeg(current, chunk, chunk.total_duration, jumped,
-                                 distance(sys.manifold, end, jumped)))
+                                 distance(m, end, jumped)))
             current = jumped
-        return current
-
-    fp_chunks = _chunk_signal(plan, min_leg)
-    fp_trans, fp_end = _chunk_transitions(sys, x, fp_chunks, step)
-
-    # One round trip through the source base and back.
-    loop_sig = _padded_plan(solve, sys.manifold, x, y, min_leg, ControlSignal.empty())
-    loop_chunks = _chunk_signal(loop_sig, min_leg)
-    loop_trans, loop_end = _chunk_transitions(sys, y, loop_chunks, step)
-    n_loop_chunks = len(loop_chunks)
-
-    # Each planning phase fixes its number of loops so the available jumps
-    # (one of size epsilon per leg) cover the fiber gap to the pullback of
-    # the target vector through the planned flow, then aims every jump at
-    # that pullback. The phase closes the gap by construction whenever the
-    # variational flow is norm-preserving; otherwise the next phase re-plans
-    # from the current point until the leg budget runs out.
-    current = source
-    first = True
-    while True:
-        pre_chunks = fp_chunks if first else []
-        pre_trans = fp_trans if first else []
-        n_loops = _choose_loop_count(pre_trans, len(pre_chunks), current.v,
-                                     loop_trans, loop_end, sys.manifold,
-                                     target.v, eps_eff)
-        if not pre_chunks and n_loops == 0:
-            n_loops = 1
-        itinerary = list(pre_chunks) + list(loop_chunks) * n_loops
-        transitions = list(pre_trans) + list(loop_trans) * n_loops
-        end_base = loop_end if n_loops else fp_end
-        refs = _deadline_references(transitions, end_base, sys.manifold, target.v)
-        current = run_itinerary(itinerary, refs, current)
-        if current is None:
-            return finished_chain()
-        first = False
+        chunks, trans = [], []
 
 
 @dataclass(frozen=True)
@@ -692,46 +649,55 @@ class VerificationReport:
         }
 
 
-def verify_chain(sys: AffineSystem, chain: Chain,
+def verify_chain(sys: AffineSystem, chain: Chain, epsilon: float | None = None,
+                 min_duration: float | None = None, source: TangentPoint | None = None,
+                 target: TangentPoint | None = None,
                  step: float | None = None) -> VerificationReport:
-    """Independently re-check a chain: every leg is re-integrated at half the
-    planner's step; durations must exceed T strictly and each flow endpoint
-    must land within epsilon of the next leg's start. Failures are report
-    entries, never exceptions."""
+    """Independently re-check a chain against a requirement: epsilon, T,
+    source and target, each the chain's own where not given. Every leg is
+    re-integrated at half the planner's step; durations must exceed T
+    strictly, each flow endpoint must land within epsilon of the next leg's
+    start, the first leg must start at the source and the last jump end at
+    the target. Failures are report entries, never exceptions."""
+    epsilon = chain.epsilon if epsilon is None else epsilon
+    min_duration = chain.min_duration if min_duration is None else min_duration
+    source = chain.source if source is None else source
+    target = chain.target if target is None else target
     if step is None:
         step = chain.step / 2.0
     checks = []
     messages = []
-    expected_start = chain.source
+    expected_start = source
     for idx, leg in enumerate(chain.legs):
         continuity_ok = bool(
             np.allclose(leg.start.x, expected_start.x, atol=1e-12)
             and np.allclose(leg.start.v, expected_start.v, atol=1e-12)
         )
-        duration_ok = leg.duration > chain.min_duration and (
+        duration_ok = leg.duration > min_duration and (
             abs(leg.duration - leg.control.total_duration) <= 1e-9 * (1.0 + leg.duration)
         )
         end = integrate_lifted(sys, leg.start, leg.control, step).final_point
         d = distance(sys.manifold, end, leg.jump_target)
-        distance_ok = d <= chain.epsilon
+        distance_ok = d <= epsilon
         checks.append(LegCheck(idx, leg.duration, d, duration_ok, distance_ok, continuity_ok))
         if not duration_ok:
-            messages.append(f"leg {idx}: duration {leg.duration} not above T={chain.min_duration}")
+            messages.append(f"leg {idx}: duration {leg.duration} not above T={min_duration}")
         if not distance_ok:
-            messages.append(f"leg {idx}: jump distance {d:.6e} exceeds epsilon={chain.epsilon}")
+            messages.append(f"leg {idx}: jump distance {d:.6e} exceeds epsilon={epsilon}")
         if not continuity_ok:
-            messages.append(f"leg {idx}: start does not match previous jump target")
+            messages.append(f"leg {idx}: start does not match "
+                            + ("the source" if idx == 0 else "previous jump target"))
         expected_start = leg.jump_target
     if chain.legs:
         last = chain.legs[-1].jump_target
         target_ok = bool(
-            np.allclose(last.x, chain.target.x, atol=1e-12)
-            and np.allclose(last.v, chain.target.v, atol=1e-12)
+            np.allclose(last.x, target.x, atol=1e-12)
+            and np.allclose(last.v, target.v, atol=1e-12)
         )
         if not target_ok:
-            messages.append("final jump target does not match the chain target")
+            messages.append("final jump target does not match the target")
     else:
-        target_ok = distance(sys.manifold, chain.source, chain.target) <= chain.epsilon
+        target_ok = distance(sys.manifold, source, target) <= epsilon
         if not target_ok:
             messages.append("empty chain but source and target are not within epsilon")
     passed = target_ok and all(c.duration_ok and c.distance_ok and c.continuity_ok

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,51 @@ def verify_edited_plan(tmp_path, capsys, path, edit):
     broken.write_text(json.dumps(chain))
     return run_cli(["chain", LINE, "--verify-only", str(broken)], capsys)
 
+
+
+def _planned_line_chain(tmp_path, capsys) -> dict:
+    out_file = tmp_path / "plan.json"
+    code, _, _ = run_cli(["chain", LINE, "--source", "0;0", "--target", "0;1",
+                          "--out", str(out_file)], capsys)
+    assert code == 0
+    return json.loads(out_file.read_text())["chain"]
+
+
+def test_chain_verify_only_uses_the_callers_epsilon(tmp_path, capsys):
+    """A file cannot set its own bar: one leg that jumps 1.0 onto the target,
+    with "epsilon": 1e6, fails --eps 0.25 (it used to pass with exit 0)."""
+    chain = _planned_line_chain(tmp_path, capsys)
+    chain["legs"] = chain["legs"][:1]
+    chain["legs"][0]["jump_target"] = chain["target"]
+    chain["epsilon"] = 1e6
+    loose = tmp_path / "loose.json"
+    loose.write_text(json.dumps(chain))
+    code, out, _ = run_cli(["chain", LINE, "--verify-only", str(loose),
+                            "--eps", "0.25", "--T", "0.5"], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert not report["passed"] and not report["legs"][0]["distance_ok"]
+    assert report["messages"] == ["leg 0: jump distance 1.000000e+00 exceeds epsilon=0.25"]
+
+
+@pytest.mark.parametrize("args,message", [
+    ([], None),
+    (["--T", "5"], "leg 0: duration"),
+    (["--eps", "1e-9"], "leg 0: jump distance"),
+    (["--source", "1;0"], "leg 0: start does not match the source"),
+    (["--target", "0;2"], "final jump target does not match the target"),
+])
+def test_chain_verify_only_requirement_comes_from_the_flags(tmp_path, capsys, args, message):
+    """--eps and --T (0.25 and 0.5 by default), and --source and --target
+    where given, are the requirement a chain file is verified against."""
+    chain = _planned_line_chain(tmp_path, capsys)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain))
+    code, out, _ = run_cli(["chain", LINE, "--verify-only", str(path), *args], capsys)
+    report = json.loads(out)
+    assert code == (0 if message is None else 1)
+    assert report["passed"] is (message is None)
+    assert message is None or any(msg.startswith(message) for msg in report["messages"])
 
 @pytest.mark.parametrize("path,named", [
     (("legs",), "legs"), (("epsilon",), "epsilon"), (("T",), "T"),
@@ -321,3 +367,25 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
 def test_usage_error_exit_code(capsys):
     assert main(["simulate"]) == 2  # missing required arguments
     assert main(["unknown-command"]) == 2
+
+
+@pytest.mark.parametrize("control", [
+    "5", "[[0.5,[0.1]],3]", "[[1]]", '{"a": 1}', "nope", '[[1,"a"]]',
+    "[[true,[0.1]]]", "[[0.5,[false]]]", "@/nonexistent/control.json",
+])
+def test_simulate_malformed_control_is_named(capsys, control):
+    """Every malformed --control exits 2 naming control: a bare number or a
+    stray entry used to end in a TypeError traceback, and true read as 1.0."""
+    code, out, err = run_cli(["simulate", LINE, "--x0", "0", "--control", control], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: control:")
+
+
+def test_larc_depth_beyond_the_column_limit_is_named(capsys):
+    """--depth 40 on two fields would bracket about 2^40/40 Lyndon words; it
+    exits 2 naming --depth at once instead (it used to run until killed)."""
+    start = time.perf_counter()
+    code, out, err = run_cli(["larc", LINE, "--point", "0", "--depth", "40"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: --depth:")

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from liftctl import (
@@ -27,7 +29,13 @@ from liftctl import (
     zero_field,
 )
 from liftctl.cli import SystemDefinition
-from liftctl.flow import _rk4, _segment_step, constant_control_endpoints, fiber_flow
+from liftctl.flow import (
+    _rk4,
+    _segment_step,
+    constant_control_endpoints,
+    fiber_flow,
+    split_signal,
+)
 
 DUFFING = str(Path(__file__).resolve().parent.parent / "perfbench" / "defs" / "duffing.json")
 ROT2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -106,6 +114,45 @@ def test_shift_undoes_concat_exactly():
             assert d1 == d2
             assert np.array_equal(a1, a2)
 
+
+
+SIGNAL = st.lists(st.tuples(st.floats(0.01, 2.0), st.floats(-3.0, 3.0)),
+                  min_size=1, max_size=6).map(
+    lambda segs: ControlSignal(tuple((d, [u]) for d, u in segs)))
+
+
+def _midpoints(sig: ControlSignal) -> list:
+    """The middle instant of each segment, where a value is unambiguous."""
+    ends = np.cumsum([d for d, _ in sig.segments])
+    return [float(end - 0.5 * d) for end, (d, _) in zip(ends, sig.segments)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(u=SIGNAL, v=SIGNAL, f=st.floats(0.0, 1.0), g=st.floats(0.0, 1.0))
+def test_signal_laws_on_random_signals(u, v, f, g):
+    """split_signal, concat and shift on random scalar signals: the parts of a
+    split add up to the signal, a spliced signal follows v then u, a shift
+    reads the signal later, and shift undoes concat exactly."""
+    cut = g * u.total_duration
+    head, tail = split_signal(u, cut)
+    # a cut within the snap tolerance of a boundary moves onto it
+    assert head.total_duration == pytest.approx(cut, abs=1e-10)
+    assert head.total_duration + tail.total_duration == pytest.approx(u.total_duration)
+    joined = ControlSignal(head.segments + tail.segments)
+    for t in _midpoints(u):
+        assert np.array_equal(joined.value_at(t), u.value_at(t))
+        if t > cut + 1e-9:
+            assert np.array_equal(shift(u, cut).value_at(t - cut), u.value_at(t))
+
+    s = f * v.total_duration
+    w = concat(v, s, u)
+    assert w.total_duration == pytest.approx(s + u.total_duration)
+    for t in _midpoints(v):
+        if t < s - 1e-9:
+            assert np.array_equal(w.value_at(t), v.value_at(t))
+    for t in _midpoints(u):
+        assert np.array_equal(w.value_at(s + t), u.value_at(t))
+    assert shift(w, s).to_json() == u.to_json()
 
 def test_signal_validation():
     with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from liftctl import (
@@ -31,9 +34,10 @@ from liftctl import (
     zero_field,
 )
 from liftctl.cli import SystemDefinition
-from liftctl.planner import _fiber_transition, sample_control_signals
+from liftctl.planner import _chunk_transitions, sample_control_signals
 
 DEFS = Path(__file__).resolve().parent.parent / "defs"
+SPHERE_TWO_AXIS = DEFS.parent / "perfbench" / "defs" / "sphere_two_axis.json"
 
 ROT2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 L3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -271,7 +275,7 @@ def test_fiber_transition_matches_column_runs(make_sys, x, chunk):
     """One (n, d)-fiber integration equals d lifted runs, one per basis column."""
     sys = make_sys()
     x = np.array(x)
-    mat, b_start, b_end, end_base = _fiber_transition(sys, x, chunk, 1e-3)
+    [(mat, b_start, b_end)], end_base = _chunk_transitions(sys, x, [chunk], 1e-3)
     ends = [integrate_lifted(sys, TangentPoint(x, b_start[:, i]), chunk, 1e-3).final_point
             for i in range(sys.manifold.intrinsic_dim)]
     assert np.array_equal(end_base, ends[0].x)
@@ -300,6 +304,9 @@ class CountingOracle:
     (SphereRotationOracle.for_system,
      TangentPoint([0.0, 1.0, 0.0], [0.3, 0.0, 0.0]),
      TangentPoint([0.0, 1.0, 0.0], [0.0, 0.0, 0.3]), 0.5, 3),
+    # the first plan's jumps cover the fiber gap: no round trip is solved
+    (lambda s: LinearGramianOracle.for_system(s, horizon=1.0),
+     TangentPoint([0.0], [0.0]), TangentPoint([1.0], [0.2]), 0.5, 1),
 ])
 def test_plan_chain_solves_each_pair_once(make_oracle, source, target, t_min, n_pairs):
     sys = sphere_system() if source.x.shape == (3,) else line_system()
@@ -563,3 +570,47 @@ def test_plan_chain_deterministic():
     a = plan_chain(sys, oracle, source, target, 0.25, 0.5)
     b = plan_chain(sys, oracle, source, target, 0.25, 0.5)
     assert a.to_json() == b.to_json()
+
+
+def _tangent_point(m, x, v):
+    """(x, v) cut to the manifold's dimension, v projected onto T_x M."""
+    x = np.asarray(x[:m.ambient_dim])
+    return TangentPoint(x, m.project_tangent(x, v[:m.ambient_dim]))
+
+
+VEC3 = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+ON_SPHERE = st.tuples(st.floats(-np.pi, np.pi), st.floats(-1.4, 1.4)).map(
+    lambda a: [np.cos(a[1]) * np.cos(a[0]), np.cos(a[1]) * np.sin(a[0]), np.sin(a[1])])
+
+
+@pytest.mark.parametrize("make_sys,make_oracle,base,fiber_scale", [
+    (line_system, LinearGramianOracle.for_system, VEC3, 2.0),
+    (forced_rotation_system, LinearGramianOracle.for_system, VEC3, 2.0),
+    (lambda: SystemDefinition.load(str(SPHERE_TWO_AXIS)).system,
+     SphereRotationOracle.for_system, ON_SPHERE, 1.0),
+])
+def test_plan_chain_verifies_on_random_pairs(make_sys, make_oracle, base, fiber_scale):
+    """verify_chain(plan_chain(p, q)) passes on random pairs whose fiber gaps
+    reach several epsilon, and the chain survives a JSON round trip. Some
+    pairs must take a round-trip phase, which no benchmark chain reaches: a
+    counting oracle shows that (y, x) was solved."""
+    sys = make_sys()
+    m = sys.manifold
+    oracle = CountingOracle(make_oracle(sys))
+    solved_back = []
+
+    @settings(max_examples=15 if m.is_flat else 8, deadline=None, derandomize=True)
+    @given(x=base, v=VEC3, y=base, w=VEC3)
+    def check(x, v, y, w):
+        source = _tangent_point(m, x, fiber_scale * np.array(v))
+        target = _tangent_point(m, y, fiber_scale * np.array(w))
+        oracle.pairs.clear()
+        chain = plan_chain(sys, oracle, source, target, 0.25, 0.5)
+        report = verify_chain(sys, chain)
+        assert report.passed, report.messages
+        solved_back.append((target.x.tobytes(), source.x.tobytes()) in oracle.pairs)
+        payload = json.loads(json.dumps(chain.to_json()))
+        assert Chain.from_json(payload).to_json() == chain.to_json()
+
+    check()
+    assert any(solved_back)
