@@ -5,7 +5,9 @@ Base runs, lifted runs (a fiber vector), fiber transitions (a matrix of
 fiber columns) and batches of constant-control candidates all go through one
 RK4 stepper, so the base component of a lifted trajectory is bitwise
 identical to the plain base trajectory on the shared grid by construction.
-Control-segment boundaries always land on grid nodes.
+Control-segment boundaries always land on grid nodes. Runs that record rows
+(integrate_base, integrate_lifted) and candidate batches step every node;
+end-point runs (fiber_flow) take each affine segment as one matrix power.
 
 When every field of the system is affine (a polynomial field of degree at
 most one, such as a linear or constant field), the right-hand side on a
@@ -14,9 +16,12 @@ of size h is exactly the affine map x -> M x + c with
 S = h (I + hA/2 + (hA)^2/6 + (hA)^3/24), M = I + S A and c = S b; the
 variational step is v -> M v. The stepper then builds (M, c) once per segment
 (per row for a batch) and advances by matmul instead of four stage
-evaluations. The iterates are the same RK4 iterates up to rounding. Other
-fields take the four stages. Renormalization, the drift check, fiber
-re-projection and row recording are shared by both.
+evaluations. The iterates are the same RK4 iterates up to rounding, and so
+is the k-step end point, the k-th power of [[M, c], [0, 1]] applied to (x, 1)
+by repeated squaring (Higham, Functions of Matrices, 2008, §4.1). Other
+fields take the four stages. On the sphere a power is renormalized and its
+fiber re-projected once, at its end: scaling commutes with the linear map,
+and the per-step projections remove only O(h^5) normal parts.
 
 When every field is polynomial, the system keeps one table, built on the
 first stage run: the exponents E (M, n) of every monomial of every field's
@@ -210,10 +215,11 @@ class AffineSystem:
                 raise ValueError(
                     f"control has {value.shape[0]} channels, system expects {self.n_controls}"
                 )
-            # written so that a NaN value fails it
-            if not np.all((value >= self.bounds[:, 0] - 1e-12)
-                          & (value <= self.bounds[:, 1] + 1e-12)):
-                raise ValueError("control value NaN or outside bounds")
+        values = np.array([value for _, value in u.segments]).reshape(-1, self.n_controls)
+        # written so that a NaN value fails it
+        if not np.all((values >= self.bounds[:, 0] - 1e-12)
+                      & (values <= self.bounds[:, 1] + 1e-12)):
+            raise ValueError("control value NaN or outside bounds")
 
     def rhs(self, x: np.ndarray, u_value: np.ndarray) -> np.ndarray:
         out = self.drift(x)
@@ -359,14 +365,21 @@ def _segment_grid(duration: float, step: float) -> tuple[int, float]:
     return n, duration / n
 
 
-def _renormalize(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Project a state, or each row of a batch, back onto the unit sphere;
-    also return the largest drift |‖x‖ - 1| before projection."""
+def _to_sphere(x: np.ndarray, v, t) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """Renormalize a state, or each row of a batch, onto the unit sphere and
+    re-project the fiber v, unless None; return (x, v, largest |‖x‖ - 1|).
+    A drift past DRIFT_TOL or NaN raises IntegrationError naming time t."""
     if x.ndim == 1:
         nrm = math.sqrt(x @ x)  # the value np.linalg.norm gives, at less cost
-        return x / nrm, abs(nrm - 1.0)
-    nrm = np.linalg.norm(x, axis=1, keepdims=True)
-    return x / nrm, float(np.max(np.abs(nrm - 1.0)))
+        x, drift = x / nrm, abs(nrm - 1.0)
+    else:
+        nrm = np.linalg.norm(x, axis=1, keepdims=True)
+        x, drift = x / nrm, float(np.max(np.abs(nrm - 1.0)))
+    if not drift <= DRIFT_TOL:
+        raise IntegrationError(f"off-manifold drift {drift:.3e} at t={np.max(t)}")
+    if v is not None:
+        v = v - (x * (x @ v) if v.ndim == 1 else np.outer(x, x @ v))
+    return x, v, drift
 
 
 def _rk4_combine(y, h, k1, k2, k3, k4):
@@ -438,23 +451,18 @@ def _rk4(step, x, v, h, n_steps: int, on_sphere: bool, t=0.0, rows=None):
     """The one RK4 stepper: n_steps applications of step (from _segment_step)
     of size h to the state x and, unless v is None, its fiber v.
 
-    On the sphere each state is renormalized after every step, raising
-    IntegrationError past DRIFT_TOL or on NaN, and the fiber is re-projected
-    onto the new tangent plane. rows, when given, receives (t, x, v) after
-    every step; each step makes new arrays, so the rows need no copies.
+    On the sphere every step ends in _to_sphere. rows, when given, receives
+    (t, x, v) after every step; each step makes new arrays, so the rows need
+    no copies.
     Returns (x, v, t, max_drift).
     """
     max_drift = 0.0
     for _ in range(n_steps):
         x, v = step(x, v)
-        if on_sphere:
-            x, drift = _renormalize(x)
-            if not drift <= DRIFT_TOL:
-                raise IntegrationError(f"off-manifold drift {drift:.3e} at t={np.max(t + h)}")
-            max_drift = max(max_drift, drift)
-            if v is not None:
-                v = v - (x * (x @ v) if v.ndim == 1 else np.outer(x, x @ v))
         t = t + h
+        if on_sphere:
+            x, v, drift = _to_sphere(x, v, t)
+            max_drift = max(max_drift, drift)
         if rows is not None:
             rows.append((t, x, v))
     return x, v, t, max_drift
@@ -462,11 +470,12 @@ def _rk4(step, x, v, h, n_steps: int, on_sphere: bool, t=0.0, rows=None):
 
 def _integrate(sys: AffineSystem, x: np.ndarray, v, u: ControlSignal, step: float,
                rows=None):
-    """Run the stepper from the validated start (x, v) over every segment of
-    u, each on its own grid with boundaries on grid nodes. rows, when given,
-    receives (t, x, v) at every grid node after the start. Returns the end
-    (x, v) and the largest drift off the sphere; raises IntegrationError when
-    the state or fiber is not finite at a segment end."""
+    """Run from the validated start (x, v) over every segment of u, each on
+    its own grid with boundaries on grid nodes. rows, when given, receives
+    (t, x, v) at every grid node after the start; without rows an affine
+    segment is one power of [[M, c], [0, 1]] instead of k steps. Returns the
+    end (x, v) and the largest drift off the sphere; raises IntegrationError
+    when the state or fiber is not finite at a segment end."""
     if not step > 0.0:
         raise ValueError("step must be positive")
     sys.check_signal(u)
@@ -475,8 +484,20 @@ def _integrate(sys: AffineSystem, x: np.ndarray, v, u: ControlSignal, step: floa
     max_drift = 0.0
     for duration, uval in u.segments:
         n_steps, h = _segment_grid(duration, step)
-        x, v, t, drift = _rk4(_segment_step(sys, uval, h), x, v, h, n_steps,
-                              on_sphere, t, rows)
+        parts = sys.affine_parts(uval) if rows is None else None
+        if parts is None:
+            x, v, t, drift = _rk4(_segment_step(sys, uval, h), x, v, h, n_steps,
+                                  on_sphere, t, rows)
+        else:
+            m, c = _step_map(*parts, h)
+            power = np.eye(len(c) + 1)
+            power[:-1, :-1], power[:-1, -1] = m, c
+            power = np.linalg.matrix_power(power, n_steps)
+            x = power[:-1, :-1] @ x + power[:-1, -1]
+            v = None if v is None else power[:-1, :-1] @ v
+            t, drift = t + duration, 0.0
+            if on_sphere:
+                x, v, drift = _to_sphere(x, v, t)
         max_drift = max(max_drift, drift)
         # a non-finite value stays non-finite under the steps, so one test
         # per segment catches every overflow and NaN
@@ -515,17 +536,20 @@ def integrate_lifted(sys: AffineSystem, p0: TangentPoint, u: ControlSignal,
                       max_drift)
 
 
-def fiber_flow(sys: AffineSystem, x0: np.ndarray, fibers: np.ndarray, u: ControlSignal,
-               step: float = DEFAULT_STEP) -> tuple[np.ndarray, np.ndarray]:
-    """End base point of the run from x0 under u, and the columns of the
-    (n, k) matrix `fibers` carried along it by the variational flow.
-
-    One integration for all k columns, recording no grid rows; column i
-    equals the fiber of integrate_lifted from (x0, fibers[:, i]) up to
-    rounding, and the end point is bitwise that of integrate_base.
-    """
+def fiber_flow(sys: AffineSystem, x0: np.ndarray, fibers, u: ControlSignal,
+               step: float = DEFAULT_STEP) -> tuple[np.ndarray, np.ndarray | None]:
+    """End point of the run from x0 under u, and `fibers` carried along it:
+    None, a fiber vector (n,) or the columns of an (n, k) matrix, each
+    validated as integrate_lifted validates its start. The entry for every
+    end-point reader: no rows, so an affine segment is one matrix power,
+    shared by base and fibers (the end base point is bitwise the same for any
+    fibers). It equals integrate_lifted's end up to rounding."""
     x = np.array(sys.manifold.check_point(x0), dtype=float)
-    x_end, v_end, _ = _integrate(sys, x, np.array(fibers, dtype=float), u, step)
+    if fibers is not None:
+        fibers = np.array(fibers, dtype=float)
+        for column in (fibers.T if fibers.ndim == 2 else [fibers]):
+            TangentPoint(x, column).validate(sys.manifold)
+    x_end, v_end, _ = _integrate(sys, x, fibers, u, step)
     return x_end, v_end
 
 

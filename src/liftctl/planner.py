@@ -14,6 +14,9 @@ Where the flow is not norm-preserving, further phases of round trips follow
 until a leg lands within epsilon of the target; running out of legs raises
 an error carrying the best partial chain. The verifier re-checks a chain
 against the caller's epsilon, T and endpoints.
+
+Legs, fiber transitions, verification and reachable-set samples read only
+end points, through flow.fiber_flow; only search candidates step.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from scipy.linalg import expm
 
 from .errors import (
     DefinitionError,
+    LiftctlError,
     PlanningBudgetError,
     SteeringFailure,
     UncontrollablePairError,
@@ -36,7 +40,6 @@ from .flow import (
     ControlSignal,
     constant_control_endpoints,
     fiber_flow,
-    integrate_lifted,
     split_signal,
 )
 from .manifold import Manifold, ManifoldKind, TangentPoint
@@ -309,14 +312,8 @@ def reachable_sample(sys: AffineSystem, p0: TangentPoint, horizon: float,
     """Endpoints of the lifted flow under random admissible controls."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    p0.validate(sys.manifold)
-    out = []
-    for sig in sample_control_signals(sys.bounds, horizon, n_samples, seed):
-        if not sig.segments:
-            out.append(TangentPoint(p0.x.copy(), p0.v.copy()))
-            continue
-        out.append(integrate_lifted(sys, p0, sig, step).final_point)
-    return out
+    return [TangentPoint(*fiber_flow(sys, p0.x, p0.v, sig, step))
+            for sig in sample_control_signals(sys.bounds, horizon, n_samples, seed)]
 
 
 @dataclass(frozen=True)
@@ -334,10 +331,8 @@ def check_fiber_reachability(sys: AffineSystem, oracle, p0: TangentPoint,
     in the fiber over y (within the oracle's steering tolerance)."""
     p0.validate(sys.manifold)
     duration, control = oracle.solve(p0.x, np.asarray(y, dtype=float))
-    if not control.segments:
-        return FiberWitness(0.0, control, TangentPoint(p0.x.copy(), p0.v.copy()))
-    endpoint = integrate_lifted(sys, p0, control, step).final_point
-    return FiberWitness(duration, control, endpoint)
+    return FiberWitness(duration, control,
+                        TangentPoint(*fiber_flow(sys, p0.x, p0.v, control, step)))
 
 
 def _entry(data, key: str, parse, where: str = ""):
@@ -525,7 +520,9 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
     epsilon within the fiber toward the pullback of the target vector. When
     those jumps cannot cover the fiber gap, round trips target -> source ->
     target follow, as many as the gap needs, until a flow endpoint lands
-    within epsilon of the target. Deterministic given its inputs.
+    within epsilon of the target; a gap they never cover takes no more round
+    trips than the remaining max_legs can walk. Deterministic given its
+    inputs.
     """
     if epsilon <= 0.0 or min_duration <= 0.0:
         raise ValueError("epsilon and T must be positive")
@@ -556,7 +553,7 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
 
     # Already within reach: try a single unsplit leg back to the target fiber.
     if gap0 <= eps_eff:
-        end = integrate_lifted(sys, source, plan, step).final_point
+        end = TangentPoint(*fiber_flow(sys, source.x, source.v, plan, step))
         d_end = distance(m, end, target)
         if d_end <= eps_eff:
             legs.append(ChainLeg(source, plan, plan.total_duration, target, d_end))
@@ -588,10 +585,11 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
             loop_chunks, loop_trans, loop_end = loop
             aims = [m.project_tangent(loop_end, target.v)]
             n_loops, gauge = 0, math.inf
-            # a gap the round trips never cover stops at 100000 of them; the
-            # leg budget cuts the walk long before
+            # a gap the round trips never cover stops at the loops the leg
+            # budget can still walk (at least one, so that the walk raises)
+            max_loops = max(1, math.ceil((max_legs - len(legs) - len(chunks)) / len(loop_chunks)))
             while (gauge > (len(chunks) + n_loops * len(loop_chunks)) * eps_eff
-                   and n_loops < 100000):
+                   and n_loops < max_loops):
                 n_loops += 1
                 _pull_back(aims, loop_trans)
                 gauge = np.linalg.norm(a - frame.T @ aims[-1])
@@ -603,7 +601,7 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
                 raise PlanningBudgetError(
                     f"no chain within {max_legs} legs", best_chain=finished_chain()
                 )
-            end = integrate_lifted(sys, current, chunk, step).final_point
+            end = TangentPoint(*fiber_flow(sys, current.x, current.v, chunk, step))
             d_target = distance(m, end, target)
             if d_target <= eps_eff:
                 legs.append(ChainLeg(current, chunk, chunk.total_duration, target, d_target))
@@ -619,7 +617,7 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
 class LegCheck:
     index: int
     duration: float
-    distance: float
+    distance: float | None  # None when the leg could not be re-integrated
     duration_ok: bool
     distance_ok: bool
     continuity_ok: bool
@@ -649,16 +647,24 @@ class VerificationReport:
         }
 
 
+def _same_point(p: TangentPoint, q: TangentPoint) -> bool:
+    """p and q have the same shapes and agree within 1e-12 in every coordinate."""
+    return (p.x.shape == q.x.shape and p.v.shape == q.v.shape
+            and np.allclose(p.x, q.x, atol=1e-12) and np.allclose(p.v, q.v, atol=1e-12))
+
+
 def verify_chain(sys: AffineSystem, chain: Chain, epsilon: float | None = None,
                  min_duration: float | None = None, source: TangentPoint | None = None,
                  target: TangentPoint | None = None,
                  step: float | None = None) -> VerificationReport:
     """Independently re-check a chain against a requirement: epsilon, T,
-    source and target, each the chain's own where not given. Every leg is
-    re-integrated at half the planner's step; durations must exceed T
-    strictly, each flow endpoint must land within epsilon of the next leg's
-    start, the first leg must start at the source and the last jump end at
-    the target. Failures are report entries, never exceptions."""
+    source and target, each the chain's own where not given. Every leg's end
+    point is re-integrated by fiber_flow at half the planner's step;
+    durations must exceed T strictly, each flow endpoint must land within
+    epsilon of the next leg's start, the first leg must start at the source
+    and the last jump end at the target. Failures are report entries, never
+    exceptions: a leg that cannot be re-integrated (bad control or start, an
+    integration error) fails with a null distance and a message naming it."""
     epsilon = chain.epsilon if epsilon is None else epsilon
     min_duration = chain.min_duration if min_duration is None else min_duration
     source = chain.source if source is None else source
@@ -669,35 +675,35 @@ def verify_chain(sys: AffineSystem, chain: Chain, epsilon: float | None = None,
     messages = []
     expected_start = source
     for idx, leg in enumerate(chain.legs):
-        continuity_ok = bool(
-            np.allclose(leg.start.x, expected_start.x, atol=1e-12)
-            and np.allclose(leg.start.v, expected_start.v, atol=1e-12)
-        )
+        continuity_ok = _same_point(leg.start, expected_start)
         duration_ok = leg.duration > min_duration and (
             abs(leg.duration - leg.control.total_duration) <= 1e-9 * (1.0 + leg.duration)
         )
-        end = integrate_lifted(sys, leg.start, leg.control, step).final_point
-        d = distance(sys.manifold, end, leg.jump_target)
-        distance_ok = d <= epsilon
-        checks.append(LegCheck(idx, leg.duration, d, duration_ok, distance_ok, continuity_ok))
         if not duration_ok:
             messages.append(f"leg {idx}: duration {leg.duration} not above T={min_duration}")
-        if not distance_ok:
+        try:
+            end = TangentPoint(*fiber_flow(sys, leg.start.x, leg.start.v, leg.control, step))
+            d = distance(sys.manifold, end, leg.jump_target)
+        except (LiftctlError, ValueError) as exc:
+            d = None
+            messages.append(f"leg {idx}: cannot re-integrate: {exc}")
+        distance_ok = d is not None and d <= epsilon
+        if d is not None and not distance_ok:
             messages.append(f"leg {idx}: jump distance {d:.6e} exceeds epsilon={epsilon}")
+        checks.append(LegCheck(idx, leg.duration, d, duration_ok, distance_ok, continuity_ok))
         if not continuity_ok:
             messages.append(f"leg {idx}: start does not match "
                             + ("the source" if idx == 0 else "previous jump target"))
         expected_start = leg.jump_target
     if chain.legs:
-        last = chain.legs[-1].jump_target
-        target_ok = bool(
-            np.allclose(last.x, target.x, atol=1e-12)
-            and np.allclose(last.v, target.v, atol=1e-12)
-        )
+        target_ok = _same_point(chain.legs[-1].jump_target, target)
         if not target_ok:
             messages.append("final jump target does not match the target")
     else:
-        target_ok = distance(sys.manifold, source, target) <= epsilon
+        try:
+            target_ok = distance(sys.manifold, source, target) <= epsilon
+        except (LiftctlError, ValueError):
+            target_ok = False
         if not target_ok:
             messages.append("empty chain but source and target are not within epsilon")
     passed = target_ok and all(c.duration_ok and c.distance_ok and c.continuity_ok

@@ -195,6 +195,65 @@ def test_chain_verify_only_requirement_comes_from_the_flags(tmp_path, capsys, ar
     assert report["passed"] is (message is None)
     assert message is None or any(msg.startswith(message) for msg in report["messages"])
 
+def _scale_start_x(leg):
+    leg["start"]["x"] = [2.0 * c for c in leg["start"]["x"]]
+
+
+@pytest.mark.parametrize("edit,reason", [
+    # a control value outside the bounds [-1, 1]
+    (lambda leg: leg["control"][0][1].__setitem__(0, 5.0), "control value NaN or outside bounds"),
+    # a start fiber along the base point, so not tangent to the sphere
+    (lambda leg: leg["start"].__setitem__("v", list(leg["start"]["x"])), "tangency tolerance"),
+    # a start base point with |x| = 2
+    (_scale_start_x, "|x| deviates from 1"),
+], ids=["control_out_of_bounds", "start_not_tangent", "start_off_sphere"])
+def test_chain_verify_only_reports_a_leg_it_cannot_integrate(tmp_path, capsys, edit, reason):
+    """A leg the verifier cannot re-integrate fails its report entry, named,
+    with exit 1 and the JSON report; the first probe used to exit 2 with an
+    unnamed error, the other two exit 1 with a bare error and no report."""
+    out_file = tmp_path / "plan.json"
+    code, _, _ = run_cli(["chain", SPHERE, "--source", "1,0,0;0,1,0",
+                          "--target", "0,1,0;0,0,1", "--out", str(out_file)], capsys)
+    assert code == 0
+    chain = json.loads(out_file.read_text())["chain"]
+    assert len(chain["legs"]) >= 3
+    edit(chain["legs"][1])
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(chain))
+    code, out, err = run_cli(["chain", SPHERE, "--verify-only", str(path)], capsys)
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert not report["passed"]
+    assert report["legs"][1]["distance"] is None and not report["legs"][1]["distance_ok"]
+    assert all(leg["distance_ok"] for i, leg in enumerate(report["legs"]) if i != 1)
+    failures = [msg for msg in report["messages"] if "cannot re-integrate" in msg]
+    assert len(failures) == 1 and failures[0].startswith("leg 1: ") and reason in failures[0]
+
+
+def test_double_integrator_stops_pulling_back_at_the_leg_budget(tmp_path, capsys, monkeypatch):
+    """On the double integrator (nilpotent drift, one constant control) the
+    fiber gap outruns the jumps, so the chain runs out of legs. The round
+    trips pulled back stop at those the 110 legs can walk: about one solve
+    per leg, where 600,002 solves (100,000 loops, twice) were made before."""
+    definition = tmp_path / "double_integrator.json"
+    definition.write_text(json.dumps({
+        "schema_version": 1, "manifold": {"kind": "flat", "dim": 2},
+        "drift": {"type": "linear", "matrix": [[0.0, 1.0], [0.0, 0.0]]},
+        "controlled": [{"type": "constant", "vector": [0.0, 1.0]}],
+        "bounds": [[-50.0, 50.0]], "metric": "flat_product", "step": 0.001, "seed": 0,
+    }))
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+    code, out, _ = run_cli(["chain", str(definition), "--source=0,0;1,0",
+                            "--target=1.5,0;0,1", "--eps", "0.25", "--T", "0.5"], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "no chain within 110 legs"
+    assert len(payload["partial_chain"]["legs"]) == 110
+    assert len(solves) <= 2 * 110
+
+
 @pytest.mark.parametrize("path,named", [
     (("legs",), "legs"), (("epsilon",), "epsilon"), (("T",), "T"),
     (("source",), "source"), (("target",), "target"),

@@ -28,6 +28,7 @@ from liftctl import (
     shift,
     zero_field,
 )
+from liftctl import flow
 from liftctl.cli import SystemDefinition
 from liftctl.flow import (
     _rk4,
@@ -472,6 +473,68 @@ def test_overflow_on_flat_raises():
             integrate_base(sys, [1.0, 1.0], u, 1e-3)
         with pytest.raises(IntegrationError):
             integrate_lifted(sys, TangentPoint([1.0, 1.0], [0.0, 1.0]), u, 1e-3)
+
+
+def power_case(name):
+    """(system, x0, v0) on R^1 to R^3 (a constant drift on R^2, so c != 0)
+    and on S2, with every field affine."""
+    rng = np.random.default_rng(len(name))
+    if name == "S2":
+        return sphere_two_axis_system(), np.array([0.6, 0.0, 0.8]), np.array([0.8, 0.3, -0.6])
+    n = int(name[-1])
+    return random_affine_system(n, n == 2, rng), rng.normal(size=n), rng.normal(size=n)
+
+
+@pytest.mark.parametrize("name", ["R1", "R2", "R3", "S2"])
+def test_segment_power_matches_recorded_run(name, monkeypatch):
+    """fiber_flow takes one matrix power per affine segment and never steps;
+    its end point agrees with integrate_lifted's recorded final row within
+    1e-12 relative, over several segments including 1-step ones, for a fiber
+    vector and for the columns of a fiber matrix. The base end point is
+    bitwise the same with or without fibers."""
+    sys, x0, v0 = power_case(name)
+    n = x0.shape[0]
+    fibers = np.column_stack([v0, sys.manifold.project_tangent(x0, np.arange(1.0, n + 1))])
+    u = ControlSignal(((0.37, [0.4, -0.8]), (1e-3, [-0.6, 0.2]), (0.6e-3, [0.9, 0.5]),
+                       (0.81, [-0.3, 1.0])))
+    with monkeypatch.context() as patch:
+        patch.setattr(flow, "_rk4", None)  # any stepping fails with a TypeError
+        x_base, none = fiber_flow(sys, x0, None, u, 1e-3)
+        x_vec, v_vec = fiber_flow(sys, x0, v0, u, 1e-3)
+        x_mat, v_mat = fiber_flow(sys, x0, fibers, u, 1e-3)
+    assert none is None
+    assert np.array_equal(x_base, x_vec) and np.array_equal(x_base, x_mat)
+    want = integrate_lifted(sys, TangentPoint(x0, v0), u, 1e-3).final_point
+    other = integrate_lifted(sys, TangentPoint(x0, fibers[:, 1]), u, 1e-3).final_point
+    for got, ref in ((x_vec, want.x), (v_vec, want.v), (v_mat[:, 0], want.v),
+                     (v_mat[:, 1], other.v)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_segment_power_checks_as_the_stepper_does():
+    """The power path raises IntegrationError on an overflowing segment and
+    on drift off the sphere past DRIFT_TOL, and rejects a start that
+    integrate_lifted rejects."""
+    flat = AffineSystem(Manifold.flat(2), LinearField(50.0 * np.eye(2)),
+                        (ConstantField([1.0, 0.0]),), [[-1.0, 1.0]])
+    u = ControlSignal.zero(1, 20.0)  # e^1000 overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fibers in (None, np.array([0.0, 1.0]), np.eye(2)):
+            with pytest.raises(IntegrationError):
+                fiber_flow(flat, [1.0, 1.0], fibers, u, 1e-3)
+    sphere = sphere_bilinear_system()
+    with pytest.raises(IntegrationError, match="drift"):
+        fiber_flow(sphere, [1.0, 0.0, 0.0], None, ControlSignal.zero(1, 10.0), 1.0)
+    x = [0.0, 0.0, 1.0]
+    for bad in ([0.0, 0.0, 1.0], [np.nan, 0.0, 0.0], [1.0, 0.0]):
+        with pytest.raises(OffManifoldError):
+            integrate_lifted(sphere, TangentPoint(x, bad), ControlSignal.empty())
+        with pytest.raises(OffManifoldError):
+            fiber_flow(sphere, x, bad, ControlSignal.empty())
+    for bad in (np.column_stack([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+                np.column_stack([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]), np.zeros((2, 2))):
+        with pytest.raises(OffManifoldError):
+            fiber_flow(sphere, x, bad, ControlSignal.empty())
 
 
 def test_fiber_flow_superposition():

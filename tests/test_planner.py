@@ -34,6 +34,7 @@ from liftctl import (
     zero_field,
 )
 from liftctl.cli import SystemDefinition
+from liftctl.flow import fiber_flow
 from liftctl.planner import _chunk_transitions, sample_control_signals
 
 DEFS = Path(__file__).resolve().parent.parent / "defs"
@@ -272,11 +273,12 @@ def test_search_ties_go_to_the_first_candidate():
      ControlSignal(((0.6, [0.7, -0.4]), (0.5, [-0.3, 0.9])))),
 ])
 def test_fiber_transition_matches_column_runs(make_sys, x, chunk):
-    """One (n, d)-fiber integration equals d lifted runs, one per basis column."""
+    """One (n, d)-fiber integration equals d end-point runs, one per basis
+    column."""
     sys = make_sys()
     x = np.array(x)
     [(mat, b_start, b_end)], end_base = _chunk_transitions(sys, x, [chunk], 1e-3)
-    ends = [integrate_lifted(sys, TangentPoint(x, b_start[:, i]), chunk, 1e-3).final_point
+    ends = [TangentPoint(*fiber_flow(sys, x, b_start[:, i], chunk, 1e-3))
             for i in range(sys.manifold.intrinsic_dim)]
     assert np.array_equal(end_base, ends[0].x)
     expected = b_end.T @ np.column_stack([end.v for end in ends])
@@ -338,7 +340,7 @@ def test_reachable_sample_zero_fields():
 
 def test_reachable_sample_projection_consistency():
     """Base projections of the sampled lifted endpoints coincide bitwise with
-    the base integrations under the same controls."""
+    the base-only end points under the same controls."""
     sys = forced_rotation_system()
     p0 = TangentPoint([1.0, 0.0], [0.0, 1.0])
     seed = 7
@@ -351,8 +353,8 @@ def test_reachable_sample_projection_consistency():
         if not sig.segments:
             assert np.array_equal(p.x, p0.x)
             continue
-        base = integrate_base(sys, p0.x, sig, step)
-        assert np.array_equal(p.x, base.final_state)
+        base, _ = fiber_flow(sys, p0.x, None, sig, step)
+        assert np.array_equal(p.x, base)
 
 
 def test_reachable_sample_deterministic():
@@ -490,7 +492,7 @@ def test_chain_invariants_and_structure():
         assert np.array_equal(prev.jump_target.v, nxt.start.v)
     for leg in chain.legs[:-1]:
         # intermediate jumps never move the base point
-        end = integrate_lifted(sys, leg.start, leg.control, chain.step).final_point
+        end = TangentPoint(*fiber_flow(sys, leg.start.x, leg.start.v, leg.control, chain.step))
         assert np.array_equal(end.x, leg.jump_target.x)
         assert distance(sys.manifold, end, leg.jump_target) <= chain.epsilon
 
