@@ -148,6 +148,12 @@ class SystemDefinition:
         return SystemDefinition.from_dict(data)
 
 
+def _positive(flag: str, value: float) -> float:
+    if not 0.0 < value < math.inf:  # NaN fails it too
+        raise DefinitionError(flag, f"must be positive and finite, got {value}")
+    return value
+
+
 def _parse_vector(text: str, dim: int, flag: str) -> np.ndarray:
     try:
         vec = np.asarray([float(p) for p in text.split(",")], dtype=float)
@@ -211,14 +217,19 @@ def cmd_simulate(args) -> int:
     defn = SystemDefinition.load(args.definition)
     n = defn.manifold.ambient_dim
     x0 = _parse_vector(args.x0, n, "--x0")
-    step = args.step if args.step is not None else defn.step
+    step = defn.step if args.step is None else _positive("--step", args.step)
     control = _parse_control(args.control, defn.system.n_controls) if args.control \
         else ControlSignal.empty()
-    if args.lifted is not None:
-        v0 = _parse_vector(args.lifted, n, "--lifted")
-        traj = integrate_lifted(defn.system, TangentPoint(x0, v0), control, step)
-    else:
-        traj = integrate_base(defn.system, x0, control, step)
+    try:
+        if args.lifted is not None:
+            v0 = _parse_vector(args.lifted, n, "--lifted")
+            traj = integrate_lifted(defn.system, TangentPoint(x0, v0), control, step)
+        else:
+            traj = integrate_base(defn.system, x0, control, step)
+    except DefinitionError as exc:  # a grid past MAX_GRID_STEPS names the step's source
+        if exc.field != "step" or args.step is None:
+            raise
+        raise DefinitionError("--step", exc.reason) from exc
     if args.format == "json":
         _emit(json.dumps(traj.to_json(), indent=2) + "\n", args.out)
     else:
@@ -352,9 +363,8 @@ def cmd_chain(args) -> int:
     where given."""
     defn = SystemDefinition.load(args.definition)
     n = defn.manifold.ambient_dim
-    for flag, value in (("--eps", args.eps), ("--T", args.T)):
-        if not 0.0 < value < math.inf:  # NaN fails it too
-            raise DefinitionError(flag, f"must be positive and finite, got {value}")
+    _positive("--eps", args.eps)
+    _positive("--T", args.T)
     source = _parse_tangent(args.source, n, "--source") if args.source is not None else None
     target = _parse_tangent(args.target, n, "--target") if args.target is not None else None
     if args.verify_only:

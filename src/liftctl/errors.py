@@ -38,8 +38,8 @@ class PlanningBudgetError(LiftctlError):
 
 
 class DefinitionError(LiftctlError):
-    """A system definition file is malformed. Names the offending field."""
+    """A system definition file, flag or step is malformed. Names the offending field."""
 
     def __init__(self, field, message):
         super().__init__(f"{field}: {message}")
-        self.field = field
+        self.field, self.reason = field, message

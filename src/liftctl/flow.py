@@ -6,8 +6,9 @@ fiber columns) and batches of constant-control candidates all go through one
 RK4 stepper, so the base component of a lifted trajectory is bitwise
 identical to the plain base trajectory on the shared grid by construction.
 Control-segment boundaries always land on grid nodes. Runs that record rows
-(integrate_base, integrate_lifted) and candidate batches step every node;
-end-point runs (fiber_flow) take each affine segment as one matrix power.
+(integrate_base, integrate_lifted) step every node; end-point runs
+(fiber_flow, and constant_control_endpoints stacked over its candidates)
+take each affine segment as one matrix power.
 
 When every field of the system is affine (a polynomial field of degree at
 most one, such as a linear or constant field), the right-hand side on a
@@ -15,13 +16,16 @@ segment with control value u is f(x) = A x + b, and one classical RK4 step
 of size h is exactly the affine map x -> M x + c with
 S = h (I + hA/2 + (hA)^2/6 + (hA)^3/24), M = I + S A and c = S b; the
 variational step is v -> M v. The stepper then builds (M, c) once per segment
-(per row for a batch) and advances by matmul instead of four stage
-evaluations. The iterates are the same RK4 iterates up to rounding, and so
-is the k-step end point, the k-th power of [[M, c], [0, 1]] applied to (x, 1)
-by repeated squaring (Higham, Functions of Matrices, 2008, §4.1). Other
-fields take the four stages. On the sphere a power is renormalized and its
-fiber re-projected once, at its end: scaling commutes with the linear map,
-and the per-step projections remove only O(h^5) normal parts.
+and advances by matmul instead of four stage evaluations. The iterates are
+the same RK4 iterates up to rounding, and so is the k-step end point, the
+k-th power of [[M, c], [0, 1]] applied to (x, 1) by repeated squaring
+(Higham, Functions of Matrices, 2008, §4.1). Other fields take the four
+stages. On the sphere a power is renormalized and its fiber re-projected
+once, at its end: scaling commutes with the linear map, and the per-step
+projections remove only O(h^5) normal parts. It is taken only when
+g = ||M^T M - I||_F + ||c|| <= DRIFT_TOL, which bounds the drift
+|(||M y + c|| - 1)| <= |y^T (M^T M - I) y| + ||c|| of each step from a unit y,
+so only NaN raises; other segments step, and every verdict is the stepper's.
 
 When every field is polynomial, the system keeps one table, built on the
 first stage run: the exponents E (M, n) of every monomial of every field's
@@ -40,12 +44,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import DefinitionError, IntegrationError
 from .fields import PolynomialField, VectorField
 from .manifold import Manifold, ManifoldKind, TangentPoint
 
 DEFAULT_STEP = 1e-3
 DRIFT_TOL = 1e-6
+MAX_GRID_STEPS = 10_000_000  # a run with a longer grid is refused unstepped
+_EYE3 = np.eye(3)
 
 # Snap tolerance for cutting a signal at a segment boundary; keeps
 # shift(concat(v, s, u), s) == u exact.
@@ -212,10 +218,13 @@ class AffineSystem:
     def check_signal(self, u: ControlSignal) -> None:
         for _, value in u.segments:
             if value.shape[0] != self.n_controls:
-                raise ValueError(
-                    f"control has {value.shape[0]} channels, system expects {self.n_controls}"
-                )
-        values = np.array([value for _, value in u.segments]).reshape(-1, self.n_controls)
+                self.check_controls(value[None])  # raises the channel error
+        self.check_controls(np.array([value for _, value in u.segments]).reshape(-1, self.n_controls))
+
+    def check_controls(self, values: np.ndarray) -> None:
+        """check_signal for the rows of values (B, m), with the same errors."""
+        if values.shape[1] != self.n_controls:
+            raise ValueError(f"control has {values.shape[1]} channels, system expects {self.n_controls}")
         # written so that a NaN value fails it
         if not np.all((values >= self.bounds[:, 0] - 1e-12)
                       & (values <= self.bounds[:, 1] + 1e-12)):
@@ -258,6 +267,18 @@ class AffineSystem:
                 a = a + coeff * part_a
             if part_b is not None:
                 b = b + coeff * part_b
+        return a, b
+
+    def affine_rows(self, u_values: np.ndarray):
+        """affine_parts of each row of u_values (B, m), stacked by the same
+        elementwise sums (row r is bitwise affine_parts(u_values[r]))."""
+        if self._affine_terms is None:
+            return None
+        n, rows = self.manifold.ambient_dim, len(u_values)
+        a, b = np.zeros((rows, n, n)), np.zeros((rows, n))
+        for coeff, (part_a, part_b) in zip((np.ones(rows), *u_values.T), self._affine_terms):
+            a = a if part_a is None else a + coeff[:, None, None] * part_a
+            b = b if part_b is None else b + coeff[:, None] * part_b
         return a, b
 
     def rhs_jacobian(self, x: np.ndarray, u_value: np.ndarray) -> np.ndarray:
@@ -361,21 +382,27 @@ class Trajectory:
 
 
 def _segment_grid(duration: float, step: float) -> tuple[int, float]:
-    n = max(1, math.ceil(duration / step - 1e-12))
+    # clipped past MAX_GRID_STEPS, where _check_grid refuses the run anyway
+    n = max(1, math.ceil(min(duration / step - 1e-12, MAX_GRID_STEPS + 1)))
     return n, duration / n
 
 
-def _to_sphere(x: np.ndarray, v, t) -> tuple[np.ndarray, np.ndarray | None, float]:
+def _check_grid(steps) -> None:
+    if steps > MAX_GRID_STEPS:
+        raise DefinitionError("step", f"the grid has more than MAX_GRID_STEPS = {MAX_GRID_STEPS} steps")
+
+
+def _to_sphere(x: np.ndarray, v, t, tol=DRIFT_TOL) -> tuple[np.ndarray, np.ndarray | None, float]:
     """Renormalize a state, or each row of a batch, onto the unit sphere and
     re-project the fiber v, unless None; return (x, v, largest |‖x‖ - 1|).
-    A drift past DRIFT_TOL or NaN raises IntegrationError naming time t."""
+    A drift past tol or NaN raises IntegrationError naming time t."""
     if x.ndim == 1:
         nrm = math.sqrt(x @ x)  # the value np.linalg.norm gives, at less cost
         x, drift = x / nrm, abs(nrm - 1.0)
     else:
         nrm = np.linalg.norm(x, axis=1, keepdims=True)
         x, drift = x / nrm, float(np.max(np.abs(nrm - 1.0)))
-    if not drift <= DRIFT_TOL:
+    if not drift <= tol:
         raise IntegrationError(f"off-manifold drift {drift:.3e} at t={np.max(t)}")
     if v is not None:
         v = v - (x * (x @ v) if v.ndim == 1 else np.outer(x, x @ v))
@@ -416,35 +443,44 @@ def _step_map(a: np.ndarray, b: np.ndarray, h: float) -> tuple[np.ndarray, np.nd
     """(M, c) such that x -> M x + c is exactly the RK4 step of size h of
     dx/dt = a x + b, and v -> M v that of its variational equation: the four
     stages sum to S (a x + b) with S = h (I + ha/2 + (ha)^2/6 + (ha)^3/24)."""
-    eye = np.eye(a.shape[0])
+    eye = np.eye(a.shape[-1])
     ha = h * a
     s = h * (eye + ha @ (0.5 * eye + ha @ (eye / 6.0 + ha / 24.0)))
+    if a.ndim == 3:  # a stack, with h (B, 1, 1): each map as the single call makes it
+        return eye + s @ a, (s @ b[:, :, None])[:, :, 0]
     return eye + s @ a, s @ b
+
+
+def _drift_bound(m: np.ndarray, c: np.ndarray):
+    """The drift bound g = ||M^T M - I||_F + ||c|| of a step map on the sphere
+    (see the module docstring), or per map of a stack."""
+    if m.ndim == 2:  # hypot over Python floats: the cheapest for one map
+        return math.hypot(*(m.T @ m - _EYE3).ravel().tolist()) + math.hypot(*c.tolist())
+    e = np.swapaxes(m, 1, 2) @ m - _EYE3
+    return np.sqrt((e * e).sum(axis=(1, 2))) + np.sqrt((c * c).sum(axis=1))
+
+
+def _power(m: np.ndarray, c: np.ndarray, k: int, x: np.ndarray, v):
+    """(M^k x + c_k, M^k v or None) from the k-th power of [[M, c], [0, 1]]
+    by repeated squaring, for one map (M, c) or per map of a stack."""
+    n = m.shape[-1]
+    power = np.zeros((*m.shape[:-2], n + 1, n + 1))
+    power[..., :n, :n], power[..., :n, n], power[..., n, n] = m, c, 1.0
+    power = np.linalg.matrix_power(power, k)
+    return power[..., :n, :n] @ x + power[..., :n, n], None if v is None else power[..., :n, :n] @ v
 
 
 def _segment_step(sys: AffineSystem, uval: np.ndarray, h):
     """The RK4 step of size h under the constant control uval, as a map
-    (x, v) -> (x, v).
-
-    uval (m,) with a scalar h steps one state (n,) and its fiber (n,) or
-    (n, k); uval (B, m) with h (B, 1) steps a batch of rows (B, n) with no
-    fiber. When every field is affine the step is the map of
-    _step_map, built once here (per row, by the same call a single run
-    makes, so a row steps bitwise as its single run does). Otherwise it
-    evaluates the four stages of AffineSystem.stage_rhs, set up once here.
-    """
-    if uval.ndim == 1:
-        parts = sys.affine_parts(uval)
-        if parts is not None:
-            m, c = _step_map(*parts, h)
-            return lambda x, v: (m @ x + c, None if v is None else m @ v)
-    else:
-        parts = [sys.affine_parts(row) for row in uval]
-        if parts[0] is not None:
-            maps = [_step_map(a, b, float(hr)) for (a, b), hr in zip(parts, h[:, 0])]
-            m, c = map(np.stack, zip(*maps))
-            return lambda x, v: ((m @ x[:, :, None])[:, :, 0] + c, v)
-    return _stage_step(sys.stage_rhs(uval), h)
+    (x, v) -> (x, v) of one state (n,) and its fiber (n,) or (n, k), or with
+    uval (B, m) and h (B, 1) of rows (B, n) and no fiber. A single state of
+    an affine system steps by the map of _step_map, anything else by the four
+    stages of AffineSystem.stage_rhs; either is set up once here."""
+    parts = sys.affine_parts(uval) if uval.ndim == 1 else None
+    if parts is None:
+        return _stage_step(sys.stage_rhs(uval), h)
+    m, c = _step_map(*parts, h)
+    return lambda x, v: (m @ x + c, None if v is None else m @ v)
 
 
 def _rk4(step, x, v, h, n_steps: int, on_sphere: bool, t=0.0, rows=None):
@@ -473,31 +509,30 @@ def _integrate(sys: AffineSystem, x: np.ndarray, v, u: ControlSignal, step: floa
     """Run from the validated start (x, v) over every segment of u, each on
     its own grid with boundaries on grid nodes. rows, when given, receives
     (t, x, v) at every grid node after the start; without rows an affine
-    segment is one power of [[M, c], [0, 1]] instead of k steps. Returns the
-    end (x, v) and the largest drift off the sphere; raises IntegrationError
-    when the state or fiber is not finite at a segment end."""
+    segment is one power of [[M, c], [0, 1]] instead of k steps, where the
+    drift bound allows it. Returns the end (x, v) and the largest drift of a
+    step off the sphere; raises IntegrationError when the state or fiber is
+    not finite at a segment end."""
     if not step > 0.0:
         raise ValueError("step must be positive")
     sys.check_signal(u)
+    grid = [_segment_grid(duration, step) for duration, _ in u.segments]
+    _check_grid(sum(n_steps for n_steps, _ in grid))
     on_sphere = sys.manifold.kind is ManifoldKind.SPHERE2
     t = 0.0
     max_drift = 0.0
-    for duration, uval in u.segments:
-        n_steps, h = _segment_grid(duration, step)
+    for (duration, uval), (n_steps, h) in zip(u.segments, grid):
         parts = sys.affine_parts(uval) if rows is None else None
-        if parts is None:
+        if parts is not None:
+            m, c = _step_map(*parts, h)
+        if parts is None or on_sphere and not _drift_bound(m, c) <= DRIFT_TOL:
             x, v, t, drift = _rk4(_segment_step(sys, uval, h), x, v, h, n_steps,
                                   on_sphere, t, rows)
         else:
-            m, c = _step_map(*parts, h)
-            power = np.eye(len(c) + 1)
-            power[:-1, :-1], power[:-1, -1] = m, c
-            power = np.linalg.matrix_power(power, n_steps)
-            x = power[:-1, :-1] @ x + power[:-1, -1]
-            v = None if v is None else power[:-1, :-1] @ v
+            x, v = _power(m, c, n_steps, x, v)
             t, drift = t + duration, 0.0
-            if on_sphere:
-                x, v, drift = _to_sphere(x, v, t)
+            if on_sphere:  # certified: only NaN raises
+                x, v, _ = _to_sphere(x, v, t, math.inf)
         max_drift = max(max_drift, drift)
         # a non-finite value stays non-finite under the steps, so one test
         # per segment catches every overflow and NaN
@@ -556,27 +591,41 @@ def fiber_flow(sys: AffineSystem, x0: np.ndarray, fibers, u: ControlSignal,
 def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.ndarray,
                                durations, steps) -> np.ndarray:
     """Final base states from x0, row r under the constant control
-    controls[r] held for durations[r].
-
-    Row r runs on the grid integrate_base would use with step steps[r]. Rows
-    with equal step counts advance together as one batch, so a row's end
-    state equals integrate_base's up to rounding (bitwise on the step-map
-    path off the sphere).
+    controls[r] (controls (B, m)) held for durations[r] on the grid
+    integrate_base would use with step steps[r]; the batch is checked as a
+    ControlSignal and check_signal check one, and its grid counted, first.
+    Rows sharing a step count go together: on affine systems as one stacked
+    power each (bitwise fiber_flow's end off the sphere; rows the drift
+    bound does not certify step), on others through the stages. A row ends
+    where integrate_base does up to rounding.
     """
     x = np.asarray(sys.manifold.check_point(x0), dtype=float)
-    controls = np.asarray(controls, dtype=float)
-    sys.check_signal(ControlSignal(tuple(zip(durations, controls))))
+    controls, durations = np.asarray(controls, dtype=float), np.asarray(durations, dtype=float)
+    if not np.all((durations > 0.0) & (durations < math.inf)):
+        raise ValueError("segment durations must be positive and finite")
+    sys.check_controls(controls)
+    # _segment_grid over the rows
+    counts = np.maximum(1.0, np.ceil(np.minimum(durations / steps - 1e-12, MAX_GRID_STEPS + 1)))
+    _check_grid(counts.sum())
     on_sphere = sys.manifold.kind is ManifoldKind.SPHERE2
-    grids = [_segment_grid(float(d), float(s)) for d, s in zip(durations, steps)]
-    batches: dict[int, list] = {}
-    for r, (n_steps, _) in enumerate(grids):
-        batches.setdefault(n_steps, []).append(r)
-    ends = np.empty((len(grids), x.shape[0]))
-    for n_steps, batch in batches.items():
-        h = np.array([[grids[r][1]] for r in batch])
-        start = np.tile(x, (len(batch), 1))
-        ends[batch], _, _, _ = _rk4(_segment_step(sys, controls[batch], h), start, None, h,
-                                    n_steps, on_sphere)
+    ends = np.empty((len(durations), x.shape[0]))
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        h = durations[rows] / k
+        parts = sys.affine_rows(controls[rows])
+        if parts is None:
+            step = _segment_step(sys, controls[rows], h[:, None])
+        else:
+            m, c = _step_map(*parts, h[:, None, None])
+            ok = _drift_bound(m, c) <= DRIFT_TOL if on_sphere else np.full(len(rows), True)
+            if ok.any():  # certified on the sphere, so only NaN raises
+                done, _ = _power(m[ok], c[ok], int(k), x, None)
+                ends[rows[ok]] = _to_sphere(done, None, durations[rows], math.inf)[0] if on_sphere else done
+            rows, h, m, c = rows[~ok], h[~ok], m[~ok], c[~ok]
+            step = lambda y, v: ((m @ y[:, :, None])[:, :, 0] + c, v)
+        if len(rows):
+            ends[rows] = _rk4(step, np.tile(x, (len(rows), 1)), None, h[:, None], int(k),
+                              on_sphere)[0]
     return ends
 
 

@@ -19,6 +19,11 @@ POINT_TOL = 1e-9
 ANGLE_TOL = 1e-6
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[r] @ b (or b[r]) per row of a (B, n): matmul's vector dot, bitwise the 1-D one."""
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+
 class ManifoldKind(Enum):
     FLAT = "flat"
     SPHERE2 = "sphere2"
@@ -82,16 +87,26 @@ class Manifold:
             raise DegenerateStepError("step lands at the origin; cannot normalize")
         return y / nrm
 
-    def base_distance(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Geodesic distance: Euclidean on flat space, great circle on S2."""
-        x = self.check_point(x)
+    def base_distance(self, x: np.ndarray, y: np.ndarray):
+        """Geodesic distance: Euclidean on flat space, great circle on S2. x
+        may be rows (B, n), each checked as check_point checks a point; row
+        r's distance is then bitwise base_distance(x[r], y), by _dots."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:  # check_point's tests by array operations; it names a failing row
+            ok = (np.abs(np.sqrt(_dots(x, x)) - 1.0) <= POINT_TOL if not self.is_flat
+                  else np.isfinite(x).all(axis=1))
+            for row in x[~ok | (x.shape[1] != self.ambient_dim)]:
+                self.check_point(row)
+        else:
+            x = self.check_point(x)
         y = self.check_point(y)
         if self.kind is ManifoldKind.FLAT:
-            return float(np.linalg.norm(y - x))
-        if np.array_equal(x, y):
-            return 0.0  # arccos(x.x) has a ~1e-8 rounding floor
-        c = np.clip(x @ y, -1.0, 1.0)
-        return float(np.arccos(c))
+            d = y - x
+            return np.sqrt(_dots(d, d)) if d.ndim == 2 else math.sqrt(d @ d)
+        # arccos(x.x) has a ~1e-8 rounding floor, so equal points are at 0
+        if x.ndim == 2:
+            return np.where((x == y).all(axis=1), 0.0, np.arccos(np.clip(_dots(x, y), -1.0, 1.0)))
+        return 0.0 if np.array_equal(x, y) else float(np.arccos(np.clip(x @ y, -1.0, 1.0)))
 
     def parallel_transport(self, x: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Transport v from T_x M to T_y M along the minimizing geodesic.

@@ -16,7 +16,8 @@ an error carrying the best partial chain. The verifier re-checks a chain
 against the caller's epsilon, T and endpoints.
 
 Legs, fiber transitions, verification and reachable-set samples read only
-end points, through flow.fiber_flow; only search candidates step.
+end points, through flow.fiber_flow, and search candidates through
+flow.constant_control_endpoints; affine segments there are matrix powers.
 """
 
 from __future__ import annotations
@@ -218,10 +219,11 @@ class SearchOracle:
 
     Candidate plans are integrated with a step proportional to their duration,
     coarse enough to keep the search cheap and far below the steering
-    tolerance in accuracy. Each grid level runs as batches of candidates that
-    share a step count; the winner is the first strict minimum of the
-    endpoint error in t-major, u-minor order, as if the candidates had been
-    tried one at a time.
+    tolerance in accuracy. Each grid level is one constant_control_endpoints
+    call (for affine systems a stacked matrix power per step count) and one
+    base_distance call over the finite end points; the winner is the first
+    strict minimum of the endpoint error in t-major, u-minor order, as if
+    the candidates had been tried one at a time.
     """
 
     steer_tol = SEARCH_STEER_TOL
@@ -238,10 +240,11 @@ class SearchOracle:
         steps = np.maximum(self.eval_step, durations / 120.0)
         ends = constant_control_endpoints(self.sys, x, controls, durations, steps)
         finite = np.isfinite(ends).all(axis=1)
-        # a diverged candidate scores NaN without reaching base_distance,
-        # which rejects a non-finite point
-        return np.array([self.sys.manifold.base_distance(end, y) if ok else np.nan
-                         for end, ok in zip(ends, finite)])
+        errs = np.full(len(ends), np.nan)
+        # one call scores the finite rows; a diverged candidate scores NaN
+        # without reaching base_distance, which rejects a non-finite point
+        errs[finite] = self.sys.manifold.base_distance(ends[finite], y)
+        return errs
 
     def solve(self, x: np.ndarray, y: np.ndarray) -> tuple[float, ControlSignal]:
         m = self.sys.n_controls

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from liftctl import flow
 from liftctl.cli import SystemDefinition, main
 
 DEFS = Path(__file__).resolve().parent.parent / "defs"
@@ -383,6 +384,52 @@ def test_simulate_rejects_non_finite_inputs(capsys, args):
     code, out, err = run_cli(["simulate", LINE, *args], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+def refuse_stepping(monkeypatch):
+    """Make any step or matrix power fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("stepped before the step was refused")
+    monkeypatch.setattr(flow, "_rk4", refuse)
+    monkeypatch.setattr(flow, "_power", refuse)
+
+
+@pytest.mark.parametrize("step,message", [
+    ("inf", "must be positive and finite"),
+    ("nan", "must be positive and finite"),
+    ("1e-300", f"more than MAX_GRID_STEPS = {flow.MAX_GRID_STEPS}"),
+])
+def test_simulate_step_is_named_and_its_grid_capped(capsys, monkeypatch, step, message):
+    """--step inf used to run one step per segment, --step nan failed with
+    an unnamed error and --step 1e-300 ran until killed; each now exits 2
+    naming --step before any step."""
+    refuse_stepping(monkeypatch)
+    code, out, err = run_cli(["simulate", FLAT, "--x0", "1,0", "--step", step,
+                              "--control", "[[1,[0.5]]]"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --step:") and message in err
+
+
+@pytest.mark.parametrize("path,args", [
+    (FLAT, ["simulate", "--x0", "1,0", "--control", "[[1,[0.5]]]"]),
+    (FLAT, ["simulate", "--x0", "1,0", "--lifted", "0,1", "--control", "[[1,[0.5]]]"]),
+    (FLAT, ["check", "--suite", "flow"]),
+    (LINE, ["chain", "--source=0;0", "--target=3;-5", "--eps", "0.05"]),
+])
+def test_definition_step_past_the_grid_cap_is_named(tmp_path, capsys, monkeypatch, path,
+                                                     args):
+    """A definition with "step": 1e-300 loads (the step is positive and
+    finite), but every run it asks for is refused before its first step,
+    exit 2 naming step. (The chain takes the Gramian oracle, which does not
+    integrate; a search oracle steps on its own grid.)"""
+    data = json.loads(Path(path).read_text())
+    data["step"] = 1e-300
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps(data))
+    refuse_stepping(monkeypatch)
+    code, out, err = run_cli([args[0], str(tiny), *args[1:]], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: step: the grid has more than MAX_GRID_STEPS")
 
 
 def test_chain_missing_source(capsys):

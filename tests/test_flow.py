@@ -10,6 +10,7 @@ from liftctl import (
     AffineSystem,
     ConstantField,
     ControlSignal,
+    DefinitionError,
     IntegrationError,
     LinearField,
     Manifold,
@@ -38,6 +39,7 @@ from liftctl.flow import (
     split_signal,
 )
 
+SPHERE_ROTATION = str(Path(__file__).resolve().parent.parent / "defs" / "sphere_rotation.json")
 DUFFING = str(Path(__file__).resolve().parent.parent / "perfbench" / "defs" / "duffing.json")
 ROT2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 L3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -420,9 +422,11 @@ def test_polynomial_runs_never_call_the_field_evaluators(monkeypatch):
 ])
 def test_nan_state_on_sphere_raises(make_sys):
     """A NaN state fails the drift test (NaN compares false) on both paths,
-    in single runs and in row batches. The entry points reject a NaN start
-    before stepping (test_non_finite_start_raises), so the state goes to the
-    stepper directly."""
+    in single runs (by the map or the stages) and in row batches (by the
+    stages: constant_control_endpoints takes affine rows as powers). The
+    entry points reject a NaN start before stepping
+    (test_non_finite_start_raises), so the state goes to the stepper
+    directly."""
     sys = make_sys()
     h = 1e-3
     with pytest.raises(IntegrationError):
@@ -535,6 +539,82 @@ def test_segment_power_checks_as_the_stepper_does():
                 np.column_stack([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]), np.zeros((2, 2))):
         with pytest.raises(OffManifoldError):
             fiber_flow(sphere, x, bad, ControlSignal.empty())
+
+
+@pytest.mark.parametrize("n,constant_drift", [(1, False), (2, True), (3, False)])
+def test_batched_powers_match_fiber_flow_bitwise(n, constant_drift, monkeypatch):
+    """On flat space a batch of constant controls ends, row for row, bitwise
+    where fiber_flow ends under each row's constant control: mixed step
+    counts, two channels, c != 0, one stacked power per step count and no
+    step."""
+    rng = np.random.default_rng(40 + n)
+    sys = random_affine_system(n, constant_drift, rng)
+    x0 = rng.normal(size=n)
+    controls = rng.uniform(-1.0, 1.0, size=(12, 2))
+    durations = np.repeat([0.05, 0.3, 1.7, 0.3], 3)
+    steps = np.maximum(1e-2, durations / 120.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(flow, "_rk4", None)  # any stepping fails with a TypeError
+        ends = constant_control_endpoints(sys, x0, controls, durations, steps)
+    for end, u, t, step in zip(ends, controls, durations, steps):
+        want, _ = fiber_flow(sys, x0, None, ControlSignal.constant(u, t), step)
+        assert np.array_equal(end, want)
+
+
+def test_batch_is_checked_as_a_signal_is():
+    """A batch fails with the errors of ControlSignal and check_signal, and
+    its grid is counted before any step."""
+    sys = sphere_bilinear_system()
+    x0 = [1.0, 0.0, 0.0]
+    cases = [([[0.5], [0.5]], [0.1, 0.0], "segment durations must be positive and finite"),
+             ([[0.5], [0.5]], [0.1, np.inf], "segment durations must be positive and finite"),
+             ([[0.5, 0.0]], [0.1], "control has 2 channels, system expects 1"),
+             ([[0.5], [1.0 + 1e-9]], [0.1, 0.1], "control value NaN or outside bounds"),
+             ([[np.nan]], [0.1], "control value NaN or outside bounds")]
+    for controls, durations, message in cases:
+        with pytest.raises(ValueError, match=message):
+            constant_control_endpoints(sys, x0, controls, durations, np.full(len(durations), 1e-2))
+        with pytest.raises(ValueError, match=message):
+            integrate_base(sys, x0, ControlSignal(tuple(zip(durations, controls))))
+    ends = constant_control_endpoints(sys, x0, [[1.0 + 1e-13]], [0.1], [1e-2])  # the slack
+    assert ends.shape == (1, 3)
+    with pytest.raises(DefinitionError, match="MAX_GRID_STEPS"):
+        constant_control_endpoints(sys, x0, [[0.5]] * 3, [1.0] * 3,
+                                   [3.0 / flow.MAX_GRID_STEPS] * 3)
+
+
+def test_coarse_sphere_segment_steps_where_no_power_is_certified():
+    """On defs/sphere_rotation.json at step 0.2 the step map's drift bound
+    g = ||M^T M - I||_F is about 1.25e-6 > DRIFT_TOL, so fiber_flow steps
+    (each step drifts 4.4e-7 at most) and ends where integrate_lifted does;
+    one power over the 6 s segment used to raise off-manifold drift
+    1.327e-05."""
+    sys = SystemDefinition.load(SPHERE_ROTATION).system
+    u = ControlSignal.constant([1.0], 6.0)
+    x, v = fiber_flow(sys, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], u, 0.2)
+    want = integrate_lifted(sys, TangentPoint([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), u, 0.2)
+    assert want.max_drift <= flow.DRIFT_TOL
+    for got, ref in ((x, want.final_point.x), (v, want.final_point.v)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_uncertified_search_rows_step():
+    """S2 with drift 0.1 L3, controls L3 and L1 and bounds +-2: the row
+    u = (2, 2), t = 8 at step 8/120 has a step map the drift bound does not
+    certify, so it steps (a power raises off-manifold drift 2.271e-05) and
+    ends where integrate_base does; a certified row in the same batch takes
+    the power."""
+    sys = AffineSystem(Manifold.sphere2(), LinearField(0.1 * L3),
+                       (LinearField(L3), LinearField(L1)), [[-2.0, 2.0], [-2.0, 2.0]])
+    x0 = np.array([1.0, 0.0, 0.0])
+    controls = np.array([[2.0, 2.0], [0.1, -0.1]])
+    bounds = [flow._drift_bound(*flow._step_map(*sys.affine_parts(u), 8.0 / 120.0))
+              for u in controls]
+    assert bounds[0] > flow.DRIFT_TOL >= bounds[1]
+    ends = constant_control_endpoints(sys, x0, controls, [8.0, 8.0], [8.0 / 120.0] * 2)
+    for end, u in zip(ends, controls):
+        ref = integrate_base(sys, x0, ControlSignal.constant(u, 8.0), 8.0 / 120.0).final_state
+        assert np.max(np.abs(end - ref)) <= 1e-12
 
 
 def test_fiber_flow_superposition():

@@ -45,6 +45,28 @@ def test_retract_degenerate_step():
         m.retract([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("manifold", [Manifold.flat(2), Manifold.sphere2()])
+def test_base_distance_rows_match_single_calls_bitwise(manifold):
+    """Rows (B, n) give each row's single-point distance bit for bit, a row
+    equal to y included; an off-manifold or non-finite row is rejected as
+    check_point rejects the point."""
+    rng = np.random.default_rng(7)
+    y = manifold.random_point(rng)
+    rows = np.array([manifold.random_point(rng) for _ in range(40)] + [y])
+    got = manifold.base_distance(rows, y)
+    assert got.shape == (41,) and got[-1] == 0.0
+    assert np.array_equal(got, [manifold.base_distance(row, y) for row in rows])
+    assert manifold.base_distance(rows[:0], y).shape == (0,)
+    bad = rows.copy()
+    bad[3] = 2.0 * bad[3] if not manifold.is_flat else [np.nan, 0.0]
+    with pytest.raises(OffManifoldError):
+        manifold.check_point(bad[3])
+    with pytest.raises(OffManifoldError):
+        manifold.base_distance(bad, y)
+    with pytest.raises(OffManifoldError):
+        manifold.base_distance(rows[:, :1], y)
+
+
 def test_base_distance_examples():
     assert Manifold.flat(2).base_distance([0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0)
     m = Manifold.sphere2()

@@ -152,6 +152,23 @@ def test_search_oracle_scores_diverged_candidates_as_misses():
             SearchOracle(sys).solve(np.array([1.0]), np.array([2.0]))
 
 
+def test_diverging_rows_score_nan_and_the_others_are_scored():
+    """Rows of dx/dt = 200 x + u that overflow score NaN without reaching
+    base_distance; the finite rows of the same level get their distances."""
+    sys = AffineSystem(Manifold.flat(1), LinearField([[200.0]]), (ConstantField([1.0]),),
+                       [[-1.0, 1.0]])
+    durations = np.array([0.01, 0.01, 8.0, 8.0])
+    controls = np.array([[-1.0], [1.0], [-1.0], [1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        errs = SearchOracle(sys)._endpoint_errors(np.array([1.0]), np.array([2.0]),
+                                                  durations, controls)
+    assert np.all(np.isnan(errs[2:]))
+    want = [sys.manifold.base_distance(
+                fiber_flow(sys, [1.0], None, ControlSignal.constant(u, t), 1e-2)[0], [2.0])
+            for u, t in zip(controls[:2], durations[:2])]
+    assert np.array_equal(errs[:2], want)
+
+
 def bilinear_rotation_system():
     return AffineSystem(Manifold.flat(2), LinearField(ROT2),
                         (LinearField(np.eye(2)),), [[-2.0, 2.0]])
@@ -193,11 +210,14 @@ def first_level_candidates(sys, t_max=8.0, eval_step=1e-2):
     return [(float(t), u) for t in np.linspace(eval_step, t_max, 9) for u in mesh]
 
 
-def one_at_a_time_errors(sys, x, y, candidates, eval_step=1e-2):
+def one_at_a_time_errors(sys, x, y, candidates, eval_step=1e-2, end_point=None):
+    """Each candidate's end-point error, its end taken by end_point(sys, x,
+    signal, step), by default integrate_base's final state."""
+    end_point = end_point or (lambda *run: integrate_base(*run).final_state)
     errs = []
     for t, u in candidates:
         step = max(eval_step, t / 120.0)
-        end = integrate_base(sys, x, ControlSignal.constant(u, t), step).final_state
+        end = end_point(sys, x, ControlSignal.constant(u, t), step)
         errs.append(sys.manifold.base_distance(end, y))
     return np.array(errs)
 
@@ -216,16 +236,23 @@ class CountingSearch(SearchOracle):
     (duffing_system, [0.5, 0.0], [-0.3, 0.4]),
 ])
 def test_search_level_matches_one_at_a_time(make_sys, x, y):
-    """A batched grid level scores every candidate as integrate_base does and
-    picks the first strict minimum in t-major, u-minor order."""
+    """A batched grid level scores every candidate as fiber_flow, the
+    end-point entry, does one at a time (1e-12 absolute), and as the
+    stepping integrate_base does up to rounding (1e-12 relative: matrix
+    powers take the affine rows), and picks the first strict minimum in
+    t-major, u-minor order."""
     sys = make_sys()
     x, y = np.array(x), np.array(y)
     candidates = first_level_candidates(sys)
-    errs = one_at_a_time_errors(sys, x, y, candidates)
+    errs = one_at_a_time_errors(sys, x, y, candidates,
+                                end_point=lambda *run: fiber_flow(*run[:2], None, *run[2:])[0])
     oracle = CountingSearch(sys, levels=1)
     durations = np.array([t for t, _ in candidates])
     controls = np.array([u for _, u in candidates])
-    assert np.max(np.abs(oracle._endpoint_errors(x, y, durations, controls) - errs)) <= 1e-12
+    batch = oracle._endpoint_errors(x, y, durations, controls)
+    assert np.max(np.abs(batch - errs)) <= 1e-12
+    stepped = one_at_a_time_errors(sys, x, y, candidates)
+    assert np.max(np.abs(batch - stepped) / np.maximum(1.0, np.abs(stepped))) <= 1e-12
 
     best = int(np.argmin(errs))
     oracle = CountingSearch(sys, levels=1)
