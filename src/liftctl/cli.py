@@ -52,7 +52,8 @@ _METRICS = {"flat": ("flat_product", "transport_surrogate"),
 
 # larc refuses a --depth whose Lyndon basis has more columns than this. Each
 # column is one bracket; 9,382 of them (three polynomial fields on R^2 at
-# depth 10) take about 0.7 s, and the count grows about k-fold per depth.
+# depth 10) take about 0.30 s in-process on 2 vCPUs, and the count grows
+# about k-fold per depth.
 LARC_MAX_COLUMNS = 10_000
 
 
@@ -138,14 +139,19 @@ class SystemDefinition:
 
     @staticmethod
     def load(path: str) -> "SystemDefinition":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise DefinitionError(path, f"cannot read file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DefinitionError(path, f"invalid JSON: {exc}") from exc
-        return SystemDefinition.from_dict(data)
+        return SystemDefinition.from_dict(_read_json(path, path))
+
+
+def _read_json(path: str, where: str):
+    """The parsed JSON file at path; an unreadable file or invalid JSON raises
+    DefinitionError naming where."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DefinitionError(where, f"cannot read file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DefinitionError(where, f"invalid JSON: {exc}") from exc
 
 
 def _positive(flag: str, value: float) -> float:
@@ -368,8 +374,7 @@ def cmd_chain(args) -> int:
     source = _parse_tangent(args.source, n, "--source") if args.source is not None else None
     target = _parse_tangent(args.target, n, "--target") if args.target is not None else None
     if args.verify_only:
-        with open(args.verify_only, "r", encoding="utf-8") as fh:
-            chain = Chain.from_json(json.load(fh))
+        chain = Chain.from_json(_read_json(args.verify_only, f"--verify-only {args.verify_only}"))
         report = verify_chain(defn.system, chain, args.eps, args.T, source, target)
         _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
         return 0 if report.passed else 1

@@ -4,8 +4,12 @@ bundle, and Lie brackets.
 Polynomial fields are the one analytic representation: linear and constant
 fields are polynomial fields of degree one and zero, built from a matrix or
 a vector, and any field of degree at most one reports its (A, b) through
-affine(). Polynomial fields carry analytic Jacobians and closed-form
-brackets; arbitrary callables fall back to central finite differences.
+affine(). Each polynomial field derives its n^2 partials once, when it is
+built, and they are the only source of its derivatives: its Jacobian, the
+closed-form brackets, the flattened lifts and the dense monomial table of a
+system (polynomial_table) all read them, so no other module reads the
+monomial format. Arbitrary callables fall back to central finite
+differences.
 A lifted field is kept as a pair of ambient maps (horizontal, vertical), so
 its projection onto the base field holds by construction; the
 bracket-identity check flattens lifted fields to 2n ambient dimensions only
@@ -118,11 +122,8 @@ def _poly_diff(component, j: int):
 
 
 def _poly_mul(a, b):
-    out = []
-    for ca, ea in a:
-        for cb, eb in b:
-            out.append((ca * cb, tuple(i + j for i, j in zip(ea, eb))))
-    return _mono_collect(out)
+    """Every product of a monomial of a with one of b, uncollected."""
+    return [(ca * cb, tuple(i + j for i, j in zip(ea, eb))) for ca, ea in a for cb, eb in b]
 
 
 class VectorField:
@@ -189,17 +190,10 @@ class PolynomialField(VectorField):
     @functools.cached_property
     def _affine(self):
         # built on first use: most bracket fields are never asked
-        monos = [(i, c, e) for i, comp in enumerate(self.components) for c, e in comp]
-        if any(sum(e) > 1 for _, _, e in monos):
+        if any(sum(e) > 1 for comp in self.components for _, e in comp):
             return None
-        a = np.zeros((self.dim, self.dim))
-        b = np.zeros(self.dim)
-        for i, coeff, exps in monos:
-            if any(exps):
-                a[i, exps.index(1)] = coeff
-            else:
-                b[i] = coeff
-        return a, b
+        zero = [0.0] * self.dim  # Python floats evaluate faster than numpy's
+        return self._jac(zero), self._eval(zero)  # (Df(0), f(0))
 
     def affine(self):
         """(A, b) with value A x + b when the degree is at most one, else
@@ -231,6 +225,26 @@ class ConstantField(PolynomialField):
 
 def zero_field(dim: int) -> ConstantField:
     return ConstantField(np.zeros(dim), name="zero")
+
+
+def polynomial_table(fields, n: int):
+    """(E, values, jacobians) when every field is a PolynomialField on R^n,
+    else None. E (M, n) holds the exponents of every monomial of the fields'
+    components and partials; field f is values[f] @ m(x) with Jacobian
+    jacobians[f] @ m(x), where m(x) = prod(x ** E, axis=1)."""
+    if not all(isinstance(fld, PolynomialField) and fld.dim == n for fld in fields):
+        return None
+    # per field: its n components, then its n * n partials row by row
+    polys = [[*fld.components, *(p for row in fld._partials for p in row)] for fld in fields]
+    monomials = list(dict.fromkeys(e for fp in polys for poly in fp for _, e in poly))
+    index = {exps: k for k, exps in enumerate(monomials)}
+    dense = np.zeros((len(fields), n + n * n, len(index)))
+    for f, fld_polys in enumerate(polys):
+        for i, poly in enumerate(fld_polys):
+            for coeff, exps in poly:
+                dense[f, i, index[exps]] = coeff
+    exps = np.array(monomials, dtype=float).reshape(len(index), n)
+    return exps, dense[:, :n], dense[:, n:].reshape(len(fields), n, n, len(index))
 
 
 class ScalarField:
@@ -294,23 +308,18 @@ def lie_bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
     """[X, Y](x) = J_Y(x) X(x) - J_X(x) Y(x).
 
     Brackets of polynomial fields (linear and constant ones included) are
-    computed in closed form so iterated brackets keep analytic Jacobians;
-    anything else falls back to a pointwise formula with a finite-difference
-    Jacobian.
+    computed in closed form from the partials each field derived when built,
+    component i as the one collected sum over k of dY_i/dx_k X_k and
+    -dX_i/dx_k Y_k, so iterated brackets keep analytic Jacobians; anything
+    else falls back to a pointwise formula with a finite-difference Jacobian.
     """
     if isinstance(x_field, PolynomialField) and isinstance(y_field, PolynomialField):
+        xc, xd, yc, yd = x_field.components, x_field._partials, y_field.components, y_field._partials
         n = x_field.dim
-        comps = []
-        for i in range(n):
-            acc = ()
-            for k in range(n):
-                acc = _mono_collect(
-                    list(acc)
-                    + list(_poly_mul(_poly_diff(y_field.components[i], k), x_field.components[k]))
-                    + [(-c, e) for c, e in
-                       _poly_mul(_poly_diff(x_field.components[i], k), y_field.components[k])]
-                )
-            comps.append(acc)
+        comps = [[term for k in range(n)
+                  for term in _poly_mul(yd[i][k], xc[k])
+                  + [(-c, e) for c, e in _poly_mul(xd[i][k], yc[k])]]
+                 for i in range(n)]
         return PolynomialField(comps, n, name=f"[{x_field.name},{y_field.name}]")
 
     def value(x):
@@ -330,17 +339,10 @@ def flatten_lift(field: VectorField) -> VectorField:
     representation of the tangent bundle: z = (x, v) -> (X(x), J_X(x) v)."""
     if isinstance(field, PolynomialField):
         n = field.dim
-        comps = []
-        for i in range(n):
-            comps.append(tuple((c, e + (0,) * n) for c, e in field.components[i]))
-        for i in range(n):
-            monos = []
-            for j in range(n):
-                for c, e in _poly_diff(field.components[i], j):
-                    v_exp = [0] * n
-                    v_exp[j] = 1
-                    monos.append((c, e + tuple(v_exp)))
-            comps.append(_mono_collect(monos))
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        comps = [[(c, e + (0,) * n) for c, e in comp] for comp in field.components]
+        comps += [[(c, e + units[j]) for j in range(n) for c, e in row[j]]
+                  for row in field._partials]
         return PolynomialField(comps, 2 * n, name=f"{field.name}^c")
 
     def value(z):

@@ -27,10 +27,10 @@ g = ||M^T M - I||_F + ||c|| <= DRIFT_TOL, which bounds the drift
 |(||M y + c|| - 1)| <= |y^T (M^T M - I) y| + ||c|| of each step from a unit y,
 so only NaN raises; other segments step, and every verdict is the stepper's.
 
-When every field is polynomial, the system keeps one table, built on the
-first stage run: the exponents E (M, n) of every monomial of every field's
-components and partials, and per field its value (n, M) and Jacobian
-(n, n, M) coefficients. A segment combines them with (1, *u) once (per row
+When every field is polynomial, the system keeps one table
+(fields.polynomial_table), built on the first stage run: the exponents
+E (M, n) of every monomial of every field's components and partials, and per
+field its value (n, M) and Jacobian (n, n, M) coefficients. A segment combines them with (1, *u) once (per row
 for a batch); a stage then evaluates one monomial vector m = prod(x ** E),
 which gives both f(x) and Df(x) by matmul. A system with a bare-callable
 field is evaluated through its rhs and rhs_jacobian instead.
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefinitionError, IntegrationError
-from .fields import PolynomialField, VectorField
+from .fields import VectorField, polynomial_table
 from .manifold import Manifold, ManifoldKind, TangentPoint
 
 DEFAULT_STEP = 1e-3
@@ -290,25 +290,8 @@ class AffineSystem:
 
     @functools.cached_property
     def _polynomial_table(self):
-        """(E, values, jacobians) when every field is a PolynomialField, else
-        None. E (M, n) holds the exponents of every monomial of the fields'
-        components and partials; field f is values[f] @ m(x) with Jacobian
-        jacobians[f] @ m(x), where m(x) = prod(x ** E, axis=1)."""
-        fields = (self.drift, *self.controlled)
-        n = self.manifold.ambient_dim
-        if not all(isinstance(fld, PolynomialField) and fld.dim == n for fld in fields):
-            return None
-        # per field: its n components, then its n * n partials row by row
-        polys = [[*fld.components, *(p for row in fld._partials for p in row)] for fld in fields]
-        monomials = list(dict.fromkeys(e for fp in polys for poly in fp for _, e in poly))
-        index = {exps: k for k, exps in enumerate(monomials)}
-        dense = np.zeros((len(fields), n + n * n, len(index)))
-        for f, fld_polys in enumerate(polys):
-            for i, poly in enumerate(fld_polys):
-                for coeff, exps in poly:
-                    dense[f, i, index[exps]] = coeff
-        exps = np.array(monomials, dtype=float).reshape(len(index), n)
-        return exps, dense[:, :n], dense[:, n:].reshape(len(fields), n, n, len(index))
+        """fields.polynomial_table of the drift and controlled fields."""
+        return polynomial_table((self.drift, *self.controlled), self.manifold.ambient_dim)
 
     def stage_rhs(self, u_values: np.ndarray):
         """rhs(x, lifted) -> (f(x), Df(x) if lifted else None) under the
@@ -513,8 +496,8 @@ def _integrate(sys: AffineSystem, x: np.ndarray, v, u: ControlSignal, step: floa
     drift bound allows it. Returns the end (x, v) and the largest drift of a
     step off the sphere; raises IntegrationError when the state or fiber is
     not finite at a segment end."""
-    if not step > 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < math.inf:  # NaN fails it too
+        raise ValueError(f"step must be positive and finite, got {step}")
     sys.check_signal(u)
     grid = [_segment_grid(duration, step) for duration, _ in u.segments]
     _check_grid(sum(n_steps for n_steps, _ in grid))
@@ -592,13 +575,17 @@ def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.n
                                durations, steps) -> np.ndarray:
     """Final base states from x0, row r under the constant control
     controls[r] (controls (B, m)) held for durations[r] on the grid
-    integrate_base would use with step steps[r]; the batch is checked as a
-    ControlSignal and check_signal check one, and its grid counted, first.
+    integrate_base would use with step steps[r]; the steps are checked as
+    _integrate checks one, the batch as a ControlSignal and check_signal
+    check one, and its grid counted, first.
     Rows sharing a step count go together: on affine systems as one stacked
     power each (bitwise fiber_flow's end off the sphere; rows the drift
     bound does not certify step), on others through the stages. A row ends
     where integrate_base does up to rounding.
     """
+    steps = np.asarray(steps, dtype=float)
+    if not np.all((steps > 0.0) & (steps < math.inf)):
+        raise ValueError(f"step must be positive and finite, got {steps}")
     x = np.asarray(sys.manifold.check_point(x0), dtype=float)
     controls, durations = np.asarray(controls, dtype=float), np.asarray(durations, dtype=float)
     if not np.all((durations > 0.0) & (durations < math.inf)):

@@ -38,8 +38,8 @@ def distance(manifold: Manifold, p: TangentPoint, q: TangentPoint) -> float:
 def fiber_segment_point(p: TangentPoint, target_v: np.ndarray, step: float) -> TangentPoint:
     """Walk from p.v straight toward target_v by at most step, staying in the
     same fiber. Overshooting steps clamp exactly to the target vector."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < np.inf:  # NaN fails it too
+        raise ValueError(f"step must be positive and finite, got {step}")
     target_v = np.asarray(target_v, dtype=float)
     delta = target_v - p.v
     gap = float(np.linalg.norm(delta))

@@ -298,6 +298,17 @@ def test_chain_verify_only_ill_typed_entry(tmp_path, capsys):
     assert "legs" in err
 
 
+def test_chain_verify_only_file_that_is_not_json(tmp_path, capsys):
+    """A chain file that is not JSON exits 2 naming the flag and the file,
+    as a definition file that is not JSON is named by its path (the error
+    used to read "Expecting value: line 1 column 1 (char 0)" alone)."""
+    bad = tmp_path / "chain.txt"
+    bad.write_text("not json")
+    code, out, err = run_cli(["chain", FLAT, "--verify-only", str(bad)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --verify-only {bad}: invalid JSON: Expecting value")
+
+
 @pytest.mark.parametrize("changes,field", [
     ({"step": True}, "step"),
     ({"step": float("nan")}, "step"),

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftctl import (
     ConstantField,
@@ -18,7 +22,7 @@ from liftctl import (
     vertical_lift_function,
     zero_field,
 )
-from liftctl.fields import fd_gradient, flatten_lift
+from liftctl.fields import fd_gradient, flatten_lift, polynomial_table
 
 
 def _random_samples(n_dim, count, seed):
@@ -281,3 +285,58 @@ def test_field_descriptor_round_trip():
     assert np.allclose(poly(np.array([1.0, 3.0])), [9.0, -1.0])
     with pytest.raises(ValueError):
         field_from_descriptor({"type": "mystery"})
+
+
+COEFF = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@st.composite
+def polynomial_case(draw):
+    """Two random PolynomialFields on R^n, n in 1..3, of degree at most 3;
+    a degree-one field built from a random (A, b); a tangent point."""
+    n = draw(st.integers(1, 3))
+    monomial = st.tuples(COEFF, st.sampled_from(
+        [e for e in itertools.product(range(4), repeat=n) if sum(e) <= 3]))
+    x_field, y_field = (PolynomialField([draw(st.lists(monomial, max_size=4)) for _ in range(n)], n)
+                        for _ in range(2))
+    vector = st.lists(COEFF, min_size=n, max_size=n).map(np.array)
+    a, b = np.array([draw(vector) for _ in range(n)]), draw(vector)
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    affine = PolynomialField([[(b[i], (0,) * n)] + [(a[i, j], units[j]) for j in range(n)]
+                              for i in range(n)], n)
+    point = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n).map(np.array)
+    return x_field, y_field, affine, (a, b), draw(point), draw(point)
+
+
+def _majorant(fld):
+    """The field with every coefficient replaced by its absolute value: at |x|
+    it bounds the terms that rounding acts on."""
+    return PolynomialField([[(abs(c), e) for c, e in comp] for comp in fld.components], fld.dim)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=polynomial_case())
+def test_polynomial_partials_serve_brackets_lifts_and_tables(case):
+    """Brackets, flattened lifts and the monomial table all read the partials
+    a PolynomialField derives once: at random points each agrees, within
+    1e-12 of the size of its terms, with the fields' own values and
+    Jacobians; a degree-one field's affine() is exactly its (A, b)."""
+    x_field, y_field, affine, (a, b), x, v = case
+    mx, my, ax = _majorant(x_field), _majorant(y_field), np.abs(x)
+
+    def close(got, want, scale):
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + scale))
+
+    bracket = lie_bracket(x_field, y_field)
+    close(bracket(x), y_field.jacobian(x) @ x_field(x) - x_field.jacobian(x) @ y_field(x),
+          my.jacobian(ax) @ mx(ax) + mx.jacobian(ax) @ my(ax))
+    close(flatten_lift(x_field)(np.concatenate([x, v])),
+          np.concatenate([x_field(x), x_field.jacobian(x) @ v]),
+          np.concatenate([mx(ax), mx.jacobian(ax) @ np.abs(v)]))
+    exps, values, jacobians = polynomial_table((x_field, y_field, affine), len(x))
+    monomials = np.prod(x ** exps, axis=1)
+    for f, (fld, major) in enumerate(((x_field, mx), (y_field, my))):
+        close(values[f] @ monomials, fld(x), major(ax))
+        close(jacobians[f] @ monomials, fld.jacobian(x), major.jacobian(ax))
+    got_a, got_b = affine.affine()
+    assert np.array_equal(got_a, a) and np.array_equal(got_b, b)

@@ -39,6 +39,7 @@ from liftctl.flow import (
     split_signal,
 )
 
+FLAT_ROTATION = str(Path(__file__).resolve().parent.parent / "defs" / "flat_rotation.json")
 SPHERE_ROTATION = str(Path(__file__).resolve().parent.parent / "defs" / "sphere_rotation.json")
 DUFFING = str(Path(__file__).resolve().parent.parent / "perfbench" / "defs" / "duffing.json")
 ROT2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -450,6 +451,33 @@ def test_non_finite_start_raises(manifold):
             constant_control_endpoints(sys, bad, [[0.5]], [0.01], [1e-3])
         with pytest.raises(OffManifoldError):
             integrate_lifted(sys, TangentPoint([0.0, 0.0, 1.0], bad), ControlSignal.empty())
+
+
+def test_step_that_is_not_positive_and_finite_is_refused():
+    """On defs/flat_rotation.json from (1, 0) under u = 0.5 for 5 s, an
+    infinite step used to take one step per segment and end at (-45.9, -26.8),
+    far from the (3.46, -11.68) of step 1e-3. Every entry point refuses it,
+    and a NaN, zero or negative step, before any step."""
+    sys = SystemDefinition.load(FLAT_ROTATION).system
+    u = ControlSignal.constant([0.5], 5.0)
+    for step in (np.inf, np.nan, 0.0, -1e-3):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            integrate_base(sys, [1.0, 0.0], u, step)
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            integrate_lifted(sys, TangentPoint([1.0, 0.0], [0.0, 1.0]), u, step)
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            fiber_flow(sys, [1.0, 0.0], [0.0, 1.0], u, step)
+
+
+def test_batch_step_that_is_not_positive_and_finite_is_refused():
+    """A NaN step used to drop its row from every step-count group and return
+    uninitialized memory, an infinite or negative one took one step, and a
+    zero one raised the grid-cap error; each is now refused by name, as the
+    integration entry points refuse it."""
+    sys = rotation_system()
+    for bad in (np.nan, np.inf, -1e-2, 0.0):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            constant_control_endpoints(sys, [1.0, 0.0], [[0.5], [0.5]], [0.2, 0.3], [1e-2, bad])
 
 
 def test_degree_one_polynomial_takes_the_step_map():

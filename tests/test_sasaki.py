@@ -114,6 +114,14 @@ def test_fiber_segment_point_step_validation():
         fiber_segment_point(p, np.array([1.0]), -1.0)
 
 
+def test_fiber_segment_point_refuses_non_finite_step():
+    """A NaN step used to give a NaN fiber; NaN and infinite steps raise."""
+    p = TangentPoint([0.0], [0.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            fiber_segment_point(p, np.array([1.0]), bad)
+
+
 def test_fiber_segment_point_decreases_gap_by_step():
     rng = np.random.default_rng(54)
     for _ in range(50):
