@@ -6,10 +6,10 @@ fields are polynomial fields of degree one and zero, built from a matrix or
 a vector, and any field of degree at most one reports its (A, b) through
 affine(). Each polynomial field derives its n^2 partials once, when it is
 built, and they are the only source of its derivatives: its Jacobian, the
-closed-form brackets, the flattened lifts and the dense monomial table of a
-system (polynomial_table) all read them, so no other module reads the
-monomial format. Arbitrary callables fall back to central finite
-differences.
+closed-form brackets, the flattened lifts and a system's RK4 kernel, which
+polynomial_kernel generates as straight-line source, all read them, so no
+other module reads the monomial format. Arbitrary callables fall back to
+central finite differences.
 A lifted field is kept as a pair of ambient maps (horizontal, vertical), so
 its projection onto the base field holds by construction; the
 bracket-identity check flattens lifted fields to 2n ambient dimensions only
@@ -25,11 +25,6 @@ import numpy as np
 from .manifold import TangentPoint
 
 _FD_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
-
-
-def _fd_step(x: np.ndarray) -> float:
-    scale = float(np.max(np.abs(x))) if x.size else 0.0
-    return _FD_EPS * (1.0 + scale)
 
 
 def fd_jacobian(func, x: np.ndarray, noise: float = 0.0) -> np.ndarray:
@@ -75,17 +70,9 @@ def _jacobian_noise(value_noise: float) -> float:
 
 
 def fd_gradient(func, x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of an R^n -> R map."""
-    x = np.asarray(x, dtype=float)
-    h = _fd_step(x)
-    grad = np.empty_like(x)
-    for j in range(x.shape[0]):
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        grad[j] = (func(xp) - func(xm)) / (2.0 * h)
-    return grad
+    """Central-difference gradient of an R^n -> R map: fd_jacobian's 3-point
+    rule."""
+    return fd_jacobian(lambda y: [func(y)], x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -227,24 +214,66 @@ def zero_field(dim: int) -> ConstantField:
     return ConstantField(np.zeros(dim), name="zero")
 
 
-def polynomial_table(fields, n: int):
-    """(E, values, jacobians) when every field is a PolynomialField on R^n,
-    else None. E (M, n) holds the exponents of every monomial of the fields'
-    components and partials; field f is values[f] @ m(x) with Jacobian
-    jacobians[f] @ m(x), where m(x) = prod(x ** E, axis=1)."""
+def polynomial_kernel(fields, n: int):
+    """(table, bind) for one RK4 step of the system sum_f c_f fields[f]
+    (c_0 = 1) when every field is a PolynomialField on R^n, else None.
+
+    Slot k is one monomial of a component or partial, and table (F, K) holds
+    each field's coefficient of it. bind(h, c @ table) returns the steps of
+    size h base(x0, ..) -> (x0, ..) and lifted(x0, .., v0, ..) ->
+    ((x0, ..), (v0, ..)). Their source is straight-line arithmetic on Python
+    floats, or on numpy columns with one entry per row of a batch. It holds
+    only generated names, integer exponents and fixed constants, and the
+    lifted step repeats the base step's lines verbatim, so both give the
+    same state bitwise.
+    """
     if not all(isinstance(fld, PolynomialField) and fld.dim == n for fld in fields):
         return None
     # per field: its n components, then its n * n partials row by row
     polys = [[*fld.components, *(p for row in fld._partials for p in row)] for fld in fields]
-    monomials = list(dict.fromkeys(e for fp in polys for poly in fp for _, e in poly))
-    index = {exps: k for k, exps in enumerate(monomials)}
-    dense = np.zeros((len(fields), n + n * n, len(index)))
+    slots = list(dict.fromkeys((i, e) for fp in polys for i, poly in enumerate(fp) for _, e in poly))
+    index = {slot: k for k, slot in enumerate(slots)}
+    table = np.zeros((len(fields), len(slots)))
     for f, fld_polys in enumerate(polys):
         for i, poly in enumerate(fld_polys):
-            for coeff, exps in poly:
-                dense[f, i, index[exps]] = coeff
-    exps = np.array(monomials, dtype=float).reshape(len(index), n)
-    return exps, dense[:, :n], dense[:, n:].reshape(len(fields), n, n, len(index))
+            table[f, [index[i, e] for _, e in poly]] = [coeff for coeff, _ in poly]
+    terms = [[k for k, (p, _) in enumerate(slots) if p == i] for i in range(n + n * n)]
+    x, v, base, lifted = [f"x{i}" for i in range(n)], [f"v{i}" for i in range(n)], [], []
+    for s, scale in enumerate(("", "h2", "h2", "h"), 1):  # RK4 stage s from k{s-1}
+        y, w = (x, v) if s == 1 else ([f"y{s}_{i}" for i in range(n)], [f"w{s}_{i}" for i in range(n)])
+        lines = [f"{y[i]} = {x[i]} + {scale}*k{s - 1}_{i}" for i in range(n) if s > 1]
+        powers = {}
+
+        def power(i, e):  # y[i] ** e by squaring, in O(log e) lines
+            if e > 1 and (i, e) not in powers:
+                half = power(i, e // 2)
+                lines.append(f"p{s}_{i}_{e} = {half}*{half}" + (f"*{y[i]}" if e % 2 else ""))
+                powers[i, e] = f"p{s}_{i}_{e}"
+            return powers[i, e] if e > 1 else y[i]
+
+        def value(p):  # polynomial p at the stage point, appending the power lines it needs
+            return " + ".join("*".join([f"c{k}", *(power(i, e) for i, e in enumerate(slots[k][1]) if e)])
+                              for k in terms[p])
+        lines += [f"k{s}_{i} = {value(i) or '0.0'}" for i in range(n)]
+        base += lines
+        # the fiber stage at the same point, after the shared base lines
+        lines += [f"{w[i]} = {v[i]} + {scale}*kv{s - 1}_{i}" for i in range(n) if s > 1]
+        lines += [f"kv{s}_{i} = " + (" + ".join(f"({value(n + i * n + j)})*{w[j]}" for j in range(n)
+                                                 if terms[n + i * n + j]) or "0.0") for i in range(n)]
+        lifted += lines
+
+    def combine(y, k):
+        return "(" + "".join(f"{y[i]} + h6*({k}1_{i} + 2.0*{k}2_{i} + 2.0*{k}3_{i} + {k}4_{i}), "
+                             for i in range(n)) + ")"
+    body = "\n        ".join
+    source = (f"def bind(h, c):\n    ({''.join(f'c{k}, ' for k in range(len(slots)))}) = c\n"
+              f"    h2, h6 = 0.5 * h, h / 6.0\n"
+              f"    def base({', '.join(x)}):\n        {body(base)}\n        return {combine(x, 'k')}\n"
+              f"    def lifted({', '.join(x + v)}):\n        {body(lifted)}\n"
+              f"        return {combine(x, 'k')}, {combine(v, 'kv')}\n    return base, lifted\n")
+    scope: dict = {}
+    exec(compile(source, "<polynomial kernel>", "exec"), scope)
+    return table, scope["bind"]
 
 
 class ScalarField:
@@ -312,8 +341,11 @@ def lie_bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
     component i as the one collected sum over k of dY_i/dx_k X_k and
     -dX_i/dx_k Y_k, so iterated brackets keep analytic Jacobians; anything
     else falls back to a pointwise formula with a finite-difference Jacobian.
+    Polynomial fields of different dimensions raise ValueError.
     """
     if isinstance(x_field, PolynomialField) and isinstance(y_field, PolynomialField):
+        if x_field.dim != y_field.dim:
+            raise ValueError(f"cannot bracket fields of dimensions {x_field.dim} and {y_field.dim}")
         xc, xd, yc, yd = x_field.components, x_field._partials, y_field.components, y_field._partials
         n = x_field.dim
         comps = [[term for k in range(n)

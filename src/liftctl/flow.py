@@ -27,13 +27,13 @@ g = ||M^T M - I||_F + ||c|| <= DRIFT_TOL, which bounds the drift
 |(||M y + c|| - 1)| <= |y^T (M^T M - I) y| + ||c|| of each step from a unit y,
 so only NaN raises; other segments step, and every verdict is the stepper's.
 
-When every field is polynomial, the system keeps one table
-(fields.polynomial_table), built on the first stage run: the exponents
-E (M, n) of every monomial of every field's components and partials, and per
-field its value (n, M) and Jacobian (n, n, M) coefficients. A segment combines them with (1, *u) once (per row
-for a batch); a stage then evaluates one monomial vector m = prod(x ** E),
-which gives both f(x) and Df(x) by matmul. A system with a bare-callable
-field is evaluated through its rhs and rhs_jacobian instead.
+Other polynomial systems step by one kernel per system
+(fields.polynomial_kernel), compiled on the first such step: straight-line
+source for one RK4 step of the state, and of the state with a fiber, on
+Python floats. A segment combines its coefficient table with (1, *u) once and
+binds the result with h; a batch binds the numpy columns of its rows, and a
+fiber matrix steps column by column. A system with a bare-callable field is
+evaluated through its rhs and rhs_jacobian instead.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefinitionError, IntegrationError
-from .fields import VectorField, polynomial_table
+from .fields import VectorField, polynomial_kernel
 from .manifold import Manifold, ManifoldKind, TangentPoint
 
 DEFAULT_STEP = 1e-3
@@ -88,10 +88,6 @@ class ControlSignal:
     @property
     def total_duration(self) -> float:
         return float(sum(d for d, _ in self.segments))
-
-    @property
-    def channels(self) -> int:
-        return self.segments[0][1].shape[0] if self.segments else 0
 
     def value_at(self, t: float) -> np.ndarray:
         """u(t); interior boundaries belong to the following segment, the
@@ -237,10 +233,6 @@ class AffineSystem:
                 out = out + ui * fld(x)
         return out
 
-    def rhs_rows(self, xs: np.ndarray, u_values: np.ndarray) -> np.ndarray:
-        """rhs over a batch: row r is rhs(xs[r], u_values[r])."""
-        return np.array([self.rhs(x, u) for x, u in zip(xs, u_values)])
-
     @functools.cached_property
     def _affine_terms(self):
         """Each field's (A, b) from affine(), with an all-zero part as None;
@@ -289,34 +281,9 @@ class AffineSystem:
         return out
 
     @functools.cached_property
-    def _polynomial_table(self):
-        """fields.polynomial_table of the drift and controlled fields."""
-        return polynomial_table((self.drift, *self.controlled), self.manifold.ambient_dim)
-
-    def stage_rhs(self, u_values: np.ndarray):
-        """rhs(x, lifted) -> (f(x), Df(x) if lifted else None) under the
-        control u_values (m,), or rows (B, m) for states (B, n) with no fiber:
-        from the polynomial tables, combined here, when there are any; else
-        through rhs, rhs_jacobian or rhs_rows."""
-        if self._polynomial_table is None:
-            if u_values.ndim == 2:
-                return lambda x, lifted: (self.rhs_rows(x, u_values), None)
-            return lambda x, lifted: (self.rhs(x, u_values),
-                                      self.rhs_jacobian(x, u_values) if lifted else None)
-        exps, values, jacobians = self._polynomial_table
-        coeffs = np.insert(u_values, 0, 1.0, axis=-1)
-        values = np.tensordot(coeffs, values, 1)
-        if u_values.ndim == 2:
-            def rows(x, lifted):
-                m = np.multiply.reduce(x[:, None, :] ** exps, axis=2)
-                return (values @ m[:, :, None])[:, :, 0], None
-            return rows
-        jacobians = np.tensordot(coeffs, jacobians, 1)
-
-        def single(x, lifted):
-            m = np.multiply.reduce(x ** exps, axis=1)  # np.prod, at less cost
-            return values @ m, (jacobians @ m if lifted else None)
-        return single
+    def _polynomial_kernel(self):
+        """fields.polynomial_kernel of the drift and controlled fields."""
+        return polynomial_kernel((self.drift, *self.controlled), self.manifold.ambient_dim)
 
 
 @dataclass(frozen=True)
@@ -349,10 +316,12 @@ class Trajectory:
         if self.fibers is not None:
             columns.append(self.fibers)
         # Python floats format about twice as fast as numpy scalars, to the
-        # same bytes; converting a block of rows at a time keeps memory small
+        # same bytes, and one %-format of a whole block of rows is cheaper
+        # than a join per row; a block at a time keeps memory small
+        row_format = ",".join(["%.17g"] * len(header)) + "\n"
         for start in range(0, self.times.shape[0], 256):
-            for row in np.hstack([col[start:start + 256] for col in columns]).tolist():
-                stream.write(",".join(f"{val:.17g}" for val in row) + "\n")
+            block = np.hstack([col[start:start + 256] for col in columns])
+            stream.write(row_format * block.shape[0] % tuple(block.ravel().tolist()))
 
     def to_json(self) -> dict:
         return {
@@ -392,10 +361,6 @@ def _to_sphere(x: np.ndarray, v, t, tol=DRIFT_TOL) -> tuple[np.ndarray, np.ndarr
     return x, v, drift
 
 
-def _rk4_combine(y, h, k1, k2, k3, k4):
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _stage_step(rhs, h):
     """One classical RK4 step (Hairer, Nørsett & Wanner, Solving ODEs I,
     §II.1) of size h of dx/dt = f(x) and, unless v is None, of the
@@ -417,8 +382,8 @@ def _stage_step(rhs, h):
             k2v = j2 @ (v + 0.5 * h * k1v)
             k3v = j3 @ (v + 0.5 * h * k2v)
             k4v = j4 @ (v + h * k3v)
-            v = _rk4_combine(v, h, k1v, k2v, k3v, k4v)
-        return _rk4_combine(x, h, k1, k2, k3, k4), v
+            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), v
     return step
 
 
@@ -457,13 +422,39 @@ def _segment_step(sys: AffineSystem, uval: np.ndarray, h):
     """The RK4 step of size h under the constant control uval, as a map
     (x, v) -> (x, v) of one state (n,) and its fiber (n,) or (n, k), or with
     uval (B, m) and h (B, 1) of rows (B, n) and no fiber. A single state of
-    an affine system steps by the map of _step_map, anything else by the four
-    stages of AffineSystem.stage_rhs; either is set up once here."""
+    an affine system steps by the map of _step_map, other polynomial systems
+    by the system's fields.polynomial_kernel, bound here to the combined
+    coefficients (on Python floats, fiber columns one at a time, or on numpy
+    columns for rows), bare callables by the four stages through rhs and
+    rhs_jacobian; each is set up once here."""
     parts = sys.affine_parts(uval) if uval.ndim == 1 else None
-    if parts is None:
-        return _stage_step(sys.stage_rhs(uval), h)
-    m, c = _step_map(*parts, h)
-    return lambda x, v: (m @ x + c, None if v is None else m @ v)
+    if parts is not None:
+        m, c = _step_map(*parts, h)
+        return lambda x, v: (m @ x + c, None if v is None else m @ v)
+    if sys._polynomial_kernel is None and uval.ndim == 2:
+        return _stage_step(lambda x, _: (np.array([sys.rhs(y, u) for y, u in zip(x, uval)]), None), h)
+    if sys._polynomial_kernel is None:
+        return _stage_step(lambda x, lifted: (sys.rhs(x, uval), sys.rhs_jacobian(x, uval) if lifted
+                                              else None), h)
+    table, bind = sys._polynomial_kernel
+    coeffs = np.insert(uval, 0, 1.0, axis=-1) @ table
+    if uval.ndim == 2:
+        base, _ = bind(h[:, 0], coeffs.T)
+        return lambda x, v: (np.array(base(*x.T)).T, None)
+    base, lifted = bind(h, coeffs.tolist())
+
+    def step(x, v):
+        x = x.tolist()
+        if v is None:
+            return np.array(base(*x)), None
+        if v.ndim == 1:
+            x, v = lifted(*x, *v.tolist())
+            return np.array(x), np.array(v)
+        # column by column, as a lifted run steps each: Python floats beat
+        # numpy rows of a few entries
+        runs = [lifted(*x, *w) for w in v.T.tolist()]
+        return np.array(runs[0][0] if runs else base(*x)), np.array([w for _, w in runs]).T.reshape(v.shape)
+    return step
 
 
 def _rk4(step, x, v, h, n_steps: int, on_sphere: bool, t=0.0, rows=None):

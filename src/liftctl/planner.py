@@ -22,6 +22,7 @@ flow.constant_control_endpoints; affine segments there are matrix powers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -141,20 +142,10 @@ class SphereRotationOracle:
         # generators: list of (channel, so(3) matrix); pick an orthogonal pair
         self.n_channels = len(bounds)
         axes = [(chan, _skew_axis(m)) for chan, m in generators]
-        pair = None
-        for i in range(len(axes)):
-            for j in range(len(axes)):
-                if i == j:
-                    continue
-                ai, aj = axes[i][1], axes[j][1]
-                ni, nj = np.linalg.norm(ai), np.linalg.norm(aj)
-                if ni < 1e-12 or nj < 1e-12:
-                    continue
-                if abs((ai / ni) @ (aj / nj)) < 1e-9:
-                    pair = (axes[i], axes[j])
-                    break
-            if pair:
-                break
+        nonzero = [(chan, axis) for chan, axis in axes if np.linalg.norm(axis) >= 1e-12]
+        pair = next(((a, b) for a, b in itertools.permutations(nonzero, 2)
+                     if abs((a[1] / np.linalg.norm(a[1])) @ (b[1] / np.linalg.norm(b[1]))) < 1e-9),
+                    None)
         if pair is None:
             raise SteeringFailure("rotation oracle needs two orthogonal rotation axes")
         (self.primary_chan, p_axis), (self.secondary_chan, s_axis) = pair
@@ -201,16 +192,10 @@ class SphereRotationOracle:
         a0 = math.atan2(xi[2], math.hypot(xi[0], xi[1]))
         beta = math.asin(min(1.0, max(-1.0, eta[2]))) - a0
         gamma = math.remainder(math.atan2(eta[1], eta[0]) - 0.5 * math.pi, 2.0 * math.pi)
-        segments = []
-        for chan, speed, angle in (
-            (self.primary_chan, self.primary_speed, alpha),
-            (self.secondary_chan, self.secondary_speed, beta),
-            (self.primary_chan, self.primary_speed, gamma),
-        ):
-            seg = self._segment(chan, speed, angle)
-            if seg is not None:
-                segments.append(seg)
-        sig = ControlSignal(tuple(segments))
+        segments = (self._segment(self.primary_chan, self.primary_speed, alpha),
+                    self._segment(self.secondary_chan, self.secondary_speed, beta),
+                    self._segment(self.primary_chan, self.primary_speed, gamma))
+        sig = ControlSignal(tuple(seg for seg in segments if seg is not None))
         return sig.total_duration, sig
 
 
@@ -301,11 +286,8 @@ def sample_control_signals(bounds, horizon: float, n_samples: int, seed: int):
         n_seg = int(rng.integers(1, 9))
         weights = rng.random(n_seg) + 0.05
         durations = duration * weights / weights.sum()
-        segs = []
-        for d in durations:
-            value = rng.uniform(bounds[:, 0], bounds[:, 1])
-            segs.append((d, value))
-        signals.append(ControlSignal(tuple(segs)))
+        signals.append(ControlSignal(tuple((d, rng.uniform(bounds[:, 0], bounds[:, 1]))
+                                           for d in durations)))
     return signals
 
 
@@ -635,17 +617,7 @@ class VerificationReport:
     def to_json(self) -> dict:
         return {
             "passed": self.passed,
-            "legs": [
-                {
-                    "index": c.index,
-                    "duration": c.duration,
-                    "distance": c.distance,
-                    "duration_ok": c.duration_ok,
-                    "distance_ok": c.distance_ok,
-                    "continuity_ok": c.continuity_ok,
-                }
-                for c in self.legs
-            ],
+            "legs": [dict(vars(c)) for c in self.legs],
             "messages": list(self.messages),
         }
 

@@ -37,10 +37,14 @@ def distance(manifold: Manifold, p: TangentPoint, q: TangentPoint) -> float:
 
 def fiber_segment_point(p: TangentPoint, target_v: np.ndarray, step: float) -> TangentPoint:
     """Walk from p.v straight toward target_v by at most step, staying in the
-    same fiber. Overshooting steps clamp exactly to the target vector."""
+    same fiber. Overshooting steps clamp exactly to the target vector. A step
+    that is not positive and finite, or a non-finite target_v, raises
+    ValueError."""
     if not 0.0 < step < np.inf:  # NaN fails it too
         raise ValueError(f"step must be positive and finite, got {step}")
     target_v = np.asarray(target_v, dtype=float)
+    if not np.all(np.isfinite(target_v)):
+        raise ValueError(f"target_v must be finite, got {target_v}")
     delta = target_v - p.v
     gap = float(np.linalg.norm(delta))
     if gap <= step:

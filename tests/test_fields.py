@@ -22,7 +22,8 @@ from liftctl import (
     vertical_lift_function,
     zero_field,
 )
-from liftctl.fields import fd_gradient, flatten_lift, polynomial_table
+from liftctl.fields import fd_gradient, flatten_lift, polynomial_kernel
+from liftctl.flow import _stage_step
 
 
 def _random_samples(n_dim, count, seed):
@@ -161,6 +162,15 @@ def test_lie_bracket_antisymmetry_and_constants():
     c1 = ConstantField([1.0, 2.0])
     c2 = ConstantField([-3.0, 0.5])
     assert not np.any(lie_bracket(c1, c2)(np.array([7.0, -2.0])))
+
+
+def test_lie_bracket_of_fields_of_different_dimensions_raises():
+    """In either order, polynomial fields on R^2 and R^3 used to give a
+    2-dimensional zero field or a bare IndexError; both raise ValueError."""
+    for pair in ((LinearField(np.eye(2)), LinearField(np.eye(3))),
+                 (LinearField(np.eye(3)), LinearField(np.eye(2)))):
+        with pytest.raises(ValueError, match="dimensions"):
+            lie_bracket(*pair)
 
 
 def test_lie_bracket_polynomial_closed_form():
@@ -317,10 +327,11 @@ def _majorant(fld):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(case=polynomial_case())
 def test_polynomial_partials_serve_brackets_lifts_and_tables(case):
-    """Brackets, flattened lifts and the monomial table all read the partials
-    a PolynomialField derives once: at random points each agrees, within
-    1e-12 of the size of its terms, with the fields' own values and
-    Jacobians; a degree-one field's affine() is exactly its (A, b)."""
+    """Brackets, flattened lifts and the generated RK4 kernel all read the
+    partials a PolynomialField derives once: at random points each agrees,
+    within 1e-12 of the size of its terms, with the fields' own values and
+    Jacobians (the kernel through one RK4 step of a single field); a
+    degree-one field's affine() is exactly its (A, b)."""
     x_field, y_field, affine, (a, b), x, v = case
     mx, my, ax = _majorant(x_field), _majorant(y_field), np.abs(x)
 
@@ -333,10 +344,15 @@ def test_polynomial_partials_serve_brackets_lifts_and_tables(case):
     close(flatten_lift(x_field)(np.concatenate([x, v])),
           np.concatenate([x_field(x), x_field.jacobian(x) @ v]),
           np.concatenate([mx(ax), mx.jacobian(ax) @ np.abs(v)]))
-    exps, values, jacobians = polynomial_table((x_field, y_field, affine), len(x))
-    monomials = np.prod(x ** exps, axis=1)
+    # the kernel under one field's coefficients is the RK4 step of that field
+    table, bind = polynomial_kernel((x_field, y_field, affine), len(x))
+    h = 1e-3
     for f, (fld, major) in enumerate(((x_field, mx), (y_field, my))):
-        close(values[f] @ monomials, fld(x), major(ax))
-        close(jacobians[f] @ monomials, fld.jacobian(x), major.jacobian(ax))
+        base, lifted = bind(h, table[f].tolist())
+        got_x, got_v = lifted(*x.tolist(), *v.tolist())
+        assert base(*x.tolist()) == got_x
+        want_x, want_v = _stage_step(lambda y, lifted: (fld(y), fld.jacobian(y)), h)(x, v)
+        close(np.array(got_x), want_x, ax + h * major(ax))
+        close(np.array(got_v), want_v, np.abs(v) + h * major.jacobian(ax) @ np.abs(v))
     got_a, got_b = affine.affine()
     assert np.array_equal(got_a, a) and np.array_equal(got_b, b)

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -337,7 +338,7 @@ def sphere_polynomial_system():
 
 def bare_copy(sys):
     """The same polynomial fields as bare callables, which step by the four
-    stages through rhs and rhs_jacobian instead of the polynomial tables."""
+    stages through rhs and rhs_jacobian instead of the generated kernel."""
     def wrap(fld):
         return VectorField(fld, fld.jacobian)
     return AffineSystem(sys.manifold, wrap(sys.drift), tuple(map(wrap, sys.controlled)),
@@ -356,25 +357,81 @@ def three_segments(n_controls, rng):
                                for _ in range(3)))
 
 
-@pytest.mark.parametrize("make_sys,x0,v0", POLYNOMIAL_CASES)
-def test_polynomial_tables_match_stages(make_sys, x0, v0):
-    """Polynomial fields step from one monomial vector per stage; the same
-    fields as bare callables take rhs and rhs_jacobian. Both are the same
-    RK4 stages, so states and fibers agree up to rounding, and base and
-    lifted runs on the table path stay bitwise equal."""
-    sys = make_sys()
-    stages = bare_copy(sys)
-    u = three_segments(sys.n_controls, np.random.default_rng(len(x0)))
-    assert sys._polynomial_table is not None and sys.affine_parts(u.segments[0][1]) is None
-    assert stages._polynomial_table is None
+def assert_kernel_matches_stages(sys, x0, v0, u):
+    """The kernel's lifted run agrees with the bare-callable stages within
+    1e-12 relative, and its base states equal a base run's bitwise."""
     p0 = TangentPoint(x0, v0)
     fused = integrate_lifted(sys, p0, u, 1e-3)
-    staged = integrate_lifted(stages, p0, u, 1e-3)
+    staged = integrate_lifted(bare_copy(sys), p0, u, 1e-3)
     for got, want in ((fused.states, staged.states), (fused.fibers, staged.fibers)):
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
     base = integrate_base(sys, x0, u, 1e-3)
     assert np.array_equal(base.times, fused.times)
     assert np.array_equal(base.states, fused.states)
+    assert base.max_drift == fused.max_drift
+
+
+@pytest.mark.parametrize("make_sys,x0,v0", POLYNOMIAL_CASES)
+def test_polynomial_tables_match_stages(make_sys, x0, v0):
+    """Polynomial fields step by the kernel generated from their coefficient
+    table; the same fields as bare callables take rhs and rhs_jacobian. Both
+    are the same RK4 stages, so states and fibers agree up to rounding, and
+    base and lifted runs on the kernel stay bitwise equal (on S2 too, where
+    every step is renormalized)."""
+    sys = make_sys()
+    u = three_segments(sys.n_controls, np.random.default_rng(len(x0)))
+    assert sys.affine_parts(u.segments[0][1]) is None
+    assert sys._polynomial_kernel is not None
+    assert bare_copy(sys)._polynomial_kernel is None
+    assert_kernel_matches_stages(sys, x0, v0, u)
+
+
+@st.composite
+def random_polynomial_system(draw):
+    """A flat system of random polynomial fields of degree at most 3, with
+    a start point, fiber and three-segment control."""
+    n = draw(st.integers(1, 3))
+    coeff = st.floats(-2.0, 2.0, allow_nan=False).filter(lambda c: c != 0.0)
+    monomial = st.tuples(coeff, st.tuples(*[st.integers(0, 3)] * n))
+    field = st.builds(lambda comps: PolynomialField(comps, n),
+                      st.lists(st.lists(monomial, max_size=4), min_size=n, max_size=n))
+    m = draw(st.integers(1, 2))
+    sys = AffineSystem(Manifold.flat(n), draw(field), tuple(draw(field) for _ in range(m)),
+                       [[-1.0, 1.0]] * m)
+    point = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+    values = st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)
+    u = ControlSignal(tuple((d, draw(values)) for d in (0.004, 0.003, 0.005)))
+    return sys, draw(point), draw(point), u
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=random_polynomial_system())
+def test_kernel_matches_stages_on_random_polynomial_fields(case):
+    """On random polynomial fields the generated kernel takes the same RK4
+    stages as the bare callables, within 1e-12 relative."""
+    assert_kernel_matches_stages(*case)
+
+
+def test_code_like_field_names_never_reach_the_kernel():
+    """Only generated names, integer exponents and arguments go into the
+    kernel's source: a definition whose fields carry code-like names, in the
+    file and on the fields themselves, builds and steps exactly like one
+    without them."""
+    data = json.loads(Path(DUFFING).read_text())
+    plain = SystemDefinition.from_dict(data).system
+    hostile = "__import__('os')._exit(3)\n)); raise SystemExit(\"'"
+    for desc in (data["drift"], *data["controlled"]):
+        desc["name"] = hostile
+    loaded = SystemDefinition.from_dict(data).system
+    named = AffineSystem(loaded.manifold, PolynomialField(loaded.drift.components, 2, hostile),
+                         tuple(PolynomialField(f.components, 2, hostile) for f in loaded.controlled),
+                         loaded.bounds)
+    u = ControlSignal(((0.3, [0.4]), (0.2, [-0.9])))
+    p0 = TangentPoint([0.3, -0.2], [1.0, 0.5])
+    want = integrate_lifted(plain, p0, u)
+    for sys in (loaded, named):
+        got = integrate_lifted(sys, p0, u)
+        assert np.array_equal(got.states, want.states) and np.array_equal(got.fibers, want.fibers)
 
 
 @pytest.mark.parametrize("make_sys,x0,v0", POLYNOMIAL_CASES)
@@ -394,16 +451,17 @@ def test_polynomial_fiber_flow_matches_columns(make_sys, x0, v0):
 
 
 def test_polynomial_runs_never_call_the_field_evaluators(monkeypatch):
-    """Lifted runs and search batches on polynomial fields step from the
-    system's tables, so they never evaluate a field component by component;
-    loading a definition and the rank computation build no table."""
+    """Lifted runs, fiber transitions and search batches on polynomial
+    fields step by the system's generated kernel, so they never evaluate a
+    field component by component; loading a definition and the rank
+    computation build no kernel."""
     defn = SystemDefinition.load(DUFFING)
     fields = (defn.system.drift, *defn.system.controlled)
     lifted_rank_at(fields, TangentPoint([0.3, -0.2], [1.0, 0.5]), 3, defn.manifold)
-    assert "_polynomial_table" not in defn.system.__dict__
+    assert "_polynomial_kernel" not in defn.system.__dict__
 
     def refuse(self, x):
-        raise AssertionError("polynomial field evaluated outside the tables")
+        raise AssertionError("polynomial field evaluated outside the kernel")
     monkeypatch.setattr(PolynomialField, "_eval", refuse)
     monkeypatch.setattr(PolynomialField, "_jac", refuse)
     sys = SystemDefinition.load(DUFFING).system
@@ -412,6 +470,8 @@ def test_polynomial_runs_never_call_the_field_evaluators(monkeypatch):
     u = ControlSignal(((0.5, [0.3]), (0.5, [-0.7])))
     run = integrate_lifted(sys, TangentPoint([0.3, -0.2], [1.0, 0.5]), u)
     assert np.all(np.isfinite(run.fibers))
+    _, transition = fiber_flow(sys, [0.3, -0.2], np.eye(2), u)
+    assert np.all(np.isfinite(transition))
     ends = constant_control_endpoints(sys, [0.3, -0.2], [[0.5], [-0.5], [1.0]],
                                       [0.2, 0.3, 0.2], [1e-2, 1e-2, 1e-2])
     assert ends.shape == (3, 2) and np.all(np.isfinite(ends))
@@ -793,6 +853,35 @@ def per_value_csv(traj):
             row += list(traj.fibers[k])
         lines.append(",".join(f"{val:.17g}" for val in row))
     return "\n".join(lines) + "\n"
+
+
+def row_join_csv(traj):
+    """The CSV writer as it was before it took one row format string: a
+    join over the Python floats of each row."""
+    columns = [traj.times[:, None], traj.states] + ([] if traj.fibers is None else [traj.fibers])
+    return "".join(",".join(f"{val:.17g}" for val in row) + "\n"
+                   for row in np.hstack(columns).tolist())
+
+
+@pytest.mark.parametrize("lifted", [False, True])
+def test_csv_bytes_match_row_join_writer(lifted):
+    """The precomputed "%.17g,...\n" format gives the bytes of the per-row
+    join on -0.0, the smallest subnormal, 1e308, integers, infinities and
+    NaN, in blocks of rows shorter and longer than the writer's."""
+    import io
+
+    edge = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -7.0, 123456789.0, 2.0 ** 60,
+            float("inf"), float("nan"), 0.1]
+    rng = np.random.default_rng(11)
+    for rows in (3, 257, 600):
+        values = rng.choice(edge, size=(rows, 5))
+        traj = Trajectory(values[:, 0], values[:, 1:3], values[:, 3:] if lifted else None,
+                          ControlSignal.empty())
+        buf = io.StringIO()
+        traj.write_csv(buf)
+        header, body = buf.getvalue().split("\n", 1)
+        assert header == ("t,x1,x2,v1,v2" if lifted else "t,x1,x2")
+        assert body == row_join_csv(traj)
 
 
 @pytest.mark.parametrize("lifted", [False, True])

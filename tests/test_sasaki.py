@@ -122,6 +122,15 @@ def test_fiber_segment_point_refuses_non_finite_step():
             fiber_segment_point(p, np.array([1.0]), bad)
 
 
+def test_fiber_segment_point_refuses_non_finite_target():
+    """A NaN target_v used to give a [nan, nan] fiber; a NaN or infinite
+    entry raises, as a bad step does."""
+    p = TangentPoint([0.0, 0.0], [0.0, 0.0])
+    for bad in ([np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]):
+        with pytest.raises(ValueError, match="target_v must be finite"):
+            fiber_segment_point(p, np.array(bad), 0.1)
+
+
 def test_fiber_segment_point_decreases_gap_by_step():
     rng = np.random.default_rng(54)
     for _ in range(50):
