@@ -215,17 +215,19 @@ def zero_field(dim: int) -> ConstantField:
 
 
 def polynomial_kernel(fields, n: int):
-    """(table, bind) for one RK4 step of the system sum_f c_f fields[f]
-    (c_0 = 1) when every field is a PolynomialField on R^n, else None.
+    """(table, bind) for RK4 runs of the system sum_f c_f fields[f] (c_0 = 1)
+    when every field is a PolynomialField on R^n, else None.
 
     Slot k is one monomial of a component or partial, and table (F, K) holds
-    each field's coefficient of it. bind(h, c @ table) returns the steps of
-    size h base(x0, ..) -> (x0, ..) and lifted(x0, .., v0, ..) ->
-    ((x0, ..), (v0, ..)). Their source is straight-line arithmetic on Python
-    floats, or on numpy columns with one entry per row of a batch. It holds
-    only generated names, integer exponents and fixed constants, and the
-    lifted step repeats the base step's lines verbatim, so both give the
-    same state bitwise.
+    each field's coefficient of it. bind(h, c @ table) returns the segment
+    loops base(steps, t, rows, x0, ..) -> ((x0, ..), None, t) and
+    lifted(steps, t, rows, x0, .., v0, ..) -> ((x0, ..), (v0, ..), t) of
+    `steps` RK4 steps of size h with t = t + h each, which extend rows unless
+    None by the flat row (t, x0, .., v0, ..) of every step. Their source is
+    straight-line arithmetic on Python floats, or on numpy columns with one
+    entry per row of a batch. It holds only generated names, integer
+    exponents and fixed constants, and the lifted loop repeats the base
+    loop's lines verbatim, so both give the same state bitwise.
     """
     if not all(isinstance(fld, PolynomialField) and fld.dim == n for fld in fields):
         return None
@@ -262,15 +264,20 @@ def polynomial_kernel(fields, n: int):
                                                  if terms[n + i * n + j]) or "0.0") for i in range(n)]
         lifted += lines
 
-    def combine(y, k):
-        return "(" + "".join(f"{y[i]} + h6*({k}1_{i} + 2.0*{k}2_{i} + 2.0*{k}3_{i} + {k}4_{i}), "
-                             for i in range(n)) + ")"
-    body = "\n        ".join
-    source = (f"def bind(h, c):\n    ({''.join(f'c{k}, ' for k in range(len(slots)))}) = c\n"
-              f"    h2, h6 = 0.5 * h, h / 6.0\n"
-              f"    def base({', '.join(x)}):\n        {body(base)}\n        return {combine(x, 'k')}\n"
-              f"    def lifted({', '.join(x + v)}):\n        {body(lifted)}\n"
-              f"        return {combine(x, 'k')}, {combine(v, 'kv')}\n    return base, lifted\n")
+    def loop(name, stages, *ends):  # a segment of `steps` RK4 steps; ends: (names, stage prefix)
+        state = ", ".join(y for names, _ in ends for y in names)
+        step = ", ".join(f"{y} + h6*({k}1_{i} + 2.0*{k}2_{i} + 2.0*{k}3_{i} + {k}4_{i})"
+                         for names, k in ends for i, y in enumerate(names))
+        return (f"    def {name}(steps, t, rows, {state}):\n"
+                f"        ({''.join(f'c{k}, ' for k in range(len(slots)))}) = c\n"
+                "        h2, h6 = 0.5 * h, h / 6.0\n        for _ in range(steps):\n"
+                + "".join(f"            {line}\n" for line in stages)
+                + f"            {state}, = {step},\n            t = t + h\n"
+                f"            if rows is not None:\n                rows += (t, {state})\n"
+                f"        return {''.join('(' + ', '.join(names) + ',), ' for names, _ in ends)}"
+                f"{'None, ' * (2 - len(ends))}t\n")  # no fiber for the base loop
+    source = ("def bind(h, c):\n" + loop("base", base, (x, "k")) + loop("lifted", lifted, (x, "k"), (v, "kv"))
+              + "    return base, lifted\n")
     scope: dict = {}
     exec(compile(source, "<polynomial kernel>", "exec"), scope)
     return table, scope["bind"]

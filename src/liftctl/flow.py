@@ -27,13 +27,13 @@ g = ||M^T M - I||_F + ||c|| <= DRIFT_TOL, which bounds the drift
 |(||M y + c|| - 1)| <= |y^T (M^T M - I) y| + ||c|| of each step from a unit y,
 so only NaN raises; other segments step, and every verdict is the stepper's.
 
-Other polynomial systems step by one kernel per system
-(fields.polynomial_kernel), compiled on the first such step: straight-line
-source for one RK4 step of the state, and of the state with a fiber, on
-Python floats. A segment combines its coefficient table with (1, *u) once and
-binds the result with h; a batch binds the numpy columns of its rows, and a
-fiber matrix steps column by column. A system with a bare-callable field is
-evaluated through its rhs and rhs_jacobian instead.
+Other polynomial systems run by one generated kernel per system
+(fields.polynomial_kernel), compiled on the first such segment: a loop over
+a segment's RK4 steps on Python floats, or on the numpy columns of a batch,
+bound to the segment's h and coefficients. Off the sphere a segment is one
+call, one per column of a fiber matrix; on it, one call per step, to
+renormalize between steps. Bare-callable fields step through rhs and
+rhs_jacobian. Every run records its rows as one flat list of floats.
 """
 
 from __future__ import annotations
@@ -307,20 +307,14 @@ class Trajectory:
         return TangentPoint(self.states[-1], self.fibers[-1])
 
     def write_csv(self, stream) -> None:
-        n = self.states.shape[1]
-        header = ["t"] + [f"x{i + 1}" for i in range(n)]
-        if self.fibers is not None:
-            header += [f"v{i + 1}" for i in range(n)]
-        stream.write(",".join(header) + "\n")
-        columns = [self.times[:, None], self.states]
-        if self.fibers is not None:
-            columns.append(self.fibers)
+        table = np.hstack([self.times[:, None], self.states, *([] if self.fibers is None else [self.fibers])])
+        n, kinds = self.states.shape[1], "x" if self.fibers is None else "xv"
+        stream.write(",".join(["t", *(f"{c}{i + 1}" for c in kinds for i in range(n))]) + "\n")
         # Python floats format about twice as fast as numpy scalars, to the
         # same bytes, and one %-format of a whole block of rows is cheaper
         # than a join per row; a block at a time keeps memory small
-        row_format = ",".join(["%.17g"] * len(header)) + "\n"
-        for start in range(0, self.times.shape[0], 256):
-            block = np.hstack([col[start:start + 256] for col in columns])
+        row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
+        for block in np.split(table, range(256, table.shape[0], 256)):
             stream.write(row_format * block.shape[0] % tuple(block.ravel().tolist()))
 
     def to_json(self) -> dict:
@@ -418,53 +412,56 @@ def _power(m: np.ndarray, c: np.ndarray, k: int, x: np.ndarray, v):
     return power[..., :n, :n] @ x + power[..., :n, n], None if v is None else power[..., :n, :n] @ v
 
 
+def _polynomial_run(sys: AffineSystem, uval: np.ndarray, h):
+    """The system's fields.polynomial_kernel bound to h and the coefficients
+    under uval, as run(x, v, n_steps, t, rows) -> (x, v, t): one call of the
+    segment loop on Python floats for a state (n,) and fiber None or (n,),
+    one per column of a fiber (n, k) (each gives the same state bitwise), or,
+    with uval (B, m) and h (B, 1), one on the numpy columns of rows (B, n)."""
+    table, bind = sys._polynomial_kernel
+    coeffs = np.insert(uval, 0, 1.0, axis=-1) @ table
+    base, lifted = bind(h[:, 0], coeffs.T) if uval.ndim == 2 else bind(h, coeffs.tolist())
+
+    def run(x, v, n_steps, t, rows):
+        if x.ndim == 2:  # a batch of rows, on numpy columns
+            x, _, t = base(n_steps, t, None, *x.T)
+            return np.array(x).T, None, t
+        x = x.tolist()
+        if v is not None and v.ndim == 2:
+            runs = [lifted(n_steps, t, None, *x, *w) for w in v.T.tolist()] or [base(n_steps, t, None, *x)]
+            fibers = np.array([w for _, w, _ in runs if w is not None]).T.reshape(v.shape)
+            return np.array(runs[0][0]), fibers, runs[0][2]
+        x, v, t = base(n_steps, t, rows, *x) if v is None else lifted(n_steps, t, rows, *x, *v.tolist())
+        return np.array(x), None if v is None else np.array(v), t
+    return run
+
+
 def _segment_step(sys: AffineSystem, uval: np.ndarray, h):
     """The RK4 step of size h under the constant control uval, as a map
     (x, v) -> (x, v) of one state (n,) and its fiber (n,) or (n, k), or with
     uval (B, m) and h (B, 1) of rows (B, n) and no fiber. A single state of
     an affine system steps by the map of _step_map, other polynomial systems
-    by the system's fields.polynomial_kernel, bound here to the combined
-    coefficients (on Python floats, fiber columns one at a time, or on numpy
-    columns for rows), bare callables by the four stages through rhs and
-    rhs_jacobian; each is set up once here."""
+    by one-step runs of _polynomial_run, bare callables by the four stages
+    through rhs and rhs_jacobian; each is set up once here."""
     parts = sys.affine_parts(uval) if uval.ndim == 1 else None
     if parts is not None:
         m, c = _step_map(*parts, h)
         return lambda x, v: (m @ x + c, None if v is None else m @ v)
-    if sys._polynomial_kernel is None and uval.ndim == 2:
-        return _stage_step(lambda x, _: (np.array([sys.rhs(y, u) for y, u in zip(x, uval)]), None), h)
-    if sys._polynomial_kernel is None:
-        return _stage_step(lambda x, lifted: (sys.rhs(x, uval), sys.rhs_jacobian(x, uval) if lifted
-                                              else None), h)
-    table, bind = sys._polynomial_kernel
-    coeffs = np.insert(uval, 0, 1.0, axis=-1) @ table
+    if sys._polynomial_kernel is not None:
+        run = _polynomial_run(sys, uval, h)
+        return lambda x, v: run(x, v, 1, 0.0, None)[:2]
     if uval.ndim == 2:
-        base, _ = bind(h[:, 0], coeffs.T)
-        return lambda x, v: (np.array(base(*x.T)).T, None)
-    base, lifted = bind(h, coeffs.tolist())
-
-    def step(x, v):
-        x = x.tolist()
-        if v is None:
-            return np.array(base(*x)), None
-        if v.ndim == 1:
-            x, v = lifted(*x, *v.tolist())
-            return np.array(x), np.array(v)
-        # column by column, as a lifted run steps each: Python floats beat
-        # numpy rows of a few entries
-        runs = [lifted(*x, *w) for w in v.T.tolist()]
-        return np.array(runs[0][0] if runs else base(*x)), np.array([w for _, w in runs]).T.reshape(v.shape)
-    return step
+        return _stage_step(lambda x, _: (np.array([sys.rhs(y, u) for y, u in zip(x, uval)]), None), h)
+    return _stage_step(lambda x, lifted: (sys.rhs(x, uval), sys.rhs_jacobian(x, uval) if lifted
+                                          else None), h)
 
 
 def _rk4(step, x, v, h, n_steps: int, on_sphere: bool, t=0.0, rows=None):
-    """The one RK4 stepper: n_steps applications of step (from _segment_step)
-    of size h to the state x and, unless v is None, its fiber v.
-
-    On the sphere every step ends in _to_sphere. rows, when given, receives
-    (t, x, v) after every step; each step makes new arrays, so the rows need
-    no copies.
-    Returns (x, v, t, max_drift).
+    """The per-step RK4 stepper: n_steps applications of step (from
+    _segment_step) of size h to the state x and, unless v is None, its fiber
+    v. On the sphere every step ends in _to_sphere. rows, when given, is
+    extended by the flat row (t, x.., v..) after every step, as by the
+    polynomial segment loop. Returns (x, v, t, max_drift).
     """
     max_drift = 0.0
     for _ in range(n_steps):
@@ -474,19 +471,19 @@ def _rk4(step, x, v, h, n_steps: int, on_sphere: bool, t=0.0, rows=None):
             x, v, drift = _to_sphere(x, v, t)
             max_drift = max(max_drift, drift)
         if rows is not None:
-            rows.append((t, x, v))
+            rows += [t, *x.tolist(), *([] if v is None else v.tolist())]
     return x, v, t, max_drift
 
 
 def _integrate(sys: AffineSystem, x: np.ndarray, v, u: ControlSignal, step: float,
                rows=None):
     """Run from the validated start (x, v) over every segment of u, each on
-    its own grid with boundaries on grid nodes. rows, when given, receives
-    (t, x, v) at every grid node after the start; without rows an affine
-    segment is one power of [[M, c], [0, 1]] instead of k steps, where the
-    drift bound allows it. Returns the end (x, v) and the largest drift of a
-    step off the sphere; raises IntegrationError when the state or fiber is
-    not finite at a segment end."""
+    its own grid with boundaries on grid nodes, extending rows, unless None,
+    by the flat row (t, x.., v..) of each node after the start. Off the sphere
+    a non-affine polynomial segment is one call of its segment loop; without
+    rows an affine segment is one power of [[M, c], [0, 1]] where the drift
+    bound allows it. Returns the end (x, v) and the largest drift of a step off
+    the sphere; raises IntegrationError on a non-finite segment end."""
     if not 0.0 < step < math.inf:  # NaN fails it too
         raise ValueError(f"step must be positive and finite, got {step}")
     sys.check_signal(u)
@@ -499,7 +496,9 @@ def _integrate(sys: AffineSystem, x: np.ndarray, v, u: ControlSignal, step: floa
         parts = sys.affine_parts(uval) if rows is None else None
         if parts is not None:
             m, c = _step_map(*parts, h)
-        if parts is None or on_sphere and not _drift_bound(m, c) <= DRIFT_TOL:
+        if not on_sphere and sys._affine_terms is None and sys._polynomial_kernel is not None:
+            x, v, t, drift = *_polynomial_run(sys, uval, h)(x, v, n_steps, t, rows), 0.0
+        elif parts is None or on_sphere and not _drift_bound(m, c) <= DRIFT_TOL:
             x, v, t, drift = _rk4(_segment_step(sys, uval, h), x, v, h, n_steps,
                                   on_sphere, t, rows)
         else:
@@ -515,6 +514,16 @@ def _integrate(sys: AffineSystem, x: np.ndarray, v, u: ControlSignal, step: floa
     return x, v, max_drift
 
 
+def _recorded_run(sys: AffineSystem, x: np.ndarray, v, u: ControlSignal, step: float) -> Trajectory:
+    """The run from the validated start (x, v), its flat rows read as one
+    table of which times, states and fibers are column views."""
+    rows = [0.0, *x.tolist(), *([] if v is None else v.tolist())]
+    _, _, max_drift = _integrate(sys, x, v, u, step, rows)
+    n = x.shape[0]
+    table = np.array(rows).reshape(-1, n + 1 if v is None else 2 * n + 1)
+    return Trajectory(table[:, 0], table[:, 1:n + 1], None if v is None else table[:, n + 1:], u, max_drift)
+
+
 def integrate_base(sys: AffineSystem, x0: np.ndarray, u: ControlSignal,
                    step: float = DEFAULT_STEP) -> Trajectory:
     """Classical RK4 with fixed step, segment boundaries on grid nodes.
@@ -522,11 +531,7 @@ def integrate_base(sys: AffineSystem, x0: np.ndarray, u: ControlSignal,
     On the sphere the state is renormalized after every step; the drift off
     the manifold before renormalization is monitored and reported.
     """
-    x = np.asarray(sys.manifold.check_point(x0), dtype=float)
-    rows = [(0.0, x, None)]
-    _, _, max_drift = _integrate(sys, x, None, u, step, rows)
-    times, states, _ = zip(*rows)
-    return Trajectory(np.asarray(times), np.asarray(states), None, u, max_drift)
+    return _recorded_run(sys, np.asarray(sys.manifold.check_point(x0), dtype=float), None, u, step)
 
 
 def integrate_lifted(sys: AffineSystem, p0: TangentPoint, u: ControlSignal,
@@ -536,13 +541,7 @@ def integrate_lifted(sys: AffineSystem, p0: TangentPoint, u: ControlSignal,
     integrate_base. On the sphere the fiber is re-projected to the tangent
     plane of the new base point after every step."""
     p0.validate(sys.manifold)
-    x = np.asarray(p0.x, dtype=float)
-    v = np.asarray(p0.v, dtype=float)
-    rows = [(0.0, x, v)]
-    _, _, max_drift = _integrate(sys, x, v, u, step, rows)
-    times, states, fibers = zip(*rows)
-    return Trajectory(np.asarray(times), np.asarray(states), np.asarray(fibers), u,
-                      max_drift)
+    return _recorded_run(sys, np.asarray(p0.x, dtype=float), np.asarray(p0.v, dtype=float), u, step)
 
 
 def fiber_flow(sys: AffineSystem, x0: np.ndarray, fibers, u: ControlSignal,
@@ -571,8 +570,9 @@ def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.n
     check one, and its grid counted, first.
     Rows sharing a step count go together: on affine systems as one stacked
     power each (bitwise fiber_flow's end off the sphere; rows the drift
-    bound does not certify step), on others through the stages. A row ends
-    where integrate_base does up to rounding.
+    bound does not certify step), on other polynomial systems off the sphere
+    as one call of the segment loop on numpy columns, on others step by
+    step. A row ends where integrate_base does up to rounding.
     """
     steps = np.asarray(steps, dtype=float)
     if not np.all((steps > 0.0) & (steps < math.inf)):
@@ -591,6 +591,10 @@ def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.n
         rows = np.flatnonzero(counts == k)
         h = durations[rows] / k
         parts = sys.affine_rows(controls[rows])
+        if parts is None and not on_sphere and sys._polynomial_kernel is not None:
+            run = _polynomial_run(sys, controls[rows], h[:, None])
+            ends[rows] = run(np.tile(x, (len(rows), 1)), None, int(k), 0.0, None)[0]
+            continue
         if parts is None:
             step = _segment_step(sys, controls[rows], h[:, None])
         else:
@@ -649,27 +653,16 @@ def check_invariance(sys: AffineSystem, x: np.ndarray, s: float,
     t_req = float(t)
     if abs(t_req - u_sig.total_duration) > 1e-9:
         raise ValueError("t must equal the duration of u_sig")
-    head, _ = split_signal(v_sig, s)
-    if head.segments:
-        y_s = integrate_base(sys, x, head, step).final_state
-    else:
-        y_s = np.asarray(x, dtype=float).copy()
-    if v_sig.segments:
-        v_at_s = v_sig.value_at(min(s, v_sig.total_duration))
-    else:
-        v_at_s = u_sig.value_at(0.0)
-    w0 = sys.rhs(y_s, v_at_s)
-    if sys.manifold.kind is ManifoldKind.SPHERE2:
-        w0 = sys.manifold.project_tangent(y_s, w0)
+    y_s = integrate_base(sys, x, split_signal(v_sig, s)[0], step).final_state
+    v_at_s = v_sig.value_at(min(s, v_sig.total_duration)) if v_sig.segments else u_sig.value_at(0.0)
+    w0 = sys.manifold.project_tangent(y_s, sys.rhs(y_s, v_at_s))  # a copy on flat space
     left = integrate_lifted(sys, TangentPoint(y_s, w0), u_sig, step).final_point
 
     w_sig = concat(v_sig, s, u_sig)
     right_traj = integrate_base(sys, x, w_sig, step)
     y_end = right_traj.final_state
     w_end_value = w_sig.value_at(w_sig.total_duration)
-    fiber_right = sys.rhs(y_end, w_end_value)
-    if sys.manifold.kind is ManifoldKind.SPHERE2:
-        fiber_right = sys.manifold.project_tangent(y_end, fiber_right)
+    fiber_right = sys.manifold.project_tangent(y_end, sys.rhs(y_end, w_end_value))
 
     base_dev = sys.manifold.base_distance(left.x, y_end)
     fiber_dev = float(np.linalg.norm(left.v - fiber_right))

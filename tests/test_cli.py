@@ -12,6 +12,7 @@ DEFS = Path(__file__).resolve().parent.parent / "defs"
 LINE = str(DEFS / "line_shift.json")
 FLAT = str(DEFS / "flat_rotation.json")
 SPHERE = str(DEFS / "sphere_rotation.json")
+DUFFING = str(DEFS.parent / "perfbench" / "defs" / "duffing.json")
 
 
 def run_cli(args, capsys):
@@ -398,10 +399,11 @@ def test_simulate_rejects_non_finite_inputs(capsys, args):
 
 
 def refuse_stepping(monkeypatch):
-    """Make any step or matrix power fail the test."""
+    """Make any step, polynomial segment loop or matrix power fail the test."""
     def refuse(*args, **kwargs):
         raise AssertionError("stepped before the step was refused")
     monkeypatch.setattr(flow, "_rk4", refuse)
+    monkeypatch.setattr(flow, "_polynomial_run", refuse)
     monkeypatch.setattr(flow, "_power", refuse)
 
 
@@ -426,6 +428,7 @@ def test_simulate_step_is_named_and_its_grid_capped(capsys, monkeypatch, step, m
     (FLAT, ["simulate", "--x0", "1,0", "--lifted", "0,1", "--control", "[[1,[0.5]]]"]),
     (FLAT, ["check", "--suite", "flow"]),
     (LINE, ["chain", "--source=0;0", "--target=3;-5", "--eps", "0.05"]),
+    (DUFFING, ["simulate", "--x0", "0.4,-0.3", "--lifted", "1,0.5", "--control", "[[1,[0.5]]]"]),
 ])
 def test_definition_step_past_the_grid_cap_is_named(tmp_path, capsys, monkeypatch, path,
                                                      args):

@@ -344,13 +344,16 @@ def test_polynomial_partials_serve_brackets_lifts_and_tables(case):
     close(flatten_lift(x_field)(np.concatenate([x, v])),
           np.concatenate([x_field(x), x_field.jacobian(x) @ v]),
           np.concatenate([mx(ax), mx.jacobian(ax) @ np.abs(v)]))
-    # the kernel under one field's coefficients is the RK4 step of that field
+    # the kernel's one-step segment under one field's coefficients is the
+    # RK4 step of that field, and records its flat row
     table, bind = polynomial_kernel((x_field, y_field, affine), len(x))
     h = 1e-3
     for f, (fld, major) in enumerate(((x_field, mx), (y_field, my))):
         base, lifted = bind(h, table[f].tolist())
-        got_x, got_v = lifted(*x.tolist(), *v.tolist())
-        assert base(*x.tolist()) == got_x
+        rows = []
+        got_x, got_v, t = lifted(1, 0.0, rows, *x.tolist(), *v.tolist())
+        assert base(1, 0.0, None, *x.tolist()) == (got_x, None, t) and t == h
+        assert rows == [t, *got_x, *got_v]
         want_x, want_v = _stage_step(lambda y, lifted: (fld(y), fld.jacobian(y)), h)(x, v)
         close(np.array(got_x), want_x, ax + h * major(ax))
         close(np.array(got_v), want_v, np.abs(v) + h * major.jacobian(ax) @ np.abs(v))

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -410,6 +410,148 @@ def test_kernel_matches_stages_on_random_polynomial_fields(case):
     """On random polynomial fields the generated kernel takes the same RK4
     stages as the bare callables, within 1e-12 relative."""
     assert_kernel_matches_stages(*case)
+
+
+def single_step_kernel(fields, n):
+    """The one-step kernel polynomial systems stepped by before the segment
+    loop, kept here as the per-step reference: (table, bind) with
+    bind(h, c @ table) -> (base, lifted), base(x0, ..) -> (x0, ..) and
+    lifted(x0, .., v0, ..) -> ((x0, ..), (v0, ..)), one RK4 step each on
+    Python floats or numpy columns."""
+    polys = [[*fld.components, *(p for row in fld._partials for p in row)] for fld in fields]
+    slots = list(dict.fromkeys((i, e) for fp in polys for i, poly in enumerate(fp) for _, e in poly))
+    index = {slot: k for k, slot in enumerate(slots)}
+    table = np.zeros((len(fields), len(slots)))
+    for f, fld_polys in enumerate(polys):
+        for i, poly in enumerate(fld_polys):
+            table[f, [index[i, e] for _, e in poly]] = [coeff for coeff, _ in poly]
+    terms = [[k for k, (p, _) in enumerate(slots) if p == i] for i in range(n + n * n)]
+    x, v, base, lifted = [f"x{i}" for i in range(n)], [f"v{i}" for i in range(n)], [], []
+    for s, scale in enumerate(("", "h2", "h2", "h"), 1):
+        y, w = (x, v) if s == 1 else ([f"y{s}_{i}" for i in range(n)], [f"w{s}_{i}" for i in range(n)])
+        lines = [f"{y[i]} = {x[i]} + {scale}*k{s - 1}_{i}" for i in range(n) if s > 1]
+        powers = {}
+
+        def power(i, e):
+            if e > 1 and (i, e) not in powers:
+                half = power(i, e // 2)
+                lines.append(f"p{s}_{i}_{e} = {half}*{half}" + (f"*{y[i]}" if e % 2 else ""))
+                powers[i, e] = f"p{s}_{i}_{e}"
+            return powers[i, e] if e > 1 else y[i]
+
+        def value(p):
+            return " + ".join("*".join([f"c{k}", *(power(i, e) for i, e in enumerate(slots[k][1]) if e)])
+                              for k in terms[p])
+        lines += [f"k{s}_{i} = {value(i) or '0.0'}" for i in range(n)]
+        base += lines
+        lines += [f"{w[i]} = {v[i]} + {scale}*kv{s - 1}_{i}" for i in range(n) if s > 1]
+        lines += [f"kv{s}_{i} = " + (" + ".join(f"({value(n + i * n + j)})*{w[j]}" for j in range(n)
+                                                 if terms[n + i * n + j]) or "0.0") for i in range(n)]
+        lifted += lines
+
+    def combine(y, k):
+        return "(" + "".join(f"{y[i]} + h6*({k}1_{i} + 2.0*{k}2_{i} + 2.0*{k}3_{i} + {k}4_{i}), "
+                             for i in range(n)) + ")"
+    body = "\n        ".join
+    source = (f"def bind(h, c):\n    ({''.join(f'c{k}, ' for k in range(len(slots)))}) = c\n"
+              f"    h2, h6 = 0.5 * h, h / 6.0\n"
+              f"    def base({', '.join(x)}):\n        {body(base)}\n        return {combine(x, 'k')}\n"
+              f"    def lifted({', '.join(x + v)}):\n        {body(lifted)}\n"
+              f"        return {combine(x, 'k')}, {combine(v, 'kv')}\n    return base, lifted\n")
+    scope: dict = {}
+    exec(compile(source, "<single-step kernel>", "exec"), scope)
+    return table, scope["bind"]
+
+
+def stepped_rows(kernel, x0, fibers, u, step):
+    """The rows (t, x.., v.. of each fiber column) of the run from x0 under
+    u on the grid of _integrate, one call of single_step_kernel's steps per
+    step and column; fibers is None or an (n, k) matrix, k = 0 included."""
+    table, bind = kernel
+    x, cols = list(x0), [] if fibers is None else np.asarray(fibers).T.tolist()
+    rows, t = [[0.0, *x, *(w for col in cols for w in col)]], 0.0
+    for duration, uval in u.segments:
+        n_steps, h = flow._segment_grid(duration, step)
+        base, lifted = bind(h, (np.insert(uval, 0, 1.0) @ table).tolist())
+        for _ in range(n_steps):
+            cols = [list(w) for _, w in (lifted(*x, *col) for col in cols)]
+            x = list(base(*x))
+            t = t + h
+            rows.append([t, *x, *(w for col in cols for w in col)])
+    return np.array(rows)
+
+
+@st.composite
+def polynomial_runs(draw):
+    """A random flat polynomial system on R^1 to R^3 with a start point, a
+    fiber matrix of 0 to 2 columns, a signal of 1 to 4 segments of 1 to 4
+    steps of 1e-3 (1-step and shortened last steps included), and a batch
+    of constant controls with mixed step counts."""
+    sys, x0, v0, _ = draw(random_polynomial_system())
+    assume(sys._affine_terms is None)  # affine systems step by the step map
+    n, m = len(x0), sys.n_controls
+    unit = st.floats(-1.0, 1.0)
+    duration = st.sampled_from([1e-3, 0.4e-3, 2e-3, 2.7e-3, 4e-3])
+    values = st.lists(unit, min_size=m, max_size=m)
+    u = ControlSignal(tuple(draw(st.lists(st.tuples(duration, values), min_size=1, max_size=4))))
+    k = draw(st.integers(0, 2))
+    fibers = np.array(draw(st.lists(unit, min_size=n * k, max_size=n * k))).reshape(n, k)
+    batch = draw(st.lists(st.tuples(values, duration, st.sampled_from([1e-3, 2e-3])),
+                          min_size=1, max_size=5))
+    return sys, np.array(x0), np.array(v0), fibers, u, batch
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=polynomial_runs())
+def test_segment_loop_matches_single_steps_bitwise(case):
+    """Every polynomial run off the sphere takes one generated loop call per
+    segment (per fiber column, per batch on numpy columns); it gives bitwise
+    the rows, t column included, and end points of one single-step kernel
+    call per step: integrate_base, integrate_lifted, fiber_flow with a
+    vector, an (n, k) and an (n, 0) matrix, and constant_control_endpoints
+    rows."""
+    sys, x0, v0, fibers, u, batch = case
+    n = len(x0)
+    kernel = single_step_kernel((sys.drift, *sys.controlled), n)
+    want = stepped_rows(kernel, x0, v0[:, None], u, 1e-3)
+    base, lifted = integrate_base(sys, x0, u, 1e-3), integrate_lifted(sys, TangentPoint(x0, v0), u, 1e-3)
+    assert np.array_equal(base.times, want[:, 0]) and np.array_equal(lifted.times, want[:, 0])
+    assert np.array_equal(base.states, want[:, 1:n + 1]) and np.array_equal(lifted.states, want[:, 1:n + 1])
+    assert np.array_equal(lifted.fibers, want[:, n + 1:])
+    for carried in (v0, fibers, np.zeros((n, 0))):
+        end = stepped_rows(kernel, x0, carried.reshape(n, -1), u, 1e-3)[-1]
+        x_end, v_end = fiber_flow(sys, x0, carried, u, 1e-3)
+        assert np.array_equal(x_end, end[1:n + 1])
+        assert v_end.shape == carried.shape
+        assert np.array_equal(v_end.T.ravel(), end[n + 1:])
+    # a batch groups rows by step count and combines their coefficients in
+    # one matrix product; the single steps then run on the numpy columns
+    controls, durations, steps = (np.array(column) for column in zip(*batch))
+    ends = constant_control_endpoints(sys, x0, controls, durations, steps)
+    counts = np.array([flow._segment_grid(d, s)[0] for d, s in zip(durations, steps)])
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        base, _ = kernel[1](durations[rows] / k, (np.insert(controls[rows], 0, 1.0, axis=-1) @ kernel[0]).T)
+        columns = np.tile(x0, (len(rows), 1)).T
+        for _ in range(k):
+            columns = base(*columns)
+        assert np.array_equal(ends[rows], np.array(columns).T)
+
+
+def test_overflow_inside_a_segment_loop_raises_at_the_segment_end():
+    """On duffing.json from x0 = (1e100, 1) under u = 0.3 for 1 s the state
+    overflows in the first of 1000 steps that one loop call takes. The run
+    raises IntegrationError at the segment end, with the time per-step
+    stepping gave, and returns no partial trajectory; so do a fiber vector
+    and a fiber matrix carried by fiber_flow."""
+    sys = SystemDefinition.load(DUFFING).system
+    u = ControlSignal.constant([0.3], 1.0)
+    x0 = [1e100, 1.0]
+    runs = [lambda: integrate_base(sys, x0, u), lambda: integrate_lifted(sys, TangentPoint(x0, [1.0, 0.0]), u),
+            lambda: fiber_flow(sys, x0, [1.0, 0.0], u), lambda: fiber_flow(sys, x0, np.eye(2), u)]
+    for run in runs:
+        with pytest.raises(IntegrationError, match=r"^state or fiber not finite at t=1\.0000000000000007$"):
+            run()
 
 
 def test_code_like_field_names_never_reach_the_kernel():
