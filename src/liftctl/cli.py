@@ -371,6 +371,8 @@ def cmd_chain(args) -> int:
     n = defn.manifold.ambient_dim
     _positive("--eps", args.eps)
     _positive("--T", args.T)
+    if args.max_legs is not None and args.max_legs < 1:
+        raise DefinitionError("--max-legs", f"must be at least 1, got {args.max_legs}")
     source = _parse_tangent(args.source, n, "--source") if args.source is not None else None
     target = _parse_tangent(args.target, n, "--target") if args.target is not None else None
     if args.verify_only:

@@ -278,9 +278,17 @@ def polynomial_kernel(fields, n: int):
                 f"{'None, ' * (2 - len(ends))}t\n")  # no fiber for the base loop
     source = ("def bind(h, c):\n" + loop("base", base, (x, "k")) + loop("lifted", lifted, (x, "k"), (v, "kv"))
               + "    return base, lifted\n")
+    return table, _compiled_bind(source)
+
+
+@functools.cache
+def _compiled_bind(source: str):
+    """The bind function of a generated kernel source. The source holds no
+    coefficient, only the monomial slots, so systems that share them, such
+    as every load of one definition, compile it once per process."""
     scope: dict = {}
     exec(compile(source, "<polynomial kernel>", "exec"), scope)
-    return table, scope["bind"]
+    return scope["bind"]
 
 
 class ScalarField:

@@ -1,39 +1,39 @@
 """Affine control systems, piecewise-constant control signals, fixed-step
 integration of the base and lifted dynamics, and the flow-level checks.
 
-Base runs, lifted runs (a fiber vector), fiber transitions (a matrix of
-fiber columns) and batches of constant-control candidates all go through one
-RK4 stepper, so the base component of a lifted trajectory is bitwise
-identical to the plain base trajectory on the shared grid by construction.
-Control-segment boundaries always land on grid nodes. Runs that record rows
-(integrate_base, integrate_lifted) step every node; end-point runs
-(fiber_flow, and constant_control_endpoints stacked over its candidates)
-take each affine segment as one matrix power.
+Every run is classical RK4 on a grid whose nodes include the control-segment
+boundaries, and one driver, _advance, advances every segment of every run:
+base runs, lifted runs (a fiber vector), fiber transitions (a matrix of
+fiber columns) and batches of constant-control candidates (rows of one
+stacked state). The base component of a lifted trajectory is therefore
+bitwise the plain base trajectory on the shared grid. The driver picks one
+of four ways per segment.
 
-When every field of the system is affine (a polynomial field of degree at
-most one, such as a linear or constant field), the right-hand side on a
-segment with control value u is f(x) = A x + b, and one classical RK4 step
-of size h is exactly the affine map x -> M x + c with
-S = h (I + hA/2 + (hA)^2/6 + (hA)^3/24), M = I + S A and c = S b; the
-variational step is v -> M v. The stepper then builds (M, c) once per segment
-and advances by matmul instead of four stage evaluations. The iterates are
-the same RK4 iterates up to rounding, and so is the k-step end point, the
-k-th power of [[M, c], [0, 1]] applied to (x, 1) by repeated squaring
-(Higham, Functions of Matrices, 2008, §4.1). Other fields take the four
-stages. On the sphere a power is renormalized and its fiber re-projected
-once, at its end: scaling commutes with the linear map, and the per-step
-projections remove only O(h^5) normal parts. It is taken only when
-g = ||M^T M - I||_F + ||c|| <= DRIFT_TOL, which bounds the drift
-|(||M y + c|| - 1)| <= |y^T (M^T M - I) y| + ||c|| of each step from a unit y,
-so only NaN raises; other segments step, and every verdict is the stepper's.
+- Power. When every field is affine (a polynomial field of degree at most
+  one, such as a linear or constant field), f(x) = A x + b on a segment and
+  one RK4 step of size h is exactly x -> M x + c with
+  S = h (I + hA/2 + (hA)^2/6 + (hA)^3/24), M = I + S A and c = S b; the
+  variational step is v -> M v. A run that records no rows (fiber_flow,
+  constant_control_endpoints) takes a segment's k steps as the k-th power
+  of [[M, c], [0, 1]] applied to (x, 1) by repeated squaring (Higham,
+  Functions of Matrices, 2008, §4.1): the RK4 end point up to rounding. On
+  the sphere it is renormalized and its fiber re-projected once, at its
+  end (scaling commutes with the linear map, and the per-step projections
+  remove only O(h^5) normal parts). It is taken there only when
+  g = ||M^T M - I||_F + ||c|| <= DRIFT_TOL, which bounds the drift
+  |(||M y + c|| - 1)| <= |y^T (M^T M - I) y| + ||c|| of each step from a
+  unit y; so only NaN raises, and every verdict is the stepper's.
+- Step map. A single affine state that records rows, or whose power g does
+  not certify, steps by (M, c).
+- Kernel loop. Other polynomial systems, and the uncertified rows of an
+  affine batch, run the system's generated kernel (fields.polynomial_kernel):
+  a loop over a segment's RK4 steps on Python floats, or on the numpy
+  columns of a batch. Off the sphere a segment is one call, one per column
+  of a fiber matrix; on it, one call per step, to renormalize in between.
+- Stages. Bare-callable fields step through rhs and rhs_jacobian.
 
-Other polynomial systems run by one generated kernel per system
-(fields.polynomial_kernel), compiled on the first such segment: a loop over
-a segment's RK4 steps on Python floats, or on the numpy columns of a batch,
-bound to the segment's h and coefficients. Off the sphere a segment is one
-call, one per column of a fiber matrix; on it, one call per step, to
-renormalize between steps. Bare-callable fields step through rhs and
-rhs_jacobian. Every run records its rows as one flat list of floats.
+_rk4 is the one per-step loop. Every run records its rows as one flat list
+of floats.
 """
 
 from __future__ import annotations
@@ -404,62 +404,21 @@ def _drift_bound(m: np.ndarray, c: np.ndarray):
 
 def _power(m: np.ndarray, c: np.ndarray, k: int, x: np.ndarray, v):
     """(M^k x + c_k, M^k v or None) from the k-th power of [[M, c], [0, 1]]
-    by repeated squaring, for one map (M, c) or per map of a stack."""
+    by repeated squaring, for one map (M, c) and state x (n,), or per map of
+    a stack and row of x (B, n)."""
     n = m.shape[-1]
     power = np.zeros((*m.shape[:-2], n + 1, n + 1))
     power[..., :n, :n], power[..., :n, n], power[..., n, n] = m, c, 1.0
     power = np.linalg.matrix_power(power, k)
-    return power[..., :n, :n] @ x + power[..., :n, n], None if v is None else power[..., :n, :n] @ v
-
-
-def _polynomial_run(sys: AffineSystem, uval: np.ndarray, h):
-    """The system's fields.polynomial_kernel bound to h and the coefficients
-    under uval, as run(x, v, n_steps, t, rows) -> (x, v, t): one call of the
-    segment loop on Python floats for a state (n,) and fiber None or (n,),
-    one per column of a fiber (n, k) (each gives the same state bitwise), or,
-    with uval (B, m) and h (B, 1), one on the numpy columns of rows (B, n)."""
-    table, bind = sys._polynomial_kernel
-    coeffs = np.insert(uval, 0, 1.0, axis=-1) @ table
-    base, lifted = bind(h[:, 0], coeffs.T) if uval.ndim == 2 else bind(h, coeffs.tolist())
-
-    def run(x, v, n_steps, t, rows):
-        if x.ndim == 2:  # a batch of rows, on numpy columns
-            x, _, t = base(n_steps, t, None, *x.T)
-            return np.array(x).T, None, t
-        x = x.tolist()
-        if v is not None and v.ndim == 2:
-            runs = [lifted(n_steps, t, None, *x, *w) for w in v.T.tolist()] or [base(n_steps, t, None, *x)]
-            fibers = np.array([w for _, w, _ in runs if w is not None]).T.reshape(v.shape)
-            return np.array(runs[0][0]), fibers, runs[0][2]
-        x, v, t = base(n_steps, t, rows, *x) if v is None else lifted(n_steps, t, rows, *x, *v.tolist())
-        return np.array(x), None if v is None else np.array(v), t
-    return run
-
-
-def _segment_step(sys: AffineSystem, uval: np.ndarray, h):
-    """The RK4 step of size h under the constant control uval, as a map
-    (x, v) -> (x, v) of one state (n,) and its fiber (n,) or (n, k), or with
-    uval (B, m) and h (B, 1) of rows (B, n) and no fiber. A single state of
-    an affine system steps by the map of _step_map, other polynomial systems
-    by one-step runs of _polynomial_run, bare callables by the four stages
-    through rhs and rhs_jacobian; each is set up once here."""
-    parts = sys.affine_parts(uval) if uval.ndim == 1 else None
-    if parts is not None:
-        m, c = _step_map(*parts, h)
-        return lambda x, v: (m @ x + c, None if v is None else m @ v)
-    if sys._polynomial_kernel is not None:
-        run = _polynomial_run(sys, uval, h)
-        return lambda x, v: run(x, v, 1, 0.0, None)[:2]
-    if uval.ndim == 2:
-        return _stage_step(lambda x, _: (np.array([sys.rhs(y, u) for y, u in zip(x, uval)]), None), h)
-    return _stage_step(lambda x, lifted: (sys.rhs(x, uval), sys.rhs_jacobian(x, uval) if lifted
-                                          else None), h)
+    if x.ndim == 2:
+        return (power[:, :n, :n] @ x[:, :, None])[:, :, 0] + power[:, :n, n], None
+    return power[:n, :n] @ x + power[:n, n], None if v is None else power[:n, :n] @ v
 
 
 def _rk4(step, x, v, h, n_steps: int, on_sphere: bool, t=0.0, rows=None):
-    """The per-step RK4 stepper: n_steps applications of step (from
-    _segment_step) of size h to the state x and, unless v is None, its fiber
-    v. On the sphere every step ends in _to_sphere. rows, when given, is
+    """The per-step RK4 stepper: n_steps applications of step, a map
+    (x, v) -> (x, v) of size h, to the state x and, unless v is None, its
+    fiber v. On the sphere every step ends in _to_sphere. rows, when given, is
     extended by the flat row (t, x.., v..) after every step, as by the
     polynomial segment loop. Returns (x, v, t, max_drift).
     """
@@ -475,15 +434,79 @@ def _rk4(step, x, v, h, n_steps: int, on_sphere: bool, t=0.0, rows=None):
     return x, v, t, max_drift
 
 
+def _advance(sys: AffineSystem, uval: np.ndarray, h, n_steps: int, x: np.ndarray, v, t, rows,
+             on_sphere: bool):
+    """n_steps RK4 steps of size h under the constant control uval, from one
+    state x (n,) with fiber v None, (n,) or (n, k), extending rows unless
+    None as _rk4 does, or from a stack of rows x (B, n) with uval (B, m),
+    h (B,) and v None. The one place that picks how a segment advances:
+    - an affine segment without rows is one _power, on the sphere only where
+      _drift_bound certifies it (a batch it certifies in part runs as two);
+    - a single affine state that must step steps by the map of _step_map;
+    - other polynomial segments, and an uncertified affine batch, run the
+      generated kernel loop (fields.polynomial_kernel): one call off the
+      sphere, one per column of a fiber matrix (each gives the same state
+      bitwise), and one step per call on the sphere;
+    - bare callables take the four stages through rhs and rhs_jacobian.
+    Returns (x, v, t, the largest drift of a step off the sphere).
+    """
+    batch = x.ndim == 2
+    parts = sys.affine_rows(uval) if batch else sys.affine_parts(uval)
+    if parts is not None:
+        m, c = _step_map(*parts, h[:, None, None] if batch else h)
+        power = rows is None and (not on_sphere or _drift_bound(m, c) <= DRIFT_TOL)
+        if batch:
+            power = np.broadcast_to(power, h.shape)
+            if power.any() and not power.all():  # two batches: one takes the power, one steps
+                ends = np.empty_like(x)
+                for part in (power, ~power):
+                    ends[part], _, _, drift = _advance(sys, uval[part], h[part], n_steps, x[part],
+                                                       None, t, None, on_sphere)
+                return ends, None, t + n_steps * h, drift
+            power = power.all()
+        if power:
+            x, v = _power(m, c, n_steps, x, v)
+            t = t + n_steps * h
+            if on_sphere:  # certified: only NaN raises
+                x, v, _ = _to_sphere(x, v, t, math.inf)
+            return x, v, t, 0.0
+    if parts is not None and not batch:
+        step = lambda y, w: (m @ y + c, None if w is None else m @ w)
+    elif sys._polynomial_kernel is not None:
+        table, bind = sys._polynomial_kernel
+        coeffs = np.insert(uval, 0, 1.0, axis=-1) @ table
+        base, lifted = bind(h, coeffs.T) if batch else bind(h, coeffs.tolist())
+
+        def run(x, v, n_steps, t, rows):
+            if batch:  # on the numpy columns of the rows
+                x, _, t = base(n_steps, t, None, *x.T)
+                return np.array(x).T, None, t
+            x = x.tolist()
+            if v is not None and v.ndim == 2:
+                runs = [lifted(n_steps, t, None, *x, *w) for w in v.T.tolist()] or [base(n_steps, t, None, *x)]
+                fibers = np.array([w for _, w, _ in runs if w is not None]).T.reshape(v.shape)
+                return np.array(runs[0][0]), fibers, runs[0][2]
+            x, v, t = base(n_steps, t, rows, *x) if v is None else lifted(n_steps, t, rows, *x, *v.tolist())
+            return np.array(x), None if v is None else np.array(v), t
+        if not on_sphere:
+            return *run(x, v, n_steps, t, rows), 0.0
+        step = lambda y, w: run(y, w, 1, 0.0, None)[:2]
+    elif batch:
+        step = _stage_step(lambda y, _: (np.array([sys.rhs(z, u) for z, u in zip(y, uval)]), None),
+                           h[:, None])
+    else:
+        step = _stage_step(lambda y, lifted: (sys.rhs(y, uval), sys.rhs_jacobian(y, uval) if lifted
+                                              else None), h)
+    return _rk4(step, x, v, h, n_steps, on_sphere, t, rows)
+
+
 def _integrate(sys: AffineSystem, x: np.ndarray, v, u: ControlSignal, step: float,
                rows=None):
     """Run from the validated start (x, v) over every segment of u, each on
-    its own grid with boundaries on grid nodes, extending rows, unless None,
-    by the flat row (t, x.., v..) of each node after the start. Off the sphere
-    a non-affine polynomial segment is one call of its segment loop; without
-    rows an affine segment is one power of [[M, c], [0, 1]] where the drift
-    bound allows it. Returns the end (x, v) and the largest drift of a step off
-    the sphere; raises IntegrationError on a non-finite segment end."""
+    its own grid with boundaries on grid nodes and advanced by _advance,
+    extending rows, unless None, by the flat row (t, x.., v..) of each node
+    after the start. Returns the end (x, v) and the largest drift of a step
+    off the sphere; raises IntegrationError on a non-finite segment end."""
     if not 0.0 < step < math.inf:  # NaN fails it too
         raise ValueError(f"step must be positive and finite, got {step}")
     sys.check_signal(u)
@@ -492,20 +515,8 @@ def _integrate(sys: AffineSystem, x: np.ndarray, v, u: ControlSignal, step: floa
     on_sphere = sys.manifold.kind is ManifoldKind.SPHERE2
     t = 0.0
     max_drift = 0.0
-    for (duration, uval), (n_steps, h) in zip(u.segments, grid):
-        parts = sys.affine_parts(uval) if rows is None else None
-        if parts is not None:
-            m, c = _step_map(*parts, h)
-        if not on_sphere and sys._affine_terms is None and sys._polynomial_kernel is not None:
-            x, v, t, drift = *_polynomial_run(sys, uval, h)(x, v, n_steps, t, rows), 0.0
-        elif parts is None or on_sphere and not _drift_bound(m, c) <= DRIFT_TOL:
-            x, v, t, drift = _rk4(_segment_step(sys, uval, h), x, v, h, n_steps,
-                                  on_sphere, t, rows)
-        else:
-            x, v = _power(m, c, n_steps, x, v)
-            t, drift = t + duration, 0.0
-            if on_sphere:  # certified: only NaN raises
-                x, v, _ = _to_sphere(x, v, t, math.inf)
+    for (_, uval), (n_steps, h) in zip(u.segments, grid):
+        x, v, t, drift = _advance(sys, uval, h, n_steps, x, v, t, rows, on_sphere)
         max_drift = max(max_drift, drift)
         # a non-finite value stays non-finite under the steps, so one test
         # per segment catches every overflow and NaN
@@ -567,12 +578,10 @@ def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.n
     controls[r] (controls (B, m)) held for durations[r] on the grid
     integrate_base would use with step steps[r]; the steps are checked as
     _integrate checks one, the batch as a ControlSignal and check_signal
-    check one, and its grid counted, first.
-    Rows sharing a step count go together: on affine systems as one stacked
-    power each (bitwise fiber_flow's end off the sphere; rows the drift
-    bound does not certify step), on other polynomial systems off the sphere
-    as one call of the segment loop on numpy columns, on others step by
-    step. A row ends where integrate_base does up to rounding.
+    check one, and its grid counted, first. Rows sharing a step count go
+    through _advance together, as one stacked state; off the sphere a row
+    ends bitwise where fiber_flow ends, and on it where integrate_base does
+    up to rounding.
     """
     steps = np.asarray(steps, dtype=float)
     if not np.all((steps > 0.0) & (steps < math.inf)):
@@ -589,25 +598,8 @@ def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.n
     ends = np.empty((len(durations), x.shape[0]))
     for k in np.unique(counts):
         rows = np.flatnonzero(counts == k)
-        h = durations[rows] / k
-        parts = sys.affine_rows(controls[rows])
-        if parts is None and not on_sphere and sys._polynomial_kernel is not None:
-            run = _polynomial_run(sys, controls[rows], h[:, None])
-            ends[rows] = run(np.tile(x, (len(rows), 1)), None, int(k), 0.0, None)[0]
-            continue
-        if parts is None:
-            step = _segment_step(sys, controls[rows], h[:, None])
-        else:
-            m, c = _step_map(*parts, h[:, None, None])
-            ok = _drift_bound(m, c) <= DRIFT_TOL if on_sphere else np.full(len(rows), True)
-            if ok.any():  # certified on the sphere, so only NaN raises
-                done, _ = _power(m[ok], c[ok], int(k), x, None)
-                ends[rows[ok]] = _to_sphere(done, None, durations[rows], math.inf)[0] if on_sphere else done
-            rows, h, m, c = rows[~ok], h[~ok], m[~ok], c[~ok]
-            step = lambda y, v: ((m @ y[:, :, None])[:, :, 0] + c, v)
-        if len(rows):
-            ends[rows] = _rk4(step, np.tile(x, (len(rows), 1)), None, h[:, None], int(k),
-                              on_sphere)[0]
+        ends[rows] = _advance(sys, controls[rows], durations[rows] / k, int(k),
+                              np.tile(x, (len(rows), 1)), None, 0.0, None, on_sphere)[0]
     return ends
 
 

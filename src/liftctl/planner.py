@@ -511,6 +511,8 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
     """
     if epsilon <= 0.0 or min_duration <= 0.0:
         raise ValueError("epsilon and T must be positive")
+    if max_legs is not None and max_legs < 1:
+        raise ValueError(f"max_legs must be at least 1, got {max_legs}")
     source.validate(sys.manifold)
     target.validate(sys.manifold)
     m = sys.manifold

@@ -399,11 +399,11 @@ def test_simulate_rejects_non_finite_inputs(capsys, args):
 
 
 def refuse_stepping(monkeypatch):
-    """Make any step, polynomial segment loop or matrix power fail the test."""
+    """Make any segment, step or matrix power fail the test."""
     def refuse(*args, **kwargs):
         raise AssertionError("stepped before the step was refused")
     monkeypatch.setattr(flow, "_rk4", refuse)
-    monkeypatch.setattr(flow, "_polynomial_run", refuse)
+    monkeypatch.setattr(flow, "_advance", refuse)
     monkeypatch.setattr(flow, "_power", refuse)
 
 
@@ -444,6 +444,22 @@ def test_definition_step_past_the_grid_cap_is_named(tmp_path, capsys, monkeypatc
     code, out, err = run_cli([args[0], str(tiny), *args[1:]], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: step: the grid has more than MAX_GRID_STEPS")
+
+
+@pytest.mark.parametrize("legs", ["0", "-3"])
+@pytest.mark.parametrize("args", [["--source=0;0", "--target=0;0.1"],
+                                  ["--source=0;0", "--target=3;-5"],
+                                  ["--verify-only", "chain.json"]])
+def test_chain_max_legs_below_one_is_named(capsys, monkeypatch, args, legs):
+    """--max-legs 0 or -3 used to print a verified 1-leg chain for a pair
+    within reach (the single-leg shortcut ignored the budget), "no chain
+    within -3 legs" with exit 1 for a farther pair, and to pass unread with
+    --verify-only; each now exits 2 naming --max-legs before any
+    integration or file read."""
+    refuse_stepping(monkeypatch)
+    code, out, err = run_cli(["chain", LINE, *args, f"--max-legs={legs}"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --max-legs: must be at least 1, got {legs}")
 
 
 def test_chain_missing_source(capsys):

@@ -30,11 +30,10 @@ from liftctl import (
     shift,
     zero_field,
 )
-from liftctl import flow
+from liftctl import fields, flow
 from liftctl.cli import SystemDefinition
 from liftctl.flow import (
-    _rk4,
-    _segment_step,
+    _advance,
     constant_control_endpoints,
     fiber_flow,
     split_signal,
@@ -619,26 +618,40 @@ def test_polynomial_runs_never_call_the_field_evaluators(monkeypatch):
     assert ends.shape == (3, 2) and np.all(np.isfinite(ends))
 
 
+def test_kernel_source_compiles_once_per_process(monkeypatch):
+    """Each load of a definition builds its own kernel, but the generated
+    source holds no coefficient: two loads of duffing.json compile it once
+    and share its bind function."""
+    fields._compiled_bind.cache_clear()
+    sources = []
+
+    def counting_compile(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+    monkeypatch.setattr(fields, "compile", counting_compile, raising=False)
+    kernels = [SystemDefinition.load(DUFFING).system._polynomial_kernel for _ in range(2)]
+    assert len(sources) == 1
+    assert kernels[0][1] is kernels[1][1]
+
+
 @pytest.mark.parametrize("make_sys", [
     sphere_bilinear_system,
     lambda: stage_copy(sphere_bilinear_system()),
 ])
 def test_nan_state_on_sphere_raises(make_sys):
     """A NaN state fails the drift test (NaN compares false) on both paths,
-    in single runs (by the map or the stages) and in row batches (by the
-    stages: constant_control_endpoints takes affine rows as powers). The
-    entry points reject a NaN start before stepping
-    (test_non_finite_start_raises), so the state goes to the stepper
+    in a single run that records rows (by the map or the stages) and in a row
+    batch (by a certified power, which raises only on NaN, or by the
+    stages). The entry points reject a NaN start before stepping
+    (test_non_finite_start_raises), so the state goes to the driver
     directly."""
     sys = make_sys()
     h = 1e-3
     with pytest.raises(IntegrationError):
-        _rk4(_segment_step(sys, np.array([0.0]), h), np.array([np.nan, 0.0, 0.0]), None,
-             h, 10, True)
-    rows_h = np.full((2, 1), h)
+        _advance(sys, np.array([0.0]), h, 10, np.array([np.nan, 0.0, 0.0]), None, 0.0, [], True)
     with pytest.raises(IntegrationError):
-        _rk4(_segment_step(sys, np.array([[0.5], [-0.5]]), rows_h),
-             np.tile([np.nan, 0.0, 0.0], (2, 1)), None, rows_h, 10, True)
+        _advance(sys, np.array([[0.5], [-0.5]]), np.full(2, h), 10,
+                 np.tile([np.nan, 0.0, 0.0], (2, 1)), None, 0.0, None, True)
 
 
 @pytest.mark.parametrize("manifold", [Manifold.flat(3), Manifold.sphere2()])
@@ -771,20 +784,30 @@ def test_segment_power_checks_as_the_stepper_does():
             fiber_flow(sphere, x, bad, ControlSignal.empty())
 
 
-@pytest.mark.parametrize("n,constant_drift", [(1, False), (2, True), (3, False)])
-def test_batched_powers_match_fiber_flow_bitwise(n, constant_drift, monkeypatch):
+@pytest.mark.parametrize("case", [
+    *(pytest.param(case, id=f"{case[0]}-{case[1]}") for case in ((1, False), (2, True), (3, False))),
+    *(f"{prefix}{make.__name__}" for prefix in ("", "bare-") for make, _, _ in POLYNOMIAL_CASES[:2]),
+])
+def test_batched_powers_match_fiber_flow_bitwise(case, monkeypatch):
     """On flat space a batch of constant controls ends, row for row, bitwise
-    where fiber_flow ends under each row's constant control: mixed step
-    counts, two channels, c != 0, one stacked power per step count and no
-    step."""
-    rng = np.random.default_rng(40 + n)
-    sys = random_affine_system(n, constant_drift, rng)
-    x0 = rng.normal(size=n)
-    controls = rng.uniform(-1.0, 1.0, size=(12, 2))
+    where fiber_flow ends under each row's constant control, with mixed step
+    counts: on affine systems (two channels, c != 0) by one stacked power per
+    step count and on polynomial systems by one segment loop call per step
+    count, neither of which steps, and on their bare copies by the stages."""
+    if isinstance(case, tuple):
+        rng = np.random.default_rng(40 + case[0])
+        sys = random_affine_system(*case, rng)
+        x0 = rng.normal(size=case[0])
+    else:
+        rng = np.random.default_rng(len(case))
+        make, x0, _ = next(c for c in POLYNOMIAL_CASES if c[0].__name__ == case.removeprefix("bare-"))
+        sys = bare_copy(make()) if case.startswith("bare-") else make()
+    controls = rng.uniform(-1.0, 1.0, size=(12, sys.n_controls))
     durations = np.repeat([0.05, 0.3, 1.7, 0.3], 3)
     steps = np.maximum(1e-2, durations / 120.0)
     with monkeypatch.context() as patch:
-        patch.setattr(flow, "_rk4", None)  # any stepping fails with a TypeError
+        if sys._polynomial_kernel is not None:
+            patch.setattr(flow, "_rk4", None)  # any stepping fails with a TypeError
         ends = constant_control_endpoints(sys, x0, controls, durations, steps)
     for end, u, t, step in zip(ends, controls, durations, steps):
         want, _ = fiber_flow(sys, x0, None, ControlSignal.constant(u, t), step)

@@ -504,6 +504,18 @@ def test_plan_chain_budget_error_carries_partial():
     assert len(err.value.best_chain.legs) <= 3
 
 
+@pytest.mark.parametrize("max_legs", [0, -3])
+def test_plan_chain_refuses_a_budget_below_one_leg(max_legs):
+    """A pair within reach used to get a 1-leg chain whatever max_legs was,
+    and a farther one a budget error naming the bad budget."""
+    sys = line_system()
+    oracle = LinearGramianOracle.for_system(sys, horizon=1.0)
+    source = TangentPoint([0.0], [0.0])
+    for target in (TangentPoint([0.0], [0.1]), TangentPoint([3.0], [-5.0])):
+        with pytest.raises(ValueError, match=f"max_legs must be at least 1, got {max_legs}"):
+            plan_chain(sys, oracle, source, target, 0.25, 0.5, max_legs=max_legs)
+
+
 def test_chain_invariants_and_structure():
     sys = forced_rotation_system()
     oracle = LinearGramianOracle.for_system(sys, horizon=1.0)
