@@ -33,7 +33,7 @@ from .flow import (
 from .liealg import DEFAULT_DEPTH, lifted_rank_at, rank_at
 from .fields import check_bracket_identity, check_pi_related
 from .liealg import check_lift_algebra_identity
-from .manifold import Manifold, TangentPoint
+from .manifold import Manifold, TangentPoint, json_numbers
 from .planner import (
     Chain,
     LinearGramianOracle,
@@ -91,7 +91,7 @@ class SystemDefinition:
         kind = mdesc["kind"]
         if kind == "flat":
             try:
-                manifold = Manifold.flat(int(mdesc["dim"]))
+                manifold = Manifold.flat(int(json_numbers(mdesc["dim"], integer=True)))
             except (KeyError, TypeError, ValueError) as exc:
                 raise DefinitionError("manifold.dim", str(exc)) from exc
         elif kind == "sphere2":
@@ -115,7 +115,7 @@ class SystemDefinition:
         if not isinstance(bounds, list) or len(bounds) != len(controlled):
             raise DefinitionError("bounds", "expected one [lo, hi] pair per controlled field")
         try:
-            system = AffineSystem(manifold, drift, tuple(controlled), np.asarray(bounds, float))
+            system = AffineSystem(manifold, drift, tuple(controlled), json_numbers(bounds))
         except ValueError as exc:
             raise DefinitionError("bounds", str(exc)) from exc
 
@@ -274,6 +274,13 @@ def _suite_lift(defn: SystemDefinition) -> dict:
     }
 
 
+def _random_signal(rng, bounds) -> ControlSignal:
+    """One to three segments of 0.2 to 0.8 s, values uniform within bounds."""
+    return ControlSignal(tuple(
+        (float(rng.uniform(0.2, 0.8)), rng.uniform(bounds[:, 0], bounds[:, 1]))
+        for _ in range(int(rng.integers(1, 4)))))
+
+
 def _suite_flow(defn: SystemDefinition) -> dict:
     sys_ = defn.system
     rng = np.random.default_rng(defn.seed)
@@ -283,11 +290,7 @@ def _suite_flow(defn: SystemDefinition) -> dict:
     for _ in range(3):
         x0 = defn.manifold.random_point(rng)
         v0 = defn.manifold.random_tangent(x0, rng)
-        segs = []
-        for _ in range(int(rng.integers(1, 4))):
-            segs.append((float(rng.uniform(0.2, 0.8)),
-                         rng.uniform(sys_.bounds[:, 0], sys_.bounds[:, 1])))
-        u = ControlSignal(tuple(segs))
+        u = _random_signal(rng, sys_.bounds)
         worst_formula = max(worst_formula, check_flow_formula(sys_, x0, v0, u, defn.step))
         base = integrate_base(sys_, x0, u, defn.step)
         lifted = integrate_lifted(sys_, TangentPoint(x0, v0), u, defn.step)
@@ -309,11 +312,7 @@ def _suite_invariance(defn: SystemDefinition) -> dict:
     worst_fiber = 0.0
     for k in range(5):
         x0 = defn.manifold.random_point(rng)
-        segs = []
-        for _ in range(int(rng.integers(1, 4))):
-            segs.append((float(rng.uniform(0.2, 0.8)),
-                         rng.uniform(sys_.bounds[:, 0], sys_.bounds[:, 1])))
-        v_sig = ControlSignal(tuple(segs))
+        v_sig = _random_signal(rng, sys_.bounds)
         s = 0.0 if k == 0 else float(rng.uniform(0.0, v_sig.total_duration))
         c = v_sig.value_at(min(s, v_sig.total_duration))
         t = float(rng.uniform(0.3, 1.0))

@@ -22,7 +22,7 @@ import functools
 
 import numpy as np
 
-from .manifold import TangentPoint
+from .manifold import TangentPoint, json_numbers
 
 _FD_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -434,32 +434,25 @@ def check_bracket_identity(x_field: VectorField, y_field: VectorField, samples) 
     return worst
 
 
-def _finite(values, what: str) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} has a non-finite entry")
-    return values
-
-
 def field_from_descriptor(desc: dict) -> PolynomialField:
     """Deserialize a field descriptor from a system-definition file; every
-    kind gives a polynomial field. Non-finite matrix, vector or coefficient
-    entries raise ValueError."""
+    kind gives a polynomial field. An entry that is not a finite JSON number
+    (an integer for a dim or an exponent) raises ValueError."""
     if not isinstance(desc, dict):
         raise ValueError("field descriptor must be an object")
     kind = desc.get("type")
     if kind == "linear":
-        return LinearField(_finite(desc["matrix"], "matrix"))
+        return LinearField(json_numbers(desc["matrix"]))
     if kind == "constant":
-        return ConstantField(_finite(desc["vector"], "vector"))
+        return ConstantField(json_numbers(desc["vector"]))
     if kind == "zero":
-        return zero_field(int(desc["dim"]))
+        return zero_field(int(json_numbers(desc["dim"], integer=True)))
     if kind == "polynomial":
         comps = [
-            [(float(coeff), tuple(int(e) for e in exps)) for coeff, exps in component]
+            [(float(json_numbers(coeff)), tuple(json_numbers(exps, integer=True).tolist()))
+             for coeff, exps in component]
             for component in desc["components"]
         ]
-        _finite([coeff for component in comps for coeff, _ in component], "coefficient")
         return PolynomialField(comps, len(comps))
     raise ValueError(f"unknown field type {kind!r}")
 

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import DefinitionError, IntegrationError
 from .fields import VectorField, polynomial_kernel
-from .manifold import Manifold, ManifoldKind, TangentPoint
+from .manifold import Manifold, ManifoldKind, TangentPoint, json_numbers
 
 DEFAULT_STEP = 1e-3
 DRIFT_TOL = 1e-6
@@ -110,15 +110,10 @@ class ControlSignal:
     @staticmethod
     def from_json(data) -> "ControlSignal":
         """The signal of JSON segments [[duration, [u, ...]], ...]; anything
-        else, a boolean included (float(True) is 1.0), raises TypeError or
-        ValueError."""
-        segments = []
-        for duration, value in data:
-            numbers = [duration, *(value if isinstance(value, list) else [value])]
-            if not all(isinstance(u, (int, float)) and not isinstance(u, bool) for u in numbers):
-                raise ValueError(f"segment {[duration, value]!r} is not [number, [numbers]]")
-            segments.append((duration, value))
-        return ControlSignal(tuple(segments))
+        else, a number that is not a finite JSON number included, raises
+        TypeError or ValueError."""
+        return ControlSignal(tuple((json_numbers(duration), json_numbers(value))
+                                   for duration, value in data))
 
 
 def split_signal(u: ControlSignal, s: float) -> tuple[ControlSignal, ControlSignal]:

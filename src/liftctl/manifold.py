@@ -159,6 +159,25 @@ class Manifold:
         return np.column_stack([b1, b2])
 
 
+def json_numbers(value, integer: bool = False) -> np.ndarray:
+    """value, a JSON number or nested lists of them, as a float array (an
+    integer array with integer=True). A boolean or a string (float() reads
+    both), a number that is not finite or beyond the float range, a ragged
+    list or, with integer=True, a non-integer raises ValueError."""
+    kinds = int if integer else (int, float)
+
+    def numbers(v) -> bool:
+        return (all(map(numbers, v)) if isinstance(v, list) else
+                isinstance(v, kinds) and not isinstance(v, bool) and math.isfinite(v))
+
+    try:  # an int beyond the float range overflows
+        if numbers(value):
+            return np.asarray(value) if integer else np.asarray(value, dtype=float)
+    except OverflowError:
+        pass
+    raise ValueError(f"expected finite {'integers' if integer else 'numbers'}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TangentPoint:
     """A point (x, v) of the tangent bundle, in ambient coordinates."""
@@ -189,9 +208,6 @@ class TangentPoint:
 
     @staticmethod
     def from_json(data: dict) -> "TangentPoint":
-        """The point of {"x": [...], "v": [...]}; a non-finite coordinate
-        raises ValueError."""
-        point = TangentPoint(np.asarray(data["x"], float), np.asarray(data["v"], float))
-        if not (np.isfinite(point.x).all() and np.isfinite(point.v).all()):
-            raise ValueError("tangent point has a non-finite coordinate")
-        return point
+        """The point of {"x": [...], "v": [...]}; a coordinate that is not a
+        finite JSON number raises ValueError."""
+        return TangentPoint(json_numbers(data["x"]), json_numbers(data["v"]))

@@ -4,16 +4,12 @@ chain-controllability algorithm with an independent verifier.
 A chain from p to q is a sequence of legs: flow the lifted system for longer
 than the minimum duration, then jump by at most epsilon (in the tangent
 metric) to the start of the next leg. The planner cuts the oracle's plan
-from the source base x to the target base y into legs, and jumps after each
-toward the pullback of the target vector through the rest of the planned
-flow. Because the fiber flow is linear, a jump of size s toward the pullback
-reduces the terminal fiber gap by s whenever the variational flow is
-norm-preserving. Only when the plan's legs are too few to cover the gap is
-the round trip y -> x -> y solved, and appended as often as the gap needs.
-Where the flow is not norm-preserving, further phases of round trips follow
-until a leg lands within epsilon of the target; running out of legs raises
-an error carrying the best partial chain. The verifier re-checks a chain
-against the caller's epsilon, T and endpoints.
+from the source base x to the target base y into legs. The fiber flow is
+linear, so the last leg's fiber is linear in the jumps, and one least-norm
+solve allocates them all; round trips y -> x -> y are appended, fewest
+first, until every jump fits within epsilon. A gap that no itinerary within
+the leg budget covers raises an error carrying the partial chain. The
+verifier re-checks a chain against the caller's epsilon, T and endpoints.
 
 Legs, fiber transitions, verification and reachable-set samples read only
 end points, through flow.fiber_flow, and search candidates through
@@ -44,7 +40,7 @@ from .flow import (
     fiber_flow,
     split_signal,
 )
-from .manifold import Manifold, ManifoldKind, TangentPoint
+from .manifold import Manifold, ManifoldKind, TangentPoint, json_numbers
 from .sasaki import distance, fiber_segment_point
 
 GRAMIAN_STEER_TOL = 1e-6
@@ -321,26 +317,28 @@ def check_fiber_reachability(sys: AffineSystem, oracle, p0: TangentPoint,
 
 
 def _entry(data, key: str, parse, where: str = ""):
-    """parse(data[key]) for a chain file entry; a missing or ill-typed entry,
-    a boolean included (no chain entry is one), raises DefinitionError
-    naming where + key."""
+    """parse(data[key]) for a chain file entry; a missing or ill-typed entry
+    raises DefinitionError naming where + key."""
     try:
         value = data[key]
     except (KeyError, TypeError) as exc:
         raise DefinitionError(where + key, "missing") from exc
-    if isinstance(value, bool):  # float(True) would read it as 1.0
-        raise DefinitionError(where + key, f"malformed: boolean {value!r}")
     try:
         return parse(value)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise DefinitionError(where + key, f"malformed: {exc!r}") from exc
 
 
+def _number(value) -> float:
+    """value, which must be a finite JSON number, as a float."""
+    return float(json_numbers(value))
+
+
 def _positive(value) -> float:
-    """float(value), which must be positive and finite."""
-    value = float(value)
-    if not 0.0 < value < math.inf:  # NaN fails it too
-        raise ValueError(f"{value} is not positive and finite")
+    """value, which must be a positive finite JSON number, as a float."""
+    value = _number(value)
+    if value <= 0.0:
+        raise ValueError(f"{value} is not positive")
     return value
 
 
@@ -366,9 +364,9 @@ class ChainLeg:
         return ChainLeg(
             _entry(data, "start", TangentPoint.from_json, where),
             _entry(data, "control", ControlSignal.from_json, where),
-            _entry(data, "duration", float, where),
+            _entry(data, "duration", _number, where),
             _entry(data, "jump_target", TangentPoint.from_json, where),
-            _entry(data, "verified_distance", float, where),
+            _entry(data, "verified_distance", _number, where),
         )
 
 
@@ -408,7 +406,8 @@ class Chain:
             _entry(data, "source", TangentPoint.from_json),
             _entry(data, "target", TangentPoint.from_json),
             _entry(data, "step", _positive) if "step" in data else DEFAULT_STEP,
-            _entry(data, "seed", int) if "seed" in data else 0,
+            _entry(data, "seed", lambda v: int(json_numbers(v, integer=True)))
+            if "seed" in data else 0,
         )
 
 
@@ -487,11 +486,16 @@ def _chunk_transitions(sys: AffineSystem, start_base: np.ndarray, chunks, step: 
     return transitions, base
 
 
-def _pull_back(aims: list, transitions) -> None:
-    """Append to aims, whose last entry is a fiber vector at the end of the
-    transitions, the vectors at each chunk start that flow onto it."""
-    for mat, b_start, b_end in reversed(transitions):
-        aims.append(b_start @ np.linalg.solve(mat, b_end.T @ aims[-1]))
+def _tails(trans):
+    """For consecutive chunk transitions: each chunk's end frame; the
+    transitions from each chunk's end to the last one's (the identity for the
+    last), stacked; and the whole transition, from ambient coordinates."""
+    tail = np.eye(len(trans[-1][0]))
+    tails = []
+    for mat, _, _ in reversed(trans):
+        tails.append(tail)
+        tail = tail @ mat
+    return [b_end for _, _, b_end in trans], np.array(tails[::-1]), tail @ trans[0][1].T
 
 
 def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentPoint,
@@ -501,12 +505,11 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
     """Construct a verified (epsilon, T)-chain from source to target.
 
     Walks the base from the source to the target along the oracle's plan,
-    cut into legs strictly longer than T, and jumps after each leg by at most
-    epsilon within the fiber toward the pullback of the target vector. When
-    those jumps cannot cover the fiber gap, round trips target -> source ->
-    target follow, as many as the gap needs, until a flow endpoint lands
-    within epsilon of the target; a gap they never cover takes no more round
-    trips than the remaining max_legs can walk. Deterministic given its
+    cut into legs strictly longer than T, followed by the fewest round trips
+    target -> source -> target for which the minimum-norm jumps that close
+    the fiber gap all fit within epsilon. A gap that no itinerary within
+    max_legs covers, or a walk that misses the target all the same, raises
+    PlanningBudgetError with the partial chain. Deterministic given its
     inputs.
     """
     if epsilon <= 0.0 or min_duration <= 0.0:
@@ -546,58 +549,50 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
             legs.append(ChainLeg(source, plan, plan.total_duration, target, d_end))
             return finished_chain()
 
-    # Each phase walks its chunks and aims every jump at the pullback of the
-    # target vector through the rest of the phase. The first phase walks the
-    # first plan, and takes round trips y -> x -> y only when its own jumps
-    # (one of size epsilon per chunk) cannot cover the fiber gap, read in the
-    # plan's end frame; later phases walk round trips only, always the fewest
-    # whose jumps cover the gap. The round trip is solved on first use.
-    loop = None
+    # The last leg ends at the flowed source fiber plus each jump carried to
+    # the end by the tails Q_j, so the least-norm jumps that close the gap g
+    # to the target fiber are Q_j^T W^-1 g, W = sum Q_j Q_j^T >= I (the last Q
+    # is I). The itinerary is the plan plus the fewest round trips y -> x -> y
+    # (solved on first use) whose jumps all fit, the last beside the base
+    # error. Frames link through ambient coordinates: tangent_basis at y and
+    # at a plan end near y may differ.
     chunks = _chunk_signal(plan, min_leg)
     trans, end_base = _chunk_transitions(sys, x, chunks, step)
-    current = source
+    frames, tails, whole = _tails(trans)
+    fiber = whole @ source.v
+    loop = None
     while True:
-        # the arriving vector, carried through the first plan, in the frame
-        # where round trips start: the plan's end frame, or y's
-        frame = trans[0][1] if trans else m.tangent_basis(y)
-        a = frame.T @ current.v
-        for mat, _, frame in trans:
-            a = mat @ a
-        aims = [m.project_tangent(end_base, target.v)]
-        if not trans or np.linalg.norm(a - frame.T @ aims[0]) > len(chunks) * eps_eff:
-            if loop is None:
-                loop_chunks = _chunk_signal(
-                    _padded_plan(solve, m, x, y, min_leg, ControlSignal.empty()), min_leg)
-                loop = (loop_chunks, *_chunk_transitions(sys, y, loop_chunks, step))
-            loop_chunks, loop_trans, loop_end = loop
-            aims = [m.project_tangent(loop_end, target.v)]
-            n_loops, gauge = 0, math.inf
-            # a gap the round trips never cover stops at the loops the leg
-            # budget can still walk (at least one, so that the walk raises)
-            max_loops = max(1, math.ceil((max_legs - len(legs) - len(chunks)) / len(loop_chunks)))
-            while (gauge > (len(chunks) + n_loops * len(loop_chunks)) * eps_eff
-                   and n_loops < max_loops):
-                n_loops += 1
-                _pull_back(aims, loop_trans)
-                gauge = np.linalg.norm(a - frame.T @ aims[-1])
-            chunks = chunks + loop_chunks * n_loops
-        _pull_back(aims, trans)
-        # aims run backward from the phase end; the last, at its start, aims no jump
-        for chunk, aim in zip(chunks, aims[-2::-1]):
-            if len(legs) >= max_legs:
-                raise PlanningBudgetError(
-                    f"no chain within {max_legs} legs", best_chain=finished_chain()
-                )
-            end = TangentPoint(*fiber_flow(sys, current.x, current.v, chunk, step))
-            d_target = distance(m, end, target)
-            if d_target <= eps_eff:
-                legs.append(ChainLeg(current, chunk, chunk.total_duration, target, d_target))
-                return finished_chain()
-            jumped = fiber_segment_point(end, m.project_tangent(end.x, aim), eps_eff)
-            legs.append(ChainLeg(current, chunk, chunk.total_duration, jumped,
-                                 distance(m, end, jumped)))
-            current = jumped
-        chunks, trans = [], []
+        gap = frames[-1].T @ m.project_tangent(end_base, target.v) - fiber
+        gram = np.einsum("jab,jcb->ac", tails, tails)
+        jumps = tails.transpose(0, 2, 1) @ np.linalg.solve(gram, gap)
+        sizes = np.linalg.norm(jumps, axis=1)
+        if len(chunks) >= max_legs or (np.all(sizes[:-1] <= eps_eff) and sizes[-1] ** 2
+                                       + m.base_distance(end_base, y) ** 2 <= eps_eff ** 2):
+            break
+        if loop is None:
+            loop_chunks = _chunk_signal(
+                _padded_plan(solve, m, x, y, min_leg, ControlSignal.empty()), min_leg)
+            loop_trans, loop_end = _chunk_transitions(sys, y, loop_chunks, step)
+            loop = (loop_chunks, loop_end, *_tails(loop_trans))
+        loop_chunks, end_base, loop_frames, loop_tails, loop_whole = loop
+        link = loop_whole @ frames[-1]
+        tails = np.concatenate([link @ tails, loop_tails])
+        fiber = link @ fiber
+        chunks, frames = chunks + loop_chunks, frames + loop_frames
+
+    current = source
+    for chunk, frame, jump in zip(chunks[:max_legs], frames, jumps):
+        end = TangentPoint(*fiber_flow(sys, current.x, current.v, chunk, step))
+        d_target = distance(m, end, target)
+        if d_target <= eps_eff:
+            legs.append(ChainLeg(current, chunk, chunk.total_duration, target, d_target))
+            return finished_chain()
+        jumped = fiber_segment_point(end, m.project_tangent(end.x, end.v + frame @ jump),
+                                     eps_eff)
+        legs.append(ChainLeg(current, chunk, chunk.total_duration, jumped,
+                             distance(m, end, jumped)))
+        current = jumped
+    raise PlanningBudgetError(f"no chain within {len(legs)} legs", best_chain=finished_chain())
 
 
 @dataclass(frozen=True)

@@ -232,28 +232,51 @@ def test_chain_verify_only_reports_a_leg_it_cannot_integrate(tmp_path, capsys, e
     assert len(failures) == 1 and failures[0].startswith("leg 1: ") and reason in failures[0]
 
 
-def test_double_integrator_stops_pulling_back_at_the_leg_budget(tmp_path, capsys, monkeypatch):
-    """On the double integrator (nilpotent drift, one constant control) the
-    fiber gap outruns the jumps, so the chain runs out of legs. The round
-    trips pulled back stop at those the 110 legs can walk: about one solve
-    per leg, where 600,002 solves (100,000 loops, twice) were made before."""
-    definition = tmp_path / "double_integrator.json"
+def _flat_definition(tmp_path, drift, vectors, bound) -> str:
+    """A flat R^2 definition with a linear drift and constant control fields."""
+    definition = tmp_path / "flat.json"
     definition.write_text(json.dumps({
         "schema_version": 1, "manifold": {"kind": "flat", "dim": 2},
-        "drift": {"type": "linear", "matrix": [[0.0, 1.0], [0.0, 0.0]]},
-        "controlled": [{"type": "constant", "vector": [0.0, 1.0]}],
-        "bounds": [[-50.0, 50.0]], "metric": "flat_product", "step": 0.001, "seed": 0,
+        "drift": {"type": "linear", "matrix": drift},
+        "controlled": [{"type": "constant", "vector": vec} for vec in vectors],
+        "bounds": [[-bound, bound]] * len(vectors), "metric": "flat_product",
+        "step": 0.001, "seed": 0,
     }))
+    return str(definition)
+
+
+def test_uncovered_fiber_gap_stops_at_the_leg_budget(tmp_path, capsys, monkeypatch):
+    """With drift I every round trip's fiber transition expands by e^t, so
+    no itinerary's jumps cover this fiber gap and the chain runs out of its
+    80 legs. The itinerary grows only to the round trips those legs can
+    walk, with one least-norm solve per itinerary tried, so the solves stay
+    below two per leg."""
+    definition = _flat_definition(tmp_path, [[1.0, 0.0], [0.0, 1.0]],
+                                  [[1.0, 0.0], [0.0, 1.0]], 10.0)
     solves = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
-    code, out, _ = run_cli(["chain", str(definition), "--source=0,0;1,0",
-                            "--target=1.5,0;0,1", "--eps", "0.25", "--T", "0.5"], capsys)
+    code, out, _ = run_cli(["chain", definition, "--source=0,0;0.3,0",
+                            "--target=1,1;0,-0.3", "--eps", "0.25", "--T", "0.5"], capsys)
     assert code == 1
     payload = json.loads(out)
-    assert payload["error"] == "no chain within 110 legs"
-    assert len(payload["partial_chain"]["legs"]) == 110
-    assert len(solves) <= 2 * 110
+    assert payload["error"] == "no chain within 80 legs"
+    assert len(payload["partial_chain"]["legs"]) == 80
+    assert len(solves) <= 2 * 80
+
+
+def test_double_integrator_chain_verifies(tmp_path, capsys):
+    """On the double integrator (nilpotent drift, one constant control) the
+    fiber flow is a shear, not norm-preserving. The least-norm jump
+    allocation still closes the fiber gap, within 25 legs; the pullback
+    phases this replaced ran out of all 110 legs."""
+    definition = _flat_definition(tmp_path, [[0.0, 1.0], [0.0, 0.0]], [[0.0, 1.0]], 50.0)
+    code, out, _ = run_cli(["chain", definition, "--source=0,0;1,0",
+                            "--target=1.5,0;0,1", "--eps", "0.25", "--T", "0.5"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verification"]["passed"]
+    assert len(payload["chain"]["legs"]) <= 25
 
 
 @pytest.mark.parametrize("path,named", [
@@ -277,12 +300,17 @@ def test_chain_verify_only_malformed_file(tmp_path, capsys, path, named):
     (("legs", 0, "start", "x"), [float("nan")], "legs[0].start"),
     (("epsilon",), True, "epsilon"), (("T",), True, "T"), (("step",), True, "step"),
     (("seed",), True, "seed"), (("legs", 0, "duration"), True, "legs[0].duration"),
+    (("legs", 0, "start", "x"), [False], "legs[0].start"),
+    (("legs", 0, "start", "x"), ["0"], "legs[0].start"),
+    (("legs", 0, "duration"), "1.0", "legs[0].duration"),
+    (("seed",), 7.9, "seed"), (("epsilon",), "0.25", "epsilon"),
 ])
 def test_chain_verify_only_rejects_bad_numbers(tmp_path, capsys, path, value, named):
     """A chain file cannot lower the bar: an epsilon, T or step that is not
     positive and finite, a non-finite point, or a boolean where a number
     belongs, exits 2 naming the entry (an infinite epsilon or a T of
-    -Infinity used to verify with exit 0, and true read as 1.0)."""
+    -Infinity used to verify with exit 0, true read as 1.0, "1.0" as 1.0
+    and a seed of 7.9 as 7)."""
     def assign(entry, key):
         entry[key] = value
 
@@ -323,6 +351,16 @@ def test_chain_verify_only_file_that_is_not_json(tmp_path, capsys):
     ({"controlled": [{"type": "polynomial", "components": [[[1.0, [1, 0]]]]}]},
      "controlled[0]"),
     ({"drift": {"type": "zero", "dim": 2}}, "drift"),
+    ({"manifold": {"kind": "flat", "dim": 1.7}}, "manifold.dim"),
+    ({"manifold": {"kind": "flat", "dim": "1"}}, "manifold.dim"),
+    ({"drift": {"type": "linear", "matrix": [[False]]}}, "drift"),
+    ({"drift": {"type": "linear", "matrix": [["0"]]}}, "drift"),
+    ({"bounds": [["-2", "2"]]}, "bounds"),
+    ({"bounds": [[False, True]]}, "bounds"),
+    ({"drift": {"type": "polynomial", "components": [[[1.0, [1.5]]]]}}, "drift"),
+    ({"drift": {"type": "polynomial", "components": [[["1.0", [1]]]]}}, "drift"),
+    ({"drift": {"type": "zero", "dim": 1.5}}, "drift"),
+    ({"bounds": [[-10 ** 400, 10]]}, "bounds"),
 ])
 def test_definition_rejects_non_finite_and_boolean_entries(tmp_path, capsys, changes, field):
     data = json.loads(Path(LINE).read_text())

@@ -56,6 +56,11 @@ def integrator_system():
                         [[-10.0, 10.0], [-10.0, 10.0]])
 
 
+def double_integrator_system():
+    return AffineSystem(Manifold.flat(2), LinearField([[0.0, 1.0], [0.0, 0.0]]),
+                        (ConstantField([0.0, 1.0]),), [[-50.0, 50.0]])
+
+
 def forced_rotation_system():
     return AffineSystem(Manifold.flat(2), LinearField(ROT2),
                         (ConstantField([1.0, 0.0]), ConstantField([0.0, 1.0])),
@@ -629,12 +634,13 @@ ON_SPHERE = st.tuples(st.floats(-np.pi, np.pi), st.floats(-1.4, 1.4)).map(
     (forced_rotation_system, LinearGramianOracle.for_system, VEC3, 2.0),
     (lambda: SystemDefinition.load(str(SPHERE_TWO_AXIS)).system,
      SphereRotationOracle.for_system, ON_SPHERE, 1.0),
+    (double_integrator_system, LinearGramianOracle.for_system, VEC3, 2.0),
 ])
 def test_plan_chain_verifies_on_random_pairs(make_sys, make_oracle, base, fiber_scale):
     """verify_chain(plan_chain(p, q)) passes on random pairs whose fiber gaps
     reach several epsilon, and the chain survives a JSON round trip. Some
-    pairs must take a round-trip phase, which no benchmark chain reaches: a
-    counting oracle shows that (y, x) was solved."""
+    pairs must take a round trip y -> x -> y, which no benchmark chain
+    reaches: a counting oracle shows that (y, x) was solved."""
     sys = make_sys()
     m = sys.manifold
     oracle = CountingOracle(make_oracle(sys))
