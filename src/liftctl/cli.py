@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DefinitionError, LiftctlError, PlanningBudgetError
+from .errors import DefinitionError, LiftctlError, OffManifoldError, PlanningBudgetError
 from .fields import field_from_descriptor, zero_field
 from .flow import (
     DEFAULT_STEP,
@@ -160,23 +160,34 @@ def _positive(flag: str, value: float) -> float:
     return value
 
 
-def _parse_vector(text: str, dim: int, flag: str) -> np.ndarray:
+def _parse_vector(text: str, manifold: Manifold, flag: str, base=None) -> np.ndarray:
+    """The comma-separated vector of a flag: a point of the manifold or,
+    given its base point, a tangent vector there; a DefinitionError naming
+    the flag otherwise."""
     try:
         vec = np.asarray([float(p) for p in text.split(",")], dtype=float)
     except ValueError as exc:
         raise DefinitionError(flag, f"expected comma-separated floats: {exc}") from exc
     if not np.all(np.isfinite(vec)):
         raise DefinitionError(flag, "components must be finite")
-    if vec.shape[0] != dim:
-        raise DefinitionError(flag, f"expected {dim} components, got {vec.shape[0]}")
+    if vec.shape[0] != manifold.ambient_dim:
+        raise DefinitionError(flag, f"expected {manifold.ambient_dim} components, got {vec.shape[0]}")
+    try:
+        if base is None:
+            manifold.check_point(vec)
+        else:
+            TangentPoint(base, vec).validate(manifold)
+    except OffManifoldError as exc:
+        raise DefinitionError(flag, str(exc)) from exc
     return vec
 
 
-def _parse_tangent(text: str, dim: int, flag: str) -> TangentPoint:
+def _parse_tangent(text: str, manifold: Manifold, flag: str) -> TangentPoint:
     parts = text.split(";")
     if len(parts) != 2:
         raise DefinitionError(flag, "expected 'x1,..,xn;v1,..,vn'")
-    return TangentPoint(_parse_vector(parts[0], dim, flag), _parse_vector(parts[1], dim, flag))
+    x = _parse_vector(parts[0], manifold, flag)
+    return TangentPoint(x, _parse_vector(parts[1], manifold, flag, x))
 
 
 def _parse_control(text: str, channels: int) -> ControlSignal:
@@ -221,14 +232,13 @@ def resolve_oracle(defn: SystemDefinition):
 
 def cmd_simulate(args) -> int:
     defn = SystemDefinition.load(args.definition)
-    n = defn.manifold.ambient_dim
-    x0 = _parse_vector(args.x0, n, "--x0")
+    x0 = _parse_vector(args.x0, defn.manifold, "--x0")
     step = defn.step if args.step is None else _positive("--step", args.step)
     control = _parse_control(args.control, defn.system.n_controls) if args.control \
         else ControlSignal.empty()
     try:
         if args.lifted is not None:
-            v0 = _parse_vector(args.lifted, n, "--lifted")
+            v0 = _parse_vector(args.lifted, defn.manifold, "--lifted", x0)
             traj = integrate_lifted(defn.system, TangentPoint(x0, v0), control, step)
         else:
             traj = integrate_base(defn.system, x0, control, step)
@@ -367,13 +377,12 @@ def cmd_chain(args) -> int:
     requirement is the caller's --eps and --T, and --source and --target
     where given."""
     defn = SystemDefinition.load(args.definition)
-    n = defn.manifold.ambient_dim
     _positive("--eps", args.eps)
     _positive("--T", args.T)
     if args.max_legs is not None and args.max_legs < 1:
         raise DefinitionError("--max-legs", f"must be at least 1, got {args.max_legs}")
-    source = _parse_tangent(args.source, n, "--source") if args.source is not None else None
-    target = _parse_tangent(args.target, n, "--target") if args.target is not None else None
+    source = _parse_tangent(args.source, defn.manifold, "--source") if args.source is not None else None
+    target = _parse_tangent(args.target, defn.manifold, "--target") if args.target is not None else None
     if args.verify_only:
         chain = Chain.from_json(_read_json(args.verify_only, f"--verify-only {args.verify_only}"))
         report = verify_chain(defn.system, chain, args.eps, args.T, source, target)
@@ -400,7 +409,6 @@ def cmd_larc(args) -> int:
     if args.depth < 1:
         raise DefinitionError("--depth", f"must be at least 1, got {args.depth}")
     defn = SystemDefinition.load(args.definition)
-    n = defn.manifold.ambient_dim
     fields = (defn.system.drift,) + defn.system.controlled
     # Lyndon words of each length n over k letters, counted by Witt's formula
     # k^n = sum over d | n of d L(d), not generated
@@ -411,13 +419,12 @@ def cmd_larc(args) -> int:
         if sum(words) > LARC_MAX_COLUMNS:
             raise DefinitionError("--depth", f"{k} fields have more than {LARC_MAX_COLUMNS} "
                                              f"brackets beyond depth {length - 1}")
+    point = _parse_vector(args.point, defn.manifold, "--point")
     if args.v is not None:
-        point = TangentPoint(_parse_vector(args.point, n, "--point"),
-                             _parse_vector(args.v, n, "--v"))
+        point = TangentPoint(point, _parse_vector(args.v, defn.manifold, "--v", point))
         report = lifted_rank_at(fields, point, args.depth, defn.manifold)
     else:
-        report = rank_at(fields, _parse_vector(args.point, n, "--point"),
-                         args.depth, defn.manifold)
+        report = rank_at(fields, point, args.depth, defn.manifold)
     _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
     return 0
 

@@ -7,7 +7,7 @@ base runs, lifted runs (a fiber vector), fiber transitions (a matrix of
 fiber columns) and batches of constant-control candidates (rows of one
 stacked state). The base component of a lifted trajectory is therefore
 bitwise the plain base trajectory on the shared grid. The driver picks one
-of four ways per segment.
+of three ways per segment.
 
 - Power. When every field is affine (a polynomial field of degree at most
   one, such as a linear or constant field), f(x) = A x + b on a segment and
@@ -23,14 +23,14 @@ of four ways per segment.
   g = ||M^T M - I||_F + ||c|| <= DRIFT_TOL, which bounds the drift
   |(||M y + c|| - 1)| <= |y^T (M^T M - I) y| + ||c|| of each step from a
   unit y; so only NaN raises, and every verdict is the stepper's.
-- Step map. A single affine state that records rows, or whose power g does
-  not certify, steps by (M, c).
-- Kernel loop. Other polynomial systems, and the uncertified rows of an
-  affine batch, run the system's generated kernel (fields.polynomial_kernel):
-  a loop over a segment's RK4 steps on Python floats, or on the numpy
-  columns of a batch. Off the sphere a segment is one call, one per column
-  of a fiber matrix; on it, one call per step, to renormalize in between.
-- Stages. Bare-callable fields step through rhs and rhs_jacobian.
+- Kernel loop. Every other polynomial segment, affine ones that record rows
+  or whose power g does not certify included, runs the system's generated
+  kernel (fields.polynomial_kernel): a loop over a segment's RK4 steps on
+  Python floats, or on the numpy columns of a batch. Off the sphere a
+  segment is one call, one per column of a fiber matrix; on it, one call
+  per step, to renormalize in between.
+- Stages. Bare-callable fields step through rhs and rhs_jacobian; they are
+  also the reference that the kernel tests compare against.
 
 _rk4 is the one per-step loop. Every run records its rows as one flat list
 of floats.
@@ -191,16 +191,17 @@ class AffineSystem:
             self._check_tangency()
 
     def _check_tangency(self, n_samples: int = 8, tol: float = 1e-8):
+        """A DefinitionError naming drift or controlled[i] unless every field
+        is tangent to the sphere at n_samples seeded points."""
         rng = np.random.default_rng(20240 + n_samples)
-        fields = (self.drift,) + self.controlled
+        entries = ("drift", *(f"controlled[{i}]" for i in range(len(self.controlled))))
         for _ in range(n_samples):
             x = self.manifold.random_point(rng)
-            for fld in fields:
+            for entry, fld in zip(entries, (self.drift, *self.controlled)):
                 err = abs(x @ fld(x))
                 if not err <= tol:
-                    raise ValueError(
-                        f"field {fld.name!r} not tangent to the sphere: |x.X(x)|={err:.2e}"
-                    )
+                    raise DefinitionError(
+                        entry, f"field {fld.name!r} not tangent to the sphere: |x.X(x)|={err:.2e}")
 
     @property
     def n_controls(self) -> int:
@@ -242,30 +243,22 @@ class AffineSystem:
 
     def affine_parts(self, u_value: np.ndarray):
         """(A, b) with rhs(x, u_value) = A x + b when every field is affine
-        (a polynomial field of degree at most one); None otherwise."""
+        (a polynomial field of degree at most one); None otherwise. For a
+        stack u_value (B, m), A is (B, n, n) and b (B, n), and row r is
+        bitwise the parts of u_value[r]: every row takes the same
+        elementwise sums."""
         if self._affine_terms is None:
             return None
-        n = self.manifold.ambient_dim
-        a = np.zeros((n, n))
-        b = np.zeros(n)
+        n, lead = self.manifold.ambient_dim, u_value.shape[:-1]
+        a, b = np.zeros((*lead, n, n)), np.zeros((*lead, n))
+        # each control's value, (1, 1) or a column (B, 1, 1), broadcast over A, and over b
+        values = zip((1.0, *u_value.T[..., None, None]), (1.0, *u_value.T[..., None]))
         # skipping an all-zero part changes no bit, as a and b never hold -0.0
-        for coeff, (part_a, part_b) in zip((1.0, *u_value), self._affine_terms):
+        for (coeff_a, coeff_b), (part_a, part_b) in zip(values, self._affine_terms):
             if part_a is not None:
-                a = a + coeff * part_a
+                a = a + coeff_a * part_a
             if part_b is not None:
-                b = b + coeff * part_b
-        return a, b
-
-    def affine_rows(self, u_values: np.ndarray):
-        """affine_parts of each row of u_values (B, m), stacked by the same
-        elementwise sums (row r is bitwise affine_parts(u_values[r]))."""
-        if self._affine_terms is None:
-            return None
-        n, rows = self.manifold.ambient_dim, len(u_values)
-        a, b = np.zeros((rows, n, n)), np.zeros((rows, n))
-        for coeff, (part_a, part_b) in zip((np.ones(rows), *u_values.T), self._affine_terms):
-            a = a if part_a is None else a + coeff[:, None, None] * part_a
-            b = b if part_b is None else b + coeff[:, None] * part_b
+                b = b + coeff_b * part_b
         return a, b
 
     def rhs_jacobian(self, x: np.ndarray, u_value: np.ndarray) -> np.ndarray:
@@ -322,15 +315,17 @@ class Trajectory:
         }
 
 
-def _segment_grid(duration: float, step: float) -> tuple[int, float]:
-    # clipped past MAX_GRID_STEPS, where _check_grid refuses the run anyway
-    n = max(1, math.ceil(min(duration / step - 1e-12, MAX_GRID_STEPS + 1)))
-    return n, duration / n
-
-
-def _check_grid(steps) -> None:
-    if steps > MAX_GRID_STEPS:
+def _grid(durations: np.ndarray, steps):
+    """(counts, h): the number of RK4 steps of each segment's grid, whose
+    nodes include the segment's ends, and their size durations / counts,
+    for positive finite durations and steps (an array, or one step for
+    all). A grid of more than MAX_GRID_STEPS steps in all is refused
+    unstepped with a DefinitionError."""
+    # clipped past MAX_GRID_STEPS, where the sum refuses the run anyway
+    counts = np.maximum(1.0, np.ceil(np.minimum(durations / steps - 1e-12, MAX_GRID_STEPS + 1)))
+    if counts.sum() > MAX_GRID_STEPS:
         raise DefinitionError("step", f"the grid has more than MAX_GRID_STEPS = {MAX_GRID_STEPS} steps")
+    return counts, durations / counts
 
 
 def _to_sphere(x: np.ndarray, v, t, tol=DRIFT_TOL) -> tuple[np.ndarray, np.ndarray | None, float]:
@@ -437,19 +432,18 @@ def _advance(sys: AffineSystem, uval: np.ndarray, h, n_steps: int, x: np.ndarray
     h (B,) and v None. The one place that picks how a segment advances:
     - an affine segment without rows is one _power, on the sphere only where
       _drift_bound certifies it (a batch it certifies in part runs as two);
-    - a single affine state that must step steps by the map of _step_map;
-    - other polynomial segments, and an uncertified affine batch, run the
-      generated kernel loop (fields.polynomial_kernel): one call off the
-      sphere, one per column of a fiber matrix (each gives the same state
-      bitwise), and one step per call on the sphere;
+    - every other polynomial segment, one state or a stack, recorded or not,
+      runs the generated kernel loop (fields.polynomial_kernel): one call
+      off the sphere, one per column of a fiber matrix (each gives the same
+      state bitwise), and one step per call on the sphere;
     - bare callables take the four stages through rhs and rhs_jacobian.
     Returns (x, v, t, the largest drift of a step off the sphere).
     """
     batch = x.ndim == 2
-    parts = sys.affine_rows(uval) if batch else sys.affine_parts(uval)
+    parts = None if rows is not None else sys.affine_parts(uval)  # a recorded run builds no map
     if parts is not None:
         m, c = _step_map(*parts, h[:, None, None] if batch else h)
-        power = rows is None and (not on_sphere or _drift_bound(m, c) <= DRIFT_TOL)
+        power = not on_sphere or _drift_bound(m, c) <= DRIFT_TOL
         if batch:
             power = np.broadcast_to(power, h.shape)
             if power.any() and not power.all():  # two batches: one takes the power, one steps
@@ -465,9 +459,7 @@ def _advance(sys: AffineSystem, uval: np.ndarray, h, n_steps: int, x: np.ndarray
             if on_sphere:  # certified: only NaN raises
                 x, v, _ = _to_sphere(x, v, t, math.inf)
             return x, v, t, 0.0
-    if parts is not None and not batch:
-        step = lambda y, w: (m @ y + c, None if w is None else m @ w)
-    elif sys._polynomial_kernel is not None:
+    if sys._polynomial_kernel is not None:
         table, bind = sys._polynomial_kernel
         coeffs = np.insert(uval, 0, 1.0, axis=-1) @ table
         base, lifted = bind(h, coeffs.T) if batch else bind(h, coeffs.tolist())
@@ -505,12 +497,11 @@ def _integrate(sys: AffineSystem, x: np.ndarray, v, u: ControlSignal, step: floa
     if not 0.0 < step < math.inf:  # NaN fails it too
         raise ValueError(f"step must be positive and finite, got {step}")
     sys.check_signal(u)
-    grid = [_segment_grid(duration, step) for duration, _ in u.segments]
-    _check_grid(sum(n_steps for n_steps, _ in grid))
+    counts, sizes = _grid(np.array([duration for duration, _ in u.segments]), step)
     on_sphere = sys.manifold.kind is ManifoldKind.SPHERE2
     t = 0.0
     max_drift = 0.0
-    for (_, uval), (n_steps, h) in zip(u.segments, grid):
+    for (_, uval), n_steps, h in zip(u.segments, counts.astype(int).tolist(), sizes.tolist()):
         x, v, t, drift = _advance(sys, uval, h, n_steps, x, v, t, rows, on_sphere)
         max_drift = max(max_drift, drift)
         # a non-finite value stays non-finite under the steps, so one test
@@ -586,14 +577,12 @@ def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.n
     if not np.all((durations > 0.0) & (durations < math.inf)):
         raise ValueError("segment durations must be positive and finite")
     sys.check_controls(controls)
-    # _segment_grid over the rows
-    counts = np.maximum(1.0, np.ceil(np.minimum(durations / steps - 1e-12, MAX_GRID_STEPS + 1)))
-    _check_grid(counts.sum())
+    counts, sizes = _grid(durations, steps)
     on_sphere = sys.manifold.kind is ManifoldKind.SPHERE2
     ends = np.empty((len(durations), x.shape[0]))
     for k in np.unique(counts):
         rows = np.flatnonzero(counts == k)
-        ends[rows] = _advance(sys, controls[rows], durations[rows] / k, int(k),
+        ends[rows] = _advance(sys, controls[rows], sizes[rows], int(k),
                               np.tile(x, (len(rows), 1)), None, 0.0, None, on_sphere)[0]
     return ends
 

@@ -512,8 +512,9 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
     PlanningBudgetError with the partial chain. Deterministic given its
     inputs.
     """
-    if epsilon <= 0.0 or min_duration <= 0.0:
-        raise ValueError("epsilon and T must be positive")
+    for name, value in (("epsilon", epsilon), ("T", min_duration)):
+        if not 0.0 < value < math.inf:  # NaN fails it too
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if max_legs is not None and max_legs < 1:
         raise ValueError(f"max_legs must be at least 1, got {max_legs}")
     source.validate(sys.manifold)

@@ -384,13 +384,18 @@ CUBE_DRIFT = {"drift": {"type": "polynomial", "components": [
     (SPHERE, {"controlled": [{"type": "constant", "vector": [1.0, 0.0]}]}, "controlled[0]",
      ["simulate", "--x0", "1,0,0"]),
     (FLAT, {}, "--depth", ["larc", "--point", "1,0", "--depth", "0"]),
+    (SPHERE, {"controlled": [{"type": "constant", "vector": [1.0, 0.0, 0.0]}]}, "controlled[0]",
+     ["simulate", "--x0", "1,0,0"]),
+    (SPHERE, {"drift": {"type": "constant", "vector": [1.0, 0.0, 0.0]}}, "drift",
+     ["check", "--suite", "lift"]),
 ])
 def test_wrong_field_dimension_and_depth_are_named(tmp_path, capsys, path, changes, named,
                                                     args):
     """A field whose dimension is not the manifold's ambient dimension exits
     2 naming the field, whichever command loads it (simulate used to fail on
     a broadcast error, larc with an IndexError traceback, check on a matmul
-    error, and the sphere case was blamed on bounds); so does larc --depth 0."""
+    error, and the sphere case was blamed on bounds); so does a field that
+    is not tangent to the sphere (blamed on bounds, too), and larc --depth 0."""
     data = json.loads(Path(path).read_text())
     data.update(changes)
     bad = tmp_path / "bad.json"
@@ -434,6 +439,23 @@ def test_simulate_rejects_non_finite_inputs(capsys, args):
     code, out, err = run_cli(["simulate", LINE, *args], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("args,named", [
+    (["simulate", "--x0=1,0,0.1"], "--x0"),
+    (["simulate", "--x0=1,0,0", "--lifted=1,0,0"], "--lifted"),
+    (["larc", "--point=1,0,0.1"], "--point"),
+    (["larc", "--point=1,0,0", "--v=1,0,0"], "--v"),
+    (["chain", "--source=1,0,0.1;0,1,0", "--target=0,1,0;0,0,1"], "--source"),
+    (["chain", "--source=1,0,0;0,1,0", "--target=0,1,0;0,1,0"], "--target"),
+])
+def test_points_off_the_sphere_or_not_tangent_are_named(capsys, args, named):
+    """A command-line point off the sphere, or a fiber not tangent at its
+    point, used to exit 1 with an error that named no flag; it now exits 2
+    naming the flag, as a non-finite one does."""
+    code, out, err = run_cli([args[0], SPHERE, *args[1:]], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {named}:")
 
 
 def refuse_stepping(monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftctl import (
+    AffineSystem,
     ConstantField,
     LinearField,
     Manifold,
@@ -118,7 +119,9 @@ def test_lie_bracket_linear_example():
 def test_affine_parts():
     """Linear and constant fields are polynomial fields of degree one and
     zero whose affine() gives back the matrix and vector; a cubic field and
-    a bare callable are not affine, and a negative exponent cannot be built."""
+    a bare callable are not affine, and a negative exponent cannot be built.
+    A system's affine_parts of a stack of control rows is, row by row,
+    bitwise its affine_parts of each row."""
     rng = np.random.default_rng(15)
     a = rng.standard_normal((3, 3))
     c = rng.standard_normal(3)
@@ -130,6 +133,14 @@ def test_affine_parts():
     with pytest.raises(ValueError):
         PolynomialField([[(1.0, (2, -1))], []], 2)
     assert VectorField(lambda x: x).affine() is None
+    sys = AffineSystem(Manifold.flat(3), LinearField(a), (LinearField(a.T), ConstantField(c), zero_field(3)),
+                       [[-1.0, 1.0]] * 3)
+    controls = rng.uniform(-1.0, 1.0, (4, 3))
+    stacked = sys.affine_parts(controls)
+    assert stacked[0].shape == (4, 3, 3) and stacked[1].shape == (4, 3)
+    for r, u in enumerate(controls):
+        for got, want in zip(stacked, sys.affine_parts(u)):
+            assert got[r].tobytes() == want.tobytes()
 
 
 def test_lie_bracket_fd_oracle():

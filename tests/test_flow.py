@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -260,7 +260,7 @@ def test_drift_monitor_raises_on_huge_step():
 
 def callable_copy(fld):
     """The same field as a bare callable with an analytic Jacobian, which
-    integrates by the four RK4 stages instead of the step map."""
+    integrates by the four RK4 stages instead of the generated kernel."""
     a, b = fld.affine()
     return VectorField(lambda x: a @ x + b, lambda x: a)
 
@@ -285,11 +285,12 @@ def sphere_two_axis_system():
 @pytest.mark.parametrize("n,drift", [(1, "constant"), (1, "linear"), (2, "constant"),
                                      (2, "linear"), (3, "constant"), (3, "linear"),
                                      (3, "sphere")])
-def test_step_map_matches_stages(n, drift):
-    """Linear and constant fields step by the precomputed affine map; the
-    same matrices as bare callables step by the four stages. Both are RK4,
-    so states and fibers agree up to rounding; base and lifted runs on the
-    map path stay bitwise equal, with c != 0 when the drift is constant."""
+def test_affine_kernel_matches_stages(n, drift, monkeypatch):
+    """Recorded runs of linear and constant fields step by the generated
+    kernel, building no step map; the same matrices as bare callables step
+    by the four stages. Both are RK4, so states and fibers agree up to
+    rounding; base and lifted runs on the kernel stay bitwise equal, with
+    b != 0 when the drift is constant."""
     rng = np.random.default_rng(100 * n + (drift == "constant"))
     if drift == "sphere":
         sys = sphere_two_axis_system()
@@ -303,6 +304,8 @@ def test_step_map_matches_stages(n, drift):
                             for _ in range(3)))
     assert sys.affine_parts(u.segments[0][1]) is not None
     assert stages.affine_parts(u.segments[0][1]) is None
+    for name in ("_step_map", "_drift_bound", "_power"):
+        monkeypatch.setattr(flow, name, lambda *args: pytest.fail("a recorded run built a step map"))
     mapped = integrate_lifted(sys, TangentPoint(x0, v0), u, 1e-3)
     staged = integrate_lifted(stages, TangentPoint(x0, v0), u, 1e-3)
     for got, want in ((mapped.states, staged.states), (mapped.fibers, staged.fibers)):
@@ -469,8 +472,8 @@ def stepped_rows(kernel, x0, fibers, u, step):
     table, bind = kernel
     x, cols = list(x0), [] if fibers is None else np.asarray(fibers).T.tolist()
     rows, t = [[0.0, *x, *(w for col in cols for w in col)]], 0.0
-    for duration, uval in u.segments:
-        n_steps, h = flow._segment_grid(duration, step)
+    counts, sizes = flow._grid(np.array([duration for duration, _ in u.segments]), step)
+    for (_, uval), n_steps, h in zip(u.segments, counts.astype(int).tolist(), sizes.tolist()):
         base, lifted = bind(h, (np.insert(uval, 0, 1.0) @ table).tolist())
         for _ in range(n_steps):
             cols = [list(w) for _, w in (lifted(*x, *col) for col in cols)]
@@ -487,7 +490,6 @@ def polynomial_runs(draw):
     steps of 1e-3 (1-step and shortened last steps included), and a batch
     of constant controls with mixed step counts."""
     sys, x0, v0, _ = draw(random_polynomial_system())
-    assume(sys._affine_terms is None)  # affine systems step by the step map
     n, m = len(x0), sys.n_controls
     unit = st.floats(-1.0, 1.0)
     duration = st.sampled_from([1e-3, 0.4e-3, 2e-3, 2.7e-3, 4e-3])
@@ -503,12 +505,13 @@ def polynomial_runs(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=polynomial_runs())
 def test_segment_loop_matches_single_steps_bitwise(case):
-    """Every polynomial run off the sphere takes one generated loop call per
-    segment (per fiber column, per batch on numpy columns); it gives bitwise
-    the rows, t column included, and end points of one single-step kernel
-    call per step: integrate_base, integrate_lifted, fiber_flow with a
-    vector, an (n, k) and an (n, 0) matrix, and constant_control_endpoints
-    rows."""
+    """Every recorded polynomial run off the sphere, affine ones included,
+    takes one generated loop call per segment; integrate_base and
+    integrate_lifted give bitwise the rows, t column included, of one
+    single-step kernel call per step. So do the end points of non-affine
+    runs, whose loop runs per fiber column and per batch on numpy columns:
+    fiber_flow with a vector, an (n, k) and an (n, 0) matrix, and
+    constant_control_endpoints rows. Affine end points are matrix powers."""
     sys, x0, v0, fibers, u, batch = case
     n = len(x0)
     kernel = single_step_kernel((sys.drift, *sys.controlled), n)
@@ -517,6 +520,8 @@ def test_segment_loop_matches_single_steps_bitwise(case):
     assert np.array_equal(base.times, want[:, 0]) and np.array_equal(lifted.times, want[:, 0])
     assert np.array_equal(base.states, want[:, 1:n + 1]) and np.array_equal(lifted.states, want[:, 1:n + 1])
     assert np.array_equal(lifted.fibers, want[:, n + 1:])
+    if sys._affine_terms is not None:
+        return
     for carried in (v0, fibers, np.zeros((n, 0))):
         end = stepped_rows(kernel, x0, carried.reshape(n, -1), u, 1e-3)[-1]
         x_end, v_end = fiber_flow(sys, x0, carried, u, 1e-3)
@@ -527,12 +532,12 @@ def test_segment_loop_matches_single_steps_bitwise(case):
     # one matrix product; the single steps then run on the numpy columns
     controls, durations, steps = (np.array(column) for column in zip(*batch))
     ends = constant_control_endpoints(sys, x0, controls, durations, steps)
-    counts = np.array([flow._segment_grid(d, s)[0] for d, s in zip(durations, steps)])
+    counts = flow._grid(durations, steps)[0]
     for k in np.unique(counts):
         rows = np.flatnonzero(counts == k)
         base, _ = kernel[1](durations[rows] / k, (np.insert(controls[rows], 0, 1.0, axis=-1) @ kernel[0]).T)
         columns = np.tile(x0, (len(rows), 1)).T
-        for _ in range(k):
+        for _ in range(int(k)):
             columns = base(*columns)
         assert np.array_equal(ends[rows], np.array(columns).T)
 
@@ -695,9 +700,9 @@ def test_batch_step_that_is_not_positive_and_finite_is_refused():
             constant_control_endpoints(sys, [1.0, 0.0], [[0.5], [0.5]], [0.2, 0.3], [1e-2, bad])
 
 
-def test_degree_one_polynomial_takes_the_step_map():
-    """A "polynomial" descriptor of degree one is affine: it steps by the
-    map and integrates bitwise like the same "linear" descriptor."""
+def test_degree_one_polynomial_integrates_as_the_linear_descriptor():
+    """A "polynomial" descriptor of degree one is affine: it integrates
+    bitwise like the same "linear" descriptor."""
     lin = field_from_descriptor({"type": "linear", "matrix": [[0.3, -1.1], [0.9, 0.2]]})
     poly = field_from_descriptor({"type": "polynomial", "components": [
         [[0.3, [1, 0]], [-1.1, [0, 1]]], [[0.9, [1, 0]], [0.2, [0, 1]]]]})

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -519,6 +520,20 @@ def test_plan_chain_refuses_a_budget_below_one_leg(max_legs):
     for target in (TangentPoint([0.0], [0.1]), TangentPoint([3.0], [-5.0])):
         with pytest.raises(ValueError, match=f"max_legs must be at least 1, got {max_legs}"):
             plan_chain(sys, oracle, source, target, 0.25, 0.5, max_legs=max_legs)
+
+
+@pytest.mark.parametrize("epsilon,T,named", [
+    (math.nan, 0.5, "epsilon"), (math.inf, 0.5, "epsilon"), (0.25, math.nan, "T"), (0.25, math.inf, "T"),
+])
+def test_plan_chain_refuses_a_non_finite_epsilon_or_T(epsilon, T, named):
+    """A NaN or infinite epsilon or T used to end in a float-to-integer
+    conversion error deep in the planner, or, for T = inf, in a
+    SteeringFailure about padding; each is now refused by name."""
+    sys = line_system()
+    oracle = LinearGramianOracle.for_system(sys, horizon=1.0)
+    value = epsilon if named == "epsilon" else T
+    with pytest.raises(ValueError, match=f"{named} must be positive and finite, got {value}"):
+        plan_chain(sys, oracle, TangentPoint([0.0], [0.0]), TangentPoint([3.0], [-5.0]), epsilon, T)
 
 
 def test_chain_invariants_and_structure():
