@@ -51,9 +51,9 @@ _METRICS = {"flat": ("flat_product", "transport_surrogate"),
             "sphere2": ("transport_surrogate",)}
 
 # larc refuses a --depth whose Lyndon basis has more columns than this. Each
-# column is one bracket; 9,382 of them (three polynomial fields on R^2 at
-# depth 10) take about 0.30 s in-process on 2 vCPUs, and the count grows
-# about k-fold per depth.
+# column is one bracket; 9,382 of them (three polynomial fields on R^2 at depth
+# 10) take about 0.7 s in-process on 2 vCPUs to build, once per process, and
+# 5-7 ms per later rank. The count grows about k-fold per depth.
 LARC_MAX_COLUMNS = 10_000
 
 

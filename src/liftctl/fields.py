@@ -7,9 +7,9 @@ a vector, and any field of degree at most one reports its (A, b) through
 affine(). Each polynomial field derives its n^2 partials once, when it is
 built, and they are the only source of its derivatives: its Jacobian, the
 closed-form brackets, the flattened lifts and a system's RK4 kernel, which
-polynomial_kernel generates as straight-line source, all read them, so no
-other module reads the monomial format. Arbitrary callables fall back to
-central finite differences.
+polynomial_kernel generates as straight-line source, all read them, and
+outside this module only liealg's bracket table reads the monomial format.
+Arbitrary callables fall back to central finite differences.
 A lifted field is kept as a pair of ambient maps (horizontal, vertical), so
 its projection onto the base field holds by construction; the
 bracket-identity check flattens lifted fields to 2n ambient dimensions only

@@ -5,15 +5,20 @@ Brackets are generated as the Lyndon basis of the free Lie algebra on the
 fields, one bracket per basis element. The basis spans what all iterated
 brackets span, so the ranks are those of the full bracket family; numerical
 dependencies among the evaluated columns are left to the SVD threshold.
+
+For polynomial fields the basis is built once per field set and depth in a
+process, as a sparse table of monomial coefficients, and a rank evaluates
+every column from one product of the monomials at the point.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import complete_lift, flatten_lift, lie_bracket
+from .fields import PolynomialField, complete_lift, flatten_lift, lie_bracket
 from .manifold import Manifold, ManifoldKind, TangentPoint
 
 DEFAULT_DEPTH = 4
@@ -97,6 +102,50 @@ def _rank_from_columns(cols: np.ndarray) -> tuple[int, np.ndarray, float]:
     return rank, sigma, threshold
 
 
+@functools.lru_cache(maxsize=8)  # tables kept per process, one per field set and depth
+def _bracket_table(key: tuple, max_depth: int):
+    """(E, coeff, mono, slot, size) for the polynomial fields key holds as
+    (dim, components): the distinct monomial exponents E (M, n), and one
+    entry coeff * x ** E[mono] of slot b (n + n^2) + s < size per monomial of
+    a generated bracket b's component i (s = i) or partial of component i
+    along x_j (s = n + i n + j). The arrays are shared, so read-only."""
+    entries = generate_brackets([PolynomialField(comps, dim) for dim, comps in key], max_depth)
+    index, terms, n = {}, [], key[0][0]
+    for b, (_, fld) in enumerate(entries):
+        polys = (*fld.components, *(p for row in fld._partials for p in row))
+        terms += [(c, index.setdefault(e, len(index)), b * len(polys) + s)
+                  for s, poly in enumerate(polys) for c, e in poly]
+    coeff, mono, slot = np.array(terms, dtype=float).reshape(-1, 3).T
+    table = (np.array(list(index), dtype=int).reshape(-1, n), coeff, mono.astype(np.intp),
+             slot.astype(np.intp))
+    for arr in table:
+        arr.flags.writeable = False
+    return (*table, len(entries) * (n + n * n))
+
+
+def _columns(fields, max_depth: int, manifold: Manifold, x: np.ndarray, v=None) -> np.ndarray:
+    """Every generated bracket at x or, given v, its complete lift at (x, v)
+    as one column, projected into the tangent plane on the sphere. Polynomial
+    fields read all values and Jacobians from their bracket table at once."""
+    fields, n = tuple(fields), manifold.ambient_dim
+    if fields and all(isinstance(f, PolynomialField) for f in fields):
+        exps, coeff, mono, slot, size = _bracket_table(
+            tuple((f.dim, f.components) for f in fields), max_depth)
+        out = np.bincount(slot, coeff * np.prod(x ** exps, axis=1)[mono],
+                          minlength=size).reshape(-1, n + n * n)
+        cols = out[:, :n].T
+        if v is not None:
+            cols = np.vstack([cols, (out[:, n:].reshape(-1, n, n) @ v).T])
+    else:
+        cols = [fld(x) if v is None else np.concatenate(complete_lift(fld)(TangentPoint(x, v)))
+                for _, fld in generate_brackets(fields, max_depth)]
+        cols = np.column_stack(cols) if cols else np.zeros((n if v is None else 2 * n, 0))
+    if manifold.kind is ManifoldKind.SPHERE2:  # the base block, and the fiber block if lifted
+        basis = manifold.tangent_basis(x)
+        cols = np.vstack([basis.T @ block for block in np.split(cols, len(cols) // n)])
+    return cols
+
+
 def rank_at(fields, point: np.ndarray, max_depth: int, manifold: Manifold) -> RankReport:
     """Evaluate all generated brackets at a base point and measure their rank.
 
@@ -104,11 +153,7 @@ def rank_at(fields, point: np.ndarray, max_depth: int, manifold: Manifold) -> Ra
     the rank is taken there.
     """
     point = manifold.check_point(point)
-    entries = generate_brackets(fields, max_depth)
-    cols = np.column_stack([fld(point) for _, fld in entries]) if entries else np.zeros((manifold.ambient_dim, 0))
-    if manifold.kind is ManifoldKind.SPHERE2:
-        basis = manifold.tangent_basis(point)
-        cols = basis.T @ cols
+    cols = _columns(fields, max_depth, manifold, point)
     rank, sigma, threshold = _rank_from_columns(cols)
     return RankReport(point, cols, rank, sigma, threshold, max_depth, lifted=False)
 
@@ -118,20 +163,7 @@ def lifted_rank_at(fields, tangent_point: TangentPoint, max_depth: int,
     """Rank of the complete lifts of all generated brackets, evaluated as
     2n-dimensional vectors at the given tangent point."""
     tangent_point.validate(manifold)
-    entries = generate_brackets(fields, max_depth)
-    columns = []
-    for _, fld in entries:
-        h, vert = complete_lift(fld)(tangent_point)
-        columns.append(np.concatenate([h, vert]))
-    if columns:
-        cols = np.column_stack(columns)
-    else:
-        cols = np.zeros((2 * manifold.ambient_dim, 0))
-    if manifold.kind is ManifoldKind.SPHERE2:
-        basis = manifold.tangent_basis(tangent_point.x)
-        top = basis.T @ cols[: manifold.ambient_dim]
-        bottom = basis.T @ cols[manifold.ambient_dim:]
-        cols = np.vstack([top, bottom])
+    cols = _columns(fields, max_depth, manifold, tangent_point.x, tangent_point.v)
     rank, sigma, threshold = _rank_from_columns(cols)
     return RankReport(tangent_point, cols, rank, sigma, threshold, max_depth, lifted=True)
 

@@ -40,6 +40,7 @@ from .flow import (
     fiber_flow,
     split_signal,
 )
+from .liealg import DEFAULT_DEPTH, rank_at
 from .manifold import Manifold, ManifoldKind, TangentPoint, json_numbers
 from .sasaki import distance, fiber_segment_point
 
@@ -509,8 +510,9 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
     target -> source -> target for which the minimum-norm jumps that close
     the fiber gap all fit within epsilon. A gap that no itinerary within
     max_legs covers, or a walk that misses the target all the same, raises
-    PlanningBudgetError with the partial chain. Deterministic given its
-    inputs.
+    PlanningBudgetError with the partial chain; an oracle's SteeringFailure
+    names the base rank where it falls below the manifold's dimension at the
+    start point. Deterministic given its inputs.
     """
     for name, value in (("epsilon", epsilon), ("T", min_duration)):
         if not 0.0 < value < math.inf:  # NaN fails it too
@@ -537,7 +539,15 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
     def solve(a: np.ndarray, b: np.ndarray) -> tuple[float, ControlSignal]:
         key = (a.tobytes(), b.tobytes())
         if key not in solved:
-            solved[key] = oracle.solve(a, b)
+            try:
+                solved[key] = oracle.solve(a, b)
+            except SteeringFailure as exc:  # name a base rank condition that fails at a
+                n = m.intrinsic_dim
+                rank = rank_at((sys.drift, *sys.controlled), a, DEFAULT_DEPTH, m).rank
+                if rank >= n:
+                    raise
+                where = "the source" if a is x else "the target" if a is y else a.tolist()
+                raise SteeringFailure(f"{exc}; base rank {rank} < {n} at {where}") from exc
         return solved[key]
 
     plan = _padded_plan(solve, m, x, y, min_leg, solve(x, y)[1])

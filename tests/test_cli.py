@@ -116,6 +116,27 @@ def test_chain_source_equals_target(capsys):
     assert len(payload["chain"]["legs"]) == 1
 
 
+def test_chain_steering_failure_names_a_failed_base_rank(capsys):
+    """sphere_rotation turns about one axis only: the bracket rank is 1 on
+    the sphere, so no search reaches (0, 0, 1) from (1, 0, 0)."""
+    code, _, err = run_cli(["chain", SPHERE, "--source=1,0,0;0,1,0",
+                            "--target=0,0,1;1,0,0"], capsys)
+    assert code == 1
+    assert err == ("error: search budget exhausted: best endpoint error 1.571e+00; "
+                   "base rank 1 < 2 at the source\n")
+
+
+def test_chain_steering_failure_at_full_base_rank_keeps_its_message(capsys):
+    """A flat_rotation pair the search misses (perfbench/NOTES.md finding
+    3); the base rank there is 2, so the oracle's message stands alone."""
+    code, _, err = run_cli([
+        "chain", FLAT, "--source=-1.6995941626036914,-0.16416732119517694;0.1,0.1",
+        "--target=-0.3818493401117616,1.6687812874762882;1,-0.5", "--eps", "0.25", "--T", "0.5",
+    ], capsys)
+    assert code == 1
+    assert err == "error: search budget exhausted: best endpoint error 1.024e-03\n"
+
+
 def test_chain_verify_only_detects_corruption(tmp_path, capsys):
     out_file = tmp_path / "chain.json"
     code, _, _ = run_cli([

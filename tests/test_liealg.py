@@ -10,11 +10,13 @@ from liftctl import (
     ConstantField,
     LinearField,
     Manifold,
+    ManifoldKind,
     OffManifoldError,
     PolynomialField,
     TangentPoint,
     VectorField,
     check_lift_algebra_identity,
+    complete_lift,
     generate_brackets,
     lie_bracket,
     lifted_rank_at,
@@ -115,24 +117,55 @@ def left_normed_brackets(fields, max_depth):
     return entries
 
 
+def _left_normed_count(k: int, max_depth: int) -> int:
+    """len(left_normed_brackets) of k fields: k words of length one, then
+    k (k - 1) / 2 of length two, each extended by any of the k fields."""
+    return k + k * (k - 1) // 2 * sum(k ** i for i in range(max_depth - 1))
+
+
 def _ranks(fields, point, max_depth, manifold):
-    base = rank_at(fields, point.x, max_depth, manifold).rank
-    lifted = lifted_rank_at(fields, point, max_depth, manifold).rank
-    return base, lifted
+    """(base rank, lifted rank) and the column count of both reports."""
+    base = rank_at(fields, point.x, max_depth, manifold)
+    lifted = lifted_rank_at(fields, point, max_depth, manifold)
+    assert base.generated_vectors.shape[1] == lifted.generated_vectors.shape[1]
+    return (base.rank, lifted.rank), lifted.generated_vectors.shape[1]
 
 
 def _ranks_both_ways(monkeypatch, fields, point, max_depth, manifold):
-    lyndon = _ranks(fields, point, max_depth, manifold)
+    """The ranks of the Lyndon basis and of the left-normed words. The bracket
+    tables are cached by field content, so the cache is emptied on entering
+    the patched context, lest the reference read a Lyndon table, and on
+    leaving it, lest a left-normed table outlive it."""
+    lyndon, columns = _ranks(fields, point, max_depth, manifold)
+    assert columns == sum(_witt(len(fields), n) for n in range(1, max_depth + 1))
     with monkeypatch.context() as m:
         m.setattr(liealg, "generate_brackets", left_normed_brackets)
-        reference = _ranks(fields, point, max_depth, manifold)
+        liealg._bracket_table.cache_clear()
+        try:
+            reference, columns = _ranks(fields, point, max_depth, manifold)
+        finally:
+            liealg._bracket_table.cache_clear()
+    assert columns == _left_normed_count(len(fields), max_depth)
     return lyndon, reference
 
 
 def test_left_normed_reference_counts():
     fields = [LinearField(SL2_A), LinearField(SL2_B), LinearField(ROT2)]
-    assert len(left_normed_brackets(fields, 6)) == 366
-    assert len(left_normed_brackets(fields[:1], 4)) == 1
+    assert len(left_normed_brackets(fields, 6)) == 366 == _left_normed_count(3, 6)
+    assert len(left_normed_brackets(fields[:1], 4)) == 1 == _left_normed_count(1, 4)
+    assert len(left_normed_brackets(fields[:2], 3)) == 5 == _left_normed_count(2, 3)
+
+
+def test_reference_run_reads_left_normed_columns_and_leaves_no_table(monkeypatch):
+    """Three fields at depth 6: 196 Lyndon columns before and after the
+    reference run, 366 left-normed ones inside it."""
+    fields = [LinearField(SL2_A), LinearField(SL2_B), LinearField(ROT2)]
+    p = TangentPoint([1.0, 0.3], [0.0, 1.0])
+    m = Manifold.flat(2)
+    assert lifted_rank_at(fields, p, 6, m).generated_vectors.shape[1] == 196
+    _ranks_both_ways(monkeypatch, fields, p, 6, m)
+    assert liealg._bracket_table.cache_info().currsize == 0
+    assert lifted_rank_at(fields, p, 6, m).generated_vectors.shape[1] == 196
 
 
 @pytest.mark.parametrize("path", DEFINITIONS)
@@ -149,6 +182,82 @@ def test_lyndon_ranks_match_left_normed_words(monkeypatch, path):
         for p in points:
             lyndon, reference = _ranks_both_ways(monkeypatch, fields, p, depth, m)
             assert lyndon == reference, (depth, p)
+
+
+def _random_polynomial_fields(rng, k: int, n: int):
+    return [PolynomialField([[(float(rng.standard_normal()), tuple(rng.integers(0, 3, n)))
+                              for _ in range(3)] for _ in range(n)], n) for _ in range(k)]
+
+
+def _assert_columns_match(cols, ref):
+    """Equal within 1e-12 of each reference column's largest entry."""
+    assert cols.shape == ref.shape
+    scale = np.abs(ref).max(axis=0, initial=0.0)
+    assert np.all(np.abs(cols - ref) <= 1e-12 * scale), np.max(np.abs(cols - ref))
+
+
+def _assert_reports_match_brackets(fields, p, max_depth, m):
+    """rank_at and lifted_rank_at columns against each generated bracket
+    evaluated by itself: fld(x), and complete_lift(fld) at p."""
+    entries = generate_brackets(fields, max_depth)
+    base = np.column_stack([fld(p.x) for _, fld in entries])
+    lifted = np.column_stack([np.concatenate(complete_lift(fld)(p)) for _, fld in entries])
+    if m.kind is ManifoldKind.SPHERE2:
+        frame = m.tangent_basis(p.x).T
+        base, lifted = frame @ base, np.vstack([frame @ lifted[:3], frame @ lifted[3:]])
+    _assert_columns_match(rank_at(fields, p.x, max_depth, m).generated_vectors, base)
+    _assert_columns_match(lifted_rank_at(fields, p, max_depth, m).generated_vectors, lifted)
+
+
+@pytest.mark.parametrize("path", ["defs/line_shift.json", "perfbench/defs/duffing.json",
+                                  "perfbench/defs/three_field.json",
+                                  "perfbench/defs/sphere_two_axis.json"])
+def test_bracket_table_columns_match_each_bracket(path):
+    defn = SystemDefinition.load(str(ROOT / path))
+    fields = (defn.system.drift,) + defn.system.controlled
+    m = defn.manifold
+    rng = np.random.default_rng(48)
+    for depth in range(1, 7):
+        x = m.random_point(rng)
+        _assert_reports_match_brackets(fields, TangentPoint(x, m.random_tangent(x, rng)), depth, m)
+
+
+def test_bracket_table_columns_match_on_random_polynomials_in_r3():
+    rng = np.random.default_rng(49)
+    fields = _random_polynomial_fields(rng, 3, 3)
+    for depth in range(1, 5):
+        p = TangentPoint(rng.uniform(-1.5, 1.5, 3), rng.standard_normal(3))
+        _assert_reports_match_brackets(fields, p, depth, Manifold.flat(3))
+
+
+def test_bare_callable_fields_are_evaluated_bracket_by_bracket():
+    """A field set with a bare callable builds no table; its columns are
+    the pointwise brackets, finite differences included."""
+    fields = [LinearField(SL2_A), VectorField(lambda x: np.array([x[1] ** 2, x[0]]))]
+    p = TangentPoint([0.4, -0.7], [1.0, 0.5])
+    before = liealg._bracket_table.cache_info()
+    _assert_reports_match_brackets(fields, p, 3, Manifold.flat(2))
+    after = liealg._bracket_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_bracket_table_is_shared_read_only_and_reports_are_not():
+    """Mutating a report's arrays changes no later report, and the cached
+    table refuses writes."""
+    fields = _random_polynomial_fields(np.random.default_rng(50), 2, 2)
+    p, m = TangentPoint([0.3, -1.1], [0.8, 0.2]), Manifold.flat(2)
+    for rank in (lambda: rank_at(fields, p.x, 4, m), lambda: lifted_rank_at(fields, p, 4, m)):
+        first = rank()
+        expected = first.generated_vectors.copy()
+        first.generated_vectors[...] = np.nan
+        first.singular_values[...] = np.nan
+        second = rank()
+        assert np.array_equal(second.generated_vectors, expected)
+        assert second.rank == first.rank
+    table = liealg._bracket_table(tuple((f.dim, f.components) for f in fields), 4)
+    for arr in table[:4]:
+        with pytest.raises(ValueError):
+            arr[...] = 0
 
 
 GRID = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
