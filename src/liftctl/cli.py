@@ -130,10 +130,12 @@ class SystemDefinition:
                 or not 0 < step < math.inf):
             raise DefinitionError("step", "must be a positive finite number")
         seed = data.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise DefinitionError("seed", "must be an integer")
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:  # numpy takes no seed < 0
+            raise DefinitionError("seed", f"must be a non-negative integer, got {seed!r}")
         env_seed = os.environ.get("LIFTCTL_SEED")
         if env_seed is not None:
+            if not env_seed.strip().isdecimal():  # the digits int() reads, with no sign
+                raise DefinitionError("LIFTCTL_SEED", f"must be a non-negative integer, got {env_seed!r}")
             seed = int(env_seed)
         return SystemDefinition(manifold, system, float(step), seed)
 
@@ -255,9 +257,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-_SUITES = ("lift", "flow", "invariance", "rank")
-
-
 def _suite_lift(defn: SystemDefinition) -> dict:
     sys_ = defn.system
     rng = np.random.default_rng(defn.seed)
@@ -359,13 +358,15 @@ def _suite_rank(defn: SystemDefinition) -> dict:
     }
 
 
+_SUITES = {"lift": _suite_lift, "flow": _suite_flow, "invariance": _suite_invariance,
+           "rank": _suite_rank}
+
+
 def cmd_check(args) -> int:
     defn = SystemDefinition.load(args.definition)
     if args.suite not in _SUITES:
-        raise DefinitionError("--suite", f"unknown suite {args.suite!r}; expected one of {_SUITES}")
-    suite_fn = {"lift": _suite_lift, "flow": _suite_flow,
-                "invariance": _suite_invariance, "rank": _suite_rank}[args.suite]
-    results = suite_fn(defn)
+        raise DefinitionError("--suite", f"unknown suite {args.suite!r}; expected one of {tuple(_SUITES)}")
+    results = _SUITES[args.suite](defn)
     passed = all(entry["pass"] for entry in results.values())
     report = {"suite": args.suite, "seed": defn.seed, "passed": passed, "checks": results}
     _emit(json.dumps(report, indent=2) + "\n", args.out)

@@ -214,20 +214,25 @@ def zero_field(dim: int) -> ConstantField:
     return ConstantField(np.zeros(dim), name="zero")
 
 
-def polynomial_kernel(fields, n: int):
+def polynomial_kernel(fields, n: int, drift_tol=None):
     """(table, bind) for RK4 runs of the system sum_f c_f fields[f] (c_0 = 1)
     when every field is a PolynomialField on R^n, else None.
 
     Slot k is one monomial of a component or partial, and table (F, K) holds
-    each field's coefficient of it. bind(h, c @ table) returns the segment
-    loops base(steps, t, rows, x0, ..) -> ((x0, ..), None, t) and
-    lifted(steps, t, rows, x0, .., v0, ..) -> ((x0, ..), (v0, ..), t) of
-    `steps` RK4 steps of size h with t = t + h each, which extend rows unless
-    None by the flat row (t, x0, .., v0, ..) of every step. Their source is
-    straight-line arithmetic on Python floats, or on numpy columns with one
-    entry per row of a batch. It holds only generated names, integer
-    exponents and fixed constants, and the lifted loop repeats the base
-    loop's lines verbatim, so both give the same state bitwise.
+    each field's coefficient of it. bind(h, c @ table, sqrt, peak) returns
+    the segment loops base(steps, t, rows, x0, ..) -> ((x0, ..), None, t,
+    drift) and lifted(steps, t, rows, x0, .., v0, ..) -> ((x0, ..),
+    (v0, ..), t, drift) of `steps` RK4 steps of size h with t = t + h each,
+    which extend rows unless None by the flat row (t, x0, .., v0, ..) of
+    every step. Their source is straight-line arithmetic on Python floats,
+    or on numpy columns with one entry per row of a batch. It holds only
+    generated names, integer exponents and fixed constants, and the lifted
+    loop repeats the base loop's lines verbatim, so both give the same state
+    bitwise. With drift_tol, on the unit sphere, every step ends by dividing
+    the state by its norm sqrt(x . x), re-projecting the fiber by
+    v -= x (x . v) and keeping the largest drift peak(norm - 1); the first
+    past drift_tol, or NaN, ends the loop there and is returned instead.
+    Without it the drift is 0.0.
     """
     if not all(isinstance(fld, PolynomialField) and fld.dim == n for fld in fields):
         return None
@@ -268,16 +273,26 @@ def polynomial_kernel(fields, n: int):
         state = ", ".join(y for names, _ in ends for y in names)
         step = ", ".join(f"{y} + h6*({k}1_{i} + 2.0*{k}2_{i} + 2.0*{k}3_{i} + {k}4_{i})"
                          for names, k in ends for i, y in enumerate(names))
+        # no fiber for the base loop
+        out = "".join(f"({', '.join(names)},), " for names, _ in ends) + "None, " * (2 - len(ends)) + "t, "
+        sphere = [] if drift_tol is None else [
+            f"nrm = sqrt({' + '.join(f'{y}*{y}' for y in x)})", "drift = peak(nrm - 1.0)",
+            f"if not drift <= {drift_tol!r}:", f"    return {out}drift",
+            "if drift > worst:", "    worst = drift",
+            f"{', '.join(x)}, = {', '.join(f'{y}/nrm' for y in x)},"]
+        if sphere and len(ends) == 2:  # the fiber, onto the tangent plane at the new state
+            sphere += [f"dot = {' + '.join(f'{y}*{w}' for y, w in zip(x, v))}",
+                       f"{', '.join(v)}, = {', '.join(f'{w} - {y}*dot' for y, w in zip(x, v))},"]
         return (f"    def {name}(steps, t, rows, {state}):\n"
                 f"        ({''.join(f'c{k}, ' for k in range(len(slots)))}) = c\n"
-                "        h2, h6 = 0.5 * h, h / 6.0\n        for _ in range(steps):\n"
+                "        h2, h6, worst = 0.5 * h, h / 6.0, 0.0\n        for _ in range(steps):\n"
                 + "".join(f"            {line}\n" for line in stages)
                 + f"            {state}, = {step},\n            t = t + h\n"
-                f"            if rows is not None:\n                rows += (t, {state})\n"
-                f"        return {''.join('(' + ', '.join(names) + ',), ' for names, _ in ends)}"
-                f"{'None, ' * (2 - len(ends))}t\n")  # no fiber for the base loop
-    source = ("def bind(h, c):\n" + loop("base", base, (x, "k")) + loop("lifted", lifted, (x, "k"), (v, "kv"))
-              + "    return base, lifted\n")
+                + "".join(f"            {line}\n" for line in sphere)
+                + f"            if rows is not None:\n                rows += (t, {state})\n"
+                f"        return {out}worst\n")
+    source = ("def bind(h, c, sqrt, peak):\n" + loop("base", base, (x, "k"))
+              + loop("lifted", lifted, (x, "k"), (v, "kv")) + "    return base, lifted\n")
     return table, _compiled_bind(source)
 
 

@@ -26,14 +26,14 @@ of three ways per segment.
 - Kernel loop. Every other polynomial segment, affine ones that record rows
   or whose power g does not certify included, runs the system's generated
   kernel (fields.polynomial_kernel): a loop over a segment's RK4 steps on
-  Python floats, or on the numpy columns of a batch. Off the sphere a
-  segment is one call, one per column of a fiber matrix; on it, one call
-  per step, to renormalize in between.
-- Stages. Bare-callable fields step through rhs and rhs_jacobian; they are
-  also the reference that the kernel tests compare against.
+  Python floats, or on the numpy columns of a batch, one call per segment
+  and per column of a fiber matrix. On the sphere its loop renormalizes
+  the state and re-projects the fiber after every step, and stops at the
+  first drift past DRIFT_TOL.
+- Stages. Bare-callable fields step through rhs and rhs_jacobian in
+  _stages, the reference that the kernel tests compare against.
 
-_rk4 is the one per-step loop. Every run records its rows as one flat list
-of floats.
+Every run records its rows as one flat list of floats.
 """
 
 from __future__ import annotations
@@ -270,8 +270,10 @@ class AffineSystem:
 
     @functools.cached_property
     def _polynomial_kernel(self):
-        """fields.polynomial_kernel of the drift and controlled fields."""
-        return polynomial_kernel((self.drift, *self.controlled), self.manifold.ambient_dim)
+        """fields.polynomial_kernel of the fields; on S2 its loops renormalize."""
+        on_sphere = self.manifold.kind is ManifoldKind.SPHERE2
+        return polynomial_kernel((self.drift, *self.controlled), self.manifold.ambient_dim,
+                                 DRIFT_TOL if on_sphere else None)
 
 
 @dataclass(frozen=True)
@@ -328,6 +330,12 @@ def _grid(durations: np.ndarray, steps):
     return counts, durations / counts
 
 
+def _check_drift(drift, t, tol=DRIFT_TOL) -> None:
+    """Raise IntegrationError naming t (a batch's latest) unless drift <= tol."""
+    if not drift <= tol:
+        raise IntegrationError(f"off-manifold drift {drift:.3e} at t={np.max(t)}")
+
+
 def _to_sphere(x: np.ndarray, v, t, tol=DRIFT_TOL) -> tuple[np.ndarray, np.ndarray | None, float]:
     """Renormalize a state, or each row of a batch, onto the unit sphere and
     re-project the fiber v, unless None; return (x, v, largest |‖x‖ - 1|).
@@ -338,37 +346,10 @@ def _to_sphere(x: np.ndarray, v, t, tol=DRIFT_TOL) -> tuple[np.ndarray, np.ndarr
     else:
         nrm = np.linalg.norm(x, axis=1, keepdims=True)
         x, drift = x / nrm, float(np.max(np.abs(nrm - 1.0)))
-    if not drift <= tol:
-        raise IntegrationError(f"off-manifold drift {drift:.3e} at t={np.max(t)}")
+    _check_drift(drift, t, tol)
     if v is not None:
         v = v - (x * (x @ v) if v.ndim == 1 else np.outer(x, x @ v))
     return x, v, drift
-
-
-def _stage_step(rhs, h):
-    """One classical RK4 step (Hairer, Nørsett & Wanner, Solving ODEs I,
-    §II.1) of size h of dx/dt = f(x) and, unless v is None, of the
-    variational equation dv/dt = Df(x) v along the same base stages, as a
-    map (x, v) -> (x, v). rhs(x, lifted) returns (f(x), Df(x) if lifted
-    else None), so a base run evaluates no Jacobian and the base stages do
-    not depend on the fiber."""
-    def step(x, v):
-        lifted = v is not None
-        k1, j1 = rhs(x, lifted)
-        x2 = x + 0.5 * h * k1
-        k2, j2 = rhs(x2, lifted)
-        x3 = x + 0.5 * h * k2
-        k3, j3 = rhs(x3, lifted)
-        x4 = x + h * k3
-        k4, j4 = rhs(x4, lifted)
-        if lifted:
-            k1v = j1 @ v
-            k2v = j2 @ (v + 0.5 * h * k1v)
-            k3v = j3 @ (v + 0.5 * h * k2v)
-            k4v = j4 @ (v + h * k3v)
-            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), v
-    return step
 
 
 def _step_map(a: np.ndarray, b: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -405,16 +386,27 @@ def _power(m: np.ndarray, c: np.ndarray, k: int, x: np.ndarray, v):
     return power[:n, :n] @ x + power[:n, n], None if v is None else power[:n, :n] @ v
 
 
-def _rk4(step, x, v, h, n_steps: int, on_sphere: bool, t=0.0, rows=None):
-    """The per-step RK4 stepper: n_steps applications of step, a map
-    (x, v) -> (x, v) of size h, to the state x and, unless v is None, its
-    fiber v. On the sphere every step ends in _to_sphere. rows, when given, is
-    extended by the flat row (t, x.., v..) after every step, as by the
-    polynomial segment loop. Returns (x, v, t, max_drift).
+def _stages(rhs, h, n_steps: int, x, v, t, rows, on_sphere: bool):
+    """n_steps classical RK4 steps (Hairer, Nørsett & Wanner, Solving ODEs I,
+    §II.1) of size h of dx/dt = f(x) and, unless v is None, of the
+    variational equation dv/dt = Df(x) v along the same base stages, as
+    _advance takes them. rhs(x, lifted) returns (f(x), Df(x) if lifted else
+    None), so a base run evaluates no Jacobian and the base stages do not
+    depend on the fiber. On the sphere every step ends in _to_sphere.
     """
-    max_drift = 0.0
+    lifted, max_drift = v is not None, 0.0
     for _ in range(n_steps):
-        x, v = step(x, v)
+        k1, j1 = rhs(x, lifted)
+        k2, j2 = rhs(x + 0.5 * h * k1, lifted)
+        k3, j3 = rhs(x + 0.5 * h * k2, lifted)
+        k4, j4 = rhs(x + h * k3, lifted)
+        if lifted:
+            k1v = j1 @ v
+            k2v = j2 @ (v + 0.5 * h * k1v)
+            k3v = j3 @ (v + 0.5 * h * k2v)
+            k4v = j4 @ (v + h * k3v)
+            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t + h
         if on_sphere:
             x, v, drift = _to_sphere(x, v, t)
@@ -428,15 +420,15 @@ def _advance(sys: AffineSystem, uval: np.ndarray, h, n_steps: int, x: np.ndarray
              on_sphere: bool):
     """n_steps RK4 steps of size h under the constant control uval, from one
     state x (n,) with fiber v None, (n,) or (n, k), extending rows unless
-    None as _rk4 does, or from a stack of rows x (B, n) with uval (B, m),
-    h (B,) and v None. The one place that picks how a segment advances:
+    None by the flat row (t, x.., v..) of every step, or from a stack of
+    rows x (B, n) with uval (B, m), h (B,) and v None. The one place that
+    picks how a segment advances:
     - an affine segment without rows is one _power, on the sphere only where
       _drift_bound certifies it (a batch it certifies in part runs as two);
-    - every other polynomial segment, one state or a stack, recorded or not,
-      runs the generated kernel loop (fields.polynomial_kernel): one call
-      off the sphere, one per column of a fiber matrix (each gives the same
-      state bitwise), and one step per call on the sphere;
-    - bare callables take the four stages through rhs and rhs_jacobian.
+    - every other polynomial segment, on either manifold, is one call of the
+      generated kernel loop (fields.polynomial_kernel), one per column of a
+      fiber matrix (each gives the same state bitwise);
+    - bare callables take _stages through rhs and rhs_jacobian.
     Returns (x, v, t, the largest drift of a step off the sphere).
     """
     batch = x.ndim == 2
@@ -459,32 +451,24 @@ def _advance(sys: AffineSystem, uval: np.ndarray, h, n_steps: int, x: np.ndarray
             if on_sphere:  # certified: only NaN raises
                 x, v, _ = _to_sphere(x, v, t, math.inf)
             return x, v, t, 0.0
-    if sys._polynomial_kernel is not None:
-        table, bind = sys._polynomial_kernel
-        coeffs = np.insert(uval, 0, 1.0, axis=-1) @ table
-        base, lifted = bind(h, coeffs.T) if batch else bind(h, coeffs.tolist())
-
-        def run(x, v, n_steps, t, rows):
-            if batch:  # on the numpy columns of the rows
-                x, _, t = base(n_steps, t, None, *x.T)
-                return np.array(x).T, None, t
-            x = x.tolist()
-            if v is not None and v.ndim == 2:
-                runs = [lifted(n_steps, t, None, *x, *w) for w in v.T.tolist()] or [base(n_steps, t, None, *x)]
-                fibers = np.array([w for _, w, _ in runs if w is not None]).T.reshape(v.shape)
-                return np.array(runs[0][0]), fibers, runs[0][2]
-            x, v, t = base(n_steps, t, rows, *x) if v is None else lifted(n_steps, t, rows, *x, *v.tolist())
-            return np.array(x), None if v is None else np.array(v), t
-        if not on_sphere:
-            return *run(x, v, n_steps, t, rows), 0.0
-        step = lambda y, w: run(y, w, 1, 0.0, None)[:2]
-    elif batch:
-        step = _stage_step(lambda y, _: (np.array([sys.rhs(z, u) for z, u in zip(y, uval)]), None),
-                           h[:, None])
-    else:
-        step = _stage_step(lambda y, lifted: (sys.rhs(y, uval), sys.rhs_jacobian(y, uval) if lifted
-                                              else None), h)
-    return _rk4(step, x, v, h, n_steps, on_sphere, t, rows)
+    if sys._polynomial_kernel is None:
+        if batch:
+            rhs, h = (lambda y, _: (np.array([sys.rhs(z, u) for z, u in zip(y, uval)]), None)), h[:, None]
+        else:
+            rhs = lambda y, lifted: (sys.rhs(y, uval), sys.rhs_jacobian(y, uval) if lifted else None)
+        return _stages(rhs, h, n_steps, x, v, t, rows, on_sphere)
+    table, bind = sys._polynomial_kernel
+    coeffs = np.insert(uval, 0, 1.0, axis=-1) @ table
+    # on Python floats, or on the numpy columns of a batch's rows
+    base, lifted = (bind(h, coeffs.T, np.sqrt, lambda d: np.abs(d).max()) if batch
+                    else bind(h, coeffs.tolist(), math.sqrt, abs))
+    start = list(x.T) if batch else x.tolist()
+    columns = [] if v is None else v.reshape(len(start), -1).T.tolist()  # a vector is one column
+    runs = [lifted(n_steps, t, rows, *start, *w) for w in columns] or [base(n_steps, t, rows, *start)]
+    x, _, t, drift = runs[0]
+    v = None if v is None else np.array([w for _, w, _, _ in runs if w is not None]).T.reshape(v.shape)
+    _check_drift(drift, t)  # the loop stops at the first step past DRIFT_TOL
+    return np.array(x).T, v, t, drift
 
 
 def _integrate(sys: AffineSystem, x: np.ndarray, v, u: ControlSignal, step: float,

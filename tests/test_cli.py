@@ -382,10 +382,19 @@ def test_chain_verify_only_file_that_is_not_json(tmp_path, capsys):
     ({"drift": {"type": "polynomial", "components": [[["1.0", [1]]]]}}, "drift"),
     ({"drift": {"type": "zero", "dim": 1.5}}, "drift"),
     ({"bounds": [[-10 ** 400, 10]]}, "bounds"),
+    # a seed numpy refuses, from the definition or from the environment, which overrides it
+    ({"seed": -1}, "seed"),
+    ({"LIFTCTL_SEED": "abc"}, "LIFTCTL_SEED"),
+    ({"LIFTCTL_SEED": "-3"}, "LIFTCTL_SEED"),
 ])
-def test_definition_rejects_non_finite_and_boolean_entries(tmp_path, capsys, changes, field):
+def test_definition_rejects_non_finite_and_boolean_entries(tmp_path, capsys, monkeypatch, changes,
+                                                           field):
     data = json.loads(Path(LINE).read_text())
-    data.update(changes)
+    for key, value in changes.items():
+        if key == "LIFTCTL_SEED":
+            monkeypatch.setenv(key, value)
+        else:
+            data[key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     code, out, err = run_cli(["simulate", str(bad), "--x0", "0",
@@ -480,10 +489,11 @@ def test_points_off_the_sphere_or_not_tangent_are_named(capsys, args, named):
 
 
 def refuse_stepping(monkeypatch):
-    """Make any segment, step or matrix power fail the test."""
+    """Make any segment, step, kernel loop or matrix power fail the test."""
     def refuse(*args, **kwargs):
         raise AssertionError("stepped before the step was refused")
-    monkeypatch.setattr(flow, "_rk4", refuse)
+    monkeypatch.setattr(flow, "_stages", refuse)
+    monkeypatch.setattr(flow.AffineSystem, "_polynomial_kernel", property(refuse))
     monkeypatch.setattr(flow, "_advance", refuse)
     monkeypatch.setattr(flow, "_power", refuse)
 
@@ -571,6 +581,21 @@ def test_outputs_deterministic(capsys):
     _, out1, _ = run_cli(args, capsys)
     _, out2, _ = run_cli(args, capsys)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("args", [["check", "--suite", "lift"],
+                                  ["chain", "--source=0;0", "--target=0;0.1"]])
+def test_negative_seed_is_named_by_every_command(tmp_path, capsys, args):
+    """A definition with "seed": -1 used to exit 2 under check with only
+    "error: expected non-negative integer", and chain wrote seed -1 into
+    the chain it planned; both now exit 2 naming seed before any run."""
+    data = json.loads(Path(LINE).read_text())
+    data["seed"] = -1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli([args[0], str(bad), *args[1:]], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: seed: must be a non-negative integer, got -1\n"
 
 
 def test_seed_env_override(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from liftctl import (
     zero_field,
 )
 from liftctl.fields import fd_gradient, flatten_lift, polynomial_kernel
-from liftctl.flow import _stage_step
+from liftctl.flow import _stages
 
 
 def _random_samples(n_dim, count, seed):
@@ -360,12 +361,13 @@ def test_polynomial_partials_serve_brackets_lifts_and_tables(case):
     table, bind = polynomial_kernel((x_field, y_field, affine), len(x))
     h = 1e-3
     for f, (fld, major) in enumerate(((x_field, mx), (y_field, my))):
-        base, lifted = bind(h, table[f].tolist())
+        base, lifted = bind(h, table[f].tolist(), math.sqrt, abs)
         rows = []
-        got_x, got_v, t = lifted(1, 0.0, rows, *x.tolist(), *v.tolist())
-        assert base(1, 0.0, None, *x.tolist()) == (got_x, None, t) and t == h
+        got_x, got_v, t, drift = lifted(1, 0.0, rows, *x.tolist(), *v.tolist())
+        assert base(1, 0.0, None, *x.tolist()) == (got_x, None, t, 0.0) and t == h and drift == 0.0
         assert rows == [t, *got_x, *got_v]
-        want_x, want_v = _stage_step(lambda y, lifted: (fld(y), fld.jacobian(y)), h)(x, v)
+        want_x, want_v, _, _ = _stages(lambda y, lifted: (fld(y), fld.jacobian(y)), h, 1, x, v,
+                                       0.0, None, False)
         close(np.array(got_x), want_x, ax + h * major(ax))
         close(np.array(got_v), want_v, np.abs(v) + h * major.jacobian(ax) @ np.abs(v))
     got_a, got_b = affine.affine()

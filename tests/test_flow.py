@@ -388,6 +388,33 @@ def test_polynomial_tables_match_stages(make_sys, x0, v0):
     assert_kernel_matches_stages(sys, x0, v0, u)
 
 
+@pytest.mark.parametrize("make_sys", [sphere_polynomial_system,
+                                      lambda: SystemDefinition.load(SPHERE_ROTATION).system])
+def test_sphere_kernel_drift_matches_stages(make_sys):
+    """On S2 the kernel loop renormalizes in its own arithmetic and the
+    stages by _to_sphere. At step 0.5 a step of the second segment drifts
+    past DRIFT_TOL, and both raise the same IntegrationError, with the same
+    drift and t, in base and lifted runs; at step 0.05 they agree on
+    max_drift within 1e-12, and the kernel's base and lifted max_drift are
+    bitwise equal."""
+    sys = make_sys()
+    x0, v0 = np.array([0.6, 0.0, 0.8]), np.array([0.8, 0.3, -0.6])
+    u = ControlSignal(((1.0, np.full(sys.n_controls, 0.2)), (1.0, np.full(sys.n_controls, 0.9))))
+    runs = (lambda run, step: integrate_base(run, x0, u, step),
+            lambda run, step: integrate_lifted(run, TangentPoint(x0, v0), u, step))
+    for integrate in runs:
+        messages = []
+        for run in (sys, bare_copy(sys)):
+            with pytest.raises(IntegrationError, match="off-manifold drift .* at t=1.5$") as err:
+                integrate(run, 0.5)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+    base, lifted = (integrate(sys, 0.05) for integrate in runs)
+    staged = integrate_lifted(bare_copy(sys), TangentPoint(x0, v0), u, 0.05)
+    assert base.max_drift == lifted.max_drift > 0.0
+    assert abs(lifted.max_drift - staged.max_drift) <= 1e-12
+
+
 @st.composite
 def random_polynomial_system(draw):
     """A flat system of random polynomial fields of degree at most 3, with
@@ -642,20 +669,21 @@ def test_kernel_source_compiles_once_per_process(monkeypatch):
 @pytest.mark.parametrize("make_sys", [
     sphere_bilinear_system,
     lambda: stage_copy(sphere_bilinear_system()),
+    sphere_polynomial_system,
 ])
 def test_nan_state_on_sphere_raises(make_sys):
-    """A NaN state fails the drift test (NaN compares false) on both paths,
-    in a single run that records rows (by the map or the stages) and in a row
-    batch (by a certified power, which raises only on NaN, or by the
-    stages). The entry points reject a NaN start before stepping
-    (test_non_finite_start_raises), so the state goes to the driver
-    directly."""
+    """A NaN state fails the drift test (NaN compares false) on every path,
+    in a single run that records rows (by the kernel loop or the stages) and
+    in a row batch (by a certified power, which raises only on NaN, by the
+    stages, or by the kernel loop of a non-affine system). The entry points
+    reject a NaN start before stepping (test_non_finite_start_raises), so
+    the state goes to the driver directly."""
     sys = make_sys()
-    h = 1e-3
+    h, m = 1e-3, sys.n_controls
     with pytest.raises(IntegrationError):
-        _advance(sys, np.array([0.0]), h, 10, np.array([np.nan, 0.0, 0.0]), None, 0.0, [], True)
+        _advance(sys, np.zeros(m), h, 10, np.array([np.nan, 0.0, 0.0]), None, 0.0, [], True)
     with pytest.raises(IntegrationError):
-        _advance(sys, np.array([[0.5], [-0.5]]), np.full(2, h), 10,
+        _advance(sys, np.outer([0.5, -0.5], np.ones(m)), np.full(2, h), 10,
                  np.tile([np.nan, 0.0, 0.0], (2, 1)), None, 0.0, None, True)
 
 
@@ -727,6 +755,15 @@ def test_overflow_on_flat_raises():
             integrate_lifted(sys, TangentPoint([1.0, 1.0], [0.0, 1.0]), u, 1e-3)
 
 
+def refuse_steps(patch):
+    """Make the stage loop and every system's kernel loop fail the test, so
+    that a run passes only if each of its segments is one matrix power."""
+    def refuse(*args):
+        pytest.fail("a segment stepped")
+    patch.setattr(flow, "_stages", refuse)
+    patch.setattr(AffineSystem, "_polynomial_kernel", property(refuse))
+
+
 def power_case(name):
     """(system, x0, v0) on R^1 to R^3 (a constant drift on R^2, so c != 0)
     and on S2, with every field affine."""
@@ -750,7 +787,7 @@ def test_segment_power_matches_recorded_run(name, monkeypatch):
     u = ControlSignal(((0.37, [0.4, -0.8]), (1e-3, [-0.6, 0.2]), (0.6e-3, [0.9, 0.5]),
                        (0.81, [-0.3, 1.0])))
     with monkeypatch.context() as patch:
-        patch.setattr(flow, "_rk4", None)  # any stepping fails with a TypeError
+        refuse_steps(patch)
         x_base, none = fiber_flow(sys, x0, None, u, 1e-3)
         x_vec, v_vec = fiber_flow(sys, x0, v0, u, 1e-3)
         x_mat, v_mat = fiber_flow(sys, x0, fibers, u, 1e-3)
@@ -798,7 +835,8 @@ def test_batched_powers_match_fiber_flow_bitwise(case, monkeypatch):
     where fiber_flow ends under each row's constant control, with mixed step
     counts: on affine systems (two channels, c != 0) by one stacked power per
     step count and on polynomial systems by one segment loop call per step
-    count, neither of which steps, and on their bare copies by the stages."""
+    count, neither of which takes the stages, and on their bare copies by the
+    stages."""
     if isinstance(case, tuple):
         rng = np.random.default_rng(40 + case[0])
         sys = random_affine_system(*case, rng)
@@ -810,10 +848,16 @@ def test_batched_powers_match_fiber_flow_bitwise(case, monkeypatch):
     controls = rng.uniform(-1.0, 1.0, size=(12, sys.n_controls))
     durations = np.repeat([0.05, 0.3, 1.7, 0.3], 3)
     steps = np.maximum(1e-2, durations / 120.0)
+    calls = []
     with monkeypatch.context() as patch:
         if sys._polynomial_kernel is not None:
-            patch.setattr(flow, "_rk4", None)  # any stepping fails with a TypeError
+            table, bind = sys._polynomial_kernel
+            patch.setattr(flow, "_stages", None)  # stepping by the stages fails with a TypeError
+            patch.setitem(sys.__dict__, "_polynomial_kernel",
+                          (table, lambda *args: calls.append(args) or bind(*args)))
         ends = constant_control_endpoints(sys, x0, controls, durations, steps)
+    kernel_runs = isinstance(case, str) and not case.startswith("bare-")
+    assert len(calls) == (len(np.unique(flow._grid(durations, steps)[0])) if kernel_runs else 0)
     for end, u, t, step in zip(ends, controls, durations, steps):
         want, _ = fiber_flow(sys, x0, None, ControlSignal.constant(u, t), step)
         assert np.array_equal(end, want)
