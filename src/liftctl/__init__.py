@@ -15,7 +15,6 @@ from .errors import (
 from .fields import (
     ConstantField,
     LinearField,
-    LiftedVectorField,
     PolynomialField,
     ScalarField,
     VectorField,

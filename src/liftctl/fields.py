@@ -324,25 +324,12 @@ class ScalarField:
         return fd_gradient(self._value, x)
 
 
-class LiftedVectorField:
-    """The tangent-bundle lift of a field, as (horizontal, vertical) maps.
-
-    At (x, v) the horizontal part is the base field's value at x and the
-    vertical part is its Jacobian applied to v. The horizontal part therefore
-    projects back onto the base field by construction.
-    """
-
-    def __init__(self, base: VectorField):
-        self.base = base
-
-    def __call__(self, p: TangentPoint) -> tuple[np.ndarray, np.ndarray]:
-        h = self.base(p.x)
-        vert = self.base.jacobian(p.x) @ p.v
-        return h, vert
-
-
-def complete_lift(field: VectorField) -> LiftedVectorField:
-    return LiftedVectorField(field)
+def complete_lift(field: VectorField):
+    """The tangent-bundle lift of a field, (x, v) -> (field(x), Df(x) v): the
+    horizontal part is the base field's value at x and the vertical part is
+    its Jacobian applied to v. The horizontal part therefore projects back
+    onto the base field by construction."""
+    return lambda p: (field(p.x), field.jacobian(p.x) @ p.v)
 
 
 def complete_lift_function(f: ScalarField):

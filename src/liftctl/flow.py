@@ -20,9 +20,10 @@ of three ways per segment.
   the sphere it is renormalized and its fiber re-projected once, at its
   end (scaling commutes with the linear map, and the per-step projections
   remove only O(h^5) normal parts). It is taken there only when
-  g = ||M^T M - I||_F + ||c|| <= DRIFT_TOL, which bounds the drift
-  |(||M y + c|| - 1)| <= |y^T (M^T M - I) y| + ||c|| of each step from a
-  unit y; so only NaN raises, and every verdict is the stepper's.
+  g = ||M^T M - I||_F + ||c|| <= DRIFT_TOL (for a batch, for every row),
+  which bounds the drift |(||M y + c|| - 1)| <= |y^T (M^T M - I) y| + ||c||
+  of each step from a unit y; so only NaN raises, and every verdict is the
+  stepper's.
 - Kernel loop. Every other polynomial segment, affine ones that record rows
   or whose power g does not certify included, runs the system's generated
   kernel (fields.polynomial_kernel): a loop over a segment's RK4 steps on
@@ -364,13 +365,13 @@ def _step_map(a: np.ndarray, b: np.ndarray, h: float) -> tuple[np.ndarray, np.nd
     return eye + s @ a, s @ b
 
 
-def _drift_bound(m: np.ndarray, c: np.ndarray):
+def _drift_bound(m: np.ndarray, c: np.ndarray) -> float:
     """The drift bound g = ||M^T M - I||_F + ||c|| of a step map on the sphere
-    (see the module docstring), or per map of a stack."""
+    (see the module docstring), or the largest over the maps of a stack."""
     if m.ndim == 2:  # hypot over Python floats: the cheapest for one map
         return math.hypot(*(m.T @ m - _EYE3).ravel().tolist()) + math.hypot(*c.tolist())
     e = np.swapaxes(m, 1, 2) @ m - _EYE3
-    return np.sqrt((e * e).sum(axis=(1, 2))) + np.sqrt((c * c).sum(axis=1))
+    return float(np.max(np.sqrt((e * e).sum(axis=(1, 2))) + np.sqrt((c * c).sum(axis=1))))
 
 
 def _power(m: np.ndarray, c: np.ndarray, k: int, x: np.ndarray, v):
@@ -424,7 +425,8 @@ def _advance(sys: AffineSystem, uval: np.ndarray, h, n_steps: int, x: np.ndarray
     rows x (B, n) with uval (B, m), h (B,) and v None. The one place that
     picks how a segment advances:
     - an affine segment without rows is one _power, on the sphere only where
-      _drift_bound certifies it (a batch it certifies in part runs as two);
+      _drift_bound certifies it (a batch only when it certifies every row;
+      otherwise the whole batch takes the kernel loop);
     - every other polynomial segment, on either manifold, is one call of the
       generated kernel loop (fields.polynomial_kernel), one per column of a
       fiber matrix (each gives the same state bitwise);
@@ -435,17 +437,7 @@ def _advance(sys: AffineSystem, uval: np.ndarray, h, n_steps: int, x: np.ndarray
     parts = None if rows is not None else sys.affine_parts(uval)  # a recorded run builds no map
     if parts is not None:
         m, c = _step_map(*parts, h[:, None, None] if batch else h)
-        power = not on_sphere or _drift_bound(m, c) <= DRIFT_TOL
-        if batch:
-            power = np.broadcast_to(power, h.shape)
-            if power.any() and not power.all():  # two batches: one takes the power, one steps
-                ends = np.empty_like(x)
-                for part in (power, ~power):
-                    ends[part], _, _, drift = _advance(sys, uval[part], h[part], n_steps, x[part],
-                                                       None, t, None, on_sphere)
-                return ends, None, t + n_steps * h, drift
-            power = power.all()
-        if power:
+        if not on_sphere or _drift_bound(m, c) <= DRIFT_TOL:
             x, v = _power(m, c, n_steps, x, v)
             t = t + n_steps * h
             if on_sphere:  # certified: only NaN raises

@@ -5,14 +5,17 @@ A chain from p to q is a sequence of legs: flow the lifted system for longer
 than the minimum duration, then jump by at most epsilon (in the tangent
 metric) to the start of the next leg. The planner cuts the oracle's plan
 from the source base x to the target base y into legs. The fiber flow is
-linear, so the last leg's fiber is linear in the jumps, and one least-norm
-solve allocates them all; round trips y -> x -> y are appended, fewest
-first, until every jump fits within epsilon. A gap that no itinerary within
-the leg budget covers raises an error carrying the partial chain. The
-verifier re-checks a chain against the caller's epsilon, T and endpoints.
+linear, so each leg is integrated once, as its fiber transition, and the
+last leg's fiber is linear in the jumps: one least-norm solve allocates
+them all; round trips y -> x -> y are appended, fewest first, each from
+where the itinerary ends, until every jump fits within epsilon. The legs
+are then walked off their transitions, with no further integration. A gap
+that no itinerary within the leg budget covers raises an error carrying the
+partial chain. The verifier re-checks a chain against the caller's
+epsilon, T and endpoints, re-integrating every leg.
 
-Legs, fiber transitions, verification and reachable-set samples read only
-end points, through flow.fiber_flow, and search candidates through
+Fiber transitions, verification and reachable-set samples read only end
+points, through flow.fiber_flow, and search candidates through
 flow.constant_control_endpoints; affine segments there are matrix powers.
 """
 
@@ -343,6 +346,15 @@ def _positive(value) -> float:
     return value
 
 
+def _seed(value) -> int:
+    """value, which must be a non-negative JSON integer (a definition's seed
+    rule: numpy takes no seed < 0), as an int."""
+    value = int(json_numbers(value, integer=True))
+    if value < 0:
+        raise ValueError(f"{value} is negative")
+    return value
+
+
 @dataclass(frozen=True)
 class ChainLeg:
     start: TangentPoint
@@ -395,8 +407,8 @@ class Chain:
     @staticmethod
     def from_json(data: dict) -> "Chain":
         """The chain of a parsed chain file; a missing or ill-typed entry, or
-        an epsilon, T or step that is not positive and finite, raises
-        DefinitionError naming it."""
+        an epsilon, T or step that is not positive and finite, or a seed that
+        is not a non-negative integer, raises DefinitionError naming it."""
         def legs(items):
             return tuple(ChainLeg.from_json(leg, f"legs[{i}].") for i, leg in enumerate(items))
 
@@ -407,8 +419,7 @@ class Chain:
             _entry(data, "source", TangentPoint.from_json),
             _entry(data, "target", TangentPoint.from_json),
             _entry(data, "step", _positive) if "step" in data else DEFAULT_STEP,
-            _entry(data, "seed", lambda v: int(json_numbers(v, integer=True)))
-            if "seed" in data else 0,
+            _entry(data, "seed", _seed) if "seed" in data else 0,
         )
 
 
@@ -472,31 +483,30 @@ def _chunk_signal(sig: ControlSignal, min_leg: float) -> list[ControlSignal]:
 
 
 def _chunk_transitions(sys: AffineSystem, start_base: np.ndarray, chunks, step: float):
-    """Fiber transitions of consecutive chunks from start_base, each a matrix
-    in orthonormal tangent bases of the chunk's start and end base points
-    with those bases, and the end base point of the last chunk."""
+    """Per chunk of consecutive chunks from start_base: its end base point,
+    its end frame (tangent_basis there) and its fiber transition, the matrix
+    from its start frame (the previous end frame, the first at start_base)
+    to its end frame. Each chunk is one fiber_flow of the frame's columns."""
     m = sys.manifold
     transitions = []
-    base = start_base
-    b_start = m.tangent_basis(base)
+    base, frame = start_base, m.tangent_basis(start_base)
     for chunk in chunks:
-        base, fibers = fiber_flow(sys, base, b_start, chunk, step)
-        b_end = m.tangent_basis(base)
-        transitions.append((b_end.T @ fibers, b_start, b_end))
-        b_start = b_end
-    return transitions, base
+        base, fibers = fiber_flow(sys, base, frame, chunk, step)
+        frame = m.tangent_basis(base)
+        transitions.append((base, frame, frame.T @ fibers))
+    return transitions
 
 
-def _tails(trans):
-    """For consecutive chunk transitions: each chunk's end frame; the
-    transitions from each chunk's end to the last one's (the identity for the
-    last), stacked; and the whole transition, from ambient coordinates."""
-    tail = np.eye(len(trans[-1][0]))
+def _tails(mats):
+    """For consecutive chunk transitions: the transitions from each chunk's
+    end to the last one's (the identity for the last), stacked, and the
+    whole transition."""
+    tail = np.eye(len(mats[-1]))
     tails = []
-    for mat, _, _ in reversed(trans):
+    for mat in reversed(mats):
         tails.append(tail)
         tail = tail @ mat
-    return [b_end for _, _, b_end in trans], np.array(tails[::-1]), tail @ trans[0][1].T
+    return np.array(tails[::-1]), tail
 
 
 def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentPoint,
@@ -508,7 +518,8 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
     Walks the base from the source to the target along the oracle's plan,
     cut into legs strictly longer than T, followed by the fewest round trips
     target -> source -> target for which the minimum-norm jumps that close
-    the fiber gap all fit within epsilon. A gap that no itinerary within
+    the fiber gap all fit within epsilon. Each leg is integrated once, for
+    its fiber transition, and its end is read off that transition. A gap that no itinerary within
     max_legs covers, or a walk that misses the target all the same, raises
     PlanningBudgetError with the partial chain; an oracle's SteeringFailure
     names the base rank where it falls below the manifold's dimension at the
@@ -564,36 +575,38 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
     # the end by the tails Q_j, so the least-norm jumps that close the gap g
     # to the target fiber are Q_j^T W^-1 g, W = sum Q_j Q_j^T >= I (the last Q
     # is I). The itinerary is the plan plus the fewest round trips y -> x -> y
-    # (solved on first use) whose jumps all fit, the last beside the base
-    # error. Frames link through ambient coordinates: tangent_basis at y and
-    # at a plan end near y may differ.
+    # (solved on first use, each integrated from where the itinerary ends) whose
+    # jumps all fit, the last beside the base error. Fibers are coordinates in
+    # the frames of _chunk_transitions, which chain exactly.
     chunks = _chunk_signal(plan, min_leg)
-    trans, end_base = _chunk_transitions(sys, x, chunks, step)
-    frames, tails, whole = _tails(trans)
-    fiber = whole @ source.v
-    loop = None
+    trans = _chunk_transitions(sys, x, chunks, step)
+    tails, whole = _tails([mat for _, _, mat in trans])
+    coords = m.tangent_basis(x).T @ source.v
+    fiber = whole @ coords
+    loop_chunks = None
     while True:
-        gap = frames[-1].T @ m.project_tangent(end_base, target.v) - fiber
+        end_base, end_frame, _ = trans[-1]
+        gap = end_frame.T @ m.project_tangent(end_base, target.v) - fiber
         gram = np.einsum("jab,jcb->ac", tails, tails)
         jumps = tails.transpose(0, 2, 1) @ np.linalg.solve(gram, gap)
         sizes = np.linalg.norm(jumps, axis=1)
         if len(chunks) >= max_legs or (np.all(sizes[:-1] <= eps_eff) and sizes[-1] ** 2
                                        + m.base_distance(end_base, y) ** 2 <= eps_eff ** 2):
             break
-        if loop is None:
+        if loop_chunks is None:
             loop_chunks = _chunk_signal(
                 _padded_plan(solve, m, x, y, min_leg, ControlSignal.empty()), min_leg)
-            loop_trans, loop_end = _chunk_transitions(sys, y, loop_chunks, step)
-            loop = (loop_chunks, loop_end, *_tails(loop_trans))
-        loop_chunks, end_base, loop_frames, loop_tails, loop_whole = loop
-        link = loop_whole @ frames[-1]
-        tails = np.concatenate([link @ tails, loop_tails])
-        fiber = link @ fiber
-        chunks, frames = chunks + loop_chunks, frames + loop_frames
+        loop_trans = _chunk_transitions(sys, end_base, loop_chunks, step)
+        loop_tails, loop_whole = _tails([mat for _, _, mat in loop_trans])
+        tails = np.concatenate([loop_whole @ tails, loop_tails])
+        fiber = loop_whole @ fiber
+        chunks, trans = chunks + loop_chunks, trans + loop_trans
 
+    # Each leg's end is read off its transition: the current fiber, in
+    # coordinates of the current frame, carried to the leg's end frame.
     current = source
-    for chunk, frame, jump in zip(chunks[:max_legs], frames, jumps):
-        end = TangentPoint(*fiber_flow(sys, current.x, current.v, chunk, step))
+    for chunk, (end_base, frame, mat), jump in zip(chunks[:max_legs], trans, jumps):
+        end = TangentPoint(end_base, frame @ (mat @ coords))
         d_target = distance(m, end, target)
         if d_target <= eps_eff:
             legs.append(ChainLeg(current, chunk, chunk.total_duration, target, d_target))
@@ -602,7 +615,7 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
                                      eps_eff)
         legs.append(ChainLeg(current, chunk, chunk.total_duration, jumped,
                              distance(m, end, jumped)))
-        current = jumped
+        current, coords = jumped, frame.T @ jumped.v
     raise PlanningBudgetError(f"no chain within {len(legs)} legs", best_chain=finished_chain())
 
 

@@ -324,14 +324,14 @@ def test_chain_verify_only_malformed_file(tmp_path, capsys, path, named):
     (("legs", 0, "start", "x"), [False], "legs[0].start"),
     (("legs", 0, "start", "x"), ["0"], "legs[0].start"),
     (("legs", 0, "duration"), "1.0", "legs[0].duration"),
-    (("seed",), 7.9, "seed"), (("epsilon",), "0.25", "epsilon"),
+    (("seed",), 7.9, "seed"), (("epsilon",), "0.25", "epsilon"), (("seed",), -1, "seed"),
 ])
 def test_chain_verify_only_rejects_bad_numbers(tmp_path, capsys, path, value, named):
     """A chain file cannot lower the bar: an epsilon, T or step that is not
     positive and finite, a non-finite point, or a boolean where a number
     belongs, exits 2 naming the entry (an infinite epsilon or a T of
-    -Infinity used to verify with exit 0, true read as 1.0, "1.0" as 1.0
-    and a seed of 7.9 as 7)."""
+    -Infinity used to verify with exit 0, true read as 1.0, "1.0" as 1.0,
+    a seed of 7.9 as 7 and a seed of -1 passed)."""
     def assign(entry, key):
         entry[key] = value
 

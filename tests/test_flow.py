@@ -904,8 +904,8 @@ def test_uncertified_search_rows_step():
     """S2 with drift 0.1 L3, controls L3 and L1 and bounds +-2: the row
     u = (2, 2), t = 8 at step 8/120 has a step map the drift bound does not
     certify, so it steps (a power raises off-manifold drift 2.271e-05) and
-    ends where integrate_base does; a certified row in the same batch takes
-    the power."""
+    ends where integrate_base does; so does a certified row in the same
+    batch, which steps with it."""
     sys = AffineSystem(Manifold.sphere2(), LinearField(0.1 * L3),
                        (LinearField(L3), LinearField(L1)), [[-2.0, 2.0], [-2.0, 2.0]])
     x0 = np.array([1.0, 0.0, 0.0])

@@ -36,6 +36,7 @@ from liftctl import (
 )
 from liftctl.cli import SystemDefinition
 from liftctl.flow import fiber_flow
+from liftctl import planner
 from liftctl.planner import _chunk_transitions, sample_control_signals
 
 DEFS = Path(__file__).resolve().parent.parent / "defs"
@@ -310,12 +311,39 @@ def test_fiber_transition_matches_column_runs(make_sys, x, chunk):
     column."""
     sys = make_sys()
     x = np.array(x)
-    [(mat, b_start, b_end)], end_base = _chunk_transitions(sys, x, [chunk], 1e-3)
+    [(end_base, b_end, mat)] = _chunk_transitions(sys, x, [chunk], 1e-3)
+    b_start = sys.manifold.tangent_basis(x)
     ends = [TangentPoint(*fiber_flow(sys, x, b_start[:, i], chunk, 1e-3))
             for i in range(sys.manifold.intrinsic_dim)]
     assert np.array_equal(end_base, ends[0].x)
+    assert np.array_equal(b_end, sys.manifold.tangent_basis(end_base))
     expected = b_end.T @ np.column_stack([end.v for end in ends])
     assert np.max(np.abs(mat - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("make_sys,make_oracle,source,target", [
+    (integrator_system, lambda sys: LinearGramianOracle.for_system(sys, horizon=2.0),
+     ([0.5, 0.5], [1.0, 0.0]), ([-0.5, 0.2], [0.6, 0.3])),
+    (sphere_system, SphereRotationOracle.for_system,
+     ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), ([0.0, 1.0, 0.0], [-1.0, 0.0, 0.0])),
+])
+def test_plan_chain_integrates_each_leg_once(monkeypatch, make_sys, make_oracle, source, target):
+    """On a chain that takes no round trip, plan_chain integrates each leg
+    once, for its fiber transition, and reads the leg's end off it."""
+    sys = make_sys()
+    oracle = CountingOracle(make_oracle(sys))
+    source, target = TangentPoint(*source), TangentPoint(*target)
+    calls = []
+
+    def counting_fiber_flow(*args):
+        calls.append(args)
+        return fiber_flow(*args)
+
+    monkeypatch.setattr(planner, "fiber_flow", counting_fiber_flow)
+    chain = plan_chain(sys, oracle, source, target, 0.25, 0.5)
+    assert (target.x.tobytes(), source.x.tobytes()) not in oracle.pairs  # no round trip
+    assert len(chain.legs) > 1 and len(calls) == len(chain.legs)
+    assert verify_chain(sys, chain).passed
 
 
 class CountingOracle:
@@ -537,23 +565,36 @@ def test_plan_chain_refuses_a_non_finite_epsilon_or_T(epsilon, T, named):
 
 
 def test_chain_invariants_and_structure():
-    sys = forced_rotation_system()
-    oracle = LinearGramianOracle.for_system(sys, horizon=1.0)
-    source = TangentPoint([0.5, 0.5], [1.0, 0.0])
-    target = TangentPoint([-0.5, 0.2], [0.0, 1.0])
-    chain = plan_chain(sys, oracle, source, target, 0.25, 0.5)
-    assert np.array_equal(chain.legs[0].start.x, source.x)
-    assert np.array_equal(chain.legs[0].start.v, source.v)
-    last = chain.legs[-1].jump_target
-    assert np.array_equal(last.x, target.x) and np.array_equal(last.v, target.v)
-    for prev, nxt in zip(chain.legs, chain.legs[1:]):
-        assert np.array_equal(prev.jump_target.x, nxt.start.x)
-        assert np.array_equal(prev.jump_target.v, nxt.start.v)
-    for leg in chain.legs[:-1]:
-        # intermediate jumps never move the base point
-        end = TangentPoint(*fiber_flow(sys, leg.start.x, leg.start.v, leg.control, chain.step))
-        assert np.array_equal(end.x, leg.jump_target.x)
-        assert distance(sys.manifold, end, leg.jump_target) <= chain.epsilon
+    """Legs link end to start, from the source to the target, on a flat, an
+    S2 and a round-trip chain (the double integrator's). Each intermediate
+    leg, re-integrated, ends on its jump target's base point bitwise and at
+    the distance the planner recorded."""
+    cases = [
+        (forced_rotation_system(), LinearGramianOracle.for_system,
+         ([0.5, 0.5], [1.0, 0.0]), ([-0.5, 0.2], [0.0, 1.0])),
+        (sphere_system(), SphereRotationOracle.for_system,
+         ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), ([0.0, 1.0, 0.0], [0.0, 0.0, 1.0])),
+        (double_integrator_system(), LinearGramianOracle.for_system,
+         ([0.0, 0.0], [1.0, 0.0]), ([1.5, 0.0], [0.0, 1.0])),
+    ]
+    for sys, make_oracle, source, target in cases:
+        source, target = TangentPoint(*source), TangentPoint(*target)
+        oracle = CountingOracle(make_oracle(sys))
+        chain = plan_chain(sys, oracle, source, target, 0.25, 0.5)
+        assert np.array_equal(chain.legs[0].start.x, source.x)
+        assert np.array_equal(chain.legs[0].start.v, source.v)
+        last = chain.legs[-1].jump_target
+        assert np.array_equal(last.x, target.x) and np.array_equal(last.v, target.v)
+        for prev, nxt in zip(chain.legs, chain.legs[1:]):
+            assert np.array_equal(prev.jump_target.x, nxt.start.x)
+            assert np.array_equal(prev.jump_target.v, nxt.start.v)
+        for leg in chain.legs[:-1]:
+            # intermediate jumps never move the base point
+            end = TangentPoint(*fiber_flow(sys, leg.start.x, leg.start.v, leg.control, chain.step))
+            assert np.array_equal(end.x, leg.jump_target.x)
+            d = distance(sys.manifold, end, leg.jump_target)
+            assert d <= chain.epsilon and abs(d - leg.verified_distance) <= 1e-12
+    assert (target.x.tobytes(), source.x.tobytes()) in oracle.pairs  # the last took a round trip
 
 
 def test_verify_chain_rejects_short_leg():
