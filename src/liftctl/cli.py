@@ -202,11 +202,11 @@ def _parse_control(text: str, channels: int) -> ControlSignal:
         else:
             data = json.loads(text)
         control = ControlSignal.from_json(data)
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise DefinitionError("control", str(exc)) from exc
-    for _, value in control.segments:
-        if value.shape != (channels,):
-            raise DefinitionError("control", f"segment has {value.size} channels, expected {channels}")
+    for i, (_, value) in enumerate(control.segments):
+        if value.size != channels:
+            raise DefinitionError("control", f"segment {i} has {value.size} channels, expected {channels}")
     return control
 
 
@@ -430,53 +430,76 @@ def cmd_larc(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand: its help, its handler and its arguments, as the
+# (flags, options) of each add_argument call, in help order.
+_COMMANDS = {
+    "simulate": ("integrate the base or lifted system", cmd_simulate, (
+        (("definition",), {}),
+        (("--x0",), {"required": True, "help": "initial base point, comma separated"}),
+        (("--control",), {"help": "JSON segments [[dur,[u...]],...] or @file"}),
+        (("--lifted",), {"metavar": "V0", "help": "initial fiber vector; integrates the lift"}),
+        (("--step",), {"type": float}),
+        (("--format",), {"choices": ("csv", "json"), "default": "csv"}),
+        (("--out",), {}),
+    )),
+    "check": ("run a verification suite", cmd_check, (
+        (("definition",), {}),
+        (("--suite",), {"required": True}),
+        (("--out",), {}),
+    )),
+    "chain": ("plan or verify an (eps,T)-chain", cmd_chain, (
+        (("definition",), {}),
+        (("--source",), {"help": "tangent point 'x1,..;v1,..'"}),
+        (("--target",), {"help": "tangent point 'x1,..;v1,..'"}),
+        (("--eps",), {"type": float, "default": 0.25}),
+        (("--T",), {"type": float, "default": 0.5}),
+        (("--max-legs",), {"type": int, "default": None}),
+        (("--verify-only",), {"metavar": "CHAIN_JSON"}),
+        (("--out",), {}),
+    )),
+    "larc": ("algebra rank condition report at a point", cmd_larc, (
+        (("definition",), {}),
+        (("--point",), {"required": True}),
+        (("--v",), {"help": "fiber vector; reports the lifted rank"}),
+        (("--depth",), {"type": int, "default": DEFAULT_DEPTH}),
+        (("--out",), {}),
+    )),
+}
+
+
+def _parser(commands) -> argparse.ArgumentParser:
+    """The parser of the subcommands in commands. An argv that starts with a
+    subcommand is parsed by that one's parser alone, so a parser of that one
+    parses it, rejects it and prints its help byte for byte as the parser
+    of all of them does."""
     parser = argparse.ArgumentParser(
         prog="liftctl",
         description="Simulate affine control systems on manifolds, their tangent-bundle "
                     "lifts, and certified chain plans between tangent points.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="integrate the base or lifted system")
-    p_sim.add_argument("definition")
-    p_sim.add_argument("--x0", required=True, help="initial base point, comma separated")
-    p_sim.add_argument("--control", help="JSON segments [[dur,[u...]],...] or @file")
-    p_sim.add_argument("--lifted", metavar="V0", help="initial fiber vector; integrates the lift")
-    p_sim.add_argument("--step", type=float)
-    p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sim.add_argument("--out")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_check = sub.add_parser("check", help="run a verification suite")
-    p_check.add_argument("definition")
-    p_check.add_argument("--suite", required=True)
-    p_check.add_argument("--out")
-    p_check.set_defaults(func=cmd_check)
-
-    p_chain = sub.add_parser("chain", help="plan or verify an (eps,T)-chain")
-    p_chain.add_argument("definition")
-    p_chain.add_argument("--source", help="tangent point 'x1,..;v1,..'")
-    p_chain.add_argument("--target", help="tangent point 'x1,..;v1,..'")
-    p_chain.add_argument("--eps", type=float, default=0.25)
-    p_chain.add_argument("--T", type=float, default=0.5)
-    p_chain.add_argument("--max-legs", type=int, default=None)
-    p_chain.add_argument("--verify-only", metavar="CHAIN_JSON")
-    p_chain.add_argument("--out")
-    p_chain.set_defaults(func=cmd_chain)
-
-    p_larc = sub.add_parser("larc", help="algebra rank condition report at a point")
-    p_larc.add_argument("definition")
-    p_larc.add_argument("--point", required=True)
-    p_larc.add_argument("--v", help="fiber vector; reports the lifted rank")
-    p_larc.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p_larc.add_argument("--out")
-    p_larc.set_defaults(func=cmd_larc)
+    # The usage lists every subcommand, however few are added. The whole
+    # parser keeps argparse's own listing, the same text: a metavar would
+    # also rename `command` in its "the following arguments are required".
+    listed = None if len(commands) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
+    for name, (help_text, func, arguments) in _COMMANDS.items():
+        if name in commands:
+            p_cmd = sub.add_parser(name, help=help_text)
+            for flags, options in arguments:
+                p_cmd.add_argument(*flags, **options)
+            p_cmd.set_defaults(func=func)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    return _parser(_COMMANDS)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = _sys.argv[1:] if argv is None else list(argv)
+    # a call that starts with its subcommand builds that one's parser only,
+    # about a third of the whole parser's build time
+    parser = _parser(argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

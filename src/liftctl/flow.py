@@ -111,10 +111,30 @@ class ControlSignal:
     @staticmethod
     def from_json(data) -> "ControlSignal":
         """The signal of JSON segments [[duration, [u, ...]], ...]; anything
-        else, a number that is not a finite JSON number included, raises
-        TypeError or ValueError."""
-        return ControlSignal(tuple((json_numbers(duration), json_numbers(value))
-                                   for duration, value in data))
+        else raises ValueError. A segment that is not a pair of a number and
+        a flat list of numbers, or holds a number that is not a finite JSON
+        number, is named by its index; a wrong shape is shown as well."""
+        if not isinstance(data, list):
+            raise ValueError(f"expected a list of [duration, [u, ...]] segments, got {_json_shape(data)}")
+        segments = []
+        for i, seg in enumerate(data):
+            if not (isinstance(seg, list) and len(seg) == 2 and not isinstance(seg[0], list)
+                    and isinstance(seg[1], list) and not any(isinstance(u, list) for u in seg[1])):
+                raise ValueError(f"segment {i}: expected [duration, [u, ...]], got {_json_shape(seg)}")
+            try:
+                segments.append((json_numbers(seg[0]), json_numbers(seg[1])))
+            except ValueError as exc:
+                raise ValueError(f"segment {i}: {exc}") from exc
+        return ControlSignal(tuple(segments))
+
+
+def _json_shape(value) -> str:
+    """The shape of a parsed JSON value, e.g. [number, [[number]]], with at
+    most three entries of a list shown."""
+    if isinstance(value, list):
+        shown = [_json_shape(v) for v in value[:3]] + (["..."] if len(value) > 3 else [])
+        return f"[{', '.join(shown)}]"
+    return {dict: "object", str: "string", bool: "boolean", type(None): "null"}.get(type(value), "number")
 
 
 def split_signal(u: ControlSignal, s: float) -> tuple[ControlSignal, ControlSignal]:

@@ -519,11 +519,14 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
     cut into legs strictly longer than T, followed by the fewest round trips
     target -> source -> target for which the minimum-norm jumps that close
     the fiber gap all fit within epsilon. Each leg is integrated once, for
-    its fiber transition, and its end is read off that transition. A gap that no itinerary within
-    max_legs covers, or a walk that misses the target all the same, raises
-    PlanningBudgetError with the partial chain; an oracle's SteeringFailure
-    names the base rank where it falls below the manifold's dimension at the
-    start point. Deterministic given its inputs.
+    its fiber transition, and its end is read off that transition. A gap
+    that no itinerary within max_legs covers, a round trip that leaves the
+    itinerary's end farther than the effective epsilon from the target base
+    without bringing it closer (no round trip is added past it; the message
+    names that base error), or a walk that misses the target all the same,
+    raises PlanningBudgetError with the partial chain; an oracle's
+    SteeringFailure names the base rank where it falls below the manifold's
+    dimension at the start point. Deterministic given its inputs.
     """
     for name, value in (("epsilon", epsilon), ("T", min_duration)):
         if not 0.0 < value < math.inf:  # NaN fails it too
@@ -584,15 +587,21 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
     coords = m.tangent_basis(x).T @ source.v
     fiber = whole @ coords
     loop_chunks = None
+    last_error = math.inf
     while True:
         end_base, end_frame, _ = trans[-1]
         gap = end_frame.T @ m.project_tangent(end_base, target.v) - fiber
         gram = np.einsum("jab,jcb->ac", tails, tails)
         jumps = tails.transpose(0, 2, 1) @ np.linalg.solve(gram, gap)
         sizes = np.linalg.norm(jumps, axis=1)
-        if len(chunks) >= max_legs or (np.all(sizes[:-1] <= eps_eff) and sizes[-1] ** 2
-                                       + m.base_distance(end_base, y) ** 2 <= eps_eff ** 2):
+        # The jumps are fiber-only, so only round trips move the base error. A
+        # round trip that left it past eps_eff without shrinking it ends the
+        # search; under a contracting drift it may shrink back within reach.
+        base_error = m.base_distance(end_base, y)
+        if len(chunks) >= max_legs or eps_eff < base_error >= last_error or (
+                np.all(sizes[:-1] <= eps_eff) and sizes[-1] ** 2 + base_error ** 2 <= eps_eff ** 2):
             break
+        last_error = base_error
         if loop_chunks is None:
             loop_chunks = _chunk_signal(
                 _padded_plan(solve, m, x, y, min_leg, ControlSignal.empty()), min_leg)
@@ -616,7 +625,10 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
         legs.append(ChainLeg(current, chunk, chunk.total_duration, jumped,
                              distance(m, end, jumped)))
         current, coords = jumped, frame.T @ jumped.v
-    raise PlanningBudgetError(f"no chain within {len(legs)} legs", best_chain=finished_chain())
+    off_base = (f": base error {base_error:.3e} at the itinerary's end exceeds eps_eff "
+                f"{eps_eff:.3e}" if base_error > eps_eff else "")
+    raise PlanningBudgetError(f"no chain within {len(legs)} legs{off_base}",
+                              best_chain=finished_chain())
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from liftctl import flow
-from liftctl.cli import SystemDefinition, main
+from liftctl.cli import SystemDefinition, build_parser, main
 
 DEFS = Path(__file__).resolve().parent.parent / "defs"
 LINE = str(DEFS / "line_shift.json")
@@ -268,10 +268,12 @@ def _flat_definition(tmp_path, drift, vectors, bound) -> str:
 
 def test_uncovered_fiber_gap_stops_at_the_leg_budget(tmp_path, capsys, monkeypatch):
     """With drift I every round trip's fiber transition expands by e^t, so
-    no itinerary's jumps cover this fiber gap and the chain runs out of its
-    80 legs. The itinerary grows only to the round trips those legs can
-    walk, with one least-norm solve per itinerary tried, so the solves stay
-    below two per leg."""
+    no itinerary's jumps cover this fiber gap, and each round trip, flowed
+    from where the last one ended, carries the base farther off the
+    target. Round trips stop at the first that leaves that base error past
+    eps_eff, which no fiber jump can close, and larger than it was, after
+    43 of the 80 legs (the chain used to walk all 80). The itinerary grows with one least-norm solve per itinerary
+    tried, so the solves stay below two per leg."""
     definition = _flat_definition(tmp_path, [[1.0, 0.0], [0.0, 1.0]],
                                   [[1.0, 0.0], [0.0, 1.0]], 10.0)
     solves = []
@@ -281,9 +283,29 @@ def test_uncovered_fiber_gap_stops_at_the_leg_budget(tmp_path, capsys, monkeypat
                             "--target=1,1;0,-0.3", "--eps", "0.25", "--T", "0.5"], capsys)
     assert code == 1
     payload = json.loads(out)
-    assert payload["error"] == "no chain within 80 legs"
-    assert len(payload["partial_chain"]["legs"]) == 80
-    assert len(solves) <= 2 * 80
+    assert payload["error"] == ("no chain within 43 legs: base error 2.993e-01 at the "
+                                "itinerary's end exceeds eps_eff 2.500e-01")
+    assert len(payload["partial_chain"]["legs"]) == 43
+    assert len(solves) <= 2 * 43
+
+
+@pytest.mark.parametrize("eps,legs", [(0.001, 65), (1e-4, 40)])
+def test_round_trips_stop_once_the_base_error_passes_eps(capsys, eps, legs):
+    """The search oracle steers flat_rotation's base to about 6e-4, and each
+    round trip, flowed from where the last one ended, adds to that error.
+    No fiber jump can close it, so planning stops at the first round trip
+    that leaves it past eps_eff without shrinking it, and names it; at eps
+    0.001 the chain used to walk 20,020 legs in 9.4 s, and at 1e-4 it ran
+    past 60 s."""
+    start = time.perf_counter()
+    code, out, _ = run_cli(["chain", FLAT, "--source=1,0;0,0", "--target=0,1;1,1",
+                            "--eps", str(eps), "--T", "0.5"], capsys)
+    assert time.perf_counter() - start < 1.0
+    payload = json.loads(out)
+    head, _, tail = payload["error"].partition(" at the itinerary's end exceeds eps_eff ")
+    assert code == 1 and head.startswith(f"no chain within {legs} legs: base error ")
+    assert float(head.rsplit(" ", 1)[1]) > float(tail) == pytest.approx(eps)
+    assert len(payload["partial_chain"]["legs"]) == legs
 
 
 def test_double_integrator_chain_verifies(tmp_path, capsys):
@@ -325,6 +347,8 @@ def test_chain_verify_only_malformed_file(tmp_path, capsys, path, named):
     (("legs", 0, "start", "x"), ["0"], "legs[0].start"),
     (("legs", 0, "duration"), "1.0", "legs[0].duration"),
     (("seed",), 7.9, "seed"), (("epsilon",), "0.25", "epsilon"), (("seed",), -1, "seed"),
+    (("legs", 0, "control"), {"a": 1}, "legs[0].control"),
+    (("legs", 0, "control"), [[0.5, [[0.5]]]], "legs[0].control"),
 ])
 def test_chain_verify_only_rejects_bad_numbers(tmp_path, capsys, path, value, named):
     """A chain file cannot lower the bar: an epsilon, T or step that is not
@@ -614,10 +638,12 @@ def test_usage_error_exit_code(capsys):
 @pytest.mark.parametrize("control", [
     "5", "[[0.5,[0.1]],3]", "[[1]]", '{"a": 1}', "nope", '[[1,"a"]]',
     "[[true,[0.1]]]", "[[0.5,[false]]]", "@/nonexistent/control.json",
+    "[[0.5,[[0.5]]]]", "[[0.5,0.3]]", "[[[0.5],[0.1]]]",
 ])
 def test_simulate_malformed_control_is_named(capsys, control):
     """Every malformed --control exits 2 naming control: a bare number or a
-    stray entry used to end in a TypeError traceback, and true read as 1.0."""
+    stray entry used to end in a TypeError traceback, true read as 1.0, and
+    a nested value list as "segment has 1 channels, expected 1"."""
     code, out, err = run_cli(["simulate", LINE, "--x0", "0", "--control", control], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: control:")
@@ -631,3 +657,133 @@ def test_larc_depth_beyond_the_column_limit_is_named(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error: --depth:")
+
+
+@pytest.mark.parametrize("control,message", [
+    ([[0.5, [[0.5]]]], "segment 0: expected [duration, [u, ...]], got [number, [[number]]]"),
+    ({"a": 1}, "expected a list of [duration, [u, ...]] segments, got object"),
+    ([[0.5, [0.1]], [0.2, 0.1]], "segment 1: expected [duration, [u, ...]], got [number, number]"),
+    ([[0.5, [0.1]], [True, [0.1]]], "segment 1: expected finite numbers, got True"),
+])
+def test_malformed_control_segment_names_its_index_and_shape(tmp_path, capsys, control, message):
+    """--control and a chain file's leg control name the segment that is not
+    a [duration, [u, ...]] pair with a flat value list, and the shape it
+    got. An object used to fail with "not enough values to unpack"."""
+    code, out, err = run_cli(["simulate", LINE, "--x0", "0", "--control", json.dumps(control)], capsys)
+    assert (code, out, err) == (2, "", f"error: control: {message}\n")
+    code, out, err = verify_edited_plan(tmp_path, capsys, ("legs", 0, "control"),
+                                        lambda entry, key: entry.__setitem__(key, control))
+    assert (code, out, err) == (2, "", f"error: legs[0].control: malformed: {ValueError(message)!r}\n")
+
+
+def test_control_channel_count_names_the_segment(capsys):
+    code, out, err = run_cli(["simulate", LINE, "--x0", "0", "--control",
+                              "[[0.5,[0.1]],[0.2,[0.1,0.2]]]"], capsys)
+    assert (code, out, err) == (2, "", "error: control: segment 1 has 2 channels, expected 1\n")
+
+
+# One argv per subcommand: CSV and lifted JSON runs, a suite, a chain and a rank
+REUSE_CASES = [
+    ["simulate", FLAT, "--x0", "1,0", "--control", "[[0.5,[0.3]]]"],
+    ["simulate", FLAT, "--x0", "1,0", "--lifted", "0,1", "--control", "[[0.5,[0.3]]]", "--format", "json"],
+    ["check", LINE, "--suite", "flow"],
+    ["chain", LINE, "--source", "0;0", "--target", "0;1"],
+    ["larc", SPHERE, "--point", "1,0,0", "--v", "0,1,0"],
+]
+
+
+def test_repeated_calls_print_the_same(capsys):
+    """Each argv gives the same exit code and stdout, byte for byte, when run
+    first, run again, and run after every other subcommand."""
+    runs = [[run_cli(argv, capsys), run_cli(argv, capsys)] for argv in REUSE_CASES]
+    for argv, results in zip(REUSE_CASES, runs):
+        results.append(run_cli(argv, capsys))
+        assert results[0][0] == 0 and results[0][1]
+        assert results == [results[0]] * 3
+
+
+def test_a_flag_does_not_carry_into_the_next_call(tmp_path, capsys):
+    argv = ["chain", LINE, "--source", "0;0", "--target", "0;1"]
+    want = run_cli(argv, capsys)
+    code, out, _ = run_cli([*argv, "--max-legs", "3"], capsys)
+    assert code == 1 and len(json.loads(out)["partial_chain"]["legs"]) == 3
+    assert run_cli(argv, capsys) == want
+    out_file = tmp_path / "chain.json"
+    assert run_cli([*argv, "--out", str(out_file)], capsys) == (0, "", "")
+    assert out_file.read_text() == want[1]
+    assert run_cli(argv, capsys) == want
+
+
+def test_usage_errors_and_help_between_calls_change_nothing(capsys):
+    argv = ["larc", FLAT, "--point", "1,1", "--v", "0,1"]
+    want = run_cli(argv, capsys)
+    usage = run_cli(["larc", FLAT, "--v", "0,1"], capsys)  # --point missing
+    assert usage[0] == 2 and "--point" in usage[2]
+    code, out, _ = run_cli(["--help"], capsys)
+    assert code == 0 and out.startswith("usage: liftctl")
+    assert run_cli(["larc", "--help"], capsys)[0] == 0
+    assert run_cli(argv, capsys) == want
+    assert run_cli(["larc", FLAT, "--v", "0,1"], capsys) == usage
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["bogus", "larc"], ["larc", "--help"], ["chain", "-h"], ["larc", FLAT],
+    ["larc", FLAT, "--point", "1,1", "extra"], ["check", FLAT, "--suite"],
+    ["simulate", FLAT, "--x0", "1,0", "--format", "xml"], ["chain", FLAT, "--max-legs", "x"],
+])
+def test_main_prints_what_the_whole_parser_prints(capsys, argv):
+    """main builds only the parser of the subcommand its argv starts with.
+    Its help, usage errors and exit codes are those of the parser of every
+    subcommand, top-level usage included."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    want = (2 if exc.value.code not in (0, None) else 0, captured.out, captured.err)
+    assert run_cli(argv, capsys) == want
+
+
+def test_an_edited_definition_takes_effect_on_the_next_call(tmp_path, capsys):
+    argv = ["simulate", _flat_definition(tmp_path, [[0.0, -1.0], [1.0, 0.0]], [[1.0, 0.0]], 1.0),
+            "--x0", "1,0", "--control", "[[0.5,[0.3]]]"]
+    code, before, _ = run_cli(argv, capsys)
+    _flat_definition(tmp_path, [[0.0, 1.0], [-1.0, 0.0]], [[1.0, 0.0]], 1.0)
+    after = run_cli(argv, capsys)
+    assert code == 0 and after[0] == 0 and after[1] != before
+
+
+def test_a_new_seed_takes_effect_on_the_next_call(capsys, monkeypatch):
+    seeds = []
+    for value in ("5", "6", "-1", None):
+        if value is None:
+            monkeypatch.delenv("LIFTCTL_SEED")
+        else:
+            monkeypatch.setenv("LIFTCTL_SEED", value)
+        code, out, err = run_cli(["check", LINE, "--suite", "flow"], capsys)
+        seeds.append(json.loads(out)["seed"] if code == 0 else err)
+    assert seeds == [5, 6, "error: LIFTCTL_SEED: must be a non-negative integer, got '-1'\n", 7]
+
+
+@pytest.mark.parametrize("text,named,message", [
+    ("{", "{path}", "invalid JSON: Expecting property name"),
+    (None, "{path}", "cannot read file: "),
+    ('{"schema_version": 2}', "schema_version", "expected 1, got 2"),
+])
+def test_a_definition_broken_after_a_good_load_is_named(tmp_path, capsys, text, named, message):
+    """A file broken after a good load exits 2 naming it (or the entry at
+    fault), and mended it loads again."""
+    path = tmp_path / "line.json"
+    good = Path(LINE).read_text()
+    path.write_text(good)
+    argv = ["larc", str(path), "--point", "0"]
+    want = run_cli(argv, capsys)
+    assert want[0] == 0
+    for _ in range(2):
+        if text is None:
+            path.unlink()
+        else:
+            path.write_text(text)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {named.format(path=path)}: {message}")
+        path.write_text(good)
+        assert run_cli(argv, capsys) == want

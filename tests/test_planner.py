@@ -538,6 +538,31 @@ def test_plan_chain_budget_error_carries_partial():
     assert len(err.value.best_chain.legs) <= 3
 
 
+def test_plan_chain_keeps_round_trips_that_shrink_the_base_error():
+    """Under drift -I a round trip started off the target base carries the
+    offset back scaled by e^-2 (two 1 s solves). Here the plan misses y by
+    0.03 > eps and the return solve misses x so that the round trip adds no
+    miss of its own: the first round trip ends within 0.005 of y, so the
+    chain closes there instead of stopping at the plan's base error."""
+    sys = AffineSystem(Manifold.flat(2), LinearField(-np.eye(2)),
+                       (ConstantField([1.0, 0.0]), ConstantField([0.0, 1.0])),
+                       [[-10.0, 10.0], [-10.0, 10.0]])
+    exact = LinearGramianOracle.for_system(sys, horizon=1.0)
+    x, y, miss = np.zeros(2), np.array([1.0, 0.0]), np.array([0.03, 0.0])
+
+    class MissingOracle:
+        def solve(self, a, b):
+            aim = b + miss if np.array_equal(b, y) else b - math.e * miss
+            return exact.solve(a, aim)
+
+    source, target = TangentPoint(x, [0.0, 0.0]), TangentPoint(y, [0.0, 0.0])
+    chain = plan_chain(sys, MissingOracle(), source, target, 0.025, 0.5)
+    assert len(chain.legs) == 4  # the plan's 1 leg and one round trip's 3
+    assert chain.legs[-1].verified_distance <= 0.005
+    report = verify_chain(sys, chain)
+    assert report.passed, report.messages
+
+
 @pytest.mark.parametrize("max_legs", [0, -3])
 def test_plan_chain_refuses_a_budget_below_one_leg(max_legs):
     """A pair within reach used to get a 1-leg chain whatever max_legs was,
