@@ -18,7 +18,6 @@ from .fields import (
     PolynomialField,
     ScalarField,
     VectorField,
-    check_bracket_identity,
     check_pi_related,
     complete_lift,
     complete_lift_function,

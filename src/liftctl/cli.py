@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefinitionError, LiftctlError, OffManifoldError, PlanningBudgetError
-from .fields import field_from_descriptor, zero_field
+from .fields import check_pi_related, field_from_descriptor, zero_field
 from .flow import (
     DEFAULT_STEP,
     AffineSystem,
@@ -30,9 +30,7 @@ from .flow import (
     integrate_base,
     integrate_lifted,
 )
-from .liealg import DEFAULT_DEPTH, lifted_rank_at, rank_at
-from .fields import check_bracket_identity, check_pi_related
-from .liealg import check_lift_algebra_identity
+from .liealg import DEFAULT_DEPTH, check_lift_algebra_identity, lifted_rank_at, rank_at
 from .manifold import Manifold, TangentPoint, json_numbers
 from .planner import (
     Chain,
@@ -192,9 +190,9 @@ def _parse_tangent(text: str, manifold: Manifold, flag: str) -> TangentPoint:
     return TangentPoint(x, _parse_vector(parts[1], manifold, flag, x))
 
 
-def _parse_control(text: str, channels: int) -> ControlSignal:
-    """The signal of --control: JSON segments [[duration, [u, ...]], ...] or
-    @file holding them; anything else raises DefinitionError naming control."""
+def _parse_control(text: str, system: AffineSystem) -> ControlSignal:
+    """The signal of --control (JSON segments [[duration, [u, ...]], ...] or @file
+    holding them) if system.check_signal admits it; else DefinitionError naming control."""
     try:
         if text.startswith("@"):
             with open(text[1:], "r", encoding="utf-8") as fh:
@@ -202,11 +200,9 @@ def _parse_control(text: str, channels: int) -> ControlSignal:
         else:
             data = json.loads(text)
         control = ControlSignal.from_json(data)
+        system.check_signal(control)
     except (OSError, ValueError) as exc:
         raise DefinitionError("control", str(exc)) from exc
-    for i, (_, value) in enumerate(control.segments):
-        if value.size != channels:
-            raise DefinitionError("control", f"segment {i} has {value.size} channels, expected {channels}")
     return control
 
 
@@ -236,7 +232,7 @@ def cmd_simulate(args) -> int:
     defn = SystemDefinition.load(args.definition)
     x0 = _parse_vector(args.x0, defn.manifold, "--x0")
     step = defn.step if args.step is None else _positive("--step", args.step)
-    control = _parse_control(args.control, defn.system.n_controls) if args.control \
+    control = _parse_control(args.control, defn.system) if args.control \
         else ControlSignal.empty()
     try:
         if args.lifted is not None:
@@ -267,10 +263,8 @@ def _suite_lift(defn: SystemDefinition) -> dict:
     fields = (sys_.drift,) + sys_.controlled
     analytic = all(f.has_analytic_jacobian for f in fields)
     pi_dev = max(check_pi_related(f, samples) for f in fields)
-    bracket_dev = 0.0
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            bracket_dev = max(bracket_dev, check_bracket_identity(fields[i], fields[j], samples))
+    # the depth-2 words are the pairs [fields[i], fields[j]], i < j
+    bracket_dev = check_lift_algebra_identity(fields, samples, max_depth=2)
     algebra_dev = check_lift_algebra_identity(fields, samples[:10], max_depth=3)
     tol_bracket = 1e-10 if analytic else 1e-4
     tol_algebra = 1e-8 if analytic else 1e-4

@@ -11,9 +11,8 @@ polynomial_kernel generates as straight-line source, all read them, and
 outside this module only liealg's bracket table reads the monomial format.
 Arbitrary callables fall back to central finite differences.
 A lifted field is kept as a pair of ambient maps (horizontal, vertical), so
-its projection onto the base field holds by construction; the
-bracket-identity check flattens lifted fields to 2n ambient dimensions only
-internally.
+its projection onto the base field holds by construction; only liealg's
+lift-algebra identity check flattens lifted fields to 2n ambient dimensions.
 """
 
 from __future__ import annotations
@@ -67,12 +66,6 @@ def _jacobian_noise(value_noise: float) -> float:
     if value_noise <= 1e-14:
         return 4.0 * base ** (2.0 / 3.0)
     return 4.0 * base ** 0.8
-
-
-def fd_gradient(func, x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of an R^n -> R map: fd_jacobian's 3-point
-    rule."""
-    return fd_jacobian(lambda y: [func(y)], x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +314,7 @@ class ScalarField:
         x = np.asarray(x, dtype=float)
         if self._gradient is not None:
             return np.asarray(self._gradient(x), dtype=float)
-        return fd_gradient(self._value, x)
+        return fd_jacobian(lambda y: [self._value(y)], x)[0]
 
 
 def complete_lift(field: VectorField):
@@ -415,23 +408,6 @@ def check_pi_related(field: VectorField, samples) -> float:
     for p in samples:
         h, _ = lifted(p)
         dev = float(np.linalg.norm(h - field(p.x)))
-        worst = max(worst, dev)
-    return worst
-
-
-def check_bracket_identity(x_field: VectorField, y_field: VectorField, samples) -> float:
-    """Compare [X^c, Y^c] against [X, Y]^c at the given tangent points.
-
-    The left side brackets the flattened 2n-dimensional lifts; the right side
-    lifts the base bracket. Returns the max norm difference.
-    """
-    left = lie_bracket(flatten_lift(x_field), flatten_lift(y_field))
-    right = complete_lift(lie_bracket(x_field, y_field))
-    worst = 0.0
-    for p in samples:
-        z = np.concatenate([p.x, p.v])
-        h, vert = right(p)
-        dev = float(np.linalg.norm(left(z) - np.concatenate([h, vert])))
         worst = max(worst, dev)
     return worst
 

@@ -67,10 +67,11 @@ class ControlSignal:
 
     def __post_init__(self):
         clean = []
-        for duration, value in self.segments:
+        for i, (duration, value) in enumerate(self.segments):
             duration = float(duration)
             if not 0.0 < duration < math.inf:
-                raise ValueError("segment durations must be positive and finite")
+                raise ValueError(f"segment durations must be positive and finite: segment {i} "
+                                 f"lasts {duration}")
             clean.append((duration, np.atleast_1d(np.array(value, dtype=float))))
         object.__setattr__(self, "segments", tuple(clean))
 
@@ -229,19 +230,24 @@ class AffineSystem:
         return len(self.controlled)
 
     def check_signal(self, u: ControlSignal) -> None:
-        for _, value in u.segments:
+        """A ValueError naming the first segment of u with a wrong channel
+        count, or a value that is NaN or outside the bounds (1e-12 slack)."""
+        for i, (_, value) in enumerate(u.segments):
             if value.shape[0] != self.n_controls:
-                self.check_controls(value[None])  # raises the channel error
+                raise ValueError(f"control has {value.shape[0]} channels, system expects "
+                                 f"{self.n_controls}, in segment {i}")
         self.check_controls(np.array([value for _, value in u.segments]).reshape(-1, self.n_controls))
 
     def check_controls(self, values: np.ndarray) -> None:
-        """check_signal for the rows of values (B, m), with the same errors."""
+        """check_signal for the rows (segments) of values (B, m), with the same errors."""
         if values.shape[1] != self.n_controls:
             raise ValueError(f"control has {values.shape[1]} channels, system expects {self.n_controls}")
-        # written so that a NaN value fails it
-        if not np.all((values >= self.bounds[:, 0] - 1e-12)
-                      & (values <= self.bounds[:, 1] + 1e-12)):
-            raise ValueError("control value NaN or outside bounds")
+        # written so that a NaN value fails it; the culprit is sought only then
+        inside = (values >= self.bounds[:, 0] - 1e-12) & (values <= self.bounds[:, 1] + 1e-12)
+        if not inside.all():
+            row, chan = np.argwhere(~inside)[0]
+            raise ValueError(f"control value NaN or outside bounds: segment {row}, channel {chan} "
+                             f"is {values[row, chan]}, bounds {self.bounds[chan].tolist()}")
 
     def rhs(self, x: np.ndarray, u_value: np.ndarray) -> np.ndarray:
         out = self.drift(x)
@@ -570,8 +576,10 @@ def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.n
         raise ValueError(f"step must be positive and finite, got {steps}")
     x = np.asarray(sys.manifold.check_point(x0), dtype=float)
     controls, durations = np.asarray(controls, dtype=float), np.asarray(durations, dtype=float)
-    if not np.all((durations > 0.0) & (durations < math.inf)):
-        raise ValueError("segment durations must be positive and finite")
+    bad = np.flatnonzero(~((durations > 0.0) & (durations < math.inf)))
+    if bad.size:
+        raise ValueError(f"segment durations must be positive and finite: segment {bad[0]} "
+                         f"lasts {durations[bad[0]]}")
     sys.check_controls(controls)
     counts, sizes = _grid(durations, steps)
     on_sphere = sys.manifold.kind is ManifoldKind.SPHERE2

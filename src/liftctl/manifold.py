@@ -112,25 +112,19 @@ class Manifold:
         """Transport v from T_x M to T_y M along the minimizing geodesic.
 
         On flat space this is the identity. On the sphere it is the rotation
-        in the plane span{x, y} that fixes the orthogonal complement.
+        in the plane span{x, y} that takes x to y and fixes the orthogonal
+        complement; on a tangent v that is v - (y . v) / (1 + x . y) (x + y).
+        Points more than pi - ANGLE_TOL apart count as antipodal.
         """
         x = self.check_point(x)
         y = self.check_point(y)
         v = np.asarray(v, dtype=float)
         if self.kind is ManifoldKind.FLAT:
             return v.copy()
-        c = np.clip(x @ y, -1.0, 1.0)
-        theta = np.arccos(c)
-        if theta > np.pi - ANGLE_TOL:
+        d = 1.0 + x @ y
+        if d < 0.5 * ANGLE_TOL ** 2:  # x . y < -cos(ANGLE_TOL) = ANGLE_TOL^2 / 2 - 1 in doubles
             raise AntipodalPointsError("antipodal points: geodesic is not unique")
-        u = y - c * x
-        u_nrm = np.linalg.norm(u)
-        if u_nrm < 1e-14:
-            return v.copy()
-        u = u / u_nrm
-        a = u @ v
-        v_perp = v - a * u
-        return v_perp + a * (np.cos(theta) * u - np.sin(theta) * x)
+        return v - (y @ v) / d * (x + y)
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         """Draw a point on the manifold (standard normal, normalized on S2)."""

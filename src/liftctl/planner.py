@@ -47,7 +47,6 @@ from .liealg import DEFAULT_DEPTH, rank_at
 from .manifold import Manifold, ManifoldKind, TangentPoint, json_numbers
 from .sasaki import distance, fiber_segment_point
 
-GRAMIAN_STEER_TOL = 1e-6
 SEARCH_STEER_TOL = 1e-3
 
 # Leg durations exceed the chain's T by this relative margin, and jumps stay
@@ -67,8 +66,6 @@ class LinearGramianOracle:
     law would leave an O((T/n)^2) endpoint error, violating the steering
     tolerance.
     """
-
-    steer_tol = GRAMIAN_STEER_TOL
 
     def __init__(self, a_matrix, b_matrix, horizon: float = 1.0, n_segments: int = 64):
         self.a = np.asarray(a_matrix, dtype=float)
@@ -135,8 +132,6 @@ def _skew_axis(matrix: np.ndarray) -> np.ndarray:
 class SphereRotationOracle:
     """Closed-form steering on the sphere by composing rotations about two
     orthogonal axes (constant controls, at most three segments)."""
-
-    steer_tol = GRAMIAN_STEER_TOL
 
     def __init__(self, generators, bounds):
         # generators: list of (channel, so(3) matrix); pick an orthogonal pair
@@ -424,11 +419,11 @@ class Chain:
 
 
 def compose_chains(first: Chain, second: Chain) -> Chain:
-    """Concatenate chains through a shared waypoint."""
+    """Concatenate chains through a shared waypoint, joined by the rule of
+    verify_chain's joints: first.target and second.source agree within 1e-12."""
     if first.epsilon != second.epsilon or first.min_duration != second.min_duration:
         raise ValueError("chains must share epsilon and T")
-    if not (np.allclose(first.target.x, second.source.x, atol=1e-9)
-            and np.allclose(first.target.v, second.source.v, atol=1e-9)):
+    if not _same_point(first.target, second.source):
         raise ValueError("first.target must equal second.source")
     return Chain(first.legs + second.legs, first.epsilon, first.min_duration,
                  first.source, second.target, first.step, first.seed)
@@ -524,8 +519,9 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
     itinerary's end farther than the effective epsilon from the target base
     without bringing it closer (no round trip is added past it; the message
     names that base error), or a walk that misses the target all the same,
-    raises PlanningBudgetError with the partial chain; an oracle's
-    SteeringFailure names the base rank where it falls below the manifold's
+    raises PlanningBudgetError with the partial chain. An oracle's
+    SteeringFailure, or one naming the oracle for a plan outside the control
+    bounds, names the base rank where it falls below the manifold's
     dimension at the start point. Deterministic given its inputs.
     """
     for name, value in (("epsilon", epsilon), ("T", min_duration)):
@@ -554,7 +550,12 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
         key = (a.tobytes(), b.tobytes())
         if key not in solved:
             try:
-                solved[key] = oracle.solve(a, b)
+                plan = oracle.solve(a, b)
+                try:  # an inadmissible plan is the oracle's failure, not a usage error
+                    sys.check_signal(plan[1])
+                except ValueError as exc:
+                    raise SteeringFailure(f"{type(oracle).__name__} plan: {exc}") from exc
+                solved[key] = plan
             except SteeringFailure as exc:  # name a base rank condition that fails at a
                 n = m.intrinsic_dim
                 rank = rank_at((sys.drift, *sys.controlled), a, DEFAULT_DEPTH, m).rank
@@ -658,13 +659,12 @@ class VerificationReport:
 def _same_point(p: TangentPoint, q: TangentPoint) -> bool:
     """p and q have the same shapes and agree within 1e-12 in every coordinate."""
     return (p.x.shape == q.x.shape and p.v.shape == q.v.shape
-            and np.allclose(p.x, q.x, atol=1e-12) and np.allclose(p.v, q.v, atol=1e-12))
+            and np.allclose(np.r_[p.x, p.v], np.r_[q.x, q.v], rtol=0.0, atol=1e-12))
 
 
 def verify_chain(sys: AffineSystem, chain: Chain, epsilon: float | None = None,
                  min_duration: float | None = None, source: TangentPoint | None = None,
-                 target: TangentPoint | None = None,
-                 step: float | None = None) -> VerificationReport:
+                 target: TangentPoint | None = None) -> VerificationReport:
     """Independently re-check a chain against a requirement: epsilon, T,
     source and target, each the chain's own where not given. Every leg's end
     point is re-integrated by fiber_flow at half the planner's step;
@@ -677,8 +677,7 @@ def verify_chain(sys: AffineSystem, chain: Chain, epsilon: float | None = None,
     min_duration = chain.min_duration if min_duration is None else min_duration
     source = chain.source if source is None else source
     target = chain.target if target is None else target
-    if step is None:
-        step = chain.step / 2.0
+    step = chain.step / 2.0
     checks = []
     messages = []
     expected_start = source

@@ -19,7 +19,6 @@ from liftctl import (
     Manifold,
     TangentPoint,
     VectorField,
-    check_bracket_identity,
     check_fiber_reachability,
     check_flow_formula,
     check_invariance,
@@ -88,11 +87,11 @@ def test_criterion_1_bracket_identity():
     for _ in range(5):
         a = LinearField(rng.standard_normal((3, 3)))
         b = LinearField(rng.standard_normal((3, 3)))
-        worst_analytic = max(worst_analytic, check_bracket_identity(a, b, samples))
+        worst_analytic = max(worst_analytic, check_lift_algebra_identity((a, b), samples, 2))
     worst_fd = 0.0
     for _ in range(3):
-        worst_fd = max(worst_fd, check_bracket_identity(
-            _random_poly_callable(rng), _random_poly_callable(rng), samples))
+        worst_fd = max(worst_fd, check_lift_algebra_identity(
+            (_random_poly_callable(rng), _random_poly_callable(rng)), samples, 2))
     elapsed = time.perf_counter() - start
     ok = worst_analytic <= 1e-10 and worst_fd <= 1e-4 and elapsed < 1.0
     _report(1, ok, f"analytic dev {worst_analytic:.2e} (tol 1e-10), "

@@ -174,6 +174,32 @@ def verify_edited_plan(tmp_path, capsys, path, edit):
 
 
 
+@pytest.mark.parametrize("path,message", [
+    (("legs", 1, "start", "x", 0), "leg 1: start does not match previous jump target"),
+    (("legs", -1, "jump_target", "x", 1), "final jump target does not match the target"),
+])
+def test_chain_verify_only_joints_agree_within_1e_12(tmp_path, capsys, path, message):
+    """A joint moved by 5e-6 in a coordinate of size about 1 fails, named:
+    numpy's default relative tolerance of 1e-5 used to pass it."""
+    out_file = tmp_path / "plan.json"
+    code, _, _ = run_cli(["chain", FLAT, "--source=1,0;0,0", "--target=0,1;1,1",
+                          "--eps", "0.1", "--T", "0.5", "--out", str(out_file)], capsys)
+    assert code == 0
+    chain = json.loads(out_file.read_text())["chain"]
+    entry = chain
+    for key in path[:-1]:
+        entry = entry[key]
+    assert abs(entry[path[-1]]) >= 0.5
+    entry[path[-1]] += 5e-6
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps(chain))
+    code, out, _ = run_cli(["chain", FLAT, "--verify-only", str(moved),
+                            "--eps", "0.1", "--T", "0.5"], capsys)
+    report = json.loads(out)
+    assert code == 1 and not report["passed"]
+    assert report["messages"] == [message]
+
+
 def _planned_line_chain(tmp_path, capsys) -> dict:
     out_file = tmp_path / "plan.json"
     code, _, _ = run_cli(["chain", LINE, "--source", "0;0", "--target", "0;1",
@@ -679,7 +705,32 @@ def test_malformed_control_segment_names_its_index_and_shape(tmp_path, capsys, c
 def test_control_channel_count_names_the_segment(capsys):
     code, out, err = run_cli(["simulate", LINE, "--x0", "0", "--control",
                               "[[0.5,[0.1]],[0.2,[0.1,0.2]]]"], capsys)
-    assert (code, out, err) == (2, "", "error: control: segment 1 has 2 channels, expected 1\n")
+    assert (code, out, err) == (
+        2, "", "error: control: control has 2 channels, system expects 1, in segment 1\n")
+
+
+@pytest.mark.parametrize("control,message", [
+    ("[[0.5,[0.1]],[0,[0.5]]]", "segment durations must be positive and finite: segment 1 lasts 0.0"),
+    ("[[0.5,[0.1]],[0.5,[50]]]",
+     "control value NaN or outside bounds: segment 1, channel 0 is 50.0, bounds [-10.0, 10.0]"),
+])
+def test_control_errors_name_the_segment_and_the_bounds(capsys, control, message):
+    """A zero duration used to be reported with no index, and a value
+    outside the bounds as "control value NaN or outside bounds" alone,
+    naming neither control, its segment nor the bound."""
+    code, out, err = run_cli(["simulate", LINE, "--x0", "0", "--control", control], capsys)
+    assert (code, out, err) == (2, "", f"error: control: {message}\n")
+
+
+def test_chain_oracle_plan_outside_the_bounds_is_a_steering_failure(capsys):
+    """The Gramian plan from 0 to 30 on line_shift asks u = 30 for 1 s
+    against bounds [-10, 10]. It used to exit 2 with a bare "control value
+    NaN or outside bounds", as if the caller had passed a bad control."""
+    code, out, err = run_cli(["chain", LINE, "--source=0;0", "--target=30;0"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: LinearGramianOracle plan: control value NaN or outside "
+                          "bounds: segment 0, channel 0 is 30")
+    assert err.endswith(", bounds [-10.0, 10.0]\n")
 
 
 # One argv per subcommand: CSV and lifted JSON runs, a suite, a chain and a rank

@@ -491,6 +491,23 @@ def test_plan_chain_single_leg_when_flow_hits_target():
     assert chain.legs[0].verified_distance <= 1e-9
 
 
+def test_plan_chain_pair_within_reach_is_one_unsplit_leg():
+    """A target within eps of the source is reached by the whole padded
+    plan as one leg when its flowed end lands within eps too: here one 3.08 s
+    leg on sphere_two_axis, where cutting the plan into legs takes 6."""
+    defn = SystemDefinition.load(str(SPHERE_TWO_AXIS))
+    oracle = SphereRotationOracle.for_system(defn.system)
+    c, s = math.cos(0.06), math.sin(0.06)
+    source = TangentPoint([1.0, 0.0, 0.0], [0.0, 0.1, 0.0])
+    target = TangentPoint([c, s, 0.0], [-0.1 * s, 0.1 * c, 0.0])
+    chain = plan_chain(defn.system, oracle, source, target, 0.25, 0.5, step=defn.step)
+    assert len(chain.legs) == 1
+    leg = chain.legs[0]
+    assert leg.start is source and leg.jump_target is target
+    assert leg.duration == pytest.approx(3.08, abs=5e-3)
+    assert verify_chain(defn.system, chain).passed
+
+
 def test_plan_chain_forced_rotation_random_pairs():
     sys = forced_rotation_system()
     oracle = LinearGramianOracle.for_system(sys, horizon=1.0)
