@@ -24,7 +24,6 @@ from .fields import (
     field_from_descriptor,
     lie_bracket,
     vertical_lift_function,
-    zero_field,
 )
 from .flow import (
     DEFAULT_STEP,

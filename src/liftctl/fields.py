@@ -203,10 +203,6 @@ class ConstantField(PolynomialField):
         super().__init__([[(c, (0,) * n)] for c in vector], n, name)
 
 
-def zero_field(dim: int) -> ConstantField:
-    return ConstantField(np.zeros(dim), name="zero")
-
-
 def polynomial_kernel(fields, n: int, drift_tol=None):
     """(table, bind) for RK4 runs of the system sum_f c_f fields[f] (c_0 = 1)
     when every field is a PolynomialField on R^n, else None.
@@ -424,7 +420,7 @@ def field_from_descriptor(desc: dict) -> PolynomialField:
     if kind == "constant":
         return ConstantField(json_numbers(desc["vector"]))
     if kind == "zero":
-        return zero_field(int(json_numbers(desc["dim"], integer=True)))
+        return ConstantField(np.zeros(int(json_numbers(desc["dim"], integer=True))), name="zero")
     if kind == "polynomial":
         comps = [
             [(float(json_numbers(coeff)), tuple(json_numbers(exps, integer=True).tolist()))

@@ -454,8 +454,6 @@ def _padded_plan(solve, manifold: Manifold, x: np.ndarray, y: np.ndarray,
             _, back = solve(y, d)
             _, fwd = solve(d, y)
             added = back.segments + fwd.segments
-            if not added:
-                raise SteeringFailure("oracle produced only zero-duration plans")
         sig = ControlSignal(sig.segments + added)
         guard += 1
         if guard > 64:
@@ -463,12 +461,11 @@ def _padded_plan(solve, manifold: Manifold, x: np.ndarray, y: np.ndarray,
     return sig
 
 
-def _chunk_signal(sig: ControlSignal, min_leg: float) -> list[ControlSignal]:
-    """Split a plan into equal-duration legs, each strictly above min_leg."""
+def _chunk_signal(sig: ControlSignal, min_leg: float, max_legs: int) -> list[ControlSignal]:
+    """Split a plan into at most max_legs equal legs, each strictly above min_leg."""
     total = sig.total_duration
-    n = max(1, math.floor(total / min_leg))
-    chunks = []
-    rest = sig
+    n = max(1, min(math.floor(total / min_leg), max_legs))
+    chunks, rest = [], sig
     chunk_len = total / n
     for _ in range(n - 1):
         head, rest = split_signal(rest, chunk_len)
@@ -511,18 +508,20 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
     """Construct a verified (epsilon, T)-chain from source to target.
 
     Walks the base from the source to the target along the oracle's plan,
-    cut into legs strictly longer than T, followed by the fewest round trips
-    target -> source -> target for which the minimum-norm jumps that close
-    the fiber gap all fit within epsilon. Each leg is integrated once, for
-    its fiber transition, and its end is read off that transition. A gap
-    that no itinerary within max_legs covers, a round trip that leaves the
-    itinerary's end farther than the effective epsilon from the target base
-    without bringing it closer (no round trip is added past it; the message
-    names that base error), or a walk that misses the target all the same,
-    raises PlanningBudgetError with the partial chain. An oracle's
-    SteeringFailure, or one naming the oracle for a plan outside the control
-    bounds, names the base rank where it falls below the manifold's
-    dimension at the start point. Deterministic given its inputs.
+    then the fewest round trips target -> source -> target for which the
+    minimum-norm jumps that close the fiber gap all fit within epsilon, each
+    cut into at most max_legs legs longer than T, none shorter than step.
+    The default max_legs grows with the base and fiber gaps, which must be
+    finite. Each leg is integrated once, for its fiber transition, and its
+    end is read off that transition. A gap that no itinerary within
+    max_legs covers, a round trip that leaves the itinerary's end farther
+    than the effective epsilon from the target base without bringing it
+    closer (no round trip is added past it; the message names that base
+    error), or a walk that misses the target all the same, raises
+    PlanningBudgetError with the partial chain. An oracle's SteeringFailure,
+    or one naming the oracle for a plan outside the control bounds, names
+    the base rank where it falls below the manifold's dimension at the
+    start point. Deterministic given its inputs.
     """
     for name, value in (("epsilon", epsilon), ("T", min_duration)):
         if not 0.0 < value < math.inf:  # NaN fails it too
@@ -533,9 +532,13 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
     target.validate(sys.manifold)
     m = sys.manifold
     eps_eff = epsilon * (1.0 - JUMP_MARGIN)
-    min_leg = min_duration * (1.0 + DURATION_MARGIN)
+    min_leg = max(min_duration * (1.0 + DURATION_MARGIN), step)  # no leg shorter than a step
     x, y = source.x, target.x
-    gap0 = distance(m, source, target)
+    with np.errstate(over="ignore"):  # a gap past the float range is refused below
+        base_gap = m.base_distance(x, y)
+        gap0 = float(np.hypot(base_gap, np.linalg.norm(target.v - source.v)))
+    if not math.isfinite(gap0):
+        raise ValueError(f"source and target are too far apart to plan: gap {gap0}")
     if max_legs is None:
         max_legs = 10 * math.ceil(max(gap0, epsilon) / epsilon) + 20
 
@@ -568,7 +571,8 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
     plan = _padded_plan(solve, m, x, y, min_leg, solve(x, y)[1])
 
     # Already within reach: try a single unsplit leg back to the target fiber.
-    if gap0 <= eps_eff:
+    # The transport surrogate is at least the base gap, and refuses antipodes.
+    if base_gap <= eps_eff and distance(m, source, target) <= eps_eff:
         end = TangentPoint(*fiber_flow(sys, source.x, source.v, plan, step))
         d_end = distance(m, end, target)
         if d_end <= eps_eff:
@@ -582,7 +586,7 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
     # (solved on first use, each integrated from where the itinerary ends) whose
     # jumps all fit, the last beside the base error. Fibers are coordinates in
     # the frames of _chunk_transitions, which chain exactly.
-    chunks = _chunk_signal(plan, min_leg)
+    chunks = _chunk_signal(plan, min_leg, max_legs)
     trans = _chunk_transitions(sys, x, chunks, step)
     tails, whole = _tails([mat for _, _, mat in trans])
     coords = m.tangent_basis(x).T @ source.v
@@ -605,7 +609,7 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
         last_error = base_error
         if loop_chunks is None:
             loop_chunks = _chunk_signal(
-                _padded_plan(solve, m, x, y, min_leg, ControlSignal.empty()), min_leg)
+                _padded_plan(solve, m, x, y, min_leg, ControlSignal.empty()), min_leg, max_legs)
         loop_trans = _chunk_transitions(sys, end_base, loop_chunks, step)
         loop_tails, loop_whole = _tails([mat for _, _, mat in loop_trans])
         tails = np.concatenate([loop_whole @ tails, loop_tails])

@@ -31,7 +31,6 @@ from liftctl import (
     plan_chain,
     rank_at,
     verify_chain,
-    zero_field,
 )
 from liftctl.cli import SystemDefinition
 
@@ -265,7 +264,7 @@ def test_criterion_7_fiber_reachability():
 
 
 def test_criterion_8_chain_controllability():
-    line_sys = AffineSystem(Manifold.flat(1), zero_field(1),
+    line_sys = AffineSystem(Manifold.flat(1), ConstantField(np.zeros(1)),
                             (ConstantField([1.0]),), [[-10.0, 10.0]])
     line_oracle = LinearGramianOracle.for_system(line_sys, horizon=1.0)
 

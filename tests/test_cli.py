@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ LINE = str(DEFS / "line_shift.json")
 FLAT = str(DEFS / "flat_rotation.json")
 SPHERE = str(DEFS / "sphere_rotation.json")
 DUFFING = str(DEFS.parent / "perfbench" / "defs" / "duffing.json")
+SPHERE_TWO_AXIS = str(DEFS.parent / "perfbench" / "defs" / "sphere_two_axis.json")
 
 
 def run_cli(args, capsys):
@@ -731,6 +733,53 @@ def test_chain_oracle_plan_outside_the_bounds_is_a_steering_failure(capsys):
     assert err.startswith("error: LinearGramianOracle plan: control value NaN or outside "
                           "bounds: segment 0, channel 0 is 30")
     assert err.endswith(", bounds [-10.0, 10.0]\n")
+
+
+def test_chain_between_antipodal_sphere_points_plans_and_verifies(tmp_path, capsys):
+    """Antipodal base points have no unique geodesic, so their transport
+    surrogate distance is refused. The planner used to start with it and
+    exit 1 naming the antipodes; it needs it only for a base gap within eps."""
+    args = ["--source=1,0,0;0,0.1,0", "--target=-1,0,0;0,0.1,0"]
+    code, out, _ = run_cli(["chain", SPHERE_TWO_AXIS, *args], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["verification"]["passed"]
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(payload["chain"]))
+    code, out, _ = run_cli(["chain", SPHERE_TWO_AXIS, *args, f"--verify-only={chain}"], capsys)
+    assert code == 0 and json.loads(out)["passed"]
+
+
+@pytest.mark.parametrize("path,args", [
+    (LINE, ["--source=1e300;0", "--target=0;1"]),
+    (FLAT, ["--source=1e300,0;0,0", "--target=0,1;1,1"]),
+    (FLAT, ["--source=1e300,0;0,0", "--target=0,1;1,1", "--max-legs", "10"]),
+])
+def test_chain_between_points_too_far_apart_is_named(capsys, path, args):
+    """A gap past the float range used to end in numpy's overflow warning
+    and an OverflowError traceback from the default leg budget."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["chain", path, *args], capsys)
+    assert (code, out, err) == (2, "", "error: source and target are too far apart to plan: "
+                                       "gap inf\n")
+
+
+@pytest.mark.parametrize("T,budget", [(0.01, 60), (1e-4, 60), (1e-4, 2000)])
+def test_a_small_T_cuts_the_plan_within_the_leg_budget(capsys, T, budget):
+    """The 1 s plan is cut into at most the leg budget's legs (60 is the
+    default here), none shorter than the definition's step of 0.001. It
+    used to be cut into about 1 / T legs, of which the walk read the
+    budget's: at T 0.01 the chain ran out of them, and at 1e-4 it
+    integrated 9,999 and failed."""
+    start = time.perf_counter()
+    code, out, _ = run_cli(["chain", LINE, "--source=0;0", "--target=1;0", "--T", str(T),
+                            f"--max-legs={budget}"], capsys)
+    assert time.perf_counter() - start < 2.0
+    payload = json.loads(out)
+    assert code == 0 and payload["verification"]["passed"]
+    legs = payload["chain"]["legs"]
+    # the last leg is the plan's rest after the others, short of the step by rounding
+    assert len(legs) <= budget and min(leg["duration"] for leg in legs) > 0.001 - 1e-12
 
 
 # One argv per subcommand: CSV and lifted JSON runs, a suite, a chain and a rank

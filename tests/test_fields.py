@@ -22,7 +22,6 @@ from liftctl import (
     field_from_descriptor,
     lie_bracket,
     vertical_lift_function,
-    zero_field,
 )
 from liftctl.fields import flatten_lift, polynomial_kernel
 from liftctl.flow import _stages
@@ -75,7 +74,7 @@ def test_complete_lift_sphere_rotation_example():
 
 
 def test_complete_lift_zero_field():
-    lift = complete_lift(zero_field(3))
+    lift = complete_lift(ConstantField(np.zeros(3)))
     h, vert = lift(TangentPoint([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]))
     assert not np.any(h) and not np.any(vert)
 
@@ -134,7 +133,8 @@ def test_affine_parts():
     with pytest.raises(ValueError):
         PolynomialField([[(1.0, (2, -1))], []], 2)
     assert VectorField(lambda x: x).affine() is None
-    sys = AffineSystem(Manifold.flat(3), LinearField(a), (LinearField(a.T), ConstantField(c), zero_field(3)),
+    sys = AffineSystem(Manifold.flat(3), LinearField(a),
+                       (LinearField(a.T), ConstantField(c), ConstantField(np.zeros(3))),
                        [[-1.0, 1.0]] * 3)
     controls = rng.uniform(-1.0, 1.0, (4, 3))
     stacked = sys.affine_parts(controls)

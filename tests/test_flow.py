@@ -28,7 +28,6 @@ from liftctl import (
     integrate_lifted,
     lifted_rank_at,
     shift,
-    zero_field,
 )
 from liftctl import fields, flow
 from liftctl.cli import SystemDefinition
@@ -189,7 +188,7 @@ def test_integrate_base_linear_against_expm():
 
 
 def test_integrate_zero_dynamics_is_constant():
-    sys = AffineSystem(Manifold.flat(2), zero_field(2), (zero_field(2),),
+    sys = AffineSystem(Manifold.flat(2), ConstantField(np.zeros(2)), (ConstantField(np.zeros(2)),),
                        [[-1.0, 1.0]])
     traj = integrate_base(sys, [0.5, -0.5], ControlSignal.zero(1, 1.0), 1e-2)
     assert np.array_equal(traj.states[0], traj.states[-1])
@@ -278,7 +277,7 @@ def stage_copy(sys):
 
 
 def sphere_two_axis_system():
-    return AffineSystem(Manifold.sphere2(), zero_field(3),
+    return AffineSystem(Manifold.sphere2(), ConstantField(np.zeros(3)),
                         (LinearField(L1), LinearField(L3)), [[-1.0, 1.0], [-1.0, 1.0]])
 
 
@@ -334,7 +333,7 @@ def cubic_system_r3():
 def sphere_polynomial_system():
     """x3 (-x2, x1, 0), tangent to S2 and not affine, beside a rotation."""
     twisted = PolynomialField([[(-1.0, (0, 1, 1))], [(1.0, (1, 0, 1))], []], 3)
-    return AffineSystem(Manifold.sphere2(), zero_field(3), (twisted, LinearField(L1)),
+    return AffineSystem(Manifold.sphere2(), ConstantField(np.zeros(3)), (twisted, LinearField(L1)),
                         [[-1.0, 1.0], [-1.0, 1.0]])
 
 
@@ -691,7 +690,7 @@ def test_nan_state_on_sphere_raises(make_sys):
 def test_non_finite_start_raises(manifold):
     """A NaN or infinite start point or fiber is off the manifold, on flat
     space too, instead of giving NaN rows."""
-    sys = AffineSystem(manifold, zero_field(3), (LinearField(L3),), [[-1.0, 1.0]])
+    sys = AffineSystem(manifold, ConstantField(np.zeros(3)), (LinearField(L3),), [[-1.0, 1.0]])
     for bad in ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
         with pytest.raises(OffManifoldError):
             integrate_base(sys, bad, ControlSignal.empty())

@@ -32,7 +32,6 @@ from liftctl import (
     plan_chain,
     reachable_sample,
     verify_chain,
-    zero_field,
 )
 from liftctl.cli import SystemDefinition
 from liftctl.flow import fiber_flow
@@ -48,12 +47,12 @@ L1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
 
 
 def line_system():
-    return AffineSystem(Manifold.flat(1), zero_field(1),
+    return AffineSystem(Manifold.flat(1), ConstantField(np.zeros(1)),
                         (ConstantField([1.0]),), [[-10.0, 10.0]])
 
 
 def integrator_system():
-    return AffineSystem(Manifold.flat(2), zero_field(2),
+    return AffineSystem(Manifold.flat(2), ConstantField(np.zeros(2)),
                         (ConstantField([1.0, 0.0]), ConstantField([0.0, 1.0])),
                         [[-10.0, 10.0], [-10.0, 10.0]])
 
@@ -70,7 +69,7 @@ def forced_rotation_system():
 
 
 def sphere_system():
-    return AffineSystem(Manifold.sphere2(), zero_field(3),
+    return AffineSystem(Manifold.sphere2(), ConstantField(np.zeros(3)),
                         (LinearField(L3), LinearField(L1)),
                         [[-1.0, 1.0], [-1.0, 1.0]])
 
@@ -391,7 +390,7 @@ def test_reachable_sample_zero_horizon():
 
 
 def test_reachable_sample_zero_fields():
-    sys = AffineSystem(Manifold.flat(2), zero_field(2), (zero_field(2),),
+    sys = AffineSystem(Manifold.flat(2), ConstantField(np.zeros(2)), (ConstantField(np.zeros(2)),),
                        [[-1.0, 1.0]])
     p0 = TangentPoint([0.5, 0.5], [1.0, -1.0])
     for p in reachable_sample(sys, p0, 2.0, 5, seed=6):
