@@ -201,8 +201,8 @@ def _parse_control(text: str, system: AffineSystem) -> ControlSignal:
             data = json.loads(text)
         control = ControlSignal.from_json(data)
         system.check_signal(control)
-    except (OSError, ValueError) as exc:
-        raise DefinitionError("control", str(exc)) from exc
+    except (OSError, ValueError) as exc:  # check_signal's messages open with "control"
+        raise DefinitionError("control", str(exc).removeprefix("control ")) from exc
     return control
 
 

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     DefinitionError,
@@ -43,7 +42,7 @@ from .flow import (
     fiber_flow,
     split_signal,
 )
-from .liealg import DEFAULT_DEPTH, rank_at
+from .liealg import DEFAULT_DEPTH, _columns, _rank_from_columns
 from .manifold import Manifold, ManifoldKind, TangentPoint, json_numbers
 from .sasaki import distance, fiber_segment_point
 
@@ -68,6 +67,8 @@ class LinearGramianOracle:
     """
 
     def __init__(self, a_matrix, b_matrix, horizon: float = 1.0, n_segments: int = 64):
+        # imported here, its only use: no other command pays scipy's start-up cost
+        from scipy.linalg import expm
         self.a = np.asarray(a_matrix, dtype=float)
         self.b = np.asarray(b_matrix, dtype=float)
         if self.b.ndim == 1:
@@ -218,12 +219,13 @@ class SearchOracle:
 
     def _endpoint_errors(self, x, y, durations, controls) -> np.ndarray:
         steps = np.maximum(self.eval_step, durations / 120.0)
-        ends = constant_control_endpoints(self.sys, x, controls, durations, steps)
-        finite = np.isfinite(ends).all(axis=1)
-        errs = np.full(len(ends), np.nan)
-        # one call scores the finite rows; a diverged candidate scores NaN
-        # without reaching base_distance, which rejects a non-finite point
-        errs[finite] = self.sys.manifold.base_distance(ends[finite], y)
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverged row is a miss
+            ends = constant_control_endpoints(self.sys, x, controls, durations, steps)
+            finite = np.isfinite(ends).all(axis=1)
+            errs = np.full(len(ends), np.nan)
+            # one call scores the finite rows; a diverged candidate scores NaN
+            # without reaching base_distance, which rejects a non-finite point
+            errs[finite] = self.sys.manifold.base_distance(ends[finite], y)
         return errs
 
     def solve(self, x: np.ndarray, y: np.ndarray) -> tuple[float, ControlSignal]:
@@ -559,9 +561,11 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
                 except ValueError as exc:
                     raise SteeringFailure(f"{type(oracle).__name__} plan: {exc}") from exc
                 solved[key] = plan
-            except SteeringFailure as exc:  # name a base rank condition that fails at a
-                n = m.intrinsic_dim
-                rank = rank_at((sys.drift, *sys.controlled), a, DEFAULT_DEPTH, m).rank
+            except SteeringFailure as exc:  # name a base rank condition that fails at a,
+                n = m.intrinsic_dim  # read off a's bracket columns only where they are finite
+                with np.errstate(over="ignore", invalid="ignore"):
+                    cols = _columns((sys.drift, *sys.controlled), DEFAULT_DEPTH, m, a)
+                rank = _rank_from_columns(cols)[0] if np.isfinite(cols).all() else n
                 if rank >= n:
                     raise
                 where = "the source" if a is x else "the target" if a is y else a.tolist()

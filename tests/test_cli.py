@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -15,6 +18,7 @@ FLAT = str(DEFS / "flat_rotation.json")
 SPHERE = str(DEFS / "sphere_rotation.json")
 DUFFING = str(DEFS.parent / "perfbench" / "defs" / "duffing.json")
 SPHERE_TWO_AXIS = str(DEFS.parent / "perfbench" / "defs" / "sphere_two_axis.json")
+SRC = DEFS.parent / "src"
 
 
 def run_cli(args, capsys):
@@ -708,13 +712,13 @@ def test_control_channel_count_names_the_segment(capsys):
     code, out, err = run_cli(["simulate", LINE, "--x0", "0", "--control",
                               "[[0.5,[0.1]],[0.2,[0.1,0.2]]]"], capsys)
     assert (code, out, err) == (
-        2, "", "error: control: control has 2 channels, system expects 1, in segment 1\n")
+        2, "", "error: control: has 2 channels, system expects 1, in segment 1\n")
 
 
 @pytest.mark.parametrize("control,message", [
     ("[[0.5,[0.1]],[0,[0.5]]]", "segment durations must be positive and finite: segment 1 lasts 0.0"),
     ("[[0.5,[0.1]],[0.5,[50]]]",
-     "control value NaN or outside bounds: segment 1, channel 0 is 50.0, bounds [-10.0, 10.0]"),
+     "value NaN or outside bounds: segment 1, channel 0 is 50.0, bounds [-10.0, 10.0]"),
 ])
 def test_control_errors_name_the_segment_and_the_bounds(capsys, control, message):
     """A zero duration used to be reported with no index, and a value
@@ -887,3 +891,69 @@ def test_a_definition_broken_after_a_good_load_is_named(tmp_path, capsys, text, 
         assert err.startswith(f"error: {named.format(path=path)}: {message}")
         path.write_text(good)
         assert run_cli(argv, capsys) == want
+
+
+def run_fresh_process(args):
+    """(exit code, stdout, stderr) of a new interpreter run with args that
+    imports liftctl from this tree; the pytest process itself has scipy
+    loaded by other test modules."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+CALLS_THEN_LOADED_MODULES = """
+import contextlib, io, json, sys
+import liftctl.cli
+codes = [sorted(sys.modules)]
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        codes.append(liftctl.cli.main(argv))
+print(json.dumps([codes, buf.getvalue(), sorted(sys.modules)]))
+"""
+
+
+def test_commands_that_build_no_gramian_oracle_never_import_scipy():
+    """Only LinearGramianOracle calls scipy (expm, when it is built), so
+    importing liftctl.cli and running simulate, the four check suites, larc
+    and chains planned by search (flat and S2) or by the closed-form rotation
+    oracle leave scipy unloaded. Its import used to cost every call."""
+    argvs = [
+        ["simulate", FLAT, "--x0=1,0", "--lifted=0,1", "--control=[[0.5, [0.3]]]"],
+        ["simulate", SPHERE, "--x0=1,0,0", "--control=[[3.141592653589793, [1.0]]]"],
+        *(["check", FLAT, f"--suite={suite}"] for suite in ("lift", "flow", "invariance", "rank")),
+        ["larc", FLAT, "--point=1,1", "--v=0,1"],
+        ["chain", FLAT, "--source=1,0;0,0", "--target=0,1;1,1", "--eps=0.1", "--T=0.5"],
+        ["chain", SPHERE, "--source=1,0,0;0,1,0", "--target=0,1,0;0,0,1"],
+        ["chain", SPHERE_TWO_AXIS, "--source=1,0,0;0,0.1,0", "--target=0,1,0;0,0,0.1"],
+    ]
+    code, out, err = run_fresh_process(["-c", CALLS_THEN_LOADED_MODULES, json.dumps(argvs)])
+    assert (code, err) == (0, "")
+    (after_import, *codes), last, after_calls = json.loads(out)
+    assert codes == [0] * len(argvs)
+    assert json.loads(last)["verification"]["passed"]
+    assert "numpy" in after_import and "scipy" not in after_import
+    assert "scipy" not in after_calls
+
+
+def test_a_gramian_chain_imports_scipy_and_verifies():
+    code, out, err = run_fresh_process(["-c", CALLS_THEN_LOADED_MODULES, json.dumps(
+        [["chain", LINE, "--source=0;0", "--target=3;-5"]])])
+    assert (code, err) == (0, "")
+    (after_import, chain_code), last, after_calls = json.loads(out)
+    assert "scipy" not in after_import and "scipy" in after_calls
+    assert chain_code == 0 and json.loads(last)["verification"]["passed"]
+
+
+@pytest.mark.parametrize("source", ["1e100,0;0,0", "1e120,0;0,0"])
+def test_a_diverging_search_prints_only_its_error(source):
+    """Every polynomial candidate from a huge source diverges. The search
+    used to print nine numpy RuntimeWarnings, and its suffix read a base
+    rank off overflowed bracket columns ("base rank 0 < 2" at 1e100, an
+    SVD that did not converge, exit 2, at 1e120). Its bracket columns are
+    not finite there, so no rank is named."""
+    code, out, err = run_fresh_process(["-m", "liftctl", "chain", DUFFING,
+                                        f"--source={source}", "--target=0,1;1,1"])
+    assert (code, out, err) == (1, "", "error: search budget exhausted: best endpoint error inf\n")
