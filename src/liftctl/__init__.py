@@ -7,6 +7,7 @@ from .errors import (
     DegenerateStepError,
     IntegrationError,
     LiftctlError,
+    NonFiniteError,
     OffManifoldError,
     PlanningBudgetError,
     SteeringFailure,

@@ -21,6 +21,10 @@ class IntegrationError(LiftctlError):
     """Numerical integration left the manifold or a field evaluation failed."""
 
 
+class NonFiniteError(LiftctlError):
+    """A computed value, such as the bracket columns at a point, overflowed or is NaN."""
+
+
 class UncontrollablePairError(LiftctlError):
     """The controllability Gramian is numerically singular."""
 

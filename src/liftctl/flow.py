@@ -2,24 +2,25 @@
 integration of the base and lifted dynamics, and the flow-level checks.
 
 Every run is classical RK4 on a grid whose nodes include the control-segment
-boundaries, and one driver, _advance, advances every segment of every run:
-base runs, lifted runs (a fiber vector), fiber transitions (a matrix of
-fiber columns) and batches of constant-control candidates (rows of one
-stacked state). The base component of a lifted trajectory is therefore
-bitwise the plain base trajectory on the shared grid. The driver picks one
-of three ways per segment.
+boundaries: base runs, lifted runs (a fiber vector), fiber transitions (a
+matrix of fiber columns) and batches of constant-control candidates (rows
+of one stacked state). The base component of a lifted trajectory is
+therefore bitwise the plain base trajectory on the shared grid. One driver,
+_integrate, advances every segment of a run, and constant_control_endpoints
+those of a batch, one of three ways.
 
 - Power. When every field is affine (a polynomial field of degree at most
   one, such as a linear or constant field), f(x) = A x + b on a segment and
   one RK4 step of size h is exactly x -> M x + c with
   S = h (I + hA/2 + (hA)^2/6 + (hA)^3/24), M = I + S A and c = S b; the
-  variational step is v -> M v. A run that records no rows (fiber_flow,
-  constant_control_endpoints) takes a segment's k steps as the k-th power
-  of [[M, c], [0, 1]] applied to (x, 1) by repeated squaring (Higham,
-  Functions of Matrices, 2008, §4.1): the RK4 end point up to rounding. On
-  the sphere it is renormalized and its fiber re-projected once, at its
-  end (scaling commutes with the linear map, and the per-step projections
-  remove only O(h^5) normal parts). It is taken there only when
+  variational step is v -> M v. A run that records no rows takes a
+  segment's k steps as the k-th power of [[M, c], [0, 1]] applied to (x, 1)
+  by repeated squaring (Higham, Functions of Matrices, 2008, §4.1): the RK4
+  end point up to rounding. _power takes them for all segments of a list of
+  signals (fiber_flows) or of a batch (constant_control_endpoints). On the
+  sphere the end point is renormalized and its fiber re-projected once per
+  segment (scaling commutes with the linear map, and the per-step
+  projections remove only O(h^5) normal parts). It is taken there only when
   g = ||M^T M - I||_F + ||c|| <= DRIFT_TOL (for a batch, for every row),
   which bounds the drift |(||M y + c|| - 1)| <= |y^T (M^T M - I) y| + ||c||
   of each step from a unit y; so only NaN raises, and every verdict is the
@@ -384,33 +385,31 @@ def _step_map(a: np.ndarray, b: np.ndarray, h: float) -> tuple[np.ndarray, np.nd
     dx/dt = a x + b, and v -> M v that of its variational equation: the four
     stages sum to S (a x + b) with S = h (I + ha/2 + (ha)^2/6 + (ha)^3/24)."""
     eye = np.eye(a.shape[-1])
-    ha = h * a
+    ha = h * a  # for a stack, h (B, 1, 1): each map as the single call makes it
     s = h * (eye + ha @ (0.5 * eye + ha @ (eye / 6.0 + ha / 24.0)))
-    if a.ndim == 3:  # a stack, with h (B, 1, 1): each map as the single call makes it
-        return eye + s @ a, (s @ b[:, :, None])[:, :, 0]
-    return eye + s @ a, s @ b
+    return eye + s @ a, (s @ b[..., None])[..., 0]
 
 
-def _drift_bound(m: np.ndarray, c: np.ndarray) -> float:
+def _drift_bound(m: np.ndarray, c: np.ndarray):
     """The drift bound g = ||M^T M - I||_F + ||c|| of a step map on the sphere
-    (see the module docstring), or the largest over the maps of a stack."""
-    if m.ndim == 2:  # hypot over Python floats: the cheapest for one map
-        return math.hypot(*(m.T @ m - _EYE3).ravel().tolist()) + math.hypot(*c.tolist())
-    e = np.swapaxes(m, 1, 2) @ m - _EYE3
-    return float(np.max(np.sqrt((e * e).sum(axis=(1, 2))) + np.sqrt((c * c).sum(axis=1))))
+    (module docstring), or a list, each bitwise the single map's, of a stack's."""
+    e = np.swapaxes(m, -1, -2) @ m - _EYE3
+    bounds = [math.hypot(*row) + math.hypot(*shift) for row, shift in
+              zip(e.reshape(-1, 9).tolist(), c.reshape(-1, 3).tolist())]
+    return bounds if m.ndim == 3 else bounds[0]
 
 
-def _power(m: np.ndarray, c: np.ndarray, k: int, x: np.ndarray, v):
-    """(M^k x + c_k, M^k v or None) from the k-th power of [[M, c], [0, 1]]
-    by repeated squaring, for one map (M, c) and state x (n,), or per map of
-    a stack and row of x (B, n)."""
+def _power(m: np.ndarray, c: np.ndarray, counts) -> np.ndarray:
+    """The counts[r]-th powers of [[M_r, c_r], [0, 1]] of a stack of maps, as
+    (B, n + 1, n + 1): one np.linalg.matrix_power per distinct count, so each
+    is bitwise its single map's power. The one place powers are taken."""
     n = m.shape[-1]
-    power = np.zeros((*m.shape[:-2], n + 1, n + 1))
-    power[..., :n, :n], power[..., :n, n], power[..., n, n] = m, c, 1.0
-    power = np.linalg.matrix_power(power, k)
-    if x.ndim == 2:
-        return (power[:, :n, :n] @ x[:, :, None])[:, :, 0] + power[:, :n, n], None
-    return power[:n, :n] @ x + power[:n, n], None if v is None else power[:n, :n] @ v
+    power = np.zeros((len(m), n + 1, n + 1))
+    power[:, :n, :n], power[:, :n, n], power[:, n, n] = m, c, 1.0
+    for k in sorted(set(counts)):  # np.unique would import numpy.ma
+        rows = [r for r, count in enumerate(counts) if count == k]
+        power[rows] = np.linalg.matrix_power(power[rows], k)
+    return power
 
 
 def _stages(rhs, h, n_steps: int, x, v, t, rows, on_sphere: bool):
@@ -448,27 +447,15 @@ def _advance(sys: AffineSystem, uval: np.ndarray, h, n_steps: int, x: np.ndarray
     """n_steps RK4 steps of size h under the constant control uval, from one
     state x (n,) with fiber v None, (n,) or (n, k), extending rows unless
     None by the flat row (t, x.., v..) of every step, or from a stack of
-    rows x (B, n) with uval (B, m), h (B,) and v None. The one place that
-    picks how a segment advances:
-    - an affine segment without rows is one _power, on the sphere only where
-      _drift_bound certifies it (a batch only when it certifies every row;
-      otherwise the whole batch takes the kernel loop);
-    - every other polynomial segment, on either manifold, is one call of the
+    rows x (B, n) with uval (B, m), h (B,) and v None; powers are taken by
+    its callers, fiber_flows and constant_control_endpoints:
+    - a polynomial segment, on either manifold, is one call of the
       generated kernel loop (fields.polynomial_kernel), one per column of a
       fiber matrix (each gives the same state bitwise);
     - bare callables take _stages through rhs and rhs_jacobian.
     Returns (x, v, t, the largest drift of a step off the sphere).
     """
     batch = x.ndim == 2
-    parts = None if rows is not None else sys.affine_parts(uval)  # a recorded run builds no map
-    if parts is not None:
-        m, c = _step_map(*parts, h[:, None, None] if batch else h)
-        if not on_sphere or _drift_bound(m, c) <= DRIFT_TOL:
-            x, v = _power(m, c, n_steps, x, v)
-            t = t + n_steps * h
-            if on_sphere:  # certified: only NaN raises
-                x, v, _ = _to_sphere(x, v, t, math.inf)
-            return x, v, t, 0.0
     if sys._polynomial_kernel is None:
         if batch:
             rhs, h = (lambda y, _: (np.array([sys.rhs(z, u) for z, u in zip(y, uval)]), None)), h[:, None]
@@ -489,35 +476,45 @@ def _advance(sys: AffineSystem, uval: np.ndarray, h, n_steps: int, x: np.ndarray
     return np.array(x).T, v, t, drift
 
 
-def _integrate(sys: AffineSystem, x: np.ndarray, v, u: ControlSignal, step: float,
-               rows=None):
-    """Run from the validated start (x, v) over every segment of u, each on
-    its own grid with boundaries on grid nodes and advanced by _advance,
-    extending rows, unless None, by the flat row (t, x.., v..) of each node
-    after the start. Returns the end (x, v) and the largest drift of a step
-    off the sphere; raises IntegrationError on a non-finite segment end."""
+def _segments(sys: AffineSystem, u: ControlSignal, step: float) -> list:
+    """(value, h, k) per segment of u: its control value and the size and count
+    of its grid's RK4 steps, once step, u (check_signal) and the grid pass."""
     if not 0.0 < step < math.inf:  # NaN fails it too
         raise ValueError(f"step must be positive and finite, got {step}")
     sys.check_signal(u)
     counts, sizes = _grid(np.array([duration for duration, _ in u.segments]), step)
-    on_sphere = sys.manifold.kind is ManifoldKind.SPHERE2
-    t = 0.0
-    max_drift = 0.0
-    for (_, uval), n_steps, h in zip(u.segments, counts.astype(int).tolist(), sizes.tolist()):
-        x, v, t, drift = _advance(sys, uval, h, n_steps, x, v, t, rows, on_sphere)
-        max_drift = max(max_drift, drift)
-        # a non-finite value stays non-finite under the steps, so one test
-        # per segment catches every overflow and NaN
-        if not (np.isfinite(x).all() and (v is None or np.isfinite(v).all())):
+    return list(zip([value for _, value in u.segments], sizes.tolist(), counts.astype(int).tolist()))
+
+
+def _integrate(sys: AffineSystem, plan, x: np.ndarray, v, rows, on_sphere: bool):
+    """Run from the validated start (x, v) over plan's segments (value, h, k,
+    power): x <- P x + c and v <- P v by a certified power, else _advance,
+    which extends rows unless None. Returns the end (x, v) and the largest
+    drift of a step off the sphere; a non-finite segment end, which the steps
+    keep, raises IntegrationError (math.isfinite: a third of numpy's cost)."""
+    n, t, max_drift = x.shape[0], 0.0, 0.0
+    for uval, h, n_steps, power in plan:
+        if power is None:
+            x, v, t, drift = _advance(sys, uval, h, n_steps, x, v, t, rows, on_sphere)
+            max_drift = max(max_drift, drift)
+        else:
+            x = power[:n, :n] @ x + power[:n, n]
+            v, t = None if v is None else power[:n, :n] @ v, t + n_steps * h
+            if on_sphere:  # certified: only NaN raises
+                x, v, _ = _to_sphere(x, v, t, math.inf)
+        if not (all(map(math.isfinite, x.tolist()))
+                and (v is None or all(map(math.isfinite, v.ravel().tolist())))):
             raise IntegrationError(f"state or fiber not finite at t={t}")
     return x, v, max_drift
 
 
 def _recorded_run(sys: AffineSystem, x: np.ndarray, v, u: ControlSignal, step: float) -> Trajectory:
-    """The run from the validated start (x, v), its flat rows read as one
-    table of which times, states and fibers are column views."""
+    """The run from the validated start (x, v), each segment stepped (it
+    builds no map), its flat rows read as one table of which times, states
+    and fibers are column views."""
     rows = [0.0, *x.tolist(), *([] if v is None else v.tolist())]
-    _, _, max_drift = _integrate(sys, x, v, u, step, rows)
+    plan = [(*segment, None) for segment in _segments(sys, u, step)]
+    _, _, max_drift = _integrate(sys, plan, x, v, rows, sys.manifold.kind is ManifoldKind.SPHERE2)
     n = x.shape[0]
     table = np.array(rows).reshape(-1, n + 1 if v is None else 2 * n + 1)
     return Trajectory(table[:, 0], table[:, 1:n + 1], None if v is None else table[:, n + 1:], u, max_drift)
@@ -547,17 +544,46 @@ def fiber_flow(sys: AffineSystem, x0: np.ndarray, fibers, u: ControlSignal,
                step: float = DEFAULT_STEP) -> tuple[np.ndarray, np.ndarray | None]:
     """End point of the run from x0 under u, and `fibers` carried along it:
     None, a fiber vector (n,) or the columns of an (n, k) matrix, each
-    validated as integrate_lifted validates its start. The entry for every
-    end-point reader: no rows, so an affine segment is one matrix power,
-    shared by base and fibers (the end base point is bitwise the same for any
-    fibers). It equals integrate_lifted's end up to rounding."""
-    x = np.array(sys.manifold.check_point(x0), dtype=float)
-    if fibers is not None:
-        fibers = np.array(fibers, dtype=float)
-        for column in (fibers.T if fibers.ndim == 2 else [fibers]):
-            TangentPoint(x, column).validate(sys.manifold)
-    x_end, v_end, _ = _integrate(sys, x, fibers, u, step)
-    return x_end, v_end
+    validated as integrate_lifted validates its start: one run of fiber_flows,
+    the same base end for any fibers and integrate_lifted's up to rounding."""
+    return fiber_flows(sys, [u], step)(0, x0, fibers)
+
+
+def fiber_flows(sys: AffineSystem, signals, step: float = DEFAULT_STEP):
+    """run(i, x0, fibers), bitwise fiber_flow(sys, x0, fibers, signals[i], step),
+    for starts that come one at a time (a plan's chunks start where the last
+    ends). One stacked pass of affine_parts, _step_map, _drift_bound on S2
+    and _power takes every certified affine segment's power; a run applies
+    them and steps the rest by _advance. A signal fiber_flow refuses adds no
+    segment, and its run raises that error after the start's checks."""
+    plans, segments = [], []
+    for u in signals:
+        try:
+            segs = _segments(sys, u, step)
+            plans.append(range(len(segments), len(segments) + len(segs)))
+            segments += segs
+        except (ValueError, DefinitionError) as exc:
+            plans.append(exc.with_traceback(None))
+    on_sphere = sys.manifold.kind is ManifoldKind.SPHERE2
+    parts = sys.affine_parts(np.array([uval for uval, _, _ in segments])) if segments else None
+    powers = {}
+    if parts is not None:
+        m, c = _step_map(*parts, np.array([h for _, h, _ in segments])[:, None, None])
+        ok = [r for r, g in enumerate(_drift_bound(m, c)) if g <= DRIFT_TOL] if on_sphere else range(len(m))
+        powers = dict(zip(ok, _power(m[ok], c[ok], [segments[r][2] for r in ok])))
+
+    def run(i: int, x0: np.ndarray, fibers) -> tuple[np.ndarray, np.ndarray | None]:
+        x = np.array(sys.manifold.check_point(x0), dtype=float)
+        if fibers is not None:
+            fibers = np.array(fibers, dtype=float)
+            for column in (fibers.T if fibers.ndim == 2 else [fibers]):
+                TangentPoint(x, column).validate(sys.manifold)
+        if isinstance(plans[i], Exception):
+            raise plans[i]
+        return _integrate(sys, [(*segments[r], powers.get(r)) for r in plans[i]], x, fibers, None,
+                          on_sphere)[:2]
+
+    return run
 
 
 def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.ndarray,
@@ -565,11 +591,12 @@ def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.n
     """Final base states from x0, row r under the constant control
     controls[r] (controls (B, m)) held for durations[r] on the grid
     integrate_base would use with step steps[r]; the steps are checked as
-    _integrate checks one, the batch as a ControlSignal and check_signal
-    check one, and its grid counted, first. Rows sharing a step count go
-    through _advance together, as one stacked state; off the sphere a row
-    ends bitwise where fiber_flow ends, and on it where integrate_base does
-    up to rounding.
+    fiber_flow checks one, the batch as a ControlSignal and check_signal
+    check one, and its grid counted, first. Affine rows take their step maps
+    in one stacked pass; rows sharing a step count are one _power where
+    _drift_bound certifies them all, else one _advance of a stacked state.
+    Off the sphere a row ends bitwise where fiber_flow ends, and on it where
+    integrate_base does up to rounding.
     """
     steps = np.asarray(steps, dtype=float)
     if not np.all((steps > 0.0) & (steps < math.inf)):
@@ -582,12 +609,22 @@ def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.n
                          f"lasts {durations[bad[0]]}")
     sys.check_controls(controls)
     counts, sizes = _grid(durations, steps)
-    on_sphere = sys.manifold.kind is ManifoldKind.SPHERE2
+    on_sphere, parts = sys.manifold.kind is ManifoldKind.SPHERE2, sys.affine_parts(controls)
+    if parts is not None:
+        m, c = _step_map(*parts, sizes[:, None, None])
+        bounds = np.array(_drift_bound(m, c) if on_sphere else [0.0] * len(m))
     ends = np.empty((len(durations), x.shape[0]))
-    for k in np.unique(counts):
+    for k in sorted(set(counts.tolist())):  # np.unique would import numpy.ma
         rows = np.flatnonzero(counts == k)
-        ends[rows] = _advance(sys, controls[rows], sizes[rows], int(k),
-                              np.tile(x, (len(rows), 1)), None, 0.0, None, on_sphere)[0]
+        start = np.tile(x, (len(rows), 1))
+        if parts is not None and bounds[rows].max() <= DRIFT_TOL:  # a NaN bound fails it
+            power = _power(m[rows], c[rows], [int(k)] * len(rows))
+            ends[rows] = (power[:, :-1, :-1] @ start[:, :, None])[:, :, 0] + power[:, :-1, -1]
+            if on_sphere:  # certified: only NaN raises
+                ends[rows] = _to_sphere(ends[rows], None, k * sizes[rows], math.inf)[0]
+        else:
+            ends[rows] = _advance(sys, controls[rows], sizes[rows], int(k), start, None, 0.0, None,
+                                  on_sphere)[0]
     return ends
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .fields import PolynomialField, complete_lift, flatten_lift, lie_bracket
 from .manifold import Manifold, ManifoldKind, TangentPoint
 
@@ -123,10 +124,12 @@ def _bracket_table(key: tuple, max_depth: int):
     return (*table, len(entries) * (n + n * n))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # columns that overflow raise, unwarned
 def _columns(fields, max_depth: int, manifold: Manifold, x: np.ndarray, v=None) -> np.ndarray:
     """Every generated bracket at x or, given v, its complete lift at (x, v)
     as one column, projected into the tangent plane on the sphere. Polynomial
-    fields read all values and Jacobians from their bracket table at once."""
+    fields read all values and Jacobians from their bracket table at once.
+    Columns that are not finite raise NonFiniteError naming x and v."""
     fields, n = tuple(fields), manifold.ambient_dim
     if fields and all(isinstance(f, PolynomialField) for f in fields):
         exps, coeff, mono, slot, size = _bracket_table(
@@ -143,6 +146,9 @@ def _columns(fields, max_depth: int, manifold: Manifold, x: np.ndarray, v=None) 
     if manifold.kind is ManifoldKind.SPHERE2:  # the base block, and the fiber block if lifted
         basis = manifold.tangent_basis(x)
         cols = np.vstack([basis.T @ block for block in np.split(cols, len(cols) // n)])
+    if not np.isfinite(cols).all():
+        where = f"x={x.tolist()}" + ("" if v is None else f", v={v.tolist()}")
+        raise NonFiniteError(f"bracket columns to depth {max_depth} are not finite at {where}")
     return cols
 
 

@@ -149,8 +149,9 @@ class Manifold:
         e[k] = 1.0
         b1 = e - x * (x @ e)
         b1 /= np.linalg.norm(b1)
-        b2 = np.cross(x, b1)
-        return np.column_stack([b1, b2])
+        # x cross b1 as np.cross forms it, without its costly axis handling
+        (x0, x1, x2), (c0, c1, c2) = x.tolist(), b1.tolist()
+        return np.column_stack([b1, [x1 * c2 - x2 * c1, x2 * c0 - x0 * c2, x0 * c1 - x1 * c0]])
 
 
 def json_numbers(value, integer: bool = False) -> np.ndarray:

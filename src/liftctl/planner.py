@@ -15,8 +15,9 @@ partial chain. The verifier re-checks a chain against the caller's
 epsilon, T and endpoints, re-integrating every leg.
 
 Fiber transitions, verification and reachable-set samples read only end
-points, through flow.fiber_flow, and search candidates through
-flow.constant_control_endpoints; affine segments there are matrix powers.
+points, through flow.fiber_flows (one pass of matrix powers per plan, round
+trip or verification), and search candidates through
+flow.constant_control_endpoints.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 from .errors import (
     DefinitionError,
     LiftctlError,
+    NonFiniteError,
     PlanningBudgetError,
     SteeringFailure,
     UncontrollablePairError,
@@ -40,9 +42,10 @@ from .flow import (
     ControlSignal,
     constant_control_endpoints,
     fiber_flow,
+    fiber_flows,
     split_signal,
 )
-from .liealg import DEFAULT_DEPTH, _columns, _rank_from_columns
+from .liealg import DEFAULT_DEPTH, rank_at
 from .manifold import Manifold, ManifoldKind, TangentPoint, json_numbers
 from .sasaki import distance, fiber_segment_point
 
@@ -480,12 +483,14 @@ def _chunk_transitions(sys: AffineSystem, start_base: np.ndarray, chunks, step: 
     """Per chunk of consecutive chunks from start_base: its end base point,
     its end frame (tangent_basis there) and its fiber transition, the matrix
     from its start frame (the previous end frame, the first at start_base)
-    to its end frame. Each chunk is one fiber_flow of the frame's columns."""
+    to its end frame. The chunks share one fiber_flows pass, and each is one
+    run of it carrying the frame's columns."""
     m = sys.manifold
+    run = fiber_flows(sys, chunks, step)
     transitions = []
     base, frame = start_base, m.tangent_basis(start_base)
-    for chunk in chunks:
-        base, fibers = fiber_flow(sys, base, frame, chunk, step)
+    for i in range(len(chunks)):
+        base, fibers = run(i, base, frame)
         frame = m.tangent_basis(base)
         transitions.append((base, frame, frame.T @ fibers))
     return transitions
@@ -563,9 +568,10 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
                 solved[key] = plan
             except SteeringFailure as exc:  # name a base rank condition that fails at a,
                 n = m.intrinsic_dim  # read off a's bracket columns only where they are finite
-                with np.errstate(over="ignore", invalid="ignore"):
-                    cols = _columns((sys.drift, *sys.controlled), DEFAULT_DEPTH, m, a)
-                rank = _rank_from_columns(cols)[0] if np.isfinite(cols).all() else n
+                try:
+                    rank = rank_at((sys.drift, *sys.controlled), a, DEFAULT_DEPTH, m).rank
+                except NonFiniteError:
+                    rank = n
                 if rank >= n:
                     raise
                 where = "the source" if a is x else "the target" if a is y else a.tolist()
@@ -665,9 +671,11 @@ class VerificationReport:
 
 
 def _same_point(p: TangentPoint, q: TangentPoint) -> bool:
-    """p and q have the same shapes and agree within 1e-12 in every coordinate."""
+    """p and q have the same shapes and agree within 1e-12 in every coordinate
+    (np.allclose's verdict at rtol=0, on Python floats at a tenth of its cost)."""
+    a, b = ([*r.x.ravel().tolist(), *r.v.ravel().tolist()] for r in (p, q))
     return (p.x.shape == q.x.shape and p.v.shape == q.v.shape
-            and np.allclose(np.r_[p.x, p.v], np.r_[q.x, q.v], rtol=0.0, atol=1e-12))
+            and all(s == t or abs(s - t) <= 1e-12 for s, t in zip(a, b)))
 
 
 def verify_chain(sys: AffineSystem, chain: Chain, epsilon: float | None = None,
@@ -675,7 +683,7 @@ def verify_chain(sys: AffineSystem, chain: Chain, epsilon: float | None = None,
                  target: TangentPoint | None = None) -> VerificationReport:
     """Independently re-check a chain against a requirement: epsilon, T,
     source and target, each the chain's own where not given. Every leg's end
-    point is re-integrated by fiber_flow at half the planner's step;
+    point is re-integrated at half the planner's step by one fiber_flows;
     durations must exceed T strictly, each flow endpoint must land within
     epsilon of the next leg's start, the first leg must start at the source
     and the last jump end at the target. Failures are report entries, never
@@ -685,7 +693,7 @@ def verify_chain(sys: AffineSystem, chain: Chain, epsilon: float | None = None,
     min_duration = chain.min_duration if min_duration is None else min_duration
     source = chain.source if source is None else source
     target = chain.target if target is None else target
-    step = chain.step / 2.0
+    run = fiber_flows(sys, [leg.control for leg in chain.legs], chain.step / 2.0)
     checks = []
     messages = []
     expected_start = source
@@ -697,7 +705,7 @@ def verify_chain(sys: AffineSystem, chain: Chain, epsilon: float | None = None,
         if not duration_ok:
             messages.append(f"leg {idx}: duration {leg.duration} not above T={min_duration}")
         try:
-            end = TangentPoint(*fiber_flow(sys, leg.start.x, leg.start.v, leg.control, step))
+            end = TangentPoint(*run(idx, leg.start.x, leg.start.v))
             d = distance(sys.manifold, end, leg.jump_target)
         except (LiftctlError, ValueError) as exc:
             d = None

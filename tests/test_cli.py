@@ -947,6 +947,34 @@ def test_a_gramian_chain_imports_scipy_and_verifies():
     assert chain_code == 0 and json.loads(last)["verification"]["passed"]
 
 
+def test_search_and_sphere_chains_never_import_numpy_ma():
+    """Search batches grouped their step counts with np.unique, which
+    imports numpy.ma (about 0.8 MiB) into every process that ran a search;
+    the counts are grouped by a sorted set now, in flow._power too."""
+    argvs = [
+        ["chain", FLAT, "--source=1,0;0,0", "--target=0,1;1,1", "--eps=0.1", "--T=0.5"],
+        ["chain", SPHERE, "--source=1,0,0;0,1,0", "--target=0,1,0;0,0,1"],
+        ["chain", SPHERE_TWO_AXIS, "--source=1,0,0;0,0.1,0", "--target=0,1,0;0,0,0.1"],
+    ]
+    code, out, err = run_fresh_process(["-c", CALLS_THEN_LOADED_MODULES, json.dumps(argvs)])
+    assert (code, err) == (0, "")
+    (after_import, *codes), last, after_calls = json.loads(out)
+    assert codes == [0] * len(argvs) and json.loads(last)["verification"]["passed"]
+    assert "numpy.ma" not in after_import and "numpy.ma" not in after_calls
+
+
+@pytest.mark.parametrize("fiber,where", [([], "x=[1e+100, 0.0]"),
+                                         (["--v=1,0"], "x=[1e+100, 0.0], v=[1.0, 0.0]")])
+def test_larc_at_an_overflowing_point_is_an_error(fiber, where):
+    """At x = (1e100, 0) the Duffing monomials overflow. larc used to exit 0
+    with rank 0, NaN singular values and a numpy overflow warning; it now
+    exits 1 naming the point, with one stderr line and no warning."""
+    code, out, err = run_fresh_process(["-m", "liftctl", "larc", DUFFING, "--point=1e100,0",
+                                        *fiber, "--depth", "3"])
+    assert (code, out) == (1, "")
+    assert err == f"error: bracket columns to depth 3 are not finite at {where}\n"
+
+
 @pytest.mark.parametrize("source", ["1e100,0;0,0", "1e120,0;0,0"])
 def test_a_diverging_search_prints_only_its_error(source):
     """Every polynomial candidate from a huge source diverges. The search

@@ -15,6 +15,7 @@ from liftctl import (
     IntegrationError,
     LinearField,
     Manifold,
+    ManifoldKind,
     OffManifoldError,
     PolynomialField,
     TangentPoint,
@@ -33,8 +34,10 @@ from liftctl import fields, flow
 from liftctl.cli import SystemDefinition
 from liftctl.flow import (
     _advance,
+    _power,
     constant_control_endpoints,
     fiber_flow,
+    fiber_flows,
     split_signal,
 )
 
@@ -823,6 +826,83 @@ def test_segment_power_checks_as_the_stepper_does():
                 np.column_stack([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]), np.zeros((2, 2))):
         with pytest.raises(OffManifoldError):
             fiber_flow(sphere, x, bad, ControlSignal.empty())
+
+
+def single_map_run(sys, x, v, u, step):
+    """The end point of fiber_flow by one segment at a time: each segment's
+    own step map, drift bound and np.linalg.matrix_power of its 2-D
+    augmented matrix, applied to (x, 1) and v; every segment certified."""
+    n, on_sphere = x.shape[0], sys.manifold.kind is ManifoldKind.SPHERE2
+    counts, sizes = flow._grid(np.array([duration for duration, _ in u.segments]), step)
+    t = 0.0
+    for (_, uval), k, h in zip(u.segments, counts.astype(int).tolist(), sizes.tolist()):
+        m, c = flow._step_map(*sys.affine_parts(uval), h)
+        assert not on_sphere or flow._drift_bound(m, c) <= flow.DRIFT_TOL
+        aug = np.zeros((n + 1, n + 1))
+        aug[:n, :n], aug[:n, n], aug[n, n] = m, c, 1.0
+        power = np.linalg.matrix_power(aug, k)
+        x, t = power[:n, :n] @ x + power[:n, n], t + k * h
+        v = None if v is None else power[:n, :n] @ v
+        if on_sphere:
+            x, v, _ = flow._to_sphere(x, v, t, np.inf)
+    return x, v
+
+
+@pytest.mark.parametrize("name", ["R1", "R2", "R3", "S2"])
+def test_fiber_flows_match_single_map_runs_bitwise(name, monkeypatch):
+    """One fiber_flows over several multi-segment signals, with step counts
+    1, 2 and 3 (matrix_power's own products) and in the hundreds, takes all
+    its powers in one stacked pass and never steps; each run, called in any
+    order, ends bitwise where fiber_flow ends and where one segment at a
+    time by its own 2-D matrix power ends, with no fibers, a fiber vector or
+    the columns of a fiber matrix. The base end is the same for all three."""
+    sys, x0, v0 = power_case(name)
+    n = x0.shape[0]
+    fibers = np.column_stack([v0, sys.manifold.project_tangent(x0, np.arange(1.0, n + 1))])
+    signals = [ControlSignal(((0.37, [0.4, -0.8]), (1e-3, [-0.6, 0.2]), (2e-3, [0.9, 0.5]))),
+               ControlSignal(((3e-3, [-0.3, 1.0]), (0.81, [0.7, 0.1]), (0.6e-3, [0.2, -0.9]))),
+               ControlSignal(((1.3, [-1.0, -0.4]),))]
+    powers = []
+    with monkeypatch.context() as patch:
+        refuse_steps(patch)
+        patch.setattr(flow, "_power", lambda *args: powers.append(args[2]) or _power(*args))
+        run = fiber_flows(sys, signals, 1e-3)
+        assert powers == [[370, 1, 2, 3, 810, 1, 1300]]
+        for i in (2, 0, 1):
+            ends = [run(i, x0, start) for start in (None, v0, fibers)]
+            assert ends[0][1] is None
+            for (x, v), start in zip(ends, (None, v0, fibers)):
+                want = fiber_flow(sys, x0, start, signals[i], 1e-3)
+                ref = single_map_run(sys, x0, start, signals[i], 1e-3)
+                assert np.array_equal(x, ends[0][0])
+                assert np.array_equal(x, want[0]) and np.array_equal(x, ref[0])
+                assert start is None or np.array_equal(v, want[1]) and np.array_equal(v, ref[1])
+
+
+def test_fiber_flows_raise_a_refused_signals_error_when_it_runs(monkeypatch):
+    """A signal that fiber_flow refuses adds no segment to the stacked pass
+    and raises fiber_flow's error when its run is called, after the start's
+    own checks; the other runs are unaffected."""
+    sys = sphere_bilinear_system()
+    good, x0, v0 = ControlSignal.constant([0.5], 0.4), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+    signals = [good, ControlSignal.constant([3.0], 0.4), ControlSignal.constant([0.5], 1e9)]
+    run = fiber_flows(sys, signals, 1e-3)
+    for x, v in zip(run(0, x0, v0), fiber_flow(sys, x0, v0, good, 1e-3)):
+        assert np.array_equal(x, v)
+    with pytest.raises(ValueError, match="channel 0 is 3.0"):
+        run(1, x0, v0)
+    with pytest.raises(DefinitionError, match="MAX_GRID_STEPS"):
+        run(2, x0, v0)
+    for i in (1, 2):
+        with pytest.raises(OffManifoldError):
+            run(i, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        fiber_flows(sys, [good], np.nan)(0, x0, v0)
+    with monkeypatch.context() as patch:
+        refuse_steps(patch)
+        patch.setattr(flow, "_power", None)  # a power taken fails with a TypeError
+        with pytest.raises(DefinitionError):
+            fiber_flows(sys, [signals[2]], 1e-3)(0, x0, None)
 
 
 @pytest.mark.parametrize("case", [

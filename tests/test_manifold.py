@@ -161,6 +161,16 @@ def test_tangent_point_validation():
         TangentPoint([1.5, 0.0, 0.0], [0.0, 1.0, 0.0]).validate(m)
 
 
+def test_tangent_basis_second_column_is_np_cross_bitwise():
+    """tangent_basis writes x cross b1 out by components, as np.cross forms
+    it, at a tenth of its cost; the bits are the same."""
+    m = Manifold.sphere2()
+    rng = np.random.default_rng(6)
+    for x in [*(m.random_point(rng) for _ in range(50)), np.array([0.0, 0.0, -1.0])]:
+        b1, b2 = m.tangent_basis(x).T
+        assert np.array_equal(b2, np.cross(x, b1))
+
+
 def test_tangent_basis_orthonormal():
     m = Manifold.sphere2()
     rng = np.random.default_rng(5)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 from pathlib import Path
@@ -34,9 +35,9 @@ from liftctl import (
     verify_chain,
 )
 from liftctl.cli import SystemDefinition
-from liftctl.flow import fiber_flow
+from liftctl.flow import fiber_flow, fiber_flows
 from liftctl import planner
-from liftctl.planner import _chunk_transitions, sample_control_signals
+from liftctl.planner import LegCheck, _chunk_transitions, sample_control_signals
 
 DEFS = Path(__file__).resolve().parent.parent / "defs"
 SPHERE_TWO_AXIS = DEFS.parent / "perfbench" / "defs" / "sphere_two_axis.json"
@@ -328,20 +329,23 @@ def test_fiber_transition_matches_column_runs(make_sys, x, chunk):
 ])
 def test_plan_chain_integrates_each_leg_once(monkeypatch, make_sys, make_oracle, source, target):
     """On a chain that takes no round trip, plan_chain integrates each leg
-    once, for its fiber transition, and reads the leg's end off it."""
+    once, for its fiber transition, and reads the leg's end off it: one run
+    of fiber_flows per leg, each leg's control run once, and no fiber_flow."""
     sys = make_sys()
     oracle = CountingOracle(make_oracle(sys))
     source, target = TangentPoint(*source), TangentPoint(*target)
-    calls = []
+    runs = []
 
-    def counting_fiber_flow(*args):
-        calls.append(args)
-        return fiber_flow(*args)
+    def counting_fiber_flows(sys, signals, step):
+        run = fiber_flows(sys, signals, step)
+        return lambda i, *start: runs.append(signals[i]) or run(i, *start)
 
-    monkeypatch.setattr(planner, "fiber_flow", counting_fiber_flow)
+    monkeypatch.setattr(planner, "fiber_flow", lambda *args: runs.append(args[3]) or fiber_flow(*args))
+    monkeypatch.setattr(planner, "fiber_flows", counting_fiber_flows)
     chain = plan_chain(sys, oracle, source, target, 0.25, 0.5)
     assert (target.x.tobytes(), source.x.tobytes()) not in oracle.pairs  # no round trip
-    assert len(chain.legs) > 1 and len(calls) == len(chain.legs)
+    assert len(chain.legs) > 1 and len(runs) == len(chain.legs)
+    assert [id(u) for u in runs] == [id(leg.control) for leg in chain.legs]
     assert verify_chain(sys, chain).passed
 
 
@@ -667,6 +671,52 @@ def test_verify_chain_rejects_oversized_jump():
     report = verify_chain(sys, bad)
     assert not report.passed
     assert not report.legs[idx].distance_ok
+
+
+@pytest.mark.parametrize("bad", ["control", "start"])
+def test_one_bad_leg_among_good_legs_fails_alone(bad):
+    """verify_chain takes every leg's powers in one stacked pass. A leg with
+    an out-of-bounds control, or a start off the sphere, still fails alone,
+    with a null distance and the message its own fiber_flow raises, and the
+    legs around it keep the checks of the unmodified chain."""
+    sys = sphere_system()
+    chain = plan_chain(sys, SphereRotationOracle.for_system(sys),
+                       TangentPoint([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
+                       TangentPoint([0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]), 0.25, 0.5)
+    good = verify_chain(sys, chain)
+    assert good.passed and len(chain.legs) == 3
+    legs = list(chain.legs)
+    if bad == "control":
+        legs[1] = dataclasses.replace(legs[1], control=ControlSignal(((legs[1].duration, [0.5, 3.0]),)))
+        messages = ["leg 1: cannot re-integrate: control value NaN or outside bounds: segment 0, "
+                    "channel 1 is 3.0, bounds [-1.0, 1.0]"]
+    else:
+        legs[1] = dataclasses.replace(legs[1], start=TangentPoint(1.25 * legs[1].start.x, legs[1].start.v))
+        messages = ["leg 1: cannot re-integrate: |x| deviates from 1 by 2.500e-01",
+                    "leg 1: start does not match previous jump target"]
+    report = verify_chain(sys, dataclasses.replace(chain, legs=tuple(legs)))
+    assert not report.passed and list(report.messages) == messages
+    assert list(report.legs) == [good.legs[0], LegCheck(1, legs[1].duration, None, True, False, bad == "control"),
+                                 good.legs[2]]
+
+
+def test_same_point_is_allclose_within_1e_12():
+    """_same_point keeps np.allclose's verdict at rtol=0, atol=1e-12: a
+    difference of exactly 1e-12 agrees, 2e-12 does not, a NaN never agrees,
+    equal infinities do, and points of other shapes differ."""
+    p = TangentPoint([0.0, 0.5], [1.0, 0.0])
+    near = TangentPoint([1e-12, 0.5], [1.0, 0.0])
+    far = TangentPoint([0.0, 0.5], [1.0, 2e-12])
+    nan = TangentPoint([0.0, np.nan], [1.0, 0.0])
+    inf = TangentPoint([0.0, np.inf], [1.0, 0.0])
+    short = TangentPoint([0.0], [1.0])
+    assert planner._same_point(p, near) and planner._same_point(near, p)
+    assert not planner._same_point(p, far) and not planner._same_point(far, p)
+    assert not planner._same_point(p, nan) and not planner._same_point(nan, nan)
+    assert not planner._same_point(p, short) and not planner._same_point(short, p)
+    for a, b in itertools.product([p, near, far, nan, inf], repeat=2):
+        assert planner._same_point(a, b) == np.allclose(np.r_[a.x, a.v], np.r_[b.x, b.v],
+                                                        rtol=0.0, atol=1e-12)
 
 
 def test_chain_composition():
