@@ -192,16 +192,13 @@ def _parse_tangent(text: str, manifold: Manifold, flag: str) -> TangentPoint:
 
 def _parse_control(text: str, system: AffineSystem) -> ControlSignal:
     """The signal of --control (JSON segments [[duration, [u, ...]], ...] or @file
-    holding them) if system.check_signal admits it; else DefinitionError naming control."""
+    holding them, read by _read_json) if system.check_signal admits it; else
+    DefinitionError naming control."""
     try:
-        if text.startswith("@"):
-            with open(text[1:], "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        else:
-            data = json.loads(text)
-        control = ControlSignal.from_json(data)
+        control = ControlSignal.from_json(_read_json(text[1:], "control") if text.startswith("@")
+                                          else json.loads(text))
         system.check_signal(control)
-    except (OSError, ValueError) as exc:  # check_signal's messages open with "control"
+    except ValueError as exc:  # check_signal's messages open with "control"
         raise DefinitionError("control", str(exc).removeprefix("control ")) from exc
     return control
 
@@ -216,16 +213,12 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def resolve_oracle(defn: SystemDefinition):
     """Pick a steering oracle for the system kind; fall back to grid search."""
-    sys_ = defn.system
-    try:
-        return LinearGramianOracle.for_system(sys_)
-    except LiftctlError:
-        pass
-    try:
-        return SphereRotationOracle.for_system(sys_)
-    except LiftctlError:
-        pass
-    return SearchOracle(sys_)
+    for for_system in (LinearGramianOracle.for_system, SphereRotationOracle.for_system):
+        try:
+            return for_system(defn.system)
+        except LiftctlError:
+            pass
+    return SearchOracle(defn.system)
 
 
 def cmd_simulate(args) -> int:
@@ -253,6 +246,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _check(deviation, tolerance) -> dict:
+    """A suite entry: the deviation passes when at most the tolerance."""
+    return {"deviation": deviation, "tolerance": tolerance, "pass": deviation <= tolerance}
+
+
 def _suite_lift(defn: SystemDefinition) -> dict:
     sys_ = defn.system
     rng = np.random.default_rng(defn.seed)
@@ -265,13 +263,8 @@ def _suite_lift(defn: SystemDefinition) -> dict:
     # the depth-2 words are the pairs [fields[i], fields[j]], i < j
     bracket_dev = check_lift_algebra_identity(fields, samples, max_depth=2)
     algebra_dev = check_lift_algebra_identity(fields, samples[:10], max_depth=3)
-    return {
-        "pi_related": {"deviation": pi_dev, "tolerance": 1e-12, "pass": pi_dev <= 1e-12},
-        "bracket_identity": {"deviation": bracket_dev, "tolerance": 1e-10,
-                             "pass": bracket_dev <= 1e-10},
-        "lift_algebra": {"deviation": algebra_dev, "tolerance": 1e-8,
-                         "pass": algebra_dev <= 1e-8},
-    }
+    return {"pi_related": _check(pi_dev, 1e-12), "bracket_identity": _check(bracket_dev, 1e-10),
+            "lift_algebra": _check(algebra_dev, 1e-8)}
 
 
 def _random_signal(rng, bounds) -> ControlSignal:
@@ -296,12 +289,7 @@ def _suite_flow(defn: SystemDefinition) -> dict:
         lifted = integrate_lifted(sys_, TangentPoint(x0, v0), u, defn.step)
         if not np.array_equal(base.states, lifted.states):
             worst_bitwise = float(np.max(np.abs(base.states - lifted.states)))
-    return {
-        "flow_formula": {"deviation": worst_formula, "tolerance": tol,
-                         "pass": worst_formula <= tol},
-        "projection_identity": {"deviation": worst_bitwise, "tolerance": 0.0,
-                                "pass": worst_bitwise == 0.0},
-    }
+    return {"flow_formula": _check(worst_formula, tol), "projection_identity": _check(worst_bitwise, 0.0)}
 
 
 def _suite_invariance(defn: SystemDefinition) -> dict:
@@ -322,12 +310,7 @@ def _suite_invariance(defn: SystemDefinition) -> dict:
         base_dev, fiber_dev = check_invariance(sys_, x0, s, v_sig, t, u_sig, defn.step)
         worst_base = max(worst_base, base_dev)
         worst_fiber = max(worst_fiber, fiber_dev)
-    return {
-        "invariance_base": {"deviation": worst_base, "tolerance": tol,
-                            "pass": worst_base <= tol},
-        "invariance_fiber": {"deviation": worst_fiber, "tolerance": tol,
-                             "pass": worst_fiber <= tol},
-    }
+    return {"invariance_base": _check(worst_base, tol), "invariance_fiber": _check(worst_fiber, tol)}
 
 
 def _suite_rank(defn: SystemDefinition) -> dict:
@@ -355,8 +338,6 @@ _SUITES = {"lift": _suite_lift, "flow": _suite_flow, "invariance": _suite_invari
 
 def cmd_check(args) -> int:
     defn = SystemDefinition.load(args.definition)
-    if args.suite not in _SUITES:
-        raise DefinitionError("--suite", f"unknown suite {args.suite!r}; expected one of {tuple(_SUITES)}")
     results = _SUITES[args.suite](defn)
     passed = all(entry["pass"] for entry in results.values())
     report = {"suite": args.suite, "seed": defn.seed, "passed": passed, "checks": results}
@@ -435,7 +416,7 @@ _COMMANDS = {
     )),
     "check": ("run a verification suite", cmd_check, (
         (("definition",), {}),
-        (("--suite",), {"required": True}),
+        (("--suite",), {"required": True, "choices": tuple(_SUITES)}),
         (("--out",), {}),
     )),
     "chain": ("plan or verify an (eps,T)-chain", cmd_chain, (

@@ -540,22 +540,15 @@ def integrate_lifted(sys: AffineSystem, p0: TangentPoint, u: ControlSignal,
     return _recorded_run(sys, np.asarray(p0.x, dtype=float), np.asarray(p0.v, dtype=float), u, step)
 
 
-def fiber_flow(sys: AffineSystem, x0: np.ndarray, fibers, u: ControlSignal,
-               step: float = DEFAULT_STEP) -> tuple[np.ndarray, np.ndarray | None]:
-    """End point of the run from x0 under u, and `fibers` carried along it:
-    None, a fiber vector (n,) or the columns of an (n, k) matrix, each
-    validated as integrate_lifted validates its start: one run of fiber_flows,
-    the same base end for any fibers and integrate_lifted's up to rounding."""
-    return fiber_flows(sys, [u], step)(0, x0, fibers)
-
-
 def fiber_flows(sys: AffineSystem, signals, step: float = DEFAULT_STEP):
-    """run(i, x0, fibers), bitwise fiber_flow(sys, x0, fibers, signals[i], step),
-    for starts that come one at a time (a plan's chunks start where the last
-    ends). One stacked pass of affine_parts, _step_map, _drift_bound on S2
-    and _power takes every certified affine segment's power; a run applies
-    them and steps the rest by _advance. A signal fiber_flow refuses adds no
-    segment, and its run raises that error after the start's checks."""
+    """run(i, x0, fibers): the end point from x0 under signals[i] and `fibers`
+    (None, a vector (n,) or an (n, k) matrix's columns, each checked as
+    integrate_lifted checks its start) carried along: integrate_lifted's up to
+    rounding, one base end for any fibers, for starts that come one at a time.
+    One stacked pass of affine_parts, _step_map, _drift_bound on S2 and _power
+    takes every certified affine segment's power, bitwise its own signal's; a
+    run applies them and steps the rest by _advance. A signal refused by its
+    checks adds no segment, and its run raises that error after the start's."""
     plans, segments = [], []
     for u in signals:
         try:
@@ -591,12 +584,12 @@ def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.n
     """Final base states from x0, row r under the constant control
     controls[r] (controls (B, m)) held for durations[r] on the grid
     integrate_base would use with step steps[r]; the steps are checked as
-    fiber_flow checks one, the batch as a ControlSignal and check_signal
+    fiber_flows checks one, the batch as a ControlSignal and check_signal
     check one, and its grid counted, first. Affine rows take their step maps
     in one stacked pass; rows sharing a step count are one _power where
     _drift_bound certifies them all, else one _advance of a stacked state.
-    Off the sphere a row ends bitwise where fiber_flow ends, and on it where
-    integrate_base does up to rounding.
+    Off the sphere a row ends bitwise where a fiber_flows run ends, and on it
+    where integrate_base does up to rounding.
     """
     steps = np.asarray(steps, dtype=float)
     if not np.all((steps > 0.0) & (steps < math.inf)):

@@ -97,7 +97,7 @@ def _rank_from_columns(cols: np.ndarray) -> tuple[int, np.ndarray, float]:
     if cols.size == 0:
         return 0, np.zeros(0), ABS_RANK_TOL
     sigma = np.linalg.svd(cols, compute_uv=False)
-    smax = float(sigma[0]) if sigma.size else 0.0
+    smax = float(sigma[0])
     threshold = REL_RANK_TOL * smax if smax >= ABS_RANK_TOL else ABS_RANK_TOL
     rank = int(np.sum(sigma > threshold))
     return rank, sigma, threshold
@@ -160,8 +160,7 @@ def rank_at(fields, point: np.ndarray, max_depth: int, manifold: Manifold) -> Ra
     """
     point = manifold.check_point(point)
     cols = _columns(fields, max_depth, manifold, point)
-    rank, sigma, threshold = _rank_from_columns(cols)
-    return RankReport(point, cols, rank, sigma, threshold, max_depth, lifted=False)
+    return RankReport(point, cols, *_rank_from_columns(cols), max_depth, lifted=False)
 
 
 def lifted_rank_at(fields, tangent_point: TangentPoint, max_depth: int,
@@ -170,8 +169,7 @@ def lifted_rank_at(fields, tangent_point: TangentPoint, max_depth: int,
     2n-dimensional vectors at the given tangent point."""
     tangent_point.validate(manifold)
     cols = _columns(fields, max_depth, manifold, tangent_point.x, tangent_point.v)
-    rank, sigma, threshold = _rank_from_columns(cols)
-    return RankReport(tangent_point, cols, rank, sigma, threshold, max_depth, lifted=True)
+    return RankReport(tangent_point, cols, *_rank_from_columns(cols), max_depth, lifted=True)
 
 
 def check_lift_algebra_identity(fields, samples, max_depth: int) -> float:

@@ -14,10 +14,10 @@ that no itinerary within the leg budget covers raises an error carrying the
 partial chain. The verifier re-checks a chain against the caller's
 epsilon, T and endpoints, re-integrating every leg.
 
-Fiber transitions, verification and reachable-set samples read only end
-points, through flow.fiber_flows (one pass of matrix powers per plan, round
-trip or verification), and search candidates through
-flow.constant_control_endpoints.
+Fiber transitions, verification, fiber witnesses and reachable-set samples
+read only end points, through flow.fiber_flows (one pass of matrix powers
+per plan, round trip, verification or sample set), and search candidates
+through flow.constant_control_endpoints.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .flow import (
     AffineSystem,
     ControlSignal,
     constant_control_endpoints,
-    fiber_flow,
     fiber_flows,
     split_signal,
 )
@@ -69,7 +68,9 @@ class LinearGramianOracle:
     tolerance.
     """
 
-    def __init__(self, a_matrix, b_matrix, horizon: float = 1.0, n_segments: int = 64):
+    n_segments = 64
+
+    def __init__(self, a_matrix, b_matrix, horizon: float = 1.0):
         # imported here, its only use: no other command pays scipy's start-up cost
         from scipy.linalg import expm
         self.a = np.asarray(a_matrix, dtype=float)
@@ -77,7 +78,6 @@ class LinearGramianOracle:
         if self.b.ndim == 1:
             self.b = self.b.reshape(-1, 1)
         self.horizon = float(horizon)
-        self.n_segments = int(n_segments)
         n = self.a.shape[0]
         h = self.horizon / self.n_segments
         # one-step transition and the integral of the matrix exponential
@@ -102,8 +102,7 @@ class LinearGramianOracle:
             )
 
     @staticmethod
-    def for_system(sys: AffineSystem, horizon: float = 1.0,
-                   n_segments: int = 64) -> "LinearGramianOracle":
+    def for_system(sys: AffineSystem, horizon: float = 1.0) -> "LinearGramianOracle":
         if not sys.manifold.is_flat:
             raise SteeringFailure("Gramian oracle requires a flat manifold")
         drift = sys.drift.affine()
@@ -115,7 +114,7 @@ class LinearGramianOracle:
             if parts is None or np.any(parts[0]):
                 raise SteeringFailure("Gramian oracle requires constant controlled fields")
             cols.append(parts[1])
-        return LinearGramianOracle(drift[0], np.column_stack(cols), horizon, n_segments)
+        return LinearGramianOracle(drift[0], np.column_stack(cols), horizon)
 
     def solve(self, x: np.ndarray, y: np.ndarray) -> tuple[float, ControlSignal]:
         x = np.asarray(x, dtype=float)
@@ -211,14 +210,14 @@ class SearchOracle:
     """
 
     steer_tol = SEARCH_STEER_TOL
+    eval_step = 1e-2
 
     def __init__(self, sys: AffineSystem, budget: int = 12000, t_max: float = 8.0,
-                 levels: int = 10, eval_step: float = 1e-2):
+                 levels: int = 10):
         self.sys = sys
         self.budget = int(budget)
         self.t_max = float(t_max)
         self.levels = int(levels)
-        self.eval_step = float(eval_step)
 
     def _endpoint_errors(self, x, y, durations, controls) -> np.ndarray:
         steps = np.maximum(self.eval_step, durations / 120.0)
@@ -294,11 +293,12 @@ def sample_control_signals(bounds, horizon: float, n_samples: int, seed: int):
 def reachable_sample(sys: AffineSystem, p0: TangentPoint, horizon: float,
                      n_samples: int, seed: int,
                      step: float = DEFAULT_STEP) -> list[TangentPoint]:
-    """Endpoints of the lifted flow under random admissible controls."""
+    """Endpoints of the lifted flow under random admissible controls, all
+    taken by one fiber_flows pass."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    return [TangentPoint(*fiber_flow(sys, p0.x, p0.v, sig, step))
-            for sig in sample_control_signals(sys.bounds, horizon, n_samples, seed)]
+    run = fiber_flows(sys, sample_control_signals(sys.bounds, horizon, n_samples, seed), step)
+    return [TangentPoint(*run(i, p0.x, p0.v)) for i in range(n_samples)]
 
 
 @dataclass(frozen=True)
@@ -317,7 +317,7 @@ def check_fiber_reachability(sys: AffineSystem, oracle, p0: TangentPoint,
     p0.validate(sys.manifold)
     duration, control = oracle.solve(p0.x, np.asarray(y, dtype=float))
     return FiberWitness(duration, control,
-                        TangentPoint(*fiber_flow(sys, p0.x, p0.v, control, step)))
+                        TangentPoint(*fiber_flows(sys, [control], step)(0, p0.x, p0.v)))
 
 
 def _entry(data, key: str, parse, where: str = ""):
@@ -467,9 +467,10 @@ def _padded_plan(solve, manifold: Manifold, x: np.ndarray, y: np.ndarray,
 
 
 def _chunk_signal(sig: ControlSignal, min_leg: float, max_legs: int) -> list[ControlSignal]:
-    """Split a plan into at most max_legs equal legs, each strictly above min_leg."""
+    """Split a plan into at most max_legs equal legs, each strictly above min_leg:
+    their count leaves a relative 1e-9 that the splits' rounding cannot cross."""
     total = sig.total_duration
-    n = max(1, min(math.floor(total / min_leg), max_legs))
+    n = max(1, min(math.floor(total / (min_leg * (1.0 + 1e-9))), max_legs))
     chunks, rest = [], sig
     chunk_len = total / n
     for _ in range(n - 1):
@@ -583,7 +584,7 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
     # Already within reach: try a single unsplit leg back to the target fiber.
     # The transport surrogate is at least the base gap, and refuses antipodes.
     if base_gap <= eps_eff and distance(m, source, target) <= eps_eff:
-        end = TangentPoint(*fiber_flow(sys, source.x, source.v, plan, step))
+        end = TangentPoint(*fiber_flows(sys, [plan], step)(0, source.x, source.v))
         d_end = distance(m, end, target)
         if d_end <= eps_eff:
             legs.append(ChainLeg(source, plan, plan.total_duration, target, d_end))

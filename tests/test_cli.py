@@ -99,6 +99,12 @@ def test_check_unknown_suite(capsys):
     assert "suite" in err
 
 
+def test_check_help_lists_the_suites(capsys):
+    code, out, _ = run_cli(["check", "-h"], capsys)
+    assert code == 0
+    assert "--suite {lift,flow,invariance,rank}" in out
+
+
 def test_chain_line_shift(tmp_path, capsys):
     out_file = tmp_path / "chain.json"
     code, _, _ = run_cli([
@@ -706,6 +712,22 @@ def test_malformed_control_segment_names_its_index_and_shape(tmp_path, capsys, c
     code, out, err = verify_edited_plan(tmp_path, capsys, ("legs", 0, "control"),
                                         lambda entry, key: entry.__setitem__(key, control))
     assert (code, out, err) == (2, "", f"error: legs[0].control: malformed: {ValueError(message)!r}\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "cannot read file: [Errno 2] No such file or directory: "),
+    ("[[0.5, [0.1]]", "invalid JSON: Expecting ',' delimiter: line 1 column 14 (char 13)"),
+])
+def test_control_file_errors_read_as_verify_only_ones(tmp_path, capsys, text, message):
+    """A --control=@file that cannot be read or is not JSON exits 2 naming
+    control, in the words a bad --verify-only file gets (the file's own
+    error used to follow "control: " with no such words)."""
+    path = tmp_path / ("missing.json" if text is None else "bad.json")
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(["simulate", LINE, "--x0", "0", f"--control=@{path}"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: control: {message}")
 
 
 def test_control_channel_count_names_the_segment(capsys):

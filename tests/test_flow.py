@@ -36,7 +36,6 @@ from liftctl.flow import (
     _advance,
     _power,
     constant_control_endpoints,
-    fiber_flow,
     fiber_flows,
     split_signal,
 )
@@ -539,7 +538,7 @@ def test_segment_loop_matches_single_steps_bitwise(case):
     integrate_lifted give bitwise the rows, t column included, of one
     single-step kernel call per step. So do the end points of non-affine
     runs, whose loop runs per fiber column and per batch on numpy columns:
-    fiber_flow with a vector, an (n, k) and an (n, 0) matrix, and
+    fiber_flows with a vector, an (n, k) and an (n, 0) matrix, and
     constant_control_endpoints rows. Affine end points are matrix powers."""
     sys, x0, v0, fibers, u, batch = case
     n = len(x0)
@@ -553,7 +552,7 @@ def test_segment_loop_matches_single_steps_bitwise(case):
         return
     for carried in (v0, fibers, np.zeros((n, 0))):
         end = stepped_rows(kernel, x0, carried.reshape(n, -1), u, 1e-3)[-1]
-        x_end, v_end = fiber_flow(sys, x0, carried, u, 1e-3)
+        x_end, v_end = fiber_flows(sys, [u], 1e-3)(0, x0, carried)
         assert np.array_equal(x_end, end[1:n + 1])
         assert v_end.shape == carried.shape
         assert np.array_equal(v_end.T.ravel(), end[n + 1:])
@@ -576,12 +575,13 @@ def test_overflow_inside_a_segment_loop_raises_at_the_segment_end():
     overflows in the first of 1000 steps that one loop call takes. The run
     raises IntegrationError at the segment end, with the time per-step
     stepping gave, and returns no partial trajectory; so do a fiber vector
-    and a fiber matrix carried by fiber_flow."""
+    and a fiber matrix carried by fiber_flows."""
     sys = SystemDefinition.load(DUFFING).system
     u = ControlSignal.constant([0.3], 1.0)
     x0 = [1e100, 1.0]
     runs = [lambda: integrate_base(sys, x0, u), lambda: integrate_lifted(sys, TangentPoint(x0, [1.0, 0.0]), u),
-            lambda: fiber_flow(sys, x0, [1.0, 0.0], u), lambda: fiber_flow(sys, x0, np.eye(2), u)]
+            lambda: fiber_flows(sys, [u])(0, x0, [1.0, 0.0]),
+            lambda: fiber_flows(sys, [u])(0, x0, np.eye(2))]
     for run in runs:
         with pytest.raises(IntegrationError, match=r"^state or fiber not finite at t=1\.0000000000000007$"):
             run()
@@ -617,7 +617,7 @@ def test_polynomial_fiber_flow_matches_columns(make_sys, x0, v0):
     n = len(x0)
     u = three_segments(sys.n_controls, np.random.default_rng(7 + n))
     fibers = sys.manifold.tangent_basis(np.array(x0))
-    x_end, v_end = fiber_flow(sys, x0, fibers, u, 1e-3)
+    x_end, v_end = fiber_flows(sys, [u], 1e-3)(0, x0, fibers)
     for i in range(fibers.shape[1]):
         run = integrate_lifted(sys, TangentPoint(x0, fibers[:, i]), u, 1e-3)
         assert np.array_equal(run.final_state, x_end)
@@ -645,7 +645,7 @@ def test_polynomial_runs_never_call_the_field_evaluators(monkeypatch):
     u = ControlSignal(((0.5, [0.3]), (0.5, [-0.7])))
     run = integrate_lifted(sys, TangentPoint([0.3, -0.2], [1.0, 0.5]), u)
     assert np.all(np.isfinite(run.fibers))
-    _, transition = fiber_flow(sys, [0.3, -0.2], np.eye(2), u)
+    _, transition = fiber_flows(sys, [u])(0, [0.3, -0.2], np.eye(2))
     assert np.all(np.isfinite(transition))
     ends = constant_control_endpoints(sys, [0.3, -0.2], [[0.5], [-0.5], [1.0]],
                                       [0.2, 0.3, 0.2], [1e-2, 1e-2, 1e-2])
@@ -716,7 +716,7 @@ def test_step_that_is_not_positive_and_finite_is_refused():
         with pytest.raises(ValueError, match="step must be positive and finite"):
             integrate_lifted(sys, TangentPoint([1.0, 0.0], [0.0, 1.0]), u, step)
         with pytest.raises(ValueError, match="step must be positive and finite"):
-            fiber_flow(sys, [1.0, 0.0], [0.0, 1.0], u, step)
+            fiber_flows(sys, [u], step)(0, [1.0, 0.0], [0.0, 1.0])
 
 
 def test_batch_step_that_is_not_positive_and_finite_is_refused():
@@ -778,7 +778,7 @@ def power_case(name):
 
 @pytest.mark.parametrize("name", ["R1", "R2", "R3", "S2"])
 def test_segment_power_matches_recorded_run(name, monkeypatch):
-    """fiber_flow takes one matrix power per affine segment and never steps;
+    """fiber_flows takes one matrix power per affine segment and never steps;
     its end point agrees with integrate_lifted's recorded final row within
     1e-12 relative, over several segments including 1-step ones, for a fiber
     vector and for the columns of a fiber matrix. The base end point is
@@ -790,9 +790,9 @@ def test_segment_power_matches_recorded_run(name, monkeypatch):
                        (0.81, [-0.3, 1.0])))
     with monkeypatch.context() as patch:
         refuse_steps(patch)
-        x_base, none = fiber_flow(sys, x0, None, u, 1e-3)
-        x_vec, v_vec = fiber_flow(sys, x0, v0, u, 1e-3)
-        x_mat, v_mat = fiber_flow(sys, x0, fibers, u, 1e-3)
+        x_base, none = fiber_flows(sys, [u], 1e-3)(0, x0, None)
+        x_vec, v_vec = fiber_flows(sys, [u], 1e-3)(0, x0, v0)
+        x_mat, v_mat = fiber_flows(sys, [u], 1e-3)(0, x0, fibers)
     assert none is None
     assert np.array_equal(x_base, x_vec) and np.array_equal(x_base, x_mat)
     want = integrate_lifted(sys, TangentPoint(x0, v0), u, 1e-3).final_point
@@ -812,24 +812,24 @@ def test_segment_power_checks_as_the_stepper_does():
     with np.errstate(over="ignore", invalid="ignore"):
         for fibers in (None, np.array([0.0, 1.0]), np.eye(2)):
             with pytest.raises(IntegrationError):
-                fiber_flow(flat, [1.0, 1.0], fibers, u, 1e-3)
+                fiber_flows(flat, [u], 1e-3)(0, [1.0, 1.0], fibers)
     sphere = sphere_bilinear_system()
     with pytest.raises(IntegrationError, match="drift"):
-        fiber_flow(sphere, [1.0, 0.0, 0.0], None, ControlSignal.zero(1, 10.0), 1.0)
+        fiber_flows(sphere, [ControlSignal.zero(1, 10.0)], 1.0)(0, [1.0, 0.0, 0.0], None)
     x = [0.0, 0.0, 1.0]
     for bad in ([0.0, 0.0, 1.0], [np.nan, 0.0, 0.0], [1.0, 0.0]):
         with pytest.raises(OffManifoldError):
             integrate_lifted(sphere, TangentPoint(x, bad), ControlSignal.empty())
         with pytest.raises(OffManifoldError):
-            fiber_flow(sphere, x, bad, ControlSignal.empty())
+            fiber_flows(sphere, [ControlSignal.empty()])(0, x, bad)
     for bad in (np.column_stack([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
                 np.column_stack([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]), np.zeros((2, 2))):
         with pytest.raises(OffManifoldError):
-            fiber_flow(sphere, x, bad, ControlSignal.empty())
+            fiber_flows(sphere, [ControlSignal.empty()])(0, x, bad)
 
 
 def single_map_run(sys, x, v, u, step):
-    """The end point of fiber_flow by one segment at a time: each segment's
+    """The end point of fiber_flows by one segment at a time: each segment's
     own step map, drift bound and np.linalg.matrix_power of its 2-D
     augmented matrix, applied to (x, 1) and v; every segment certified."""
     n, on_sphere = x.shape[0], sys.manifold.kind is ManifoldKind.SPHERE2
@@ -853,7 +853,7 @@ def test_fiber_flows_match_single_map_runs_bitwise(name, monkeypatch):
     """One fiber_flows over several multi-segment signals, with step counts
     1, 2 and 3 (matrix_power's own products) and in the hundreds, takes all
     its powers in one stacked pass and never steps; each run, called in any
-    order, ends bitwise where fiber_flow ends and where one segment at a
+    order, ends bitwise where its own fiber_flows ends and where one segment at a
     time by its own 2-D matrix power ends, with no fibers, a fiber vector or
     the columns of a fiber matrix. The base end is the same for all three."""
     sys, x0, v0 = power_case(name)
@@ -872,7 +872,7 @@ def test_fiber_flows_match_single_map_runs_bitwise(name, monkeypatch):
             ends = [run(i, x0, start) for start in (None, v0, fibers)]
             assert ends[0][1] is None
             for (x, v), start in zip(ends, (None, v0, fibers)):
-                want = fiber_flow(sys, x0, start, signals[i], 1e-3)
+                want = fiber_flows(sys, [signals[i]], 1e-3)(0, x0, start)
                 ref = single_map_run(sys, x0, start, signals[i], 1e-3)
                 assert np.array_equal(x, ends[0][0])
                 assert np.array_equal(x, want[0]) and np.array_equal(x, ref[0])
@@ -880,14 +880,14 @@ def test_fiber_flows_match_single_map_runs_bitwise(name, monkeypatch):
 
 
 def test_fiber_flows_raise_a_refused_signals_error_when_it_runs(monkeypatch):
-    """A signal that fiber_flow refuses adds no segment to the stacked pass
-    and raises fiber_flow's error when its run is called, after the start's
+    """A signal that fiber_flows refuses adds no segment to the stacked pass
+    and raises its own error when its run is called, after the start's
     own checks; the other runs are unaffected."""
     sys = sphere_bilinear_system()
     good, x0, v0 = ControlSignal.constant([0.5], 0.4), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
     signals = [good, ControlSignal.constant([3.0], 0.4), ControlSignal.constant([0.5], 1e9)]
     run = fiber_flows(sys, signals, 1e-3)
-    for x, v in zip(run(0, x0, v0), fiber_flow(sys, x0, v0, good, 1e-3)):
+    for x, v in zip(run(0, x0, v0), fiber_flows(sys, [good], 1e-3)(0, x0, v0)):
         assert np.array_equal(x, v)
     with pytest.raises(ValueError, match="channel 0 is 3.0"):
         run(1, x0, v0)
@@ -911,7 +911,7 @@ def test_fiber_flows_raise_a_refused_signals_error_when_it_runs(monkeypatch):
 ])
 def test_batched_powers_match_fiber_flow_bitwise(case, monkeypatch):
     """On flat space a batch of constant controls ends, row for row, bitwise
-    where fiber_flow ends under each row's constant control, with mixed step
+    where fiber_flows ends under each row's constant control, with mixed step
     counts: on affine systems (two channels, c != 0) by one stacked power per
     step count and on polynomial systems by one segment loop call per step
     count, neither of which takes the stages, and on their bare copies by the
@@ -938,7 +938,7 @@ def test_batched_powers_match_fiber_flow_bitwise(case, monkeypatch):
     kernel_runs = isinstance(case, str) and not case.startswith("bare-")
     assert len(calls) == (len(np.unique(flow._grid(durations, steps)[0])) if kernel_runs else 0)
     for end, u, t, step in zip(ends, controls, durations, steps):
-        want, _ = fiber_flow(sys, x0, None, ControlSignal.constant(u, t), step)
+        want, _ = fiber_flows(sys, [ControlSignal.constant(u, t)], step)(0, x0, None)
         assert np.array_equal(end, want)
 
 
@@ -966,13 +966,13 @@ def test_batch_is_checked_as_a_signal_is():
 
 def test_coarse_sphere_segment_steps_where_no_power_is_certified():
     """On defs/sphere_rotation.json at step 0.2 the step map's drift bound
-    g = ||M^T M - I||_F is about 1.25e-6 > DRIFT_TOL, so fiber_flow steps
+    g = ||M^T M - I||_F is about 1.25e-6 > DRIFT_TOL, so fiber_flows steps
     (each step drifts 4.4e-7 at most) and ends where integrate_lifted does;
     one power over the 6 s segment used to raise off-manifold drift
     1.327e-05."""
     sys = SystemDefinition.load(SPHERE_ROTATION).system
     u = ControlSignal.constant([1.0], 6.0)
-    x, v = fiber_flow(sys, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], u, 0.2)
+    x, v = fiber_flows(sys, [u], 0.2)(0, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     want = integrate_lifted(sys, TangentPoint([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), u, 0.2)
     assert want.max_drift <= flow.DRIFT_TOL
     for got, ref in ((x, want.final_point.x), (v, want.final_point.v)):

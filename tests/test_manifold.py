@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,12 @@ def test_tangent_basis_orthonormal():
         basis = m.tangent_basis(x)
         assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-12)
         assert np.allclose(basis.T @ x, 0.0, atol=1e-12)
+
+
+def test_vector_norm_is_sqrt_of_dot_bitwise():
+    """check_point and tangent_basis take a 3-vector's norm as
+    math.sqrt(x @ x), bitwise the value np.linalg.norm gives."""
+    rng = np.random.default_rng(2024)
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(10_000, 1))
+    for x in (rng.standard_normal((10_000, 3)) * scales):
+        assert math.sqrt(x @ x) == np.linalg.norm(x)

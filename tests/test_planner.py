@@ -35,7 +35,7 @@ from liftctl import (
     verify_chain,
 )
 from liftctl.cli import SystemDefinition
-from liftctl.flow import fiber_flow, fiber_flows
+from liftctl.flow import fiber_flows
 from liftctl import planner
 from liftctl.planner import LegCheck, _chunk_transitions, sample_control_signals
 
@@ -171,7 +171,7 @@ def test_diverging_rows_score_nan_and_the_others_are_scored():
                                                   durations, controls)
     assert np.all(np.isnan(errs[2:]))
     want = [sys.manifold.base_distance(
-                fiber_flow(sys, [1.0], None, ControlSignal.constant(u, t), 1e-2)[0], [2.0])
+                fiber_flows(sys, [ControlSignal.constant(u, t)], 1e-2)(0, [1.0], None)[0], [2.0])
             for u, t in zip(controls[:2], durations[:2])]
     assert np.array_equal(errs[:2], want)
 
@@ -243,7 +243,7 @@ class CountingSearch(SearchOracle):
     (duffing_system, [0.5, 0.0], [-0.3, 0.4]),
 ])
 def test_search_level_matches_one_at_a_time(make_sys, x, y):
-    """A batched grid level scores every candidate as fiber_flow, the
+    """A batched grid level scores every candidate as fiber_flows, the
     end-point entry, does one at a time (1e-12 absolute), and as the
     stepping integrate_base does up to rounding (1e-12 relative: matrix
     powers take the affine rows), and picks the first strict minimum in
@@ -251,8 +251,8 @@ def test_search_level_matches_one_at_a_time(make_sys, x, y):
     sys = make_sys()
     x, y = np.array(x), np.array(y)
     candidates = first_level_candidates(sys)
-    errs = one_at_a_time_errors(sys, x, y, candidates,
-                                end_point=lambda *run: fiber_flow(*run[:2], None, *run[2:])[0])
+    errs = one_at_a_time_errors(
+        sys, x, y, candidates, end_point=lambda sys, x, u, step: fiber_flows(sys, [u], step)(0, x, None)[0])
     oracle = CountingSearch(sys, levels=1)
     durations = np.array([t for t, _ in candidates])
     controls = np.array([u for _, u in candidates])
@@ -313,7 +313,7 @@ def test_fiber_transition_matches_column_runs(make_sys, x, chunk):
     x = np.array(x)
     [(end_base, b_end, mat)] = _chunk_transitions(sys, x, [chunk], 1e-3)
     b_start = sys.manifold.tangent_basis(x)
-    ends = [TangentPoint(*fiber_flow(sys, x, b_start[:, i], chunk, 1e-3))
+    ends = [TangentPoint(*fiber_flows(sys, [chunk], 1e-3)(0, x, b_start[:, i]))
             for i in range(sys.manifold.intrinsic_dim)]
     assert np.array_equal(end_base, ends[0].x)
     assert np.array_equal(b_end, sys.manifold.tangent_basis(end_base))
@@ -330,7 +330,8 @@ def test_fiber_transition_matches_column_runs(make_sys, x, chunk):
 def test_plan_chain_integrates_each_leg_once(monkeypatch, make_sys, make_oracle, source, target):
     """On a chain that takes no round trip, plan_chain integrates each leg
     once, for its fiber transition, and reads the leg's end off it: one run
-    of fiber_flows per leg, each leg's control run once, and no fiber_flow."""
+    of fiber_flows per leg and each leg's control run once (a single-leg
+    shortcut run would add one)."""
     sys = make_sys()
     oracle = CountingOracle(make_oracle(sys))
     source, target = TangentPoint(*source), TangentPoint(*target)
@@ -340,12 +341,25 @@ def test_plan_chain_integrates_each_leg_once(monkeypatch, make_sys, make_oracle,
         run = fiber_flows(sys, signals, step)
         return lambda i, *start: runs.append(signals[i]) or run(i, *start)
 
-    monkeypatch.setattr(planner, "fiber_flow", lambda *args: runs.append(args[3]) or fiber_flow(*args))
     monkeypatch.setattr(planner, "fiber_flows", counting_fiber_flows)
     chain = plan_chain(sys, oracle, source, target, 0.25, 0.5)
     assert (target.x.tobytes(), source.x.tobytes()) not in oracle.pairs  # no round trip
     assert len(chain.legs) > 1 and len(runs) == len(chain.legs)
     assert [id(u) for u in runs] == [id(leg.control) for leg in chain.legs]
+    assert verify_chain(sys, chain).passed
+
+
+def test_no_leg_is_shorter_than_the_step():
+    """On line_shift.json from 0 to 1 with T = 1e-4 the legs are cut from
+    the step, 1e-3, and the plan lasts about 751 steps: taking 751 legs left
+    six of them below the step after the splits' rounding, the shortest
+    0.0009999999999999445 s. None is shorter now, and the chain verifies."""
+    defn = SystemDefinition.load(str(DEFS / "line_shift.json"))
+    sys = defn.system
+    chain = plan_chain(sys, LinearGramianOracle.for_system(sys), TangentPoint([0.0], [0.0]),
+                       TangentPoint([1.0], [0.0]), 0.25, 1e-4, 2000, defn.step)
+    assert len(chain.legs) > 700
+    assert min(leg.duration for leg in chain.legs) >= defn.step
     assert verify_chain(sys, chain).passed
 
 
@@ -417,7 +431,7 @@ def test_reachable_sample_projection_consistency():
         if not sig.segments:
             assert np.array_equal(p.x, p0.x)
             continue
-        base, _ = fiber_flow(sys, p0.x, None, sig, step)
+        base, _ = fiber_flows(sys, [sig], step)(0, p0.x, None)
         assert np.array_equal(p.x, base)
 
 
@@ -429,6 +443,24 @@ def test_reachable_sample_deterministic():
     for pa, pb in zip(a, b):
         assert np.array_equal(pa.x, pb.x)
         assert np.array_equal(pa.v, pb.v)
+
+
+@pytest.mark.parametrize("make_sys,p0", [
+    (forced_rotation_system, TangentPoint([1.0, 0.0], [0.0, 1.0])),
+    (duffing_system, TangentPoint([0.5, 0.0], [1.0, -0.5])),
+])
+def test_reachable_sample_is_one_fiber_flows_pass(monkeypatch, make_sys, p0):
+    """reachable_sample takes every sample in one fiber_flows pass, on an
+    affine and on a polynomial system, and each point is bitwise the run of
+    its signal alone."""
+    sys = make_sys()
+    passes = []
+    monkeypatch.setattr(planner, "fiber_flows", lambda *args: passes.append(args) or fiber_flows(*args))
+    points = reachable_sample(sys, p0, 1.5, 12, seed=3)
+    assert len(passes) == 1
+    for p, sig in zip(points, sample_control_signals(sys.bounds, 1.5, 12, 3), strict=True):
+        x, v = fiber_flows(sys, [sig])(0, p0.x, p0.v)
+        assert np.array_equal(p.x, x) and np.array_equal(p.v, v)
 
 
 # --- fiber reachability -------------------------------------------------------
@@ -635,7 +667,7 @@ def test_chain_invariants_and_structure():
             assert np.array_equal(prev.jump_target.v, nxt.start.v)
         for leg in chain.legs[:-1]:
             # intermediate jumps never move the base point
-            end = TangentPoint(*fiber_flow(sys, leg.start.x, leg.start.v, leg.control, chain.step))
+            end = TangentPoint(*fiber_flows(sys, [leg.control], chain.step)(0, leg.start.x, leg.start.v))
             assert np.array_equal(end.x, leg.jump_target.x)
             d = distance(sys.manifold, end, leg.jump_target)
             assert d <= chain.epsilon and abs(d - leg.verified_distance) <= 1e-12
@@ -677,7 +709,7 @@ def test_verify_chain_rejects_oversized_jump():
 def test_one_bad_leg_among_good_legs_fails_alone(bad):
     """verify_chain takes every leg's powers in one stacked pass. A leg with
     an out-of-bounds control, or a start off the sphere, still fails alone,
-    with a null distance and the message its own fiber_flow raises, and the
+    with a null distance and the message its own fiber_flows run raises, and the
     legs around it keep the checks of the unmodified chain."""
     sys = sphere_system()
     chain = plan_chain(sys, SphereRotationOracle.for_system(sys),
