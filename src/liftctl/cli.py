@@ -31,7 +31,7 @@ from .flow import (
     integrate_lifted,
 )
 from .liealg import DEFAULT_DEPTH, check_lift_algebra_identity, lifted_rank_at, rank_at
-from .manifold import Manifold, TangentPoint, json_numbers
+from .manifold import Manifold, TangentPoint, _entry, _positive, _seed, json_numbers
 from .planner import (
     Chain,
     LinearGramianOracle,
@@ -88,10 +88,8 @@ class SystemDefinition:
             raise DefinitionError("manifold", "expected an object with a 'kind'")
         kind = mdesc["kind"]
         if kind == "flat":
-            try:
-                manifold = Manifold.flat(int(json_numbers(mdesc["dim"], integer=True)))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DefinitionError("manifold.dim", str(exc)) from exc
+            manifold = _entry(mdesc, "dim", lambda dim: Manifold.flat(int(json_numbers(dim, integer=True))),
+                              "manifold.")
         elif kind == "sphere2":
             manifold = Manifold.sphere2()
         else:
@@ -122,20 +120,14 @@ class SystemDefinition:
             raise DefinitionError("metric", f"expected one of {_METRICS[kind]} on {kind}, "
                                             f"got {metric!r}")
 
-        step = data.get("step", DEFAULT_STEP)
-        # bool is an int subclass; NaN fails every comparison
-        if (isinstance(step, bool) or not isinstance(step, (int, float))
-                or not 0 < step < math.inf):
-            raise DefinitionError("step", "must be a positive finite number")
-        seed = data.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:  # numpy takes no seed < 0
-            raise DefinitionError("seed", f"must be a non-negative integer, got {seed!r}")
+        step = _entry(data, "step", _positive) if "step" in data else DEFAULT_STEP
+        seed = _entry(data, "seed", _seed) if "seed" in data else 0
         env_seed = os.environ.get("LIFTCTL_SEED")
         if env_seed is not None:
             if not env_seed.strip().isdecimal():  # the digits int() reads, with no sign
                 raise DefinitionError("LIFTCTL_SEED", f"must be a non-negative integer, got {env_seed!r}")
             seed = int(env_seed)
-        return SystemDefinition(manifold, system, float(step), seed)
+        return SystemDefinition(manifold, system, step, seed)
 
     @staticmethod
     def load(path: str) -> "SystemDefinition":
@@ -143,18 +135,18 @@ class SystemDefinition:
 
 
 def _read_json(path: str, where: str):
-    """The parsed JSON file at path; an unreadable file or invalid JSON raises
-    DefinitionError naming where."""
+    """The parsed JSON file at path; an unreadable file, or one that is not
+    UTF-8 or not JSON, raises DefinitionError naming where."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise DefinitionError(where, f"cannot read file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DefinitionError(where, f"invalid JSON: {exc}") from exc
 
 
-def _positive(flag: str, value: float) -> float:
+def _positive_flag(flag: str, value: float) -> float:
     if not 0.0 < value < math.inf:  # NaN fails it too
         raise DefinitionError(flag, f"must be positive and finite, got {value}")
     return value
@@ -224,7 +216,7 @@ def resolve_oracle(defn: SystemDefinition):
 def cmd_simulate(args) -> int:
     defn = SystemDefinition.load(args.definition)
     x0 = _parse_vector(args.x0, defn.manifold, "--x0")
-    step = defn.step if args.step is None else _positive("--step", args.step)
+    step = defn.step if args.step is None else _positive_flag("--step", args.step)
     control = _parse_control(args.control, defn.system) if args.control \
         else ControlSignal.empty()
     try:
@@ -325,7 +317,7 @@ def _suite_rank(defn: SystemDefinition) -> dict:
         v = defn.manifold.random_tangent(x, rng)
         base_report = rank_at(fields, x, DEFAULT_DEPTH, defn.manifold)
         lifted_report = lifted_rank_at(fields, TangentPoint(x, v), DEFAULT_DEPTH, defn.manifold)
-        ok = ok and lifted_report.rank <= n and lifted_report.rank < 2 * n
+        ok = ok and lifted_report.rank <= n
         reports.append({"base": base_report.to_json(), "lifted": lifted_report.to_json()})
     return {
         "rank_obstruction": {"pass": ok, "intrinsic_dim": n, "reports": reports},
@@ -350,8 +342,8 @@ def cmd_chain(args) -> int:
     requirement is the caller's --eps and --T, and --source and --target
     where given."""
     defn = SystemDefinition.load(args.definition)
-    _positive("--eps", args.eps)
-    _positive("--T", args.T)
+    _positive_flag("--eps", args.eps)
+    _positive_flag("--T", args.T)
     if args.max_legs is not None and args.max_legs < 1:
         raise DefinitionError("--max-legs", f"must be at least 1, got {args.max_legs}")
     source = _parse_tangent(args.source, defn.manifold, "--source") if args.source is not None else None
@@ -368,8 +360,7 @@ def cmd_chain(args) -> int:
         chain = plan_chain(defn.system, oracle, source, target,
                            args.eps, args.T, args.max_legs, defn.step, defn.seed)
     except PlanningBudgetError as exc:
-        payload = {"error": str(exc),
-                   "partial_chain": exc.best_chain.to_json() if exc.best_chain else None}
+        payload = {"error": str(exc), "partial_chain": exc.best_chain.to_json()}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 1
     report = verify_chain(defn.system, chain, args.eps, args.T)

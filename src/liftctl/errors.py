@@ -36,7 +36,7 @@ class SteeringFailure(LiftctlError):
 class PlanningBudgetError(LiftctlError):
     """Chain planning exceeded its leg budget. Carries the best partial chain."""
 
-    def __init__(self, message, best_chain=None):
+    def __init__(self, message, best_chain):
         super().__init__(message)
         self.best_chain = best_chain
 

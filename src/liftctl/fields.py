@@ -298,10 +298,9 @@ def _compiled_bind(source: str):
 class ScalarField:
     """A point -> real map with gradient access (analytic or central FD)."""
 
-    def __init__(self, value, gradient=None, name: str = "scalar"):
+    def __init__(self, value, gradient=None):
         self._value = value
         self._gradient = gradient
-        self.name = name
 
     def __call__(self, x: np.ndarray) -> float:
         return float(self._value(np.asarray(x, dtype=float)))

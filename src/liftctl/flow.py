@@ -213,16 +213,16 @@ class AffineSystem:
         if self.manifold.kind is ManifoldKind.SPHERE2:
             self._check_tangency()
 
-    def _check_tangency(self, n_samples: int = 8, tol: float = 1e-8):
+    def _check_tangency(self):
         """A DefinitionError naming drift or controlled[i] unless every field
-        is tangent to the sphere at n_samples seeded points."""
-        rng = np.random.default_rng(20240 + n_samples)
+        is tangent to the sphere, |x . X(x)| <= 1e-8, at 8 seeded points."""
+        rng = np.random.default_rng(20248)
         entries = ("drift", *(f"controlled[{i}]" for i in range(len(self.controlled))))
-        for _ in range(n_samples):
+        for _ in range(8):
             x = self.manifold.random_point(rng)
             for entry, fld in zip(entries, (self.drift, *self.controlled)):
                 err = abs(x @ fld(x))
-                if not err <= tol:
+                if not err <= 1e-8:
                     raise DefinitionError(
                         entry, f"field {fld.name!r} not tangent to the sphere: |x.X(x)|={err:.2e}")
 
@@ -348,9 +348,13 @@ class Trajectory:
 def _grid(durations: np.ndarray, steps):
     """(counts, h): the number of RK4 steps of each segment's grid, whose
     nodes include the segment's ends, and their size durations / counts,
-    for positive finite durations and steps (an array, or one step for
-    all). A grid of more than MAX_GRID_STEPS steps in all is refused
-    unstepped with a DefinitionError."""
+    for positive finite durations and steps (an array, or one float step
+    for all). A step that is not positive and finite raises ValueError; a
+    grid of more than MAX_GRID_STEPS steps in all is refused unstepped with
+    a DefinitionError. Every run's grid is built here."""
+    if not (0.0 < steps < math.inf if isinstance(steps, float)  # NaN fails both tests
+            else np.all((steps > 0.0) & (steps < math.inf))):
+        raise ValueError(f"step must be positive and finite, got {steps}")
     # clipped past MAX_GRID_STEPS, where the sum refuses the run anyway
     counts = np.maximum(1.0, np.ceil(np.minimum(durations / steps - 1e-12, MAX_GRID_STEPS + 1)))
     if counts.sum() > MAX_GRID_STEPS:
@@ -478,9 +482,7 @@ def _advance(sys: AffineSystem, uval: np.ndarray, h, n_steps: int, x: np.ndarray
 
 def _segments(sys: AffineSystem, u: ControlSignal, step: float) -> list:
     """(value, h, k) per segment of u: its control value and the size and count
-    of its grid's RK4 steps, once step, u (check_signal) and the grid pass."""
-    if not 0.0 < step < math.inf:  # NaN fails it too
-        raise ValueError(f"step must be positive and finite, got {step}")
+    of its grid's RK4 steps, once u (check_signal), step and the grid pass."""
     sys.check_signal(u)
     counts, sizes = _grid(np.array([duration for duration, _ in u.segments]), step)
     return list(zip([value for _, value in u.segments], sizes.tolist(), counts.astype(int).tolist()))
@@ -583,17 +585,15 @@ def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.n
                                durations, steps) -> np.ndarray:
     """Final base states from x0, row r under the constant control
     controls[r] (controls (B, m)) held for durations[r] on the grid
-    integrate_base would use with step steps[r]; the steps are checked as
-    fiber_flows checks one, the batch as a ControlSignal and check_signal
-    check one, and its grid counted, first. Affine rows take their step maps
+    integrate_base would use with step steps[r]; the batch is checked as a
+    ControlSignal and check_signal check one, and its steps and grid as
+    fiber_flows checks them, first. Affine rows take their step maps
     in one stacked pass; rows sharing a step count are one _power where
     _drift_bound certifies them all, else one _advance of a stacked state.
     Off the sphere a row ends bitwise where a fiber_flows run ends, and on it
     where integrate_base does up to rounding.
     """
     steps = np.asarray(steps, dtype=float)
-    if not np.all((steps > 0.0) & (steps < math.inf)):
-        raise ValueError(f"step must be positive and finite, got {steps}")
     x = np.asarray(sys.manifold.check_point(x0), dtype=float)
     controls, durations = np.asarray(controls, dtype=float), np.asarray(durations, dtype=float)
     bad = np.flatnonzero(~((durations > 0.0) & (durations < math.inf)))

@@ -2,7 +2,8 @@
 
 Both are represented by their ambient embedding together with tangent
 projection, retraction, geodesic distance and parallel transport. These four
-primitives are everything the rest of the package needs.
+primitives are everything the rest of the package needs. json_numbers and
+_entry read the numbers and entries of definition and chain files.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import AntipodalPointsError, DegenerateStepError, OffManifoldError
+from .errors import AntipodalPointsError, DefinitionError, DegenerateStepError, OffManifoldError
 
 POINT_TOL = 1e-9
 ANGLE_TOL = 1e-6
@@ -171,6 +172,45 @@ def json_numbers(value, integer: bool = False) -> np.ndarray:
     except OverflowError:
         pass
     raise ValueError(f"expected finite {'integers' if integer else 'numbers'}, got {value!r}")
+
+
+def _entry(data, key: str, parse, where: str = ""):
+    """parse(data[key]) for an entry of an outside JSON file (a definition or
+    a chain file). A missing entry, or one that parse refuses, raises
+    DefinitionError naming where + key: a ValueError in its own words, a
+    KeyError, TypeError or IndexError as "malformed: <its repr>"."""
+    try:
+        value = data[key]
+    except (KeyError, TypeError) as exc:
+        raise DefinitionError(where + key, "missing") from exc
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise DefinitionError(where + key, str(exc)) from exc
+    except (KeyError, TypeError, IndexError) as exc:
+        raise DefinitionError(where + key, f"malformed: {exc!r}") from exc
+
+
+def _number(value) -> float:
+    """value, which must be a finite JSON number, as a float."""
+    return float(json_numbers(value))
+
+
+def _positive(value) -> float:
+    """value, which must be a positive finite JSON number, as a float."""
+    value = _number(value)
+    if value <= 0.0:
+        raise ValueError(f"must be positive and finite, got {value}")
+    return value
+
+
+def _seed(value) -> int:
+    """value, which must be a non-negative JSON integer within the float
+    range (numpy takes no seed < 0), as an int."""
+    value = int(json_numbers(value, integer=True))
+    if value < 0:
+        raise ValueError(f"must be a non-negative integer, got {value}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DefinitionError,
     LiftctlError,
     NonFiniteError,
     PlanningBudgetError,
@@ -45,7 +44,7 @@ from .flow import (
     split_signal,
 )
 from .liealg import DEFAULT_DEPTH, rank_at
-from .manifold import Manifold, ManifoldKind, TangentPoint, json_numbers
+from .manifold import Manifold, ManifoldKind, TangentPoint, _entry, _number, _positive, _seed
 from .sasaki import distance, fiber_segment_point
 
 SEARCH_STEER_TOL = 1e-3
@@ -75,8 +74,6 @@ class LinearGramianOracle:
         from scipy.linalg import expm
         self.a = np.asarray(a_matrix, dtype=float)
         self.b = np.asarray(b_matrix, dtype=float)
-        if self.b.ndim == 1:
-            self.b = self.b.reshape(-1, 1)
         self.horizon = float(horizon)
         n = self.a.shape[0]
         h = self.horizon / self.n_segments
@@ -318,41 +315,6 @@ def check_fiber_reachability(sys: AffineSystem, oracle, p0: TangentPoint,
     duration, control = oracle.solve(p0.x, np.asarray(y, dtype=float))
     return FiberWitness(duration, control,
                         TangentPoint(*fiber_flows(sys, [control], step)(0, p0.x, p0.v)))
-
-
-def _entry(data, key: str, parse, where: str = ""):
-    """parse(data[key]) for a chain file entry; a missing or ill-typed entry
-    raises DefinitionError naming where + key."""
-    try:
-        value = data[key]
-    except (KeyError, TypeError) as exc:
-        raise DefinitionError(where + key, "missing") from exc
-    try:
-        return parse(value)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise DefinitionError(where + key, f"malformed: {exc!r}") from exc
-
-
-def _number(value) -> float:
-    """value, which must be a finite JSON number, as a float."""
-    return float(json_numbers(value))
-
-
-def _positive(value) -> float:
-    """value, which must be a positive finite JSON number, as a float."""
-    value = _number(value)
-    if value <= 0.0:
-        raise ValueError(f"{value} is not positive")
-    return value
-
-
-def _seed(value) -> int:
-    """value, which must be a non-negative JSON integer (a definition's seed
-    rule: numpy takes no seed < 0), as an int."""
-    value = int(json_numbers(value, integer=True))
-    if value < 0:
-        raise ValueError(f"{value} is negative")
-    return value
 
 
 @dataclass(frozen=True)
@@ -643,8 +605,7 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
         current, coords = jumped, frame.T @ jumped.v
     off_base = (f": base error {base_error:.3e} at the itinerary's end exceeds eps_eff "
                 f"{eps_eff:.3e}" if base_error > eps_eff else "")
-    raise PlanningBudgetError(f"no chain within {len(legs)} legs{off_base}",
-                              best_chain=finished_chain())
+    raise PlanningBudgetError(f"no chain within {len(legs)} legs{off_base}", finished_chain())
 
 
 @dataclass(frozen=True)
@@ -687,9 +648,10 @@ def verify_chain(sys: AffineSystem, chain: Chain, epsilon: float | None = None,
     point is re-integrated at half the planner's step by one fiber_flows;
     durations must exceed T strictly, each flow endpoint must land within
     epsilon of the next leg's start, the first leg must start at the source
-    and the last jump end at the target. Failures are report entries, never
-    exceptions: a leg that cannot be re-integrated (bad control or start, an
-    integration error) fails with a null distance and a message naming it."""
+    and the last jump end at the target, so a chain with no leg fails.
+    Failures are report entries, never exceptions: a leg that cannot be
+    re-integrated (bad control or start, an integration error) fails with a
+    null distance and a message naming it."""
     epsilon = chain.epsilon if epsilon is None else epsilon
     min_duration = chain.min_duration if min_duration is None else min_duration
     source = chain.source if source is None else source
@@ -719,17 +681,10 @@ def verify_chain(sys: AffineSystem, chain: Chain, epsilon: float | None = None,
             messages.append(f"leg {idx}: start does not match "
                             + ("the source" if idx == 0 else "previous jump target"))
         expected_start = leg.jump_target
-    if chain.legs:
-        target_ok = _same_point(chain.legs[-1].jump_target, target)
-        if not target_ok:
-            messages.append("final jump target does not match the target")
-    else:
-        try:
-            target_ok = distance(sys.manifold, source, target) <= epsilon
-        except (LiftctlError, ValueError):
-            target_ok = False
-        if not target_ok:
-            messages.append("empty chain but source and target are not within epsilon")
+    target_ok = bool(chain.legs) and _same_point(expected_start, target)
+    if not target_ok:
+        messages.append("final jump target does not match the target" if chain.legs
+                        else "a chain needs at least one leg")
     passed = target_ok and all(c.duration_ok and c.distance_ok and c.continuity_ok
                                for c in checks)
     return VerificationReport(passed, tuple(checks), tuple(messages))

@@ -421,6 +421,57 @@ def test_chain_verify_only_file_that_is_not_json(tmp_path, capsys):
     assert err.startswith(f"error: --verify-only {bad}: invalid JSON: Expecting value")
 
 
+@pytest.mark.parametrize("args,where", [
+    (["chain", LINE, "--verify-only", "{f}"], "--verify-only {f}"),
+    (["check", "{f}", "--suite", "lift"], "{f}"),
+    (["simulate", LINE, "--x0", "0", "--control=@{f}"], "control"),
+])
+def test_file_that_is_not_utf8_is_named(tmp_path, capsys, args, where):
+    """A chain, definition or control file that is not UTF-8 exits 2 naming
+    the flag or the file, as invalid JSON does (the error used to be the
+    codec's words alone)."""
+    bad = tmp_path / "bom16.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli([a.format(f=bad) for a in args], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {where.format(f=bad)}: invalid JSON: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("target", ["0.14;0", "1;0"])
+def test_chain_file_with_no_leg_fails(tmp_path, capsys, target):
+    """A chain file with no leg fails --verify-only, exit 1, with one
+    message, whether or not source and target lie within epsilon (it used
+    to pass when they did)."""
+    x, v = target.split(";")
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"epsilon": 0.25, "T": 0.5, "source": {"x": [0.0], "v": [0.0]},
+                                 "target": {"x": [float(x)], "v": [float(v)]}, "legs": []}))
+    code, out, _ = run_cli(["chain", LINE, "--verify-only", str(empty)], capsys)
+    assert code == 1
+    assert json.loads(out) == {"passed": False, "legs": [], "messages": ["a chain needs at least one leg"]}
+
+
+@pytest.mark.parametrize("edit,args,named", [
+    (lambda data: [data], ["simulate", "--x0=1,0"], "<root>"),
+    (lambda data: {**data, "manifold": "flat"}, ["simulate", "--x0=1,0"], "manifold"),
+    (lambda data: {**data, "manifold": {"kind": "torus"}}, ["simulate", "--x0=1,0"], "manifold.kind"),
+    (lambda data: {**data, "bounds": [[-1.0, 1.0], [-1.0, 1.0]]}, ["simulate", "--x0=1,0"], "bounds"),
+    (lambda data: data, ["simulate", "--x0=1,a"], "--x0"),
+    (lambda data: data, ["simulate", "--x0=1,0,0"], "--x0"),
+    (lambda data: data, ["chain", "--source=0", "--target=0,1;0,0"], "--source"),
+])
+def test_definition_and_flag_entries_are_named(tmp_path, capsys, edit, args, named):
+    """A definition that is not an object, a manifold that is not one or of
+    an unknown kind, bounds of another count than the controlled fields, an
+    --x0 that is not floats or of the wrong dimension, and a --source with
+    no fiber part each exit 2 naming the entry."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(json.loads(Path(FLAT).read_text()))))
+    code, out, err = run_cli([args[0], str(bad), *args[1:]], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {named}:")
+
+
 @pytest.mark.parametrize("changes,field", [
     ({"step": True}, "step"),
     ({"step": float("nan")}, "step"),
@@ -448,6 +499,8 @@ def test_chain_verify_only_file_that_is_not_json(tmp_path, capsys):
     ({"seed": -1}, "seed"),
     ({"LIFTCTL_SEED": "abc"}, "LIFTCTL_SEED"),
     ({"LIFTCTL_SEED": "-3"}, "LIFTCTL_SEED"),
+    # a seed past the float range, which a chain file's seed rule refuses (it used to load)
+    ({"seed": 10 ** 400}, "seed"),
 ])
 def test_definition_rejects_non_finite_and_boolean_entries(tmp_path, capsys, monkeypatch, changes,
                                                            field):
@@ -706,12 +759,14 @@ def test_larc_depth_beyond_the_column_limit_is_named(capsys):
 def test_malformed_control_segment_names_its_index_and_shape(tmp_path, capsys, control, message):
     """--control and a chain file's leg control name the segment that is not
     a [duration, [u, ...]] pair with a flat value list, and the shape it
-    got. An object used to fail with "not enough values to unpack"."""
+    got, in the same words. An object used to fail with "not enough values
+    to unpack", and a chain file's words used to be wrapped in
+    "malformed: ValueError(...)"."""
     code, out, err = run_cli(["simulate", LINE, "--x0", "0", "--control", json.dumps(control)], capsys)
     assert (code, out, err) == (2, "", f"error: control: {message}\n")
     code, out, err = verify_edited_plan(tmp_path, capsys, ("legs", 0, "control"),
                                         lambda entry, key: entry.__setitem__(key, control))
-    assert (code, out, err) == (2, "", f"error: legs[0].control: malformed: {ValueError(message)!r}\n")
+    assert (code, out, err) == (2, "", f"error: legs[0].control: {message}\n")
 
 
 @pytest.mark.parametrize("text,message", [

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,8 @@ from liftctl import (
     verify_chain,
 )
 from liftctl.cli import SystemDefinition
-from liftctl.flow import fiber_flows
+from liftctl.flow import fiber_flows, split_signal
+from liftctl.liealg import generate_brackets
 from liftctl import planner
 from liftctl.planner import LegCheck, _chunk_transitions, sample_control_signals
 
@@ -730,6 +732,46 @@ def test_one_bad_leg_among_good_legs_fails_alone(bad):
     assert not report.passed and list(report.messages) == messages
     assert list(report.legs) == [good.legs[0], LegCheck(1, legs[1].duration, None, True, False, bad == "control"),
                                  good.legs[2]]
+
+
+@pytest.mark.parametrize("target_x", [0.14, 1.0])
+def test_chain_with_no_leg_fails(target_x):
+    """A chain has at least one leg, and its last jump lands on the target:
+    a chain with no leg fails, whether or not source and target lie within
+    epsilon (it used to pass when they did). plan_chain gives either pair
+    one leg: the nearer one by its single-leg shortcut."""
+    sys = line_system()
+    source, target = TangentPoint([0.0], [0.0]), TangentPoint([target_x], [0.0])
+    report = verify_chain(sys, Chain((), 0.25, 0.5, source, target))
+    assert (report.passed, report.legs, report.messages) == (False, (), ("a chain needs at least one leg",))
+    chain = plan_chain(sys, LinearGramianOracle.for_system(sys), source, target, 0.25, 0.5)
+    assert len(chain.legs) == 1 and verify_chain(sys, chain).passed
+
+
+def _two_chains(second_epsilon, second_source):
+    p, q = TangentPoint([0.0], [0.0]), TangentPoint([0.0], [0.6])
+    return Chain((), 0.25, 0.5, p, q), Chain((), second_epsilon, 0.5, second_source, p)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: compose_chains(*_two_chains(0.1, TangentPoint([0.0], [0.6]))), "chains must share epsilon and T"),
+    (lambda: compose_chains(*_two_chains(0.25, TangentPoint([0.0], [0.7]))),
+     "first.target must equal second.source"),
+    (lambda: Manifold.flat(0), "flat dimension must be >= 1"),
+    (lambda: AffineSystem(Manifold.flat(1), ConstantField([0.0]), (), np.zeros((0, 2))),
+     "need at least one controlled field"),
+    (lambda: AffineSystem(Manifold.flat(1), ConstantField([0.0]), (ConstantField([1.0]),), [[1.0, -1.0]]),
+     "control bounds must satisfy lo <= hi"),
+    (lambda: split_signal(ControlSignal.constant([0.5], 1.0), 1.5), "split time 1.5 outside"),
+    (lambda: split_signal(ControlSignal.constant([0.5], 1.0), -0.5), "split time -0.5 outside"),
+    (lambda: ControlSignal.empty().value_at(0.0), "empty signal has no values"),
+    (lambda: generate_brackets(line_system().controlled, 0), "max_depth must be >= 1"),
+])
+def test_library_input_errors_are_value_errors(make, message):
+    """Library inputs that no command can build fail with one ValueError
+    that says what is wrong."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
 
 
 def test_same_point_is_allclose_within_1e_12():
