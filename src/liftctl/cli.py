@@ -31,7 +31,7 @@ from .flow import (
     integrate_lifted,
 )
 from .liealg import DEFAULT_DEPTH, check_lift_algebra_identity, lifted_rank_at, rank_at
-from .manifold import Manifold, TangentPoint, _entry, _positive, _seed, json_numbers
+from .manifold import Manifold, TangentPoint, _entry, _number, _positive, _seed, json_numbers
 from .planner import (
     Chain,
     LinearGramianOracle,
@@ -88,7 +88,7 @@ class SystemDefinition:
             raise DefinitionError("manifold", "expected an object with a 'kind'")
         kind = mdesc["kind"]
         if kind == "flat":
-            manifold = _entry(mdesc, "dim", lambda dim: Manifold.flat(int(json_numbers(dim, integer=True))),
+            manifold = _entry(mdesc, "dim", lambda dim: Manifold.flat(_number(dim, integer=True)),
                               "manifold.")
         elif kind == "sphere2":
             manifold = Manifold.sphere2()

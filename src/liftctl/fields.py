@@ -21,7 +21,7 @@ import functools
 
 import numpy as np
 
-from .manifold import TangentPoint, json_numbers
+from .manifold import TangentPoint, _number, json_numbers
 
 _FD_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -419,10 +419,10 @@ def field_from_descriptor(desc: dict) -> PolynomialField:
     if kind == "constant":
         return ConstantField(json_numbers(desc["vector"]))
     if kind == "zero":
-        return ConstantField(np.zeros(int(json_numbers(desc["dim"], integer=True))), name="zero")
+        return ConstantField(np.zeros(_number(desc["dim"], integer=True)), name="zero")
     if kind == "polynomial":
         comps = [
-            [(float(json_numbers(coeff)), tuple(json_numbers(exps, integer=True).tolist()))
+            [(_number(coeff), tuple(json_numbers(exps, integer=True).tolist()))
              for coeff, exps in component]
             for component in desc["components"]
         ]

@@ -31,7 +31,7 @@ those of a batch, one of three ways.
   Python floats, or on the numpy columns of a batch, one call per segment
   and per column of a fiber matrix. On the sphere its loop renormalizes
   the state and re-projects the fiber after every step, and stops at the
-  first drift past DRIFT_TOL.
+  first drift past DRIFT_TOL, where a batch's row turns NaN, a miss.
 - Stages. Bare-callable fields step through rhs and rhs_jacobian in
   _stages, the reference that the kernel tests compare against.
 
@@ -368,16 +368,22 @@ def _check_drift(drift, t, tol=DRIFT_TOL) -> None:
         raise IntegrationError(f"off-manifold drift {drift:.3e} at t={np.max(t)}")
 
 
+def _row_norms(nrm: np.ndarray, tol=DRIFT_TOL) -> np.ndarray:
+    """A batch's row norms, NaN where a row drifts past tol: a miss from there
+    on, which the batch's drift (an np.fmax peak) skips until no row is left."""
+    return np.where(np.abs(nrm - 1.0) <= tol, nrm, np.nan)
+
+
 def _to_sphere(x: np.ndarray, v, t, tol=DRIFT_TOL) -> tuple[np.ndarray, np.ndarray | None, float]:
-    """Renormalize a state, or each row of a batch, onto the unit sphere and
-    re-project the fiber v, unless None; return (x, v, largest |‖x‖ - 1|).
-    A drift past tol or NaN raises IntegrationError naming time t."""
+    """Renormalize a state, or each row of a batch (_row_norms), onto the unit
+    sphere and re-project the fiber v, unless None; return (x, v, the largest
+    |‖x‖ - 1|). A drift past tol or NaN raises IntegrationError naming time t."""
     if x.ndim == 1:
         nrm = math.sqrt(x @ x)  # the value np.linalg.norm gives, at less cost
         x, drift = x / nrm, abs(nrm - 1.0)
     else:
-        nrm = np.linalg.norm(x, axis=1, keepdims=True)
-        x, drift = x / nrm, float(np.max(np.abs(nrm - 1.0)))
+        nrm = _row_norms(np.linalg.norm(x, axis=1, keepdims=True), tol)
+        x, drift = x / nrm, float(np.fmax.reduce(np.abs(nrm - 1.0), axis=None))
     _check_drift(drift, t, tol)
     if v is not None:
         v = v - (x * (x @ v) if v.ndim == 1 else np.outer(x, x @ v))
@@ -469,7 +475,8 @@ def _advance(sys: AffineSystem, uval: np.ndarray, h, n_steps: int, x: np.ndarray
     table, bind = sys._polynomial_kernel
     coeffs = np.insert(uval, 0, 1.0, axis=-1) @ table
     # on Python floats, or on the numpy columns of a batch's rows
-    base, lifted = (bind(h, coeffs.T, np.sqrt, lambda d: np.abs(d).max()) if batch
+    base, lifted = (bind(h, coeffs.T, lambda s: _row_norms(np.sqrt(s)),
+                         lambda d: np.fmax.reduce(np.abs(d))) if batch
                     else bind(h, coeffs.tolist(), math.sqrt, abs))
     start = list(x.T) if batch else x.tolist()
     columns = [] if v is None else v.reshape(len(start), -1).T.tolist()  # a vector is one column
@@ -590,8 +597,8 @@ def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.n
     fiber_flows checks them, first. Affine rows take their step maps
     in one stacked pass; rows sharing a step count are one _power where
     _drift_bound certifies them all, else one _advance of a stacked state.
-    Off the sphere a row ends bitwise where a fiber_flows run ends, and on it
-    where integrate_base does up to rounding.
+    Off the sphere a row ends bitwise where a fiber_flows run ends, on it where
+    integrate_base does up to rounding, or NaN where that raises for drift.
     """
     steps = np.asarray(steps, dtype=float)
     x = np.asarray(sys.manifold.check_point(x0), dtype=float)
@@ -616,8 +623,11 @@ def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.n
             if on_sphere:  # certified: only NaN raises
                 ends[rows] = _to_sphere(ends[rows], None, k * sizes[rows], math.inf)[0]
         else:
-            ends[rows] = _advance(sys, controls[rows], sizes[rows], int(k), start, None, 0.0, None,
-                                  on_sphere)[0]
+            try:
+                ends[rows] = _advance(sys, controls[rows], sizes[rows], int(k), start, None, 0.0,
+                                      None, on_sphere)[0]
+            except IntegrationError:  # every row drifted off the sphere: all are misses
+                ends[rows] = np.nan
     return ends
 
 

@@ -191,9 +191,11 @@ def _entry(data, key: str, parse, where: str = ""):
         raise DefinitionError(where + key, f"malformed: {exc!r}") from exc
 
 
-def _number(value) -> float:
-    """value, which must be a finite JSON number, as a float."""
-    return float(json_numbers(value))
+def _number(value, integer: bool = False):
+    """value, one finite JSON number (an integer with integer=True), as a float (an int)."""
+    if isinstance(value, list):
+        raise ValueError(f"expected {'an integer' if integer else 'a finite number'}, got {value!r}")
+    return int(json_numbers(value, integer=True)) if integer else float(json_numbers(value))
 
 
 def _positive(value) -> float:
@@ -207,7 +209,7 @@ def _positive(value) -> float:
 def _seed(value) -> int:
     """value, which must be a non-negative JSON integer within the float
     range (numpy takes no seed < 0), as an int."""
-    value = int(json_numbers(value, integer=True))
+    value = _number(value, integer=True)
     if value < 0:
         raise ValueError(f"must be a non-negative integer, got {value}")
     return value

@@ -2,17 +2,17 @@
 chain-controllability algorithm with an independent verifier.
 
 A chain from p to q is a sequence of legs: flow the lifted system for longer
-than the minimum duration, then jump by at most epsilon (in the tangent
-metric) to the start of the next leg. The planner cuts the oracle's plan
-from the source base x to the target base y into legs. The fiber flow is
-linear, so each leg is integrated once, as its fiber transition, and the
-last leg's fiber is linear in the jumps: one least-norm solve allocates
-them all; round trips y -> x -> y are appended, fewest first, each from
-where the itinerary ends, until every jump fits within epsilon. The legs
-are then walked off their transitions, with no further integration. A gap
-that no itinerary within the leg budget covers raises an error carrying the
-partial chain. The verifier re-checks a chain against the caller's
-epsilon, T and endpoints, re-integrating every leg.
+than the minimum duration, then jump by at most epsilon (in the tangent metric)
+to the start of the next leg. The planner cuts the oracle's plan (one rotation,
+for two rotation generators on the sphere) from the source base x to the target
+base y into legs. The fiber flow is linear, so each leg is integrated once, as
+its fiber transition, and the last leg's fiber is linear in the jumps: one
+least-squares solve allocates them all; round trips y -> x -> y are appended,
+fewest first, each from where the itinerary ends, until every jump fits within
+epsilon. The legs are then walked off their transitions, with no further
+integration. A gap that no itinerary within the leg budget covers raises an
+error carrying the partial chain. The verifier re-checks a chain against the
+caller's epsilon, T and endpoints, re-integrating every leg.
 
 Fiber transitions, verification, fiber witnesses and reachable-set samples
 read only end points, through flow.fiber_flows (one pass of matrix powers
@@ -130,30 +130,28 @@ def _skew_axis(matrix: np.ndarray) -> np.ndarray:
 
 
 class SphereRotationOracle:
-    """Closed-form steering on the sphere by composing rotations about two
-    orthogonal axes (constant controls, at most three segments)."""
+    """Closed-form steering on the sphere by one rotation (Rodrigues' formula;
+    Murray, Li & Sastry, 1994, ch. 2) about w = (b.d) a - (a.d) b, d = x - y,
+    for the generators' two axes a and b furthest from parallel: w lies in
+    their span and is equidistant from x and y, so the control (b.d, -a.d),
+    held for the signed angle from x to y about w, lands on y."""
 
     def __init__(self, generators, bounds):
-        # generators: list of (channel, so(3) matrix); pick an orthogonal pair
-        self.n_channels = len(bounds)
-        axes = [(chan, _skew_axis(m)) for chan, m in generators]
-        nonzero = [(chan, axis) for chan, axis in axes if np.linalg.norm(axis) >= 1e-12]
-        pair = next(((a, b) for a, b in itertools.permutations(nonzero, 2)
-                     if abs((a[1] / np.linalg.norm(a[1])) @ (b[1] / np.linalg.norm(b[1]))) < 1e-9),
-                    None)
-        if pair is None:
-            raise SteeringFailure("rotation oracle needs two orthogonal rotation axes")
-        (self.primary_chan, p_axis), (self.secondary_chan, s_axis) = pair
-        self.primary_speed = float(np.linalg.norm(p_axis))
-        self.secondary_speed = float(np.linalg.norm(s_axis))
-        p = p_axis / self.primary_speed
-        s = s_axis / self.secondary_speed
-        self.frame = np.column_stack([s, np.cross(p, s), p])
-        self.bounds = np.asarray(bounds, dtype=float)
-        for chan in (self.primary_chan, self.secondary_chan):
-            lo, hi = self.bounds[chan]
-            if min(hi, -lo) <= 0.0:
-                raise SteeringFailure("rotation oracle needs symmetric control authority")
+        # generators: list of (channel, so(3) matrix)
+        def sine(pair):  # of the angle between the pair's axes; 0 for a zero axis
+            (_, a), (_, b) = pair
+            return np.linalg.norm(np.cross(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b) or 1.0)
+
+        best = max(itertools.combinations([(chan, _skew_axis(m)) for chan, m in generators], 2),
+                   key=sine, default=None)
+        if best is None or sine(best) < 1e-9:
+            raise SteeringFailure("rotation oracle needs two independent rotation axes")
+        (chan_a, self.a), (chan_b, self.b) = best
+        self.channels, self.bounds = [chan_a, chan_b], np.asarray(bounds, dtype=float)
+        lo, hi = self.bounds[self.channels].T
+        if min(*hi, *-lo) <= 0.0:
+            raise SteeringFailure("rotation oracle needs symmetric control authority")
+        self.caps = np.minimum(np.minimum(hi, -lo), 1.0)  # no speed above 1
 
     @staticmethod
     def for_system(sys: AffineSystem) -> "SphereRotationOracle":
@@ -169,29 +167,21 @@ class SphereRotationOracle:
                 gens.append((chan, parts[0]))
         return SphereRotationOracle(gens, sys.bounds)
 
-    def _segment(self, channel: int, speed: float, angle: float):
-        if abs(angle) < 1e-12:
-            return None
-        lo, hi = self.bounds[channel]
-        mag = min(hi, -lo, 1.0)
-        value = np.zeros(self.n_channels)
-        value[channel] = math.copysign(mag, angle)
-        return (abs(angle) / (speed * mag), value)
-
     def solve(self, x: np.ndarray, y: np.ndarray) -> tuple[float, ControlSignal]:
-        xi = self.frame.T @ np.asarray(x, dtype=float)
-        eta = self.frame.T @ np.asarray(y, dtype=float)
-        # rotate about the primary axis to azimuth pi/2, tilt about the
-        # secondary axis to the target latitude, rotate to the target azimuth
-        alpha = math.remainder(0.5 * math.pi - math.atan2(xi[1], xi[0]), 2.0 * math.pi)
-        a0 = math.atan2(xi[2], math.hypot(xi[0], xi[1]))
-        beta = math.asin(min(1.0, max(-1.0, eta[2]))) - a0
-        gamma = math.remainder(math.atan2(eta[1], eta[0]) - 0.5 * math.pi, 2.0 * math.pi)
-        segments = (self._segment(self.primary_chan, self.primary_speed, alpha),
-                    self._segment(self.secondary_chan, self.secondary_speed, beta),
-                    self._segment(self.primary_chan, self.primary_speed, gamma))
-        sig = ControlSignal(tuple(seg for seg in segments if seg is not None))
-        return sig.total_duration, sig
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        u = np.array([self.b @ (x - y), -(self.a @ (x - y))])
+        u = u if u.any() else np.array([1.0, 0.0])  # x - y normal to the span: any axis will do
+        u /= np.max(np.abs(u) / self.caps)
+        w = u[0] * self.a + u[1] * self.b
+        axis = w / np.linalg.norm(w)
+        # the angle between the projections of x and y onto the axis's normal plane
+        angle = math.atan2(axis @ np.cross(x, y), x @ y - (axis @ x) * (axis @ y))
+        if abs(angle) < 1e-12:
+            return 0.0, ControlSignal.empty()
+        value = np.zeros(len(self.bounds))
+        value[self.channels] = math.copysign(1.0, angle) * u + 0.0  # + 0.0: no -0.0 in a plan
+        duration = abs(angle) / float(np.linalg.norm(w))
+        return duration, ControlSignal.constant(value, duration)
 
 
 class SearchOracle:
@@ -554,8 +544,9 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
 
     # The last leg ends at the flowed source fiber plus each jump carried to
     # the end by the tails Q_j, so the least-norm jumps that close the gap g
-    # to the target fiber are Q_j^T W^-1 g, W = sum Q_j Q_j^T >= I (the last Q
-    # is I). The itinerary is the plan plus the fewest round trips y -> x -> y
+    # to the target fiber solve [Q_1 ... Q_J] d = g (the last Q is I) by least
+    # squares; the normal equations' W = sum Q_j Q_j^T >= I lose their identity
+    # to rounding as the tails grow (Golub & Van Loan, 2013, §5.3). The itinerary is the plan plus the fewest round trips y -> x -> y
     # (solved on first use, each integrated from where the itinerary ends) whose
     # jumps all fit, the last beside the base error. Fibers are coordinates in
     # the frames of _chunk_transitions, which chain exactly.
@@ -569,8 +560,8 @@ def plan_chain(sys: AffineSystem, oracle, source: TangentPoint, target: TangentP
     while True:
         end_base, end_frame, _ = trans[-1]
         gap = end_frame.T @ m.project_tangent(end_base, target.v) - fiber
-        gram = np.einsum("jab,jcb->ac", tails, tails)
-        jumps = tails.transpose(0, 2, 1) @ np.linalg.solve(gram, gap)
+        stacked = tails.transpose(1, 0, 2).reshape(len(gap), -1)  # [Q_1 ... Q_J]
+        jumps = np.linalg.lstsq(stacked, gap)[0].reshape(len(tails), -1)
         sizes = np.linalg.norm(jumps, axis=1)
         # The jumps are fiber-only, so only round trips move the base error. A
         # round trip that left it past eps_eff without shrinking it ends the

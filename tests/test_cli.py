@@ -292,10 +292,10 @@ def test_chain_verify_only_reports_a_leg_it_cannot_integrate(tmp_path, capsys, e
 
 
 def _flat_definition(tmp_path, drift, vectors, bound) -> str:
-    """A flat R^2 definition with a linear drift and constant control fields."""
+    """A flat R^n definition with a linear drift and constant control fields."""
     definition = tmp_path / "flat.json"
     definition.write_text(json.dumps({
-        "schema_version": 1, "manifold": {"kind": "flat", "dim": 2},
+        "schema_version": 1, "manifold": {"kind": "flat", "dim": len(drift)},
         "drift": {"type": "linear", "matrix": drift},
         "controlled": [{"type": "constant", "vector": vec} for vec in vectors],
         "bounds": [[-bound, bound]] * len(vectors), "metric": "flat_product",
@@ -311,12 +311,14 @@ def test_uncovered_fiber_gap_stops_at_the_leg_budget(tmp_path, capsys, monkeypat
     target. Round trips stop at the first that leaves that base error past
     eps_eff, which no fiber jump can close, and larger than it was, after
     43 of the 80 legs (the chain used to walk all 80). The itinerary grows with one least-norm solve per itinerary
-    tried, so the solves stay below two per leg."""
+    tried, so the solves (linear solves and least squares) stay below two
+    per leg."""
     definition = _flat_definition(tmp_path, [[1.0, 0.0], [0.0, 1.0]],
                                   [[1.0, 0.0], [0.0, 1.0]], 10.0)
     solves = []
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+    for name in ("solve", "lstsq"):
+        counted = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, f=counted: solves.append(1) or f(*args))
     code, out, _ = run_cli(["chain", definition, "--source=0,0;0.3,0",
                             "--target=1,1;0,-0.3", "--eps", "0.25", "--T", "0.5"], capsys)
     assert code == 1
@@ -325,6 +327,26 @@ def test_uncovered_fiber_gap_stops_at_the_leg_budget(tmp_path, capsys, monkeypat
                                 "itinerary's end exceeds eps_eff 2.500e-01")
     assert len(payload["partial_chain"]["legs"]) == 43
     assert len(solves) <= 2 * 43
+
+
+@pytest.mark.parametrize("source,target,legs", [
+    ("0,0,0;0.3,0,0", "0.1,0,0;0,0.3,0", 40),
+    ("0,0,0;1,1,1", "0,0,0;-1,1,-1", 140),
+])
+def test_jumps_allocated_by_least_squares_end_in_a_partial_chain(tmp_path, capsys, source,
+                                                                 target, legs):
+    """Under this flat R^3 drift (eigenvalues -1.43, 0.68 and 0.48) the
+    round trips' tails grow until rounding drops the identity from the
+    normal equations' W = sum Q_j Q_j^T; solving them exited 2 with
+    "Singular matrix" and no chain. The least-squares allocation reaches
+    the leg budget instead: exit 1, with the partial chain."""
+    drift = [[0.429, -0.508, 0.806], [0.205, 0.33, -0.39], [0.752, -0.497, -1.027]]
+    definition = _flat_definition(tmp_path, drift, [[1.425, -0.427, 0.043]], 1000.0)
+    code, out, _ = run_cli(["chain", definition, f"--source={source}", f"--target={target}",
+                            "--eps", "0.25", "--T", "0.5"], capsys)
+    payload = json.loads(out)
+    assert code == 1 and payload["error"].startswith(f"no chain within {legs} legs")
+    assert len(payload["partial_chain"]["legs"]) == legs
 
 
 @pytest.mark.parametrize("eps,legs", [(0.001, 65), (1e-4, 40)])
@@ -387,6 +409,9 @@ def test_chain_verify_only_malformed_file(tmp_path, capsys, path, named):
     (("seed",), 7.9, "seed"), (("epsilon",), "0.25", "epsilon"), (("seed",), -1, "seed"),
     (("legs", 0, "control"), {"a": 1}, "legs[0].control"),
     (("legs", 0, "control"), [[0.5, [[0.5]]]], "legs[0].control"),
+    # a list where one number belongs
+    (("epsilon",), [0.25], "epsilon"), (("step",), [0.001], "step"), (("seed",), [1], "seed"),
+    (("legs", 0, "duration"), [1.0], "legs[0].duration"),
 ])
 def test_chain_verify_only_rejects_bad_numbers(tmp_path, capsys, path, value, named):
     """A chain file cannot lower the bar: an epsilon, T or step that is not
@@ -400,6 +425,22 @@ def test_chain_verify_only_rejects_bad_numbers(tmp_path, capsys, path, value, na
     code, out, err = verify_edited_plan(tmp_path, capsys, path, assign)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {named}:")
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("epsilon", [0.25], "expected a finite number, got [0.25]"),
+    ("seed", [1], "expected an integer, got [1]"),
+])
+def test_a_list_where_one_number_belongs_is_named_in_its_own_words(tmp_path, capsys, key, value,
+                                                                  message):
+    """A one-number entry given as a list is refused by the rule for one
+    number, not by numpy's scalar conversion (it used to read "malformed:
+    TypeError('only 0-dimensional arrays can be converted ...')")."""
+    def assign(entry, name):
+        entry[name] = value
+
+    code, out, err = verify_edited_plan(tmp_path, capsys, (key,), assign)
+    assert (code, out, err) == (2, "", f"error: {key}: {message}\n")
 
 
 def test_chain_verify_only_ill_typed_entry(tmp_path, capsys):
@@ -501,6 +542,12 @@ def test_definition_and_flag_entries_are_named(tmp_path, capsys, edit, args, nam
     ({"LIFTCTL_SEED": "-3"}, "LIFTCTL_SEED"),
     # a seed past the float range, which a chain file's seed rule refuses (it used to load)
     ({"seed": 10 ** 400}, "seed"),
+    # a list where one number belongs
+    ({"step": [0.001]}, "step"),
+    ({"seed": [2]}, "seed"),
+    ({"manifold": {"kind": "flat", "dim": [1]}}, "manifold.dim"),
+    ({"drift": {"type": "zero", "dim": [1]}}, "drift"),
+    ({"drift": {"type": "polynomial", "components": [[[[1.0], [1]]]]}}, "drift"),
 ])
 def test_definition_rejects_non_finite_and_boolean_entries(tmp_path, capsys, monkeypatch, changes,
                                                            field):

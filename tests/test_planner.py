@@ -36,9 +36,10 @@ from liftctl import (
     verify_chain,
 )
 from liftctl.cli import SystemDefinition
-from liftctl.flow import fiber_flows, split_signal
+from liftctl.flow import constant_control_endpoints, fiber_flows, split_signal
 from liftctl.liealg import generate_brackets
 from liftctl import planner
+from liftctl.errors import IntegrationError
 from liftctl.planner import LegCheck, _chunk_transitions, sample_control_signals
 
 DEFS = Path(__file__).resolve().parent.parent / "defs"
@@ -75,6 +76,21 @@ def sphere_system():
     return AffineSystem(Manifold.sphere2(), ConstantField(np.zeros(3)),
                         (LinearField(L3), LinearField(L1)),
                         [[-1.0, 1.0], [-1.0, 1.0]])
+
+
+def skew(axis):
+    """The so(3) matrix of x -> axis x x."""
+    a1, a2, a3 = axis
+    return np.array([[0.0, -a3, a2], [a3, 0.0, -a1], [-a2, a1, 0.0]])
+
+
+# two rotation axes 25 degrees apart, of norms 0.95 and 3.08
+AXES_25 = ((0.8955, -0.1204, 0.2687), (2.9609, 0.8042, 0.2678))
+
+
+def two_axis_system(axes, drift=np.zeros((3, 3)), bounds=((-1.0, 1.0), (-1.0, 1.0))):
+    return AffineSystem(Manifold.sphere2(), LinearField(drift),
+                        tuple(LinearField(skew(axis)) for axis in axes), bounds)
 
 
 # --- steering ---------------------------------------------------------------
@@ -129,16 +145,85 @@ def test_sphere_rotation_steer_quarter_turn():
 
 
 def test_sphere_rotation_steer_random_pairs():
-    sys = sphere_system()
-    oracle = SphereRotationOracle.for_system(sys)
-    m = sys.manifold
-    rng = np.random.default_rng(61)
-    for _ in range(10):
-        x = m.random_point(rng)
-        y = m.random_point(rng)
-        _, sig = oracle.solve(x, y)
-        end = integrate_base(sys, x, sig, 1e-3).final_state
-        assert m.base_distance(end, y) <= 1e-6
+    """Any two independent axes steer x onto y by one segment inside the
+    bounds, at full speed on at least one channel: orthogonal axes, axes
+    25 degrees apart, and axes 60 degrees apart with lopsided bounds, which
+    cap the speeds at 0.5 and 0.7."""
+    for sys in (sphere_system(), two_axis_system(AXES_25),
+                two_axis_system(((1.0, 0.0, 0.0), (0.5, math.sqrt(0.75), 0.0)),
+                                bounds=((-0.5, 2.0), (-3.0, 0.7)))):
+        oracle = SphereRotationOracle.for_system(sys)
+        m = sys.manifold
+        caps = np.minimum(np.minimum(sys.bounds[:, 1], -sys.bounds[:, 0]), 1.0)
+        rng = np.random.default_rng(61)
+        for _ in range(10):
+            x = m.random_point(rng)
+            y = m.random_point(rng)
+            duration, sig = oracle.solve(x, y)
+            assert len(sig.segments) == 1 and duration == sig.total_duration
+            sys.check_signal(sig)
+            assert np.max(np.abs(sig.segments[0][1]) / caps) == pytest.approx(1.0)
+            end = integrate_base(sys, x, sig, 1e-3).final_state
+            assert m.base_distance(end, y) <= 1e-6
+
+
+def test_sphere_rotation_takes_the_pair_furthest_from_parallel():
+    """Of three generators, the oracle turns about the two axes furthest from
+    parallel, z and x, and leaves the third, 5.7 degrees from z, at zero."""
+    sys = two_axis_system(((0.1, 0.0, 1.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),
+                          bounds=((-1.0, 1.0),) * 3)
+    x, y = np.array([0.0, 0.6, 0.8]), np.array([0.8, 0.0, -0.6])
+    _, sig = SphereRotationOracle.for_system(sys).solve(x, y)
+    assert len(sig.segments) == 1 and sig.segments[0][1][0] == 0.0
+    assert sys.manifold.base_distance(integrate_base(sys, x, sig, 1e-3).final_state, y) <= 1e-6
+
+
+@pytest.mark.parametrize("axes", [
+    ((0.0, 0.0, 1.0), (0.0, 0.0, -2.0)),  # parallel
+    ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0)),  # one rotation and a zero field
+    ((0.0, 0.0, 1.0),),  # one generator
+], ids=["parallel", "zero", "single"])
+def test_sphere_rotation_needs_two_independent_axes(axes):
+    sys = two_axis_system(axes, bounds=((-1.0, 1.0),) * len(axes))
+    with pytest.raises(SteeringFailure, match="two independent rotation axes"):
+        SphereRotationOracle.for_system(sys)
+
+
+def test_sphere_rotation_same_point_is_an_empty_plan():
+    x = np.array([0.6, 0.0, 0.8])
+    duration, sig = SphereRotationOracle.for_system(two_axis_system(AXES_25)).solve(x, x)
+    assert duration == 0.0 and sig.segments == ()
+
+
+@pytest.mark.parametrize("drift", [np.zeros((3, 3)), 0.2 * L3], ids=["driftless", "drift"])
+def test_search_on_a_25_degree_sphere_system_misses_without_an_integration_error(drift):
+    """Search candidates that drift off the sphere past DRIFT_TOL at their
+    coarse step score NaN, misses, as diverged rows do: the search ends in
+    its own SteeringFailure (it used to end in "off-manifold drift")."""
+    sys = two_axis_system(AXES_25, drift)
+    with pytest.raises(SteeringFailure, match="search budget exhausted"):
+        SearchOracle(sys).solve(np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, -0.8]))
+
+
+def test_drifting_rows_score_nan_and_the_others_keep_their_ends():
+    """A candidate whose coarse steps drift off the sphere past DRIFT_TOL,
+    where integrate_base raises, ends NaN, alone or in a batch; every other
+    row of the batch ends where integrate_base does, up to rounding."""
+    sys = two_axis_system(AXES_25, 0.2 * L3)
+    x = np.array([0.0, 0.0, 1.0])
+    durations = np.array([0.5, 8.0, 8.0, 8.0])
+    controls = np.array([[1.0, 1.0], [1.0, 1.0], [-1.0, 0.5], [0.2, 0.1]])
+    steps = np.maximum(1e-2, durations / 120.0)
+    ends = constant_control_endpoints(sys, x, controls, durations, steps)
+    assert np.isnan(ends[1]).all()
+    assert np.isnan(constant_control_endpoints(sys, x, controls[1:2], durations[1:2],
+                                               steps[1:2])).all()
+    with pytest.raises(IntegrationError, match="off-manifold drift"):
+        integrate_base(sys, x, ControlSignal.constant(controls[1], durations[1]), steps[1])
+    for r in (0, 2, 3):
+        sig = ControlSignal.constant(controls[r], durations[r])
+        assert np.allclose(ends[r], integrate_base(sys, x, sig, steps[r]).final_state,
+                           rtol=0.0, atol=1e-12)
 
 
 def test_search_oracle_line():
@@ -530,18 +615,19 @@ def test_plan_chain_single_leg_when_flow_hits_target():
 
 def test_plan_chain_pair_within_reach_is_one_unsplit_leg():
     """A target within eps of the source is reached by the whole padded
-    plan as one leg when its flowed end lands within eps too: here one 3.08 s
-    leg on sphere_two_axis, where cutting the plan into legs takes 6."""
+    plan as one leg when its flowed end lands within eps too: here one
+    quarter turn about z, pi/2 s, on sphere_two_axis, where cutting the plan
+    into legs takes 3."""
     defn = SystemDefinition.load(str(SPHERE_TWO_AXIS))
     oracle = SphereRotationOracle.for_system(defn.system)
-    c, s = math.cos(0.06), math.sin(0.06)
-    source = TangentPoint([1.0, 0.0, 0.0], [0.0, 0.1, 0.0])
-    target = TangentPoint([c, s, 0.0], [-0.1 * s, 0.1 * c, 0.0])
+    m, z = defn.system.manifold, math.sqrt(1.0 - 0.06 ** 2)
+    source, target = (TangentPoint(x, m.project_tangent(x, [0.05, 0.0, 0.0]))
+                      for x in (np.array([0.0, 0.06, z]), np.array([0.06, 0.0, z])))
     chain = plan_chain(defn.system, oracle, source, target, 0.25, 0.5, step=defn.step)
     assert len(chain.legs) == 1
     leg = chain.legs[0]
     assert leg.start is source and leg.jump_target is target
-    assert leg.duration == pytest.approx(3.08, abs=5e-3)
+    assert leg.duration == pytest.approx(math.pi / 2.0, abs=5e-3)
     assert verify_chain(defn.system, chain).passed
 
 
