@@ -419,7 +419,9 @@ def field_from_descriptor(desc: dict) -> PolynomialField:
     if kind == "constant":
         return ConstantField(json_numbers(desc["vector"]))
     if kind == "zero":
-        return ConstantField(np.zeros(_number(desc["dim"], integer=True)), name="zero")
+        if (dim := _number(desc["dim"], integer=True)) < 1:  # np.zeros would refuse -1 in its own words
+            raise ValueError(f"zero field dim must be at least 1, got {dim}")
+        return ConstantField(np.zeros(dim), name="zero")
     if kind == "polynomial":
         comps = [
             [(_number(coeff), tuple(json_numbers(exps, integer=True).tolist()))

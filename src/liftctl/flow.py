@@ -409,16 +409,32 @@ def _drift_bound(m: np.ndarray, c: np.ndarray):
     return bounds if m.ndim == 3 else bounds[0]
 
 
+def _matrix_power(a: np.ndarray, k: int) -> np.ndarray:
+    """np.linalg.matrix_power(a, k), k >= 1, of a float stack: its products in
+    its order (k = 1, 2, 3 directly, else squaring over k's bits from the
+    lowest), so bitwise its result, without its checks and conversions."""
+    if k <= 3:
+        return a if k == 1 else a @ a if k == 2 else (a @ a) @ a
+    z = result = None
+    while k > 0:
+        z = a if z is None else z @ z
+        k, bit = divmod(k, 2)
+        if bit:
+            result = z if result is None else result @ z
+    return result
+
+
 def _power(m: np.ndarray, c: np.ndarray, counts) -> np.ndarray:
     """The counts[r]-th powers of [[M_r, c_r], [0, 1]] of a stack of maps, as
-    (B, n + 1, n + 1): one np.linalg.matrix_power per distinct count, so each
-    is bitwise its single map's power. The one place powers are taken."""
+    (B, n + 1, n + 1): one _matrix_power per distinct count (of the whole stack
+    for one), so each is bitwise its single map's power. The one place powers are taken."""
     n = m.shape[-1]
     power = np.zeros((len(m), n + 1, n + 1))
     power[:, :n, :n], power[:, :n, n], power[:, n, n] = m, c, 1.0
-    for k in sorted(set(counts)):  # np.unique would import numpy.ma
-        rows = [r for r, count in enumerate(counts) if count == k]
-        power[rows] = np.linalg.matrix_power(power[rows], k)
+    distinct = sorted(set(counts))  # np.unique would import numpy.ma
+    for k in distinct:
+        rows = slice(None) if len(distinct) == 1 else [r for r, count in enumerate(counts) if count == k]
+        power[rows] = _matrix_power(power[rows], k)
     return power
 
 
@@ -596,13 +612,13 @@ def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.n
     ControlSignal and check_signal check one, and its steps and grid as
     fiber_flows checks them, first. Affine rows take their step maps
     in one stacked pass; rows sharing a step count are one _power where
-    _drift_bound certifies them all, else one _advance of a stacked state.
+    _drift_bound certifies them all, else one _advance of a stacked state; a
+    batch of one count (every search level after the first) is not regrouped.
     Off the sphere a row ends bitwise where a fiber_flows run ends, on it where
     integrate_base does up to rounding, or NaN where that raises for drift.
     """
-    steps = np.asarray(steps, dtype=float)
     x = np.asarray(sys.manifold.check_point(x0), dtype=float)
-    controls, durations = np.asarray(controls, dtype=float), np.asarray(durations, dtype=float)
+    controls, durations, steps = (np.asarray(a, dtype=float) for a in (controls, durations, steps))
     bad = np.flatnonzero(~((durations > 0.0) & (durations < math.inf)))
     if bad.size:
         raise ValueError(f"segment durations must be positive and finite: segment {bad[0]} "
@@ -612,20 +628,20 @@ def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.n
     on_sphere, parts = sys.manifold.kind is ManifoldKind.SPHERE2, sys.affine_parts(controls)
     if parts is not None:
         m, c = _step_map(*parts, sizes[:, None, None])
-        bounds = np.array(_drift_bound(m, c) if on_sphere else [0.0] * len(m))
+        bounds = np.array(_drift_bound(m, c)) if on_sphere else None
     ends = np.empty((len(durations), x.shape[0]))
-    for k in sorted(set(counts.tolist())):  # np.unique would import numpy.ma
-        rows = np.flatnonzero(counts == k)
-        start = np.tile(x, (len(rows), 1))
-        if parts is not None and bounds[rows].max() <= DRIFT_TOL:  # a NaN bound fails it
-            power = _power(m[rows], c[rows], [int(k)] * len(rows))
-            ends[rows] = (power[:, :-1, :-1] @ start[:, :, None])[:, :, 0] + power[:, :-1, -1]
+    distinct = sorted(set(counts.tolist()))  # np.unique would import numpy.ma
+    for k in distinct:
+        rows = slice(None) if len(distinct) == 1 else np.flatnonzero(counts == k)
+        if parts is not None and (bounds is None or bounds[rows].max() <= DRIFT_TOL):  # NaN fails it
+            power = _power(m[rows], c[rows], [int(k)] * len(ends[rows]))
+            ends[rows] = power[:, :-1, :-1] @ x + power[:, :-1, -1]  # each row as a fiber_flows run
             if on_sphere:  # certified: only NaN raises
                 ends[rows] = _to_sphere(ends[rows], None, k * sizes[rows], math.inf)[0]
         else:
             try:
-                ends[rows] = _advance(sys, controls[rows], sizes[rows], int(k), start, None, 0.0,
-                                      None, on_sphere)[0]
+                ends[rows] = _advance(sys, controls[rows], sizes[rows], int(k),
+                                      np.tile(x, (len(ends[rows]), 1)), None, 0.0, None, on_sphere)[0]
             except IntegrationError:  # every row drifted off the sphere: all are misses
                 ends[rows] = np.nan
     return ends

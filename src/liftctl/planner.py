@@ -189,11 +189,13 @@ class SearchOracle:
 
     Candidate plans are integrated with a step proportional to their duration,
     coarse enough to keep the search cheap and far below the steering
-    tolerance in accuracy. Each grid level is one constant_control_endpoints
-    call (for affine systems a stacked matrix power per step count) and one
-    base_distance call over the finite end points; the winner is the first
-    strict minimum of the endpoint error in t-major, u-minor order, as if
-    the candidates had been tried one at a time.
+    tolerance in accuracy. Each grid level is one stacked pass: one
+    constant_control_endpoints call (for affine systems one matrix power of
+    the stack per step count; durations of at least 120 eval_step all take
+    120 steps) and one base_distance call over the end points (the finite
+    ones where a row diverged and scores NaN); the winner is the first strict
+    minimum of the endpoint error in t-major, u-minor order, as if the
+    candidates had been tried one at a time. Every range then shrinks around it.
     """
 
     steer_tol = SEARCH_STEER_TOL
@@ -211,50 +213,41 @@ class SearchOracle:
         with np.errstate(over="ignore", invalid="ignore"):  # a diverged row is a miss
             ends = constant_control_endpoints(self.sys, x, controls, durations, steps)
             finite = np.isfinite(ends).all(axis=1)
+            if finite.all():  # nothing diverged: every row is scored as it is
+                return self.sys.manifold.base_distance(ends, y)
             errs = np.full(len(ends), np.nan)
-            # one call scores the finite rows; a diverged candidate scores NaN
-            # without reaching base_distance, which rejects a non-finite point
+            # a diverged row scores NaN without reaching base_distance, which rejects it
             errs[finite] = self.sys.manifold.base_distance(ends[finite], y)
         return errs
 
     def solve(self, x: np.ndarray, y: np.ndarray) -> tuple[float, ControlSignal]:
-        m = self.sys.n_controls
         if self.sys.manifold.base_distance(x, y) <= self.steer_tol:
             return 0.0, ControlSignal.empty()
-        t_lo, t_hi = self.eval_step, self.t_max
-        u_lo = self.sys.bounds[:, 0].copy()
-        u_hi = self.sys.bounds[:, 1].copy()
-        best = (np.inf, None, None)
-        evals = 0
+        # the duration's range, then each channel's, as Python floats
+        limits = ranges = [(self.eval_step, self.t_max), *self.sys.bounds.tolist()]
+        best, evals = (np.inf, None, None), 0
         for _ in range(self.levels):
-            t_grid = np.linspace(t_lo, t_hi, 9)
-            u_grids = [np.linspace(u_lo[i], u_hi[i], 5) for i in range(m)]
-            mesh = np.stack(np.meshgrid(*u_grids, indexing="ij"), axis=-1).reshape(-1, m)
             # the level's candidates in t-major, u-minor order, cut at the budget
-            n = max(0, min(len(t_grid) * len(mesh), self.budget - evals))
-            durations = np.repeat(t_grid, len(mesh))[:n]
-            controls = np.tile(mesh, (len(t_grid), 1))[:n]
+            (t_lo, t_hi), *u_ranges = ranges
+            grids = (np.linspace(lo, hi, 5).tolist() for lo, hi in u_ranges)
+            mesh = np.array(list(itertools.product(*grids)))
+            n = max(0, min(9 * len(mesh), self.budget - evals))
+            durations = np.repeat(np.linspace(t_lo, t_hi, 9), len(mesh))[:n]
+            controls = np.concatenate([mesh] * 9)[:n]
             evals += n
             if n:
                 errs = self._endpoint_errors(x, y, durations, controls)
                 # a NaN error never wins, as no comparison with NaN holds
                 i = int(np.argmin(np.where(np.isnan(errs), np.inf, errs)))
                 if errs[i] < best[0]:
-                    best = (float(errs[i]), float(durations[i]), controls[i].copy())
+                    best = (float(errs[i]), float(durations[i]), controls[i].tolist())
             if best[1] is None or evals >= self.budget or best[0] <= self.steer_tol:
                 break
-            # shrink every range around the incumbent
-            t_span = 0.2 * (t_hi - t_lo)
-            t_lo = max(self.eval_step, best[1] - t_span)
-            t_hi = min(self.t_max, best[1] + t_span)
-            for i in range(m):
-                span = 0.2 * (u_hi[i] - u_lo[i])
-                u_lo[i] = max(self.sys.bounds[i, 0], best[2][i] - span)
-                u_hi[i] = min(self.sys.bounds[i, 1], best[2][i] + span)
+            # shrink every range to 0.4 of its width around the incumbent, within its limits
+            ranges = [(max(floor, mid - 0.2 * (hi - lo)), min(top, mid + 0.2 * (hi - lo)))
+                      for (floor, top), (lo, hi), mid in zip(limits, ranges, [best[1], *best[2]])]
         if best[0] > self.steer_tol:
-            raise SteeringFailure(
-                f"search budget exhausted: best endpoint error {best[0]:.3e}"
-            )
+            raise SteeringFailure(f"search budget exhausted: best endpoint error {best[0]:.3e}")
         return best[1], ControlSignal.constant(best[2], best[1])
 
 
@@ -358,9 +351,9 @@ class Chain:
 
     @staticmethod
     def from_json(data: dict) -> "Chain":
-        """The chain of a parsed chain file; a missing or ill-typed entry, or
-        an epsilon, T or step that is not positive and finite, or a seed that
-        is not a non-negative integer, raises DefinitionError naming it."""
+        """The chain of a parsed chain file; a missing or ill-typed entry, an
+        epsilon, T or step (or step / 2) that is not positive and finite, or a
+        seed that is not a non-negative integer, raises DefinitionError naming it."""
         def legs(items):
             return tuple(ChainLeg.from_json(leg, f"legs[{i}].") for i, leg in enumerate(items))
 
@@ -370,9 +363,17 @@ class Chain:
             _entry(data, "T", _positive),
             _entry(data, "source", TangentPoint.from_json),
             _entry(data, "target", TangentPoint.from_json),
-            _entry(data, "step", _positive) if "step" in data else DEFAULT_STEP,
+            _entry(data, "step", _chain_step) if "step" in data else DEFAULT_STEP,
             _entry(data, "seed", _seed) if "seed" in data else 0,
         )
+
+
+def _chain_step(value) -> float:
+    """A chain file's step: positive and finite, with a positive half (verify_chain's step)."""
+    step = _positive(value)
+    if not step / 2.0 > 0.0:
+        raise ValueError(f"must be positive at half its value, where legs are re-integrated, got {step!r}")
+    return step
 
 
 def compose_chains(first: Chain, second: Chain) -> Chain:

@@ -443,6 +443,20 @@ def test_a_list_where_one_number_belongs_is_named_in_its_own_words(tmp_path, cap
     assert (code, out, err) == (2, "", f"error: {key}: {message}\n")
 
 
+def test_a_chain_step_whose_half_underflows_is_named(tmp_path, capsys):
+    """A chain file's step of 5e-324 is positive and finite, but its half,
+    the step at which the legs are re-integrated, is 0.0: every leg used to
+    fail, exit 1 ("cannot re-integrate: step must be positive and finite,
+    got 0.0"). The file's step is named now, exit 2."""
+    def assign(entry, name):
+        entry[name] = 5e-324
+
+    code, out, err = verify_edited_plan(tmp_path, capsys, ("step",), assign)
+    assert (code, out) == (2, "")
+    assert err == ("error: step: must be positive at half its value, where legs are "
+                   "re-integrated, got 5e-324\n")
+
+
 def test_chain_verify_only_ill_typed_entry(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"legs": 5, "epsilon": 0.1, "T": 0.5}))
@@ -563,6 +577,21 @@ def test_definition_rejects_non_finite_and_boolean_entries(tmp_path, capsys, mon
                               "--control", "[[0.003,[0.5]]]"], capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {field}:")
+
+
+@pytest.mark.parametrize("dim", [-1, 0])
+def test_a_zero_field_dim_below_one_is_named(tmp_path, capsys, dim):
+    """A zero field of dim -1 used to exit 2 in numpy's words ("negative
+    dimensions are not allowed"), and one of dim 0 as a field of the wrong
+    dimension; both name the field's dim now."""
+    data = json.loads(Path(LINE).read_text())
+    data["drift"] = {"type": "zero", "dim": dim}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(["simulate", str(bad), "--x0", "0", "--control", "[[0.003,[0.5]]]"],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: drift: zero field dim must be at least 1, got {dim}\n"
 
 
 CUBE_DRIFT = {"drift": {"type": "polynomial", "components": [

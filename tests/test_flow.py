@@ -879,6 +879,25 @@ def test_fiber_flows_match_single_map_runs_bitwise(name, monkeypatch):
                 assert start is None or np.array_equal(v, want[1]) and np.array_equal(v, ref[1])
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_power_helper_is_bitwise_numpys_matrix_power(n):
+    """flow._matrix_power takes matrix_power's own products in its order, so
+    a stack's powers are bitwise np.linalg.matrix_power's, for its k = 1, 2
+    and 3 shortcuts and for repeated squaring over short and long bit
+    strings."""
+    rng = np.random.default_rng(70 + n)
+    # near-identity maps with an affine column, as the augmented step maps are
+    stack = np.eye(n) + 1e-3 * rng.normal(size=(6, n, n))
+    stack[:, -1, :-1] = 0.0
+    stack[:, -1, -1] = 1.0
+    for k in (1, 2, 3, 4, 5, 7, 8, 101, 120, 1000, 2047):
+        got = flow._matrix_power(stack, k)
+        assert got.shape == stack.shape
+        assert np.array_equal(got, np.linalg.matrix_power(stack, k)), k
+        for r in (0, 5):  # each row is its own 2-D matrix's power
+            assert np.array_equal(got[r], np.linalg.matrix_power(stack[r], k)), (k, r)
+
+
 def test_fiber_flows_raise_a_refused_signals_error_when_it_runs(monkeypatch):
     """A signal that fiber_flows refuses adds no segment to the stacked pass
     and raises its own error when its run is called, after the start's

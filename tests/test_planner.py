@@ -358,6 +358,67 @@ def test_search_level_matches_one_at_a_time(make_sys, x, y):
     assert np.array_equal(sig.segments[0][1], candidates[best][1])
 
 
+def reference_search(sys, x, y, levels=10, t_max=8.0, eval_step=1e-2):
+    """SearchOracle.solve's rule with every candidate scored alone, through
+    fiber_flows: per level the 9 durations times the 5-point grid of each
+    channel, in t-major, u-minor order, the first strict minimum kept as the
+    incumbent (a candidate that raises is a miss), and each range shrunk to
+    0.4 of its width around it, within its limits. Returns (error, duration,
+    control, candidates scored)."""
+    t_lo, t_hi = eval_step, t_max
+    u_lo, u_hi = sys.bounds[:, 0].copy(), sys.bounds[:, 1].copy()
+    best, scored = (math.inf, None, None), 0
+    for _ in range(levels):
+        u_grids = [np.linspace(lo, hi, 5) for lo, hi in zip(u_lo, u_hi)]
+        for t in np.linspace(t_lo, t_hi, 9):
+            for u in itertools.product(*u_grids):
+                step = max(eval_step, t / 120.0)
+                try:
+                    end, _ = fiber_flows(sys, [ControlSignal.constant(u, t)], step)(0, x, None)
+                    err = sys.manifold.base_distance(end, y)
+                except IntegrationError:
+                    err = math.nan
+                scored += 1
+                if err < best[0]:
+                    best = (err, float(t), np.array(u))
+        if best[0] <= SearchOracle.steer_tol:
+            break
+        t_span = 0.2 * (t_hi - t_lo)
+        t_lo, t_hi = max(eval_step, best[1] - t_span), min(t_max, best[1] + t_span)
+        for i in range(sys.n_controls):
+            span = 0.2 * (u_hi[i] - u_lo[i])
+            u_lo[i] = max(sys.bounds[i, 0], best[2][i] - span)
+            u_hi[i] = min(sys.bounds[i, 1], best[2][i] + span)
+    return (*best, scored)
+
+
+FLAT_ROTATION_PAIRS = [  # source (r1, 0), target r2 (cos theta, sin theta)
+    ([r1, 0.0], [r2 * math.cos(theta), r2 * math.sin(theta)])
+    for r1, r2, theta in ((1.0, 1.3, 2.6), (0.9, 1.1, 3.0), (0.9, 1.1, 2.2))]
+
+
+@pytest.mark.parametrize("make_sys,x,y", [
+    *((lambda: SystemDefinition.load(str(DEFS / "flat_rotation.json")).system, x, y)
+      for x, y in FLAT_ROTATION_PAIRS),
+    (sphere_system, [1.0, 0.0, 0.0], [0.0, 0.6, 0.8]),
+])
+def test_search_levels_match_one_candidate_at_a_time(make_sys, x, y):
+    """A whole multi-level search, each level one stacked pass, scores as
+    many candidates and returns exactly the duration and control that the
+    same level and shrink rule picks when every candidate is integrated
+    alone through fiber_flows (on flat_rotation's pairs at distances 2.2 to
+    3.0 rad, and on the two-axis sphere)."""
+    sys = make_sys()
+    x, y = np.array(x), np.array(y)
+    err, duration, control, scored = reference_search(sys, x, y)
+    assert scored > 9 * 5 ** sys.n_controls and err <= SearchOracle.steer_tol  # several levels
+    oracle = CountingSearch(sys)
+    got, sig = oracle.solve(x, y)
+    assert oracle.evaluated == scored
+    assert got == duration
+    assert len(sig.segments) == 1 and np.array_equal(sig.segments[0][1], control)
+
+
 def test_search_budget_caps_candidates():
     sys = bilinear_rotation_system()
     x, y = np.array([1.0, 0.0]), np.array([0.2, 0.9])
@@ -385,6 +446,35 @@ def test_search_ties_go_to_the_first_candidate():
     duration, sig = oracle.solve(np.zeros(2), np.array([1.0, 0.0]))
     assert duration == oracle.eval_step
     assert np.array_equal(sig.segments[0][1], sys.bounds[:, 0])
+
+
+class TieSearch(SearchOracle):
+    """The first level scores its candidate 112 (the middle duration and
+    control) 0.5 and the others 0.6; every later candidate scores 0.5."""
+
+    def __init__(self, sys):
+        super().__init__(sys, levels=3)
+        self.levels_seen = []
+
+    def _endpoint_errors(self, x, y, durations, controls):
+        self.levels_seen.append(durations.copy())
+        errs = np.full(len(durations), 0.6 if len(self.levels_seen) == 1 else 0.5)
+        errs[112] = 0.5
+        return errs
+
+
+def test_search_ties_across_levels_keep_the_earlier_incumbent():
+    """A later level's candidate that ties the incumbent does not replace it,
+    as one at a time only a strictly smaller error would: the third level's
+    durations are centred on the first level's winner again."""
+    sys = forced_rotation_system()
+    oracle = TieSearch(sys)
+    oracle.steer_tol = 0.4
+    with pytest.raises(SteeringFailure):
+        oracle.solve(np.zeros(2), np.array([1.0, 0.0]))
+    first, second, third = oracle.levels_seen
+    assert third.min() > second.min()
+    assert np.median(third) == pytest.approx(first[112], abs=1e-12)
 
 
 @pytest.mark.parametrize("make_sys,x,chunk", [
