@@ -430,50 +430,50 @@ _COMMANDS = {
 }
 
 
-def build_parser(commands=tuple(_COMMANDS)) -> argparse.ArgumentParser:
-    """The parser of the subcommands in commands, all by default. An argv
-    that starts with a subcommand is parsed by that one's parser alone, so a
-    parser of that one parses it, rejects it and prints its help byte for
-    byte as the parser of all of them does."""
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    for flags, options in _COMMANDS[name][2]:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(func=_COMMANDS[name][1])
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand. main parses an argv that starts with a
+    subcommand by that one's own parser, with the same prog and arguments as
+    here, and falls back to this one for other argvs and leftover arguments."""
     parser = argparse.ArgumentParser(
         prog="liftctl",
         description="Simulate affine control systems on manifolds, their tangent-bundle "
                     "lifts, and certified chain plans between tangent points.",
     )
-    # The usage lists every subcommand, however few are added. The whole
-    # parser keeps argparse's own listing, the same text: a metavar would
-    # also rename `command` in its "the following arguments are required".
-    listed = None if len(commands) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
-    for name, (help_text, func, arguments) in _COMMANDS.items():
-        if name in commands:
-            p_cmd = sub.add_parser(name, help=help_text)
-            for flags, options in arguments:
-                p_cmd.add_argument(*flags, **options)
-            p_cmd.set_defaults(func=func)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """build_parser().parse_args(argv), less `command` for an argv that starts
+    with a subcommand and leaves nothing over, which that one's parser parses."""
+    if argv[:1] and argv[0] in _COMMANDS:
+        parser = _add_command(argparse.ArgumentParser(prog=f"liftctl {argv[0]}"), argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = _sys.argv[1:] if argv is None else list(argv)
-    # a call that starts with its subcommand builds that one's parser only,
-    # about a third of the whole parser's build time
-    parser = build_parser(argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except DefinitionError as exc:
+    except (LiftctlError, ValueError, OSError) as exc:
         _sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except LiftctlError as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (ValueError, OSError) as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return 1 if isinstance(exc, LiftctlError) and not isinstance(exc, DefinitionError) else 2
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ bundle, and Lie brackets.
 Polynomial fields are the one analytic representation: linear and constant
 fields are polynomial fields of degree one and zero, built from a matrix or
 a vector, and any field of degree at most one reports its (A, b) through
-affine(). Each polynomial field derives its n^2 partials once, when it is
-built, and they are the only source of its derivatives: its Jacobian, the
+affine(). Each polynomial field derives its n^2 partials once, on first
+use, and they are the only source of its derivatives: its Jacobian, the
 closed-form brackets, the flattened lifts and a system's RK4 kernel, which
 polynomial_kernel generates as straight-line source, all read them, and
 outside this module only liealg's bracket table reads the monomial format.
@@ -152,11 +152,11 @@ class PolynomialField(VectorField):
         if any(len(e) != self.dim or min(e, default=0) < 0
                for comp in self.components for _, e in comp):
             raise ValueError(f"exponents must be {self.dim} non-negative integers")
-        self._partials = tuple(
-            tuple(_poly_diff(comp, j) for j in range(self.dim))
-            for comp in self.components
-        )
         super().__init__(self._eval, self._jac, name)
+
+    @functools.cached_property
+    def _partials(self):
+        return tuple(tuple(_poly_diff(comp, j) for j in range(self.dim)) for comp in self.components)
 
     def _eval(self, x):
         return np.array([_poly_eval(c, x) for c in self.components])
@@ -342,7 +342,7 @@ def lie_bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
     """[X, Y](x) = J_Y(x) X(x) - J_X(x) Y(x).
 
     Brackets of polynomial fields (linear and constant ones included) are
-    computed in closed form from the partials each field derived when built,
+    computed in closed form from the partials each field derives on first use,
     component i as the one collected sum over k of dY_i/dx_k X_k and
     -dX_i/dx_k Y_k, so iterated brackets keep analytic Jacobians; anything
     else falls back to a pointwise formula with a finite-difference Jacobian.

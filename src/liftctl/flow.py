@@ -355,8 +355,8 @@ def _grid(durations: np.ndarray, steps):
     if not (0.0 < steps < math.inf if isinstance(steps, float)  # NaN fails both tests
             else np.all((steps > 0.0) & (steps < math.inf))):
         raise ValueError(f"step must be positive and finite, got {steps}")
-    # clipped past MAX_GRID_STEPS, where the sum refuses the run anyway
-    counts = np.maximum(1.0, np.ceil(np.minimum(durations / steps - 1e-12, MAX_GRID_STEPS + 1)))
+    # a step floored at durations / (MAX_GRID_STEPS + 1) cannot overflow the quotient, and the sum refuses it
+    counts = np.maximum(1.0, np.ceil(durations / np.maximum(steps, durations / (MAX_GRID_STEPS + 1)) - 1e-12))
     if counts.sum() > MAX_GRID_STEPS:
         raise DefinitionError("step", f"the grid has more than MAX_GRID_STEPS = {MAX_GRID_STEPS} steps")
     return counts, durations / counts

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from liftctl import flow
-from liftctl.cli import SystemDefinition, build_parser, main
+from liftctl.cli import SystemDefinition, _parse_args, build_parser, main
+from liftctl.fields import PolynomialField, _poly_diff, polynomial_kernel
 
 DEFS = Path(__file__).resolve().parent.parent / "defs"
 LINE = str(DEFS / "line_shift.json")
@@ -987,16 +988,111 @@ def test_usage_errors_and_help_between_calls_change_nothing(capsys):
     [], ["--help"], ["bogus", "larc"], ["larc", "--help"], ["chain", "-h"], ["larc", FLAT],
     ["larc", FLAT, "--point", "1,1", "extra"], ["check", FLAT, "--suite"],
     ["simulate", FLAT, "--x0", "1,0", "--format", "xml"], ["chain", FLAT, "--max-legs", "x"],
+    ["larc", FLAT, "--point", "1,1", "--bogus"], ["larc", FLAT, "--point", "1,1", "--bogus=3"],
+    ["larc", FLAT, "--point", "1,1", "-x"], ["larc", FLAT, "--point", "1,1", "-"],
+    ["larc", FLAT, "--point", "1,1", "--", "x"], ["larc", "--", "x"], ["larc", FLAT, "--point"],
+    ["larc", FLAT, "--point", "1,1", "--v", "-0.5,1"], ["chain", FLAT, "--max", "x"],
+    ["larc", "-h", "--point"], ["larc", FLAT, "--point", "1,1", "--h"],
 ])
 def test_main_prints_what_the_whole_parser_prints(capsys, argv):
-    """main builds only the parser of the subcommand its argv starts with.
-    Its help, usage errors and exit codes are those of the parser of every
-    subcommand, top-level usage included."""
+    """main builds only the parser of the subcommand its argv starts with,
+    and the whole parser for leftover arguments. Its help, usage errors and
+    exit codes are those of the parser of every subcommand, top-level usage
+    included."""
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     captured = capsys.readouterr()
     want = (2 if exc.value.code not in (0, None) else 0, captured.out, captured.err)
     assert run_cli(argv, capsys) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["larc", FLAT, "--point", "1,1", "--dep", "3"], ["larc", FLAT, "--point=1,1", "--v=-0.5,1"],
+    ["simulate", FLAT, "--x0=-1,0", "--x0=2,0"], ["chain", FLAT, "--verify", "f"],
+    ["simulate", FLAT, "--x0", "1,0", "--format", "json", "--format", "csv"],
+])
+def test_main_parses_what_the_whole_parser_parses(argv):
+    """An argv that starts with a subcommand and leaves nothing over is
+    parsed by that subcommand's parser alone into the whole parser's
+    namespace, less `command`: abbreviations, --flag=value, negative
+    numbers after `=` and repeated flags (the last wins) included."""
+    want = vars(build_parser().parse_args(argv))
+    assert want.pop("command") == argv[0]
+    assert vars(_parse_args(argv)) == want
+
+
+@pytest.mark.parametrize("verify_only", [False, True])
+def test_a_tiny_step_is_refused_without_a_numpy_warning(tmp_path, capsys, verify_only):
+    """A step so small that the durations divided by it overflow used to
+    print numpy's "overflow encountered in divide" before the refusal. A
+    --step is refused in one stderr line, exit 2; a chain file's step fails
+    every leg, exit 1, with nothing on stderr."""
+    def assign(entry, name):
+        entry[name] = 1e-323  # positive at half, where the legs are re-integrated
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if verify_only:
+            code, out, err = verify_edited_plan(tmp_path, capsys, ("step",), assign)
+        else:
+            code, out, err = run_cli(["simulate", LINE, "--x0=0", "--control=[[1,[0]]]",
+                                      "--step", "1e-320"], capsys)
+    too_many = "the grid has more than MAX_GRID_STEPS = 10000000 steps"
+    if verify_only:
+        report = json.loads(out)
+        assert (code, err, report["passed"]) == (1, "", False)
+        assert report["messages"] == [f"leg {i}: cannot re-integrate: step: {too_many}"
+                                      for i in range(len(report["legs"]))]
+    else:
+        assert (code, out, err) == (2, "", f"error: --step: {too_many}\n")
+
+
+def _loaded_fields(defn):
+    return (defn.system.drift, *defn.system.controlled)
+
+
+@pytest.mark.parametrize("path", sorted(str(p) for p in [*DEFS.glob("*.json"),
+                                                        *(DEFS.parent / "perfbench" / "defs").glob("*.json")]))
+def test_loading_and_larc_derive_no_partials(monkeypatch, capsys, path):
+    """A polynomial field derives its partials on first use: loading a
+    definition reads none, and neither does larc, whose bracket table builds
+    its own fields."""
+    loaded, real_load = [], SystemDefinition.load
+
+    def load(p):
+        loaded.append(real_load(p))
+        return loaded[-1]
+
+    monkeypatch.setattr(SystemDefinition, "load", staticmethod(load))
+    defn, n = SystemDefinition.load(path), loaded[0].manifold.ambient_dim
+    point, v = ((",".join(["0.4"] * n), ",".join(["1"] * n)) if defn.manifold.is_flat
+                else ("0.6,0,0.8", "0.8,0.3,-0.6"))
+    for fiber in ([], [f"--v={v}"]):
+        assert run_cli(["larc", path, f"--point={point}", *fiber, "--depth", "3"], capsys)[0] == 0
+    assert len(loaded) == 3
+    assert not [f.name for d in loaded for f in _loaded_fields(d) if "_partials" in vars(f)]
+
+
+def test_partials_derived_on_first_use_equal_eager_ones():
+    """On duffing, jacobian() and polynomial_kernel derive a loaded field's
+    partials when they first read them, and give what fields whose partials
+    were derived when built give."""
+    def eager(fld):
+        built = PolynomialField(fld.components, fld.dim)
+        vars(built)["_partials"] = tuple(tuple(_poly_diff(comp, j) for j in range(fld.dim))
+                                         for comp in fld.components)
+        return built
+
+    x = np.array([0.4, -0.3])
+    for fld in _loaded_fields(SystemDefinition.load(DUFFING)):
+        want = eager(fld)
+        assert "_partials" not in vars(fld)
+        assert np.array_equal(fld.jacobian(x), want.jacobian(x)) and fld._partials == want._partials
+    fields = _loaded_fields(SystemDefinition.load(DUFFING))
+    table, bind = polynomial_kernel(fields, 2)
+    want_table, want_bind = polynomial_kernel([eager(fld) for fld in fields], 2)
+    assert all("_partials" in vars(fld) for fld in fields)
+    assert np.array_equal(table, want_table) and bind is want_bind
 
 
 def test_an_edited_definition_takes_effect_on_the_next_call(tmp_path, capsys):
