@@ -4,9 +4,10 @@ bundle, and Lie brackets.
 Polynomial fields are the one analytic representation: linear and constant
 fields are polynomial fields of degree one and zero, built from a matrix or
 a vector, and any field of degree at most one reports its (A, b) through
-affine(). Each polynomial field derives its n^2 partials once, on first
-use, and they are the only source of its derivatives: its Jacobian, the
-closed-form brackets, the flattened lifts and a system's RK4 kernel, which
+affine(), a linear or constant field from that matrix or vector (bitwise
+what its partials give), any other from its partials. Each polynomial field
+derives its n^2 partials once, on first use: its Jacobian, the closed-form
+brackets, the flattened lifts and a system's RK4 kernel, which
 polynomial_kernel generates as straight-line source, all read them, and
 outside this module only liealg's bracket table reads the monomial format.
 Arbitrary callables fall back to central finite differences.
@@ -192,6 +193,7 @@ class LinearField(PolynomialField):
         units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
         super().__init__([[(matrix[i, j], units[j]) for j in range(n)] for i in range(n)],
                          n, name)
+        self._affine = matrix + 0.0, np.zeros(n)  # bitwise (Df(0), f(0)): + 0.0 turns -0.0 to 0.0
 
 
 class ConstantField(PolynomialField):
@@ -201,6 +203,7 @@ class ConstantField(PolynomialField):
         vector = np.asarray(vector, dtype=float)
         n = vector.shape[0]
         super().__init__([[(c, (0,) * n)] for c in vector], n, name)
+        self._affine = np.zeros((n, n)), vector + 0.0  # bitwise (Df(0), f(0)), as LinearField's
 
 
 def polynomial_kernel(fields, n: int, drift_tol=None):

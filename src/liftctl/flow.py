@@ -41,6 +41,7 @@ Every run records its rows as one flat list of floats.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,7 +49,7 @@ import numpy as np
 
 from .errors import DefinitionError, IntegrationError
 from .fields import VectorField, polynomial_kernel
-from .manifold import Manifold, ManifoldKind, TangentPoint, json_numbers
+from .manifold import POINT_TOL, Manifold, ManifoldKind, TangentPoint, _dots, json_numbers
 
 DEFAULT_STEP = 1e-3
 DRIFT_TOL = 1e-6
@@ -215,16 +216,19 @@ class AffineSystem:
 
     def _check_tangency(self):
         """A DefinitionError naming drift or controlled[i] unless every field
-        is tangent to the sphere, |x . X(x)| <= 1e-8, at 8 seeded points."""
-        rng = np.random.default_rng(20248)
-        entries = ("drift", *(f"controlled[{i}]" for i in range(len(self.controlled))))
-        for _ in range(8):
-            x = self.manifold.random_point(rng)
-            for entry, fld in zip(entries, (self.drift, *self.controlled)):
-                err = abs(x @ fld(x))
-                if not err <= 1e-8:
-                    raise DefinitionError(
-                        entry, f"field {fld.name!r} not tangent to the sphere: |x.X(x)|={err:.2e}")
+        is tangent to the sphere, |x . X(x)| <= 1e-8, at 8 seeded points, drawn
+        in one call (bitwise Manifold.random_point's): each field is evaluated
+        at all of them in one pass, an affine one as x A^T + b, and the first
+        failure in point-major, field-minor order is named."""
+        z = np.random.default_rng(20248).standard_normal((8, 3))
+        points, fields = z / np.sqrt(_dots(z, z))[:, None], (self.drift, *self.controlled)
+        errs = np.array([np.abs(_dots(points, points @ parts[0].T + parts[1] if (parts := fld.affine())
+                                      else np.array([fld(x) for x in points]))) for fld in fields])
+        bad = np.argwhere(~(errs.T <= 1e-8))  # written so that a NaN fails it
+        if bad.size:
+            x, f = bad[0]
+            raise DefinitionError("drift" if f == 0 else f"controlled[{f - 1}]", f"field {fields[f].name!r} "
+                                  f"not tangent to the sphere: |x.X(x)|={errs[f, x]:.2e}")
 
     @property
     def n_controls(self) -> int:
@@ -572,12 +576,23 @@ def fiber_flows(sys: AffineSystem, signals, step: float = DEFAULT_STEP):
     rounding, one base end for any fibers, for starts that come one at a time.
     One stacked pass of affine_parts, _step_map, _drift_bound on S2 and _power
     takes every certified affine segment's power, bitwise its own signal's; a
-    run applies them and steps the rest by _advance. A signal refused by its
-    checks adds no segment, and its run raises that error after the start's."""
+    run applies them and steps the rest by _advance. One check_controls and
+    _grid pass checks every signal's segments; only if it refuses one does
+    _segments check each signal alone, to word its failure. A refused signal
+    adds no segment, and its run raises that error after the start's, whose
+    fiber columns are tested as one array (TangentPoint.validate words a failure)."""
+    every = [segment for u in signals for segment in u.segments]
+    try:  # np.array refuses values of different lengths with a ValueError too
+        sys.check_controls(np.array([value for _, value in every], ndmin=2))
+        counts, sizes = _grid(np.array([duration for duration, _ in every]), step)
+        gridded = iter(zip([value for _, value in every], sizes.tolist(), counts.astype(int).tolist()))
+    except (ValueError, DefinitionError):
+        gridded = None
     plans, segments = [], []
     for u in signals:
         try:
-            segs = _segments(sys, u, step)
+            segs = (_segments(sys, u, step) if gridded is None
+                    else list(itertools.islice(gridded, len(u.segments))))
             plans.append(range(len(segments), len(segments) + len(segs)))
             segments += segs
         except (ValueError, DefinitionError) as exc:
@@ -594,8 +609,11 @@ def fiber_flows(sys: AffineSystem, signals, step: float = DEFAULT_STEP):
         x = np.array(sys.manifold.check_point(x0), dtype=float)
         if fibers is not None:
             fibers = np.array(fibers, dtype=float)
-            for column in (fibers.T if fibers.ndim == 2 else [fibers]):
-                TangentPoint(x, column).validate(sys.manifold)
+            columns = fibers.T if fibers.ndim == 2 else fibers[None]
+            if not (fibers.ndim in (1, 2) and fibers.shape[0] == len(x) and np.isfinite(columns).all()
+                    and (sys.manifold.is_flat or (np.abs(_dots(columns, x)) <= POINT_TOL).all())):
+                for column in columns:
+                    TangentPoint(x, column).validate(sys.manifold)
         if isinstance(plans[i], Exception):
             raise plans[i]
         return _integrate(sys, [(*segments[r], powers.get(r)) for r in plans[i]], x, fibers, None,

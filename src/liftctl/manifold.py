@@ -25,6 +25,13 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> list:
+    """a x b of two 3-vectors as a list, bitwise np.cross(a, b) (the same
+    products and differences) without its costly axis handling."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+
+
 class ManifoldKind(Enum):
     FLAT = "flat"
     SPHERE2 = "sphere2"
@@ -107,7 +114,8 @@ class Manifold:
         # arccos(x.x) has a ~1e-8 rounding floor, so equal points are at 0
         if x.ndim == 2:
             return np.where((x == y).all(axis=1), 0.0, np.arccos(np.clip(_dots(x, y), -1.0, 1.0)))
-        return 0.0 if np.array_equal(x, y) else float(np.arccos(np.clip(x @ y, -1.0, 1.0)))
+        # as lists and by min/max, the same verdict and clamp as np.array_equal and np.clip
+        return 0.0 if x.tolist() == y.tolist() else float(np.arccos(min(max(x @ y, -1.0), 1.0)))
 
     def parallel_transport(self, x: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Transport v from T_x M to T_y M along the minimizing geodesic.
@@ -150,9 +158,7 @@ class Manifold:
         e[k] = 1.0
         b1 = e - x * (x @ e)
         b1 /= math.sqrt(b1 @ b1)
-        # x cross b1 as np.cross forms it, without its costly axis handling
-        (x0, x1, x2), (c0, c1, c2) = x.tolist(), b1.tolist()
-        return np.column_stack([b1, [x1 * c2 - x2 * c1, x2 * c0 - x0 * c2, x0 * c1 - x1 * c0]])
+        return np.column_stack([b1, _cross(x, b1)])
 
 
 def json_numbers(value, integer: bool = False) -> np.ndarray:

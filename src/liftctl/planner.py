@@ -44,7 +44,7 @@ from .flow import (
     split_signal,
 )
 from .liealg import DEFAULT_DEPTH, rank_at
-from .manifold import Manifold, ManifoldKind, TangentPoint, _entry, _number, _positive, _seed
+from .manifold import Manifold, ManifoldKind, TangentPoint, _cross, _entry, _number, _positive, _seed
 from .sasaki import distance, fiber_segment_point
 
 SEARCH_STEER_TOL = 1e-3
@@ -140,7 +140,7 @@ class SphereRotationOracle:
         # generators: list of (channel, so(3) matrix)
         def sine(pair):  # of the angle between the pair's axes; 0 for a zero axis
             (_, a), (_, b) = pair
-            return np.linalg.norm(np.cross(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b) or 1.0)
+            return np.linalg.norm(_cross(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b) or 1.0)
 
         best = max(itertools.combinations([(chan, _skew_axis(m)) for chan, m in generators], 2),
                    key=sine, default=None)
@@ -175,7 +175,7 @@ class SphereRotationOracle:
         w = u[0] * self.a + u[1] * self.b
         axis = w / np.linalg.norm(w)
         # the angle between the projections of x and y onto the axis's normal plane
-        angle = math.atan2(axis @ np.cross(x, y), x @ y - (axis @ x) * (axis @ y))
+        angle = math.atan2(axis @ _cross(x, y), x @ y - (axis @ x) * (axis @ y))
         if abs(angle) < 1e-12:
             return 0.0, ControlSignal.empty()
         value = np.zeros(len(self.bounds))

@@ -120,8 +120,11 @@ def test_affine_parts():
     """Linear and constant fields are polynomial fields of degree one and
     zero whose affine() gives back the matrix and vector; a cubic field and
     a bare callable are not affine, and a negative exponent cannot be built.
-    A system's affine_parts of a stack of control rows is, row by row,
-    bitwise its affine_parts of each row."""
+    The (A, b) a linear or constant field takes from its matrix or vector is
+    bitwise the (Df(0), f(0)) its partials and components give, -0.0
+    entries, zero rows and a skew matrix included. A system's affine_parts
+    of a stack of control rows is, row by row, bitwise its affine_parts of
+    each row."""
     rng = np.random.default_rng(15)
     a = rng.standard_normal((3, 3))
     c = rng.standard_normal(3)
@@ -129,6 +132,14 @@ def test_affine_parts():
     assert np.array_equal(lin_a, a) and not np.any(lin_b)
     const_a, const_b = ConstantField(c).affine()
     assert not np.any(const_a) and np.array_equal(const_b, c)
+    skew = np.array([[0.0, -0.3, 1.2], [0.3, -0.0, -2.5], [-1.2, 2.5, 0.0]])
+    for values in (a, c, skew, np.array([[-0.0, 2.0], [0.0, -0.0]]), np.zeros((2, 2)),
+                   np.array([[1.5, -0.0, 0.0], [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]]),
+                   np.array([-0.0, 0.0, 1.0]), np.array([-0.0]), np.zeros(2)):
+        fld = (LinearField if values.ndim == 2 else ConstantField)(values)
+        zero = [0.0] * fld.dim
+        for got, want in zip(fld.affine(), (fld._jac(zero), fld._eval(zero))):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert PolynomialField([[(1.0, (0, 1))], [(-1.0, (1, 0)), (-1.0, (3, 0))]], 2).affine() is None
     with pytest.raises(ValueError):
         PolynomialField([[(1.0, (2, -1))], []], 2)

@@ -177,6 +177,66 @@ def test_signal_validation():
                      [[np.nan, np.nan]])
 
 
+def per_point_tangency(fields):
+    """The DefinitionError text of the sphere's tangency rule taken point by
+    point: the first of 8 seeded random_point draws and, at each, the first
+    field with |x . X(x)| > 1e-8 or NaN; None when every field passes."""
+    rng, sphere = np.random.default_rng(20248), Manifold.sphere2()
+    for _ in range(8):
+        x = sphere.random_point(rng)
+        for f, fld in enumerate(fields):
+            err = abs(x @ fld(x))
+            if not err <= 1e-8:
+                entry = "drift" if f == 0 else f"controlled[{f - 1}]"
+                return f"{entry}: field {fld.name!r} not tangent to the sphere: |x.X(x)|={err:.2e}"
+    return None
+
+
+def _radial_off_first_point():
+    """x -> x except at the first tangency point, where it is 0: tangent
+    there, so a field-major check would name it before a later field that
+    fails at that point."""
+    first = Manifold.sphere2().random_point(np.random.default_rng(20248))
+    return VectorField(lambda x: 0.0 * x if x.tolist() == first.tolist() else x, name="radial")
+
+
+@pytest.mark.parametrize("fields", [
+    (ConstantField(np.zeros(3)), LinearField(L3), LinearField(L1)),
+    (ConstantField(np.zeros(3)), LinearField(L3), ConstantField([0.3, 0.0, 1.0])),
+    (LinearField(np.eye(3)), LinearField(L3)),
+    (ConstantField([0.0, 0.0, -0.0]), PolynomialField([[(-1.0, (0, 1, 1))], [(1.0, (1, 0, 1))], []], 3)),
+    (ConstantField(np.zeros(3)), LinearField(L1),
+     PolynomialField([[(1.0, (1, 0, 0))], [(1.0, (0, 1, 1))], [(-1.0, (0, 0, 2))]], 3)),
+    (VectorField(lambda x: L1 @ x), VectorField(lambda x: np.cross([0.0, 0.0, 1.0], x))),
+    (VectorField(lambda x: L1 @ x), _radial_off_first_point(), ConstantField([1.0, 0.0, 0.0])),
+    (ConstantField(np.zeros(3)), VectorField(lambda x: np.full(3, np.nan))),
+], ids=["tangent-linear", "non-tangent-constant", "non-tangent-drift", "polynomial",
+        "non-tangent-polynomial", "bare-callable", "point-major-order", "nan"])
+def test_sphere_tangency_check_names_what_the_per_point_rule_names(fields):
+    """AffineSystem's one-pass tangency check on the sphere gives the verdict
+    of the rule taken point by point and names the same entry in the same
+    words, on affine fields (evaluated by their (A, b)), polynomial and bare
+    callable fields."""
+    want = per_point_tangency(fields)
+    bounds = [[-1.0, 1.0]] * (len(fields) - 1)
+    if want is None:
+        AffineSystem(Manifold.sphere2(), fields[0], fields[1:], bounds)
+    else:
+        with pytest.raises(DefinitionError) as info:
+            AffineSystem(Manifold.sphere2(), fields[0], fields[1:], bounds)
+        assert str(info.value) == want
+
+
+def test_sphere_tangency_check_draws_random_points_bitwise():
+    """The 8 points the tangency check draws in one call are bitwise the 8
+    Manifold.random_point draws of the per-point rule."""
+    seen, rng = [], np.random.default_rng(20248)
+    AffineSystem(Manifold.sphere2(), VectorField(lambda x: seen.append(x) or np.zeros(3)),
+                 (LinearField(L3),), [[-1.0, 1.0]])
+    points = [Manifold.sphere2().random_point(rng) for _ in range(8)]
+    assert len(seen) == 8 and all(np.array_equal(a, b) for a, b in zip(seen, points))
+
+
 # --- integration -----------------------------------------------------------
 
 def test_integrate_base_linear_against_expm():
@@ -900,14 +960,35 @@ def test_power_helper_is_bitwise_numpys_matrix_power(n):
 
 def test_fiber_flows_raise_a_refused_signals_error_when_it_runs(monkeypatch):
     """A signal that fiber_flows refuses adds no segment to the stacked pass
-    and raises its own error when its run is called, after the start's
-    own checks; the other runs are unaffected."""
+    and raises its own error, in the words _segments gives for it alone,
+    when its run is called, after the start's own checks; the other runs end
+    bitwise where they end alone. That holds for a wrong channel count, a
+    value out of bounds or NaN, a grid past MAX_GRID_STEPS, and two signals
+    whose grids pass alone but not together. A fiber column that is not
+    tangent or not finite is named as TangentPoint.validate names it."""
     sys = sphere_bilinear_system()
     good, x0, v0 = ControlSignal.constant([0.5], 0.4), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
-    signals = [good, ControlSignal.constant([3.0], 0.4), ControlSignal.constant([0.5], 1e9)]
+    signals = [good, ControlSignal.constant([3.0], 0.4), ControlSignal.constant([0.5], 1e9),
+               ControlSignal(((0.2, [0.1]), (0.3, [0.2, 0.3]))),
+               ControlSignal(((0.2, [-0.4]), (0.3, [np.nan]))),
+               ControlSignal(((0.3, [0.4]), (0.2, [-0.6]))),
+               ControlSignal(((0.2, [0.1, 0.2]),))]
+    long = [ControlSignal.constant([0.5], 6e3), ControlSignal.constant([-0.5], 5e3)]
+    fibers = np.column_stack([v0, [0.0, 0.0, 1.0]])
+    for group in (signals, long):
+        run = fiber_flows(sys, group, 1e-3)
+        for i, u in enumerate(group):
+            try:
+                flow._segments(sys, u, 1e-3)
+            except (ValueError, DefinitionError) as exc:
+                with pytest.raises(type(exc)) as info:
+                    run(i, x0, v0)
+                assert str(info.value) == str(exc)
+                continue
+            for start in (None, v0, fibers):
+                for got, want in zip(run(i, x0, start), fiber_flows(sys, [u], 1e-3)(0, x0, start)):
+                    assert got is None and want is None or np.array_equal(got, want)
     run = fiber_flows(sys, signals, 1e-3)
-    for x, v in zip(run(0, x0, v0), fiber_flows(sys, [good], 1e-3)(0, x0, v0)):
-        assert np.array_equal(x, v)
     with pytest.raises(ValueError, match="channel 0 is 3.0"):
         run(1, x0, v0)
     with pytest.raises(DefinitionError, match="MAX_GRID_STEPS"):
@@ -915,6 +996,20 @@ def test_fiber_flows_raise_a_refused_signals_error_when_it_runs(monkeypatch):
     for i in (1, 2):
         with pytest.raises(OffManifoldError):
             run(i, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+    flat = rotation_system()
+    for system, x, start in [
+            *((sys, x0, start) for start in (
+                [1e-3, 1.0, 0.0], [0.0, np.inf, 0.0], [0.0, 1.0], 0.0, np.zeros((2, 2)),
+                np.column_stack([v0, [1e-3, 1.0, 0.0]]), np.column_stack([[0.0, np.nan, 0.0], v0]))),
+            *((flat, [0.3, -0.2], start) for start in (
+                [np.nan, 0.0], np.column_stack([[1.0, 0.0], [0.0, -np.inf]]), [1.0, 0.0, 0.0]))]:
+        start = np.array(start)
+        with pytest.raises(OffManifoldError) as want:
+            for column in (start.T if start.ndim == 2 else [start]):
+                TangentPoint(x, column).validate(system.manifold)
+        with pytest.raises(OffManifoldError) as got:
+            fiber_flows(system, [ControlSignal.constant([0.5], 0.4)], 1e-3)(0, x, start)
+        assert str(got.value) == str(want.value)
     with pytest.raises(ValueError, match="step must be positive and finite"):
         fiber_flows(sys, [good], np.nan)(0, x0, v0)
     with monkeypatch.context() as patch:

@@ -10,6 +10,11 @@ planner fails by a named planning error, never by a usage error.
 - Flat R^3 with a drift that has eigenvalues on both sides of the imaginary
   axis and one control: not controllable under bounds, and the fiber gaps
   grow faster than round trips close them.
+- Flat R^n, n = 2 to 6, with a skew drift and one control that excites a
+  single invariant block of it: Kalman rank below n (Sontag, Mathematical
+  Control Theory, 1998, ch. 3), so no Gramian oracle is built.
+- On every generated system, a lifted run from the zero section stays on it
+  with v = 0 exactly: the fiber flow is linear (the paper's lift).
 """
 
 import math
@@ -17,8 +22,18 @@ import math
 import numpy as np
 import pytest
 
-from liftctl import PlanningBudgetError, TangentPoint, plan_chain, verify_chain
+from liftctl import (
+    LinearGramianOracle,
+    PlanningBudgetError,
+    TangentPoint,
+    UncontrollablePairError,
+    integrate_lifted,
+    plan_chain,
+    verify_chain,
+)
 from liftctl.cli import SystemDefinition, resolve_oracle
+from liftctl.flow import fiber_flows
+from liftctl.planner import sample_control_signals
 
 EPS, T = 0.25, 0.5
 ANGLES = (20, 25, 30, 45, 60, 79, 90)
@@ -96,3 +111,67 @@ def test_an_uncontrollable_drift_fails_by_the_leg_budget(source, target):
         plan_chain(EXPANDING.system, resolve_oracle(EXPANDING), TangentPoint(*source),
                    TangentPoint(*target), EPS, T, step=EXPANDING.step)
     assert str(info.value).startswith("no chain within") and info.value.best_chain.legs
+
+
+def _random_skew(rng: np.random.Generator, n: int) -> np.ndarray:
+    m = rng.standard_normal((n, n))
+    return (m - m.T) / 2.0
+
+
+def kalman_deficient(rng: np.random.Generator, n: int) -> SystemDefinition:
+    """A = Q diag(S1, S2) Q^T with skew blocks S1 (k x k, k = n // 2) and S2
+    and a random orthogonal Q, and one control b = Q (c, 0): the span of Q's
+    first k columns is invariant under A and holds b, so the Kalman rank is
+    at most k < n. At n = 2 both blocks are 1 x 1, so A = 0."""
+    k = n // 2
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    blocks = np.zeros((n, n))
+    blocks[:k, :k], blocks[k:, k:] = _random_skew(rng, k), _random_skew(rng, n - k)
+    b = q[:, :k] @ rng.standard_normal(k)
+    return _definition({"manifold": {"kind": "flat", "dim": n},
+                        "drift": {"type": "linear", "matrix": (q @ blocks @ q.T).tolist()}},
+                       [{"type": "constant", "vector": b.tolist()}], [[-10.0, 10.0]])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_a_kalman_deficient_pair_builds_no_gramian_oracle(n):
+    """Three generated pairs per n raise UncontrollablePairError."""
+    rng = np.random.default_rng(300 + n)
+    for _ in range(3):
+        defn = kalman_deficient(rng, n)
+        system = defn.system
+        kalman = np.column_stack([np.linalg.matrix_power(system.drift.affine()[0], j)
+                                  @ system.controlled[0].affine()[1] for j in range(n)])
+        assert np.linalg.matrix_rank(kalman) <= n // 2
+        with pytest.raises(UncontrollablePairError):
+            LinearGramianOracle.for_system(system)
+
+
+def zero_section_cases():
+    """Generated systems: a skew linear drift with a random control (n = 2
+    to 6), a Kalman-deficient pair, the expanding drift and two-axis spheres."""
+    rng = np.random.default_rng(77)
+    cases = {f"skew-{n}": _definition(
+        {"manifold": {"kind": "flat", "dim": n},
+         "drift": {"type": "linear", "matrix": _random_skew(rng, n).tolist()}},
+        [{"type": "constant", "vector": rng.standard_normal(n).tolist()}], [[-10.0, 10.0]])
+        for n in range(2, 7)}
+    cases["kalman-deficient-4"], cases["expanding"] = kalman_deficient(rng, 4), EXPANDING
+    cases.update((f"sphere-{degrees}", two_axis_sphere(rng, degrees)) for degrees in (20, 90))
+    return [pytest.param(defn, id=name) for name, defn in cases.items()]
+
+
+@pytest.mark.parametrize("defn", zero_section_cases())
+def test_a_lifted_run_from_the_zero_section_keeps_v_zero_exactly(defn):
+    """From (x, 0), under seeded admissible signals, every fiber_flows run
+    ends with v == 0 exactly, and so does every row of a recorded
+    integrate_lifted run."""
+    rng = np.random.default_rng(7)
+    system, n = defn.system, defn.manifold.ambient_dim
+    signals = sample_control_signals(system.bounds, 1.5, 4, seed=7)
+    run = fiber_flows(system, signals, defn.step)
+    for i, u in enumerate(signals):
+        x = defn.manifold.random_point(rng)
+        _, v = run(i, x, np.zeros(n))
+        assert np.all(v == 0.0), (i, v)
+        assert np.all(integrate_lifted(system, TangentPoint(x, np.zeros(n)), u, defn.step).fibers == 0.0)
