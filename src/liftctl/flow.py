@@ -55,6 +55,16 @@ DEFAULT_STEP = 1e-3
 DRIFT_TOL = 1e-6
 MAX_GRID_STEPS = 10_000_000  # a run with a longer grid is refused unstepped
 _EYE3 = np.eye(3)
+_TANGENCY_POINTS = np.array([  # see AffineSystem._check_tangency
+    [-0.8256018578540139, 0.555141104847341, -0.10099468311190603],
+    [-0.8054816413292575, -0.5925645823397047, -0.008157281293229068],
+    [0.39062018561155304, 0.869034185880181, 0.30363704379467116],
+    [0.13731623644048563, 0.3910179459807595, 0.9100819837414695],
+    [-0.10768136397469305, -0.5572663093105096, -0.8233219202474772],
+    [0.731624292001719, 0.2710504753180456, 0.6255058234603775],
+    [-0.10270781988280928, -0.5519030398183312, 0.8275591449402306],
+    [0.6493986411967777, 0.44477291007163877, -0.6168131510256447],
+])
 
 # Snap tolerance for cutting a signal at a segment boundary; keeps
 # shift(concat(v, s, u), s) == u exact.
@@ -215,13 +225,12 @@ class AffineSystem:
             self._check_tangency()
 
     def _check_tangency(self):
-        """A DefinitionError naming drift or controlled[i] unless every field
-        is tangent to the sphere, |x . X(x)| <= 1e-8, at 8 seeded points, drawn
-        in one call (bitwise Manifold.random_point's): each field is evaluated
-        at all of them in one pass, an affine one as x A^T + b, and the first
-        failure in point-major, field-minor order is named."""
-        z = np.random.default_rng(20248).standard_normal((8, 3))
-        points, fields = z / np.sqrt(_dots(z, z))[:, None], (self.drift, *self.controlled)
+        """A DefinitionError naming drift or controlled[i] unless every field is
+        tangent to the sphere, |x . X(x)| <= 1e-8, at the 8 _TANGENCY_POINTS
+        (bitwise the normalized rows of default_rng(20248).standard_normal((8, 3)),
+        stored so that a load imports no numpy.random), all in one pass, an affine
+        field as x A^T + b; the first failure, point-major, field-minor, is named."""
+        points, fields = _TANGENCY_POINTS, (self.drift, *self.controlled)
         errs = np.array([np.abs(_dots(points, points @ parts[0].T + parts[1] if (parts := fld.affine())
                                       else np.array([fld(x) for x in points]))) for fld in fields])
         bad = np.argwhere(~(errs.T <= 1e-8))  # written so that a NaN fails it

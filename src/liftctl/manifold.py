@@ -114,6 +114,10 @@ class Manifold:
         # arccos(x.x) has a ~1e-8 rounding floor, so equal points are at 0
         if x.ndim == 2:
             return np.where((x == y).all(axis=1), 0.0, np.arccos(np.clip(_dots(x, y), -1.0, 1.0)))
+        return self._arc(x, y)
+
+    def _arc(self, x: np.ndarray, y: np.ndarray) -> float:
+        """base_distance of two points of S2 that check_point has passed."""
         # as lists and by min/max, the same verdict and clamp as np.array_equal and np.clip
         return 0.0 if x.tolist() == y.tolist() else float(np.arccos(min(max(x @ y, -1.0), 1.0)))
 
@@ -125,11 +129,11 @@ class Manifold:
         complement; on a tangent v that is v - (y . v) / (1 + x . y) (x + y).
         Points more than pi - ANGLE_TOL apart count as antipodal.
         """
-        x = self.check_point(x)
-        y = self.check_point(y)
-        v = np.asarray(v, dtype=float)
-        if self.kind is ManifoldKind.FLAT:
-            return v.copy()
+        x, y, v = self.check_point(x), self.check_point(y), np.asarray(v, dtype=float)
+        return v.copy() if self.kind is ManifoldKind.FLAT else self._transport(x, y, v)
+
+    def _transport(self, x: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """parallel_transport of v between two points of S2 that check_point has passed."""
         d = 1.0 + x @ y
         if d < 0.5 * ANGLE_TOL ** 2:  # x . y < -cos(ANGLE_TOL) = ANGLE_TOL^2 / 2 - 1 in doubles
             raise AntipodalPointsError("antipodal points: geodesic is not unique")

@@ -29,10 +29,9 @@ def distance(manifold: Manifold, p: TangentPoint, q: TangentPoint) -> float:
         return float(np.hypot(base, fiber))
     if p.x.tolist() == q.x.tolist():  # np.array_equal's verdict, at less cost
         return float(np.linalg.norm(q.v - p.v))  # exact on a shared fiber
-    base = manifold.base_distance(p.x, q.x)
-    moved = manifold.parallel_transport(p.x, q.x, p.v)
-    fiber = float(np.linalg.norm(q.v - moved))
-    return float(np.hypot(base, fiber))
+    x, y = manifold.check_point(p.x), manifold.check_point(q.x)  # once, for both formulas
+    fiber = float(np.linalg.norm(q.v - manifold._transport(x, y, p.v)))
+    return float(np.hypot(manifold._arc(x, y), fiber))
 
 
 def fiber_segment_point(p: TangentPoint, target_v: np.ndarray, step: float) -> TangentPoint:

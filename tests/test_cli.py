@@ -1187,6 +1187,31 @@ def test_commands_that_build_no_gramian_oracle_never_import_scipy():
     assert "scipy" not in after_calls
 
 
+def test_sphere_commands_never_import_numpy_random(tmp_path, capsys):
+    """The tangency check of every S2 load reads its 8 points from a stored
+    table; it drew them from np.random.default_rng, which imported
+    numpy.random (and secrets, hashlib, hmac) into every S2 command. Only
+    what samples (the check suites, reachable_sample) imports it now."""
+    code, out, _ = run_cli(["chain", SPHERE_TWO_AXIS, "--source=0,0,1;0.9,0,0",
+                            "--target=0,1,0;0,0,-0.9"], capsys)
+    assert code == 0
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(json.loads(out)["chain"]))
+    argvs = [
+        ["simulate", SPHERE, "--x0=1,0,0", "--control=[[3.141592653589793, [1.0]]]"],
+        ["simulate", SPHERE, "--x0=1,0,0", "--lifted=0,1,0", "--control=[[1.5, [1.0]]]"],
+        ["larc", SPHERE, "--point=0.6,0,0.8", "--v=0.8,0.3,-0.6"],
+        ["chain", SPHERE, "--source=1,0,0;0,1,0", "--target=0,1,0;0,0,1"],
+        ["chain", SPHERE_TWO_AXIS, "--source=1,0,0;0,0.1,0", "--target=0,1,0;0,0,0.1"],
+        ["chain", SPHERE_TWO_AXIS, f"--verify-only={chain}"],
+    ]
+    code, out, err = run_fresh_process(["-c", CALLS_THEN_LOADED_MODULES, json.dumps(argvs)])
+    assert (code, err) == (0, "")
+    (after_import, *codes), last, after_calls = json.loads(out)
+    assert codes == [0] * len(argvs) and json.loads(last)["passed"]
+    assert "numpy.random" not in after_import and "numpy.random" not in after_calls
+
+
 def test_a_gramian_chain_imports_scipy_and_verifies():
     code, out, err = run_fresh_process(["-c", CALLS_THEN_LOADED_MODULES, json.dumps(
         [["chain", LINE, "--source=0;0", "--target=3;-5"]])])

@@ -4,6 +4,7 @@ import pytest
 from liftctl import (
     AntipodalPointsError,
     Manifold,
+    OffManifoldError,
     TangentPoint,
     distance,
     fiber_segment_point,
@@ -76,6 +77,21 @@ def test_surrogate_antipodal_raises():
     q = TangentPoint([-1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     with pytest.raises(AntipodalPointsError):
         distance(m, p, q)
+
+
+@pytest.mark.parametrize("bad", [[1.0, 0.0, 0.1], [0.0, np.nan, 1.0], [1.0, 0.0]])
+@pytest.mark.parametrize("side", ["p", "q"])
+def test_surrogate_names_a_base_point_off_the_sphere(bad, side):
+    """distance checks each base point once, by check_point, before either
+    formula runs: an off-sphere, non-finite or misshapen x on either side is
+    named in check_point's words."""
+    m, good = Manifold.sphere2(), TangentPoint([0.6, 0.0, 0.8], [0.0, 1.0, 0.0])
+    with pytest.raises(OffManifoldError) as want:
+        m.check_point(bad)
+    off = TangentPoint(bad, [0.0, 0.0, 0.0][:len(bad)])
+    with pytest.raises(OffManifoldError) as got:
+        distance(m, off, good) if side == "p" else distance(m, good, off)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("m", [Manifold.flat(2), Manifold.sphere2()],
