@@ -10,10 +10,12 @@ Exit codes: 0 success, 1 domain/planning failure, 2 usage/parse failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
 import os
+import shutil
 import sys as _sys
 from dataclasses import dataclass
 
@@ -57,15 +59,11 @@ LARC_MAX_COLUMNS = 10_000
 
 def _load_field(desc, where: str, n: int):
     """The field of a descriptor, which must act on the manifold's ambient
-    dimension n; a DefinitionError naming `where` otherwise."""
+    dimension n; a DefinitionError naming `where` otherwise, or if too large."""
     try:
-        field = field_from_descriptor(desc)
-    except (KeyError, TypeError, ValueError) as exc:
+        return field_from_descriptor(desc, n)
+    except (KeyError, TypeError, ValueError, MemoryError) as exc:
         raise DefinitionError(where, str(exc)) from exc
-    if field.dim != n:
-        raise DefinitionError(where, f"field of dimension {field.dim} on a manifold of "
-                                     f"ambient dimension {n}")
-    return field
 
 
 @dataclass(frozen=True)
@@ -96,16 +94,13 @@ class SystemDefinition:
             raise DefinitionError("manifold.kind", f"unknown kind {kind!r}")
 
         n = manifold.ambient_dim
-        if "drift" in data and data["drift"] is not None:
-            drift = _load_field(data["drift"], "drift", n)
-        else:
-            drift = ConstantField(np.zeros(n), name="zero")
-
+        drift = None if data.get("drift") is None else _load_field(data["drift"], "drift", n)
         controlled_desc = data.get("controlled")
         if not isinstance(controlled_desc, list) or not controlled_desc:
             raise DefinitionError("controlled", "expected a non-empty list of field descriptors")
         controlled = [_load_field(desc, f"controlled[{i}]", n)
                       for i, desc in enumerate(controlled_desc)]
+        drift = drift or ConstantField(np.zeros(n), name="zero")  # allocated once the fields pass n
 
         bounds = data.get("bounds")
         if not isinstance(bounds, list) or len(bounds) != len(controlled):
@@ -157,21 +152,17 @@ def _parse_vector(text: str, manifold: Manifold, flag: str, base=None) -> np.nda
     given its base point, a tangent vector there; a DefinitionError naming
     the flag otherwise."""
     try:
-        vec = np.asarray([float(p) for p in text.split(",")], dtype=float)
+        values = [float(p) for p in text.split(",")]
     except ValueError as exc:
         raise DefinitionError(flag, f"expected comma-separated floats: {exc}") from exc
-    if not np.all(np.isfinite(vec)):
+    if not all(map(math.isfinite, values)):
         raise DefinitionError(flag, "components must be finite")
-    if vec.shape[0] != manifold.ambient_dim:
-        raise DefinitionError(flag, f"expected {manifold.ambient_dim} components, got {vec.shape[0]}")
+    if len(values) != manifold.ambient_dim:
+        raise DefinitionError(flag, f"expected {manifold.ambient_dim} components, got {len(values)}")
     try:
-        if base is None:
-            manifold.check_point(vec)
-        else:
-            TangentPoint(base, vec).validate(manifold)
+        return manifold.check_point(values) if base is None else TangentPoint(base, values).validate(manifold).v
     except OffManifoldError as exc:
         raise DefinitionError(flag, str(exc)) from exc
-    return vec
 
 
 def _parse_tangent(text: str, manifold: Manifold, flag: str) -> TangentPoint:
@@ -437,6 +428,11 @@ def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.Argumen
     return parser
 
 
+def _formatter():
+    """argparse's HelpFormatter at its own width, read once, not per add_argument."""
+    return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand. main parses an argv that starts with a
     subcommand by that one's own parser, with the same prog and arguments as
@@ -445,10 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="liftctl",
         description="Simulate affine control systems on manifolds, their tangent-bundle "
                     "lifts, and certified chain plans between tangent points.",
+        formatter_class=_formatter(),
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, _) in _COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_text), name)
+        _add_command(sub.add_parser(name, help=help_text, formatter_class=parser.formatter_class), name)
     return parser
 
 
@@ -456,7 +453,8 @@ def _parse_args(argv: list) -> argparse.Namespace:
     """build_parser().parse_args(argv), less `command` for an argv that starts
     with a subcommand and leaves nothing over, which that one's parser parses."""
     if argv[:1] and argv[0] in _COMMANDS:
-        parser = _add_command(argparse.ArgumentParser(prog=f"liftctl {argv[0]}"), argv[0])
+        parser = _add_command(argparse.ArgumentParser(prog=f"liftctl {argv[0]}",
+                                                      formatter_class=_formatter()), argv[0])
         args, rest = parser.parse_known_args(argv[1:])
         if not rest:
             return args

@@ -2,15 +2,15 @@
 bundle, and Lie brackets.
 
 Polynomial fields are the one analytic representation: linear and constant
-fields are polynomial fields of degree one and zero, built from a matrix or
-a vector, and any field of degree at most one reports its (A, b) through
-affine(), a linear or constant field from that matrix or vector (bitwise
-what its partials give), any other from its partials. Each polynomial field
-derives its n^2 partials once, on first use: its Jacobian, the closed-form
-brackets, the flattened lifts and a system's RK4 kernel, which
-polynomial_kernel generates as straight-line source, all read them, and
-outside this module only liealg's bracket table reads the monomial format.
-Arbitrary callables fall back to central finite differences.
+fields are polynomial fields of degree one and zero, held as their matrix or
+vector, whose monomials they derive on first read. Any field of degree at
+most one reports its (A, b) through affine(), a linear or constant field from
+that matrix or vector (bitwise what its partials give), any other from its
+partials. Each polynomial field derives its n^2 partials once, on first use:
+its Jacobian, the closed-form brackets, the flattened lifts and a system's
+RK4 kernel, which polynomial_kernel generates as straight-line source, all
+read them, and outside this module only liealg's bracket table reads the
+monomial format. Arbitrary callables fall back to central finite differences.
 A lifted field is kept as a pair of ambient maps (horizontal, vertical), so
 its projection onto the base field holds by construction; only liealg's
 lift-algebra identity check flattens lifted fields to 2n ambient dimensions.
@@ -142,18 +142,29 @@ class VectorField:
 
 
 class PolynomialField(VectorField):
-    """Components are polynomials with one non-negative integer exponent per
-    dimension (ValueError otherwise); analytic Jacobian."""
+    """Components are polynomials with one non-negative integer exponent
+    below 2**63 per dimension (ValueError otherwise); analytic Jacobian."""
 
     def __init__(self, components, dim: int, name: str = "polynomial"):
         self.components = tuple(_mono_collect(c) for c in components)
         self.dim = int(dim)
         if len(self.components) != self.dim:
             raise ValueError("polynomial field needs one component per dimension")
-        if any(len(e) != self.dim or min(e, default=0) < 0
-               for comp in self.components for _, e in comp):
-            raise ValueError(f"exponents must be {self.dim} non-negative integers")
+        for comp in self.components:
+            for _, e in comp:
+                if len(e) != self.dim or min(e) < 0:
+                    raise ValueError(f"exponents must be {self.dim} non-negative integers")
+                if max(e) >= 2 ** 63:  # liealg's bracket table holds exponents as int64
+                    raise ValueError(f"exponents must be below 2**63, got {max(e)}")
         super().__init__(self._eval, self._jac, name)
+
+    @functools.cached_property
+    def components(self):
+        """Derived on first read from a LinearField's or ConstantField's (A, b); others set it."""
+        n, (a, b) = self.dim, self._affine
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        return tuple(_mono_collect([(c, (0,) * n), *zip(row, units)])
+                     for c, row in zip(b.tolist(), a.tolist()))
 
     @functools.cached_property
     def _partials(self):
@@ -183,27 +194,29 @@ class PolynomialField(VectorField):
 
 
 class LinearField(PolynomialField):
-    """x -> A x: the degree-one polynomial field of a square matrix."""
+    """x -> A x: the degree-one polynomial field of a square matrix, held as
+    (A, 0); its monomial components are derived from A on first read."""
 
     def __init__(self, matrix: np.ndarray, name: str = "linear"):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("linear field needs a square matrix")
-        n = matrix.shape[0]
-        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-        super().__init__([[(matrix[i, j], units[j]) for j in range(n)] for i in range(n)],
-                         n, name)
-        self._affine = matrix + 0.0, np.zeros(n)  # bitwise (Df(0), f(0)): + 0.0 turns -0.0 to 0.0
+        self.dim = matrix.shape[0]
+        self._affine = matrix + 0.0, np.zeros(self.dim)  # bitwise (Df(0), f(0)): + 0.0 turns -0.0 to 0.0
+        VectorField.__init__(self, self._eval, self._jac, name)
 
 
 class ConstantField(PolynomialField):
-    """x -> c: the degree-zero polynomial field of a vector."""
+    """x -> c: the degree-zero polynomial field of a vector, held as (0, c);
+    its monomial components are derived from c on first read."""
 
     def __init__(self, vector: np.ndarray, name: str = "constant"):
         vector = np.asarray(vector, dtype=float)
-        n = vector.shape[0]
-        super().__init__([[(c, (0,) * n)] for c in vector], n, name)
-        self._affine = np.zeros((n, n)), vector + 0.0  # bitwise (Df(0), f(0)), as LinearField's
+        if vector.ndim != 1:
+            raise ValueError("constant field needs a vector")
+        self.dim = vector.shape[0]
+        self._affine = np.zeros((self.dim, self.dim)), vector + 0.0  # bitwise (Df(0), f(0)), as LinearField's
+        VectorField.__init__(self, self._eval, self._jac, name)
 
 
 def polynomial_kernel(fields, n: int, drift_tol=None):
@@ -410,27 +423,32 @@ def check_pi_related(field: VectorField, samples) -> float:
     return worst
 
 
-def field_from_descriptor(desc: dict) -> PolynomialField:
+def field_from_descriptor(desc: dict, n: int | None = None) -> PolynomialField:
     """Deserialize a field descriptor from a system-definition file; every
     kind gives a polynomial field. An entry that is not a finite JSON number
-    (an integer for a dim or an exponent) raises ValueError."""
+    (an integer for a dim or an exponent) raises ValueError, and so, given the
+    manifold's ambient dimension n, does a field of any other dimension."""
     if not isinstance(desc, dict):
         raise ValueError("field descriptor must be an object")
     kind = desc.get("type")
     if kind == "linear":
-        return LinearField(json_numbers(desc["matrix"]))
-    if kind == "constant":
-        return ConstantField(json_numbers(desc["vector"]))
-    if kind == "zero":
+        field = LinearField(json_numbers(desc["matrix"]))
+    elif kind == "constant":
+        field = ConstantField(json_numbers(desc["vector"]))
+    elif kind == "zero":
         if (dim := _number(desc["dim"], integer=True)) < 1:  # np.zeros would refuse -1 in its own words
             raise ValueError(f"zero field dim must be at least 1, got {dim}")
-        return ConstantField(np.zeros(dim), name="zero")
-    if kind == "polynomial":
+        field = ConstantField(np.zeros(dim), name="zero") if n in (None, dim) else None  # refused unallocated
+    elif kind == "polynomial":
         comps = [
-            [(_number(coeff), tuple(json_numbers(exps, integer=True).tolist()))
+            [(_number(coeff), exps if type(exps) is list and all(type(e) is int for e in exps)
+              else json_numbers(exps, integer=True).tolist())
              for coeff, exps in component]
             for component in desc["components"]
         ]
-        return PolynomialField(comps, len(comps))
-    raise ValueError(f"unknown field type {kind!r}")
-
+        field = PolynomialField(comps, len(comps))
+    else:
+        raise ValueError(f"unknown field type {kind!r}")
+    if n not in (None, dim := (dim if field is None else field.dim)):
+        raise ValueError(f"field of dimension {dim} on a manifold of ambient dimension {n}")
+    return field

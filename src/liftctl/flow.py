@@ -217,9 +217,9 @@ class AffineSystem:
         object.__setattr__(self, "bounds", bounds)
         if len(self.controlled) < 1:
             raise ValueError("need at least one controlled field")
-        if not np.all(np.isfinite(bounds)):
+        if not np.isfinite(bounds).all():
             raise ValueError("control bounds must be finite")
-        if np.any(bounds[:, 0] > bounds[:, 1]):
+        if (bounds[:, 0] > bounds[:, 1]).any():
             raise ValueError("control bounds must satisfy lo <= hi")
         if self.manifold.kind is ManifoldKind.SPHERE2:
             self._check_tangency()

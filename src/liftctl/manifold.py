@@ -170,18 +170,20 @@ def json_numbers(value, integer: bool = False) -> np.ndarray:
     integer array with integer=True). A boolean or a string (float() reads
     both), a number that is not finite or beyond the float range, a ragged
     list or, with integer=True, a non-integer raises ValueError."""
-    kinds = int if integer else (int, float)
-
     def numbers(v) -> bool:
-        return (all(map(numbers, v)) if isinstance(v, list) else
-                isinstance(v, kinds) and not isinstance(v, bool) and math.isfinite(v))
+        return all(map(numbers, v)) if isinstance(v, list) else _finite(v, integer)
 
-    try:  # an int beyond the float range overflows
-        if numbers(value):
-            return np.asarray(value) if integer else np.asarray(value, dtype=float)
-    except OverflowError:
-        pass
+    if numbers(value):
+        return np.asarray(value) if integer else np.asarray(value, dtype=float)
     raise ValueError(f"expected finite {'integers' if integer else 'numbers'}, got {value!r}")
+
+
+def _finite(v, integer: bool = False) -> bool:
+    """Whether v is one finite JSON number (an integer with integer=True), not a boolean."""
+    try:  # an int beyond the float range overflows
+        return isinstance(v, int if integer else (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _entry(data, key: str, parse, where: str = ""):
@@ -203,9 +205,11 @@ def _entry(data, key: str, parse, where: str = ""):
 
 def _number(value, integer: bool = False):
     """value, one finite JSON number (an integer with integer=True), as a float (an int)."""
-    if isinstance(value, list):
-        raise ValueError(f"expected {'an integer' if integer else 'a finite number'}, got {value!r}")
-    return int(json_numbers(value, integer=True)) if integer else float(json_numbers(value))
+    if not _finite(value, integer):
+        if isinstance(value, list):
+            raise ValueError(f"expected {'an integer' if integer else 'a finite number'}, got {value!r}")
+        json_numbers(value, integer)  # refuses what _finite refuses, in its own words
+    return int(value) if integer else float(value)
 
 
 def _positive(value) -> float:

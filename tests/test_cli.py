@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liftctl import flow
+from liftctl import cli, flow
 from liftctl.cli import SystemDefinition, _parse_args, build_parser, main
 from liftctl.fields import PolynomialField, _poly_diff, polynomial_kernel
 
@@ -1051,8 +1052,11 @@ def _loaded_fields(defn):
     return (defn.system.drift, *defn.system.controlled)
 
 
-@pytest.mark.parametrize("path", sorted(str(p) for p in [*DEFS.glob("*.json"),
-                                                        *(DEFS.parent / "perfbench" / "defs").glob("*.json")]))
+ALL_DEFINITIONS = sorted(str(p) for p in [*DEFS.glob("*.json"),
+                                           *(DEFS.parent / "perfbench" / "defs").glob("*.json")])
+
+
+@pytest.mark.parametrize("path", ALL_DEFINITIONS)
 def test_loading_and_larc_derive_no_partials(monkeypatch, capsys, path):
     """A polynomial field derives its partials on first use: loading a
     definition reads none, and neither does larc, whose bracket table builds
@@ -1093,6 +1097,173 @@ def test_partials_derived_on_first_use_equal_eager_ones():
     want_table, want_bind = polynomial_kernel([eager(fld) for fld in fields], 2)
     assert all("_partials" in vars(fld) for fld in fields)
     assert np.array_equal(table, want_table) and bind is want_bind
+
+
+def _eager_components(desc, n):
+    """The monomials a descriptor's field was built with when every field
+    built them at once: a linear field's a_ij x_j, a constant field's c_i."""
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    if desc is None or desc["type"] == "zero":
+        return [[(0.0, (0,) * n)] for _ in range(n)]
+    if desc["type"] == "linear":
+        return [list(zip(row, units)) for row in desc["matrix"]]
+    if desc["type"] == "constant":
+        return [[(c, (0,) * n)] for c in desc["vector"]]
+    return [[(c, tuple(e)) for c, e in comp] for comp in desc["components"]]
+
+
+@pytest.mark.parametrize("path", ALL_DEFINITIONS)
+def test_loaded_fields_equal_fields_built_eagerly(path):
+    """Linear and constant fields hold their (A, b) and derive their
+    monomials on first read. The fields of every definition still give,
+    bitwise, the components, partials, affine parts and kernel table of
+    polynomial fields built at once from the same descriptors."""
+    data, defn = json.loads(Path(path).read_text()), SystemDefinition.load(path)
+    n, fields = defn.manifold.ambient_dim, _loaded_fields(defn)
+    eager = [PolynomialField(_eager_components(desc, n), n)
+             for desc in (data.get("drift"), *data["controlled"])]
+    for fld, want in zip(fields, eager):
+        assert repr((fld.components, fld._partials)) == repr((want.components, want._partials))
+        got, ref = fld.affine(), want.affine()
+        assert (got is None) == (ref is None)
+        assert got is None or [part.tobytes() for part in got] == [part.tobytes() for part in ref]
+    (table, bind), (want_table, want_bind) = polynomial_kernel(fields, n), polynomial_kernel(eager, n)
+    assert table.tobytes() == want_table.tobytes() and bind is want_bind
+
+
+def test_chains_build_no_monomials_of_linear_and_constant_fields(monkeypatch, capsys, tmp_path):
+    """A chain, planned or verified from its file, reads linear and constant
+    fields through affine() alone, so on sphere_two_axis.json and
+    flat_rotation.json (two controls on S2, a drift and a control on R^2) it
+    builds none of their monomials; larc, which brackets them, does."""
+    loaded, real_load = [], SystemDefinition.load
+    monkeypatch.setattr(SystemDefinition, "load", staticmethod(lambda p: loaded.append(real_load(p))
+                                                              or loaded[-1]))
+    for path, source, target in ((SPHERE_TWO_AXIS, "0,0,1;0.9,0,0", "0,1,0;0,0,-0.9"),
+                                 (FLAT, "1,0;0,0", "0,1;1,1")):
+        code, out, _ = run_cli(["chain", path, f"--source={source}", f"--target={target}"], capsys)
+        assert code == 0
+        (tmp_path / "chain.json").write_text(json.dumps(json.loads(out)["chain"]))
+        assert run_cli(["chain", path, f"--verify-only={tmp_path / 'chain.json'}"], capsys)[0] == 0
+        point = source.split(";")[0]
+        assert run_cli(["larc", path, f"--point={point}", "--depth=2"], capsys)[0] == 0
+        *chains, larc = [_loaded_fields(d) for d in loaded[-3:]]
+        assert not [f.name for fields in chains for f in fields if "components" in vars(f)]
+        assert all("components" in vars(f) for f in larc)
+
+
+@pytest.mark.parametrize("changes,err", [
+    # the number rules, which read Python values, in the words they used on numpy arrays
+    ({"step": True}, "step: expected finite numbers, got True"),
+    ({"step": float("nan")}, "step: expected finite numbers, got nan"),
+    ({"step": [0.001]}, "step: expected a finite number, got [0.001]"),
+    ({"seed": True}, "seed: expected finite integers, got True"),
+    ({"seed": 7.9}, "seed: expected finite integers, got 7.9"),
+    ({"seed": [2]}, "seed: expected an integer, got [2]"),
+    ({"seed": 10 ** 400}, f"seed: expected finite integers, got {10 ** 400}"),
+    ({"manifold": {"kind": "flat", "dim": "1"}}, "manifold.dim: expected finite integers, got '1'"),
+    ({"drift": {"type": "zero", "dim": 1.5}}, "drift: expected finite integers, got 1.5"),
+    ({"drift": {"type": "zero", "dim": [1]}}, "drift: expected an integer, got [1]"),
+    ({"drift": {"type": "zero", "dim": 2}}, "drift: field of dimension 2 on a manifold of ambient dimension 1"),
+    ({"drift": {"type": "polynomial", "components": [[[float("nan"), [1]]]]}},
+     "drift: expected finite numbers, got nan"),
+    ({"drift": {"type": "polynomial", "components": [[["1.0", [1]]]]}},
+     "drift: expected finite numbers, got '1.0'"),
+    ({"drift": {"type": "polynomial", "components": [[[[1.0], [1]]]]}},
+     "drift: expected a finite number, got [1.0]"),
+    ({"drift": {"type": "polynomial", "components": [[[10 ** 400, [1]]]]}},
+     f"drift: expected finite numbers, got {10 ** 400}"),
+    ({"drift": {"type": "polynomial", "components": [[[1.0, [1.5]]]]}},
+     "drift: expected finite integers, got [1.5]"),
+    ({"drift": {"type": "polynomial", "components": [[[1.0, [True]]]]}},
+     "drift: expected finite integers, got [True]"),
+    ({"drift": {"type": "polynomial", "components": [[[1.0, "1"]]]}},
+     "drift: expected finite integers, got '1'"),
+    ({"drift": {"type": "polynomial", "components": [[[1.0, [-1]]]]}},
+     "drift: exponents must be 1 non-negative integers"),
+    ({"drift": {"type": "linear", "matrix": [[False]]}}, "drift: expected finite numbers, got [[False]]"),
+    ({"bounds": [[-10 ** 400, 10]]}, f"bounds: expected finite numbers, got [[{-10 ** 400}, 10]]"),
+    # new: an exponent past int64, and a constant field's vector that is not one
+    ({"controlled": [{"type": "polynomial", "components": [[[1.0, [2 ** 63]]]]}]},
+     "controlled[0]: exponents must be below 2**63, got 9223372036854775808"),
+    ({"drift": {"type": "polynomial", "components": [[[1.0, [10 ** 400]]]]}},
+     f"drift: exponents must be below 2**63, got {10 ** 400}"),
+    ({"drift": {"type": "constant", "vector": 1.0}}, "drift: constant field needs a vector"),
+    ({"controlled": [{"type": "constant", "vector": [[1.0]]}]}, "controlled[0]: constant field needs a vector"),
+], ids=lambda value: value.split(":")[0] if isinstance(value, str) else None)
+def test_definition_rules_keep_their_words(tmp_path, capsys, changes, err):
+    """Definitions check their numbers on Python values and build no numpy
+    array per number; every rejection reads as it read before, word for
+    word. New: an exponent of 2**63 or more (liealg's bracket table holds
+    exponents as int64 and raised OverflowError) and a constant field's
+    vector that is not one-dimensional (a number raised IndexError)."""
+    data = {**json.loads(Path(LINE).read_text()), **changes}
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    code, out, got = run_cli(["simulate", str(tmp_path / "bad.json"), "--x0", "0",
+                              "--control", "[[0.003,[0.5]]]"], capsys)
+    assert (code, out, got) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("where,args", [
+    ("drift", ["larc", "--point=0.5,0"]), ("drift", ["check", "--suite", "lift"]),
+    ("drift", ["check", "--suite", "rank"]), ("controlled[0]", ["larc", "--point=0.5,0"]),
+])
+def test_an_exponent_past_int64_is_named(tmp_path, capsys, where, args):
+    """An exponent of 2**63 used to load and then end larc and the lift and
+    rank suites in OverflowError from liealg's int64 bracket table; the
+    field that holds it is named now, exit 2. 2**63 - 1 loads."""
+    data = json.loads(Path(DUFFING).read_text())
+    for exponent, want in ((2 ** 63, 2), (2 ** 63 - 1, None)):
+        field = {"type": "polynomial", "components": [[[1.0, [0, 1]]], [[-1.0, [exponent, 0]]]]}
+        data.update({"drift": field} if where == "drift" else {"controlled": [field]})
+        (tmp_path / "big.json").write_text(json.dumps(data))
+        if want is None:
+            assert SystemDefinition.load(str(tmp_path / "big.json"))
+            continue
+        code, out, err = run_cli([args[0], str(tmp_path / "big.json"), *args[1:]], capsys)
+        assert (code, out, err) == (2, "", f"error: {where}: exponents must be below 2**63, "
+                                           f"got {2 ** 63}\n")
+
+
+@pytest.mark.parametrize("changes,err", [
+    # no drift: the default zero drift of dimension n used to be allocated first
+    ({"manifold": {"kind": "flat", "dim": 10 ** 18}, "drift": None},
+     f"controlled[0]: field of dimension 1 on a manifold of ambient dimension {10 ** 18}"),
+    ({"manifold": {"kind": "flat", "dim": 10 ** 30}, "drift": None},
+     f"controlled[0]: field of dimension 1 on a manifold of ambient dimension {10 ** 30}"),
+    ({"drift": {"type": "zero", "dim": 10 ** 18}},
+     f"drift: field of dimension {10 ** 18} on a manifold of ambient dimension 1"),
+    ({"drift": {"type": "zero", "dim": 10 ** 30}},
+     f"drift: field of dimension {10 ** 30} on a manifold of ambient dimension 1"),
+    # every field of the manifold's dimension: the first one that cannot be allocated
+    ({"manifold": {"kind": "flat", "dim": 10 ** 18}, "drift": None,
+      "controlled": [{"type": "zero", "dim": 10 ** 18}]}, "controlled[0]: "),
+], ids=lambda value: value.split(":")[0] if isinstance(value, str) else None)
+def test_an_oversized_dimension_is_named_before_it_is_allocated(tmp_path, capsys, changes, err):
+    """A dimension of 10**18 used to end every command in numpy's
+    _ArrayMemoryError traceback, and one of 10**30 in "error: Maximum
+    allowed dimension exceeded", naming no entry. Each field's dimension is
+    tested against the manifold's before it is allocated."""
+    data = {**json.loads(Path(LINE).read_text()), **changes}
+    (tmp_path / "huge.json").write_text(json.dumps(data))
+    code, out, got = run_cli(["larc", str(tmp_path / "huge.json"), "--point=0"], capsys)
+    assert (code, out) == (2, "") and got.startswith(f"error: {err}") and got.count("\n") == 1
+
+
+def test_help_and_usage_errors_are_those_of_the_default_formatter(monkeypatch, capsys):
+    """Parsers read the terminal width once per call, not once per argument;
+    each subcommand's help, the whole parser's and usage errors are what
+    argparse's default HelpFormatter prints, at 60 columns and at 200."""
+    argvs = [[name, "--help"] for name in ("simulate", "check", "chain", "larc")]
+    argvs += [["--help"], ["larc", FLAT], ["larc", FLAT, "--point", "1,1", "extra"]]
+    printed = {}
+    for columns in ("60", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        printed[columns] = [run_cli(argv, capsys) for argv in argvs]
+        with monkeypatch.context() as default:
+            default.setattr(cli, "_formatter", lambda: argparse.HelpFormatter)
+            assert printed[columns] == [run_cli(argv, capsys) for argv in argvs]
+    assert printed["60"] != printed["200"]
 
 
 def test_an_edited_definition_takes_effect_on_the_next_call(tmp_path, capsys):

@@ -320,6 +320,19 @@ def test_field_descriptor_round_trip():
         field_from_descriptor({"type": "mystery"})
 
 
+def test_exponents_must_fit_int64():
+    """liealg's bracket table holds exponents as int64, so a polynomial field
+    refuses 2**63 (brackets raised OverflowError) and takes 2**63 - 1."""
+    with pytest.raises(ValueError, match=r"^exponents must be below 2\*\*63, got 9223372036854775808$"):
+        PolynomialField([[(1.0, (0, 2 ** 63))], []], 2)
+    assert PolynomialField([[(1.0, (0, 2 ** 63 - 1))], []], 2).components[0] == ((1.0, (0, 2 ** 63 - 1)),)
+
+
+def test_a_descriptor_takes_a_library_callers_numpy_coefficient():
+    fld = field_from_descriptor({"type": "polynomial", "components": [[[np.float64(0.5), [1]]]]}, 1)
+    assert fld.components == (((0.5, (1,)),),) and type(fld.components[0][0][0]) is float
+
+
 COEFF = st.floats(-4.0, 4.0, allow_nan=False)
 
 

@@ -10,6 +10,7 @@ from liftctl import (
     OffManifoldError,
     TangentPoint,
 )
+from liftctl.manifold import _number, json_numbers
 
 
 def test_project_tangent_flat_identity():
@@ -190,3 +191,15 @@ def test_vector_norm_is_sqrt_of_dot_bitwise():
     scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(10_000, 1))
     for x in (rng.standard_normal((10_000, 3)) * scales):
         assert math.sqrt(x @ x) == np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("value", [0.1, -3, 2 ** 53 + 1, 2 ** 63 + 1, 2 ** 64 + 3, -(2 ** 70) - 1,
+                                   10 ** 300 + 7, np.float64(0.5)])
+def test_a_number_is_read_as_numpy_reads_it(value):
+    """_number reads one JSON number on Python values, bitwise what the array
+    json_numbers builds gives: 2**53 + 1 and larger ints round as numpy
+    rounds them, and a library caller's np.float64 is a float."""
+    got = _number(value)
+    assert type(got) is float and got.hex() == float(json_numbers(value)).hex()
+    if type(value) is int:
+        assert _number(value, integer=True) == int(json_numbers(value, integer=True)) == value
