@@ -162,27 +162,18 @@ def split_signal(u: ControlSignal, s: float) -> tuple[ControlSignal, ControlSign
         raise ValueError(f"split time {s} outside [0, {total}]")
     s = min(max(s, 0.0), total)
     head, tail = [], []
-    acc = 0.0
-    cut_done = s <= snap
+    end = 0.0
     for duration, value in u.segments:
-        if cut_done:
+        start, end = end, end + duration
+        if start >= s - snap:  # the segment starts after the cut, or on it within the snap
             tail.append((duration, value))
-            continue
-        nxt = acc + duration
-        if nxt <= s + snap:
+        elif end <= s + snap:  # it ends before the cut, or on it within the snap
             head.append((duration, value))
-            if nxt >= s - snap:
-                cut_done = True
-            acc = nxt
-        else:
-            left = s - acc
-            if left > snap:
-                head.append((left, value))
-            right = nxt - s
-            if right > snap:
-                tail.append((right, value))
-            cut_done = True
-            acc = nxt
+        else:  # the cut falls inside: a piece within the snap is dropped
+            if s - start > snap:
+                head.append((s - start, value))
+            if end - s > snap:
+                tail.append((end - s, value))
     return ControlSignal(tuple(head)), ControlSignal(tuple(tail))
 
 

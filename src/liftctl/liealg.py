@@ -109,8 +109,14 @@ def _bracket_table(key: tuple, max_depth: int):
     (dim, components): the distinct monomial exponents E (M, n), and one
     entry coeff * x ** E[mono] of slot b (n + n^2) + s < size per monomial of
     a generated bracket b's component i (s = i) or partial of component i
-    along x_j (s = n + i n + j). The arrays are shared, so read-only."""
-    entries = generate_brackets([PolynomialField(comps, dim) for dim, comps in key], max_depth)
+    along x_j (s = n + i n + j). The arrays are shared, so read-only.
+    Exponents past int64, 2**63 or more, raise NonFiniteError."""
+    try:
+        entries = generate_brackets([PolynomialField(comps, dim) for dim, comps in key], max_depth)
+    except ValueError as exc:  # unless the depth or mixed dimensions were refused: the exponent limit
+        if max_depth < 1 or len({dim for dim, _ in key}) > 1:
+            raise
+        raise NonFiniteError(f"bracket exponents to depth {max_depth} reach 2**63") from exc
     index, terms, n = {}, [], key[0][0]
     for b, (_, fld) in enumerate(entries):
         polys = (*fld.components, *(p for row in fld._partials for p in row))

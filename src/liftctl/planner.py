@@ -196,17 +196,18 @@ class SearchOracle:
     ones where a row diverged and scores NaN); the winner is the first strict
     minimum of the endpoint error in t-major, u-minor order, as if the
     candidates had been tried one at a time. Every range then shrinks around it.
+    At most `budget` candidates over at most `levels` levels, durations up to
+    `t_max`: class attributes, like `steer_tol` and `eval_step`.
     """
 
     steer_tol = SEARCH_STEER_TOL
     eval_step = 1e-2
+    budget = 12000
+    t_max = 8.0
+    levels = 10
 
-    def __init__(self, sys: AffineSystem, budget: int = 12000, t_max: float = 8.0,
-                 levels: int = 10):
+    def __init__(self, sys: AffineSystem):
         self.sys = sys
-        self.budget = int(budget)
-        self.t_max = float(t_max)
-        self.levels = int(levels)
 
     def _endpoint_errors(self, x, y, durations, controls) -> np.ndarray:
         steps = np.maximum(self.eval_step, durations / 120.0)
@@ -400,23 +401,17 @@ def _detour_point(manifold: Manifold, x: np.ndarray) -> np.ndarray:
 def _padded_plan(solve, manifold: Manifold, x: np.ndarray, y: np.ndarray,
                  min_leg: float, sig: ControlSignal) -> ControlSignal:
     """sig, a plan ending at y, padded with round trips y -> x -> y (through
-    a detour point when x and y coincide) until strictly longer than min_leg.
+    a detour point if empty, as when x and y coincide) until strictly longer
+    than min_leg; SteeringFailure after the 65th round trip, however long.
     solve(a, b) is the oracle's plan from a to b."""
-    guard = 0
-    while sig.total_duration <= min_leg:
-        _, back = solve(y, x)
-        _, fwd = solve(x, y)
-        added = back.segments + fwd.segments
-        if not added:
-            d = _detour_point(manifold, y)
-            _, back = solve(y, d)
-            _, fwd = solve(d, y)
-            added = back.segments + fwd.segments
-        sig = ControlSignal(sig.segments + added)
-        guard += 1
-        if guard > 64:
-            raise SteeringFailure("could not pad plan past the minimum leg duration")
-    return sig
+    def round_trip(via):
+        return solve(y, via)[1].segments + solve(via, y)[1].segments
+
+    for _ in range(65):
+        if sig.total_duration > min_leg:
+            return sig
+        sig = ControlSignal(sig.segments + (round_trip(x) or round_trip(_detour_point(manifold, y))))
+    raise SteeringFailure("could not pad plan past the minimum leg duration")
 
 
 def _chunk_signal(sig: ControlSignal, min_leg: float, max_legs: int) -> list[ControlSignal]:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -1223,6 +1224,47 @@ def test_an_exponent_past_int64_is_named(tmp_path, capsys, where, args):
         code, out, err = run_cli([args[0], str(tmp_path / "big.json"), *args[1:]], capsys)
         assert (code, out, err) == (2, "", f"error: {where}: exponents must be below 2**63, "
                                            f"got {2 ** 63}\n")
+
+
+@pytest.mark.parametrize("args,code,err", [
+    (["larc", "--point=0.5,0"], 1, "error: bracket exponents to depth 4 reach 2**63\n"),
+    (["check", "--suite", "rank"], 1, "error: bracket exponents to depth 4 reach 2**63\n"),
+    (["check", "--suite", "lift"], 1, "error: bracket columns to depth 2 are not finite at x="),
+    # the search's failure keeps its own words: the base rank is not known
+    (["chain", "--source=0.5,0;0,0", "--target=0.6,0;0,0"], 1,
+     "error: search budget exhausted: best endpoint error 9.771e-02\n"),
+    (["larc", "--point=0.5,0", "--depth", "1"], 0, ""),
+], ids=["larc", "rank", "lift", "chain", "depth1"])
+def test_a_bracket_exponent_past_int64_is_an_error_naming_the_depth(tmp_path, capsys, args, code, err):
+    """Every field's exponents are below 2**63, but x1 x0^(2**63 - 1)'s
+    brackets reach it by depth 3. That used to escape as the ValueError of
+    the bracket's PolynomialField, exit 2 naming no entry, and the lift
+    suite printed numpy's RuntimeWarnings; it is one error line, exit 1."""
+    data = json.loads(Path(DUFFING).read_text())
+    data["drift"] = {"type": "polynomial", "components": [[[1.0, [0, 1]]], [[-1.0, [2 ** 63 - 1, 0]]]]}
+    (tmp_path / "big.json").write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, _, got_err = run_cli([args[0], str(tmp_path / "big.json"), *args[1:]], capsys)
+    assert got == code and got_err.startswith(err) and got_err.count("\n") == (code != 0)
+
+
+def test_the_flow_suite_keeps_the_largest_projection_deviation(monkeypatch, capsys):
+    """projection_identity reports the largest base/lifted deviation of its
+    three samples (it used to keep the last one that differs)."""
+    lifted_runs = []
+
+    def perturbed(*args):
+        traj = flow.integrate_lifted(*args)
+        lifted_runs.append(traj)
+        delta = (1e-3, 1e-6, 0.0)[len(lifted_runs) - 1]
+        return dataclasses.replace(traj, states=traj.states + delta)
+
+    monkeypatch.setattr(cli, "integrate_lifted", perturbed)
+    code, out, _ = run_cli(["check", FLAT, "--suite", "flow"], capsys)
+    check = json.loads(out)["checks"]["projection_identity"]
+    assert len(lifted_runs) == 3 and code == 1 and check["pass"] is False
+    assert check["deviation"] == pytest.approx(1e-3, rel=1e-6)
 
 
 @pytest.mark.parametrize("changes,err", [

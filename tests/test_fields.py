@@ -23,7 +23,7 @@ from liftctl import (
     lie_bracket,
     vertical_lift_function,
 )
-from liftctl.fields import flatten_lift, polynomial_kernel
+from liftctl.fields import fd_jacobian, flatten_lift, polynomial_kernel
 from liftctl.flow import _stages
 
 
@@ -396,3 +396,35 @@ def test_polynomial_partials_serve_brackets_lifts_and_tables(case):
         close(np.array(got_v), want_v, np.abs(v) + h * major.jacobian(ax) @ np.abs(v))
     got_a, got_b = affine.affine()
     assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
+
+
+def _fd_map(y):
+    return np.array([np.sin(y[0]) * y[1], np.exp(y[1] - y[2]), y[0] ** 3 + y[2]])
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-8])
+def test_fd_jacobian_is_the_3_and_5_point_rule_bitwise(noise):
+    """A clean map takes the 3-point rule with step eps^(1/3) (1 + |x|), and
+    a noisy one the 5-point rule with step max(eps^(1/3), (10 noise)^(1/5))
+    (1 + |x|); func is evaluated at x, then column by column from the
+    lowest shift up (the 3-point rule's +h before its -h)."""
+    seen = []
+    x = np.array([0.3, -1.2, 0.7])
+    got = fd_jacobian(lambda y: seen.append(y.tolist()) or _fd_map(y), x, noise)
+    eps3 = float(np.finfo(float).eps) ** (1.0 / 3.0)
+    want, points = np.empty((3, 3)), [x.tolist()]
+    for j in range(3):
+        def at(mult):
+            y = x.copy()
+            y[j] += mult * h
+            points.append(y.tolist())
+            return _fd_map(y)
+        if noise == 0.0:
+            h = eps3 * 2.2
+            fp, fm = at(1.0), at(-1.0)
+            want[:, j] = (fp - fm) / (2.0 * h)
+        else:
+            h = max(eps3, (10.0 * noise) ** 0.2) * 2.2
+            fm2, fm1, fp1, fp2 = at(-2.0), at(-1.0), at(1.0), at(2.0)
+            want[:, j] = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
+    assert got.tobytes() == want.tobytes() and seen == points

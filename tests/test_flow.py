@@ -159,6 +159,32 @@ def test_signal_laws_on_random_signals(u, v, f, g):
         assert np.array_equal(w.value_at(s + t), u.value_at(t))
     assert shift(w, s).to_json() == u.to_json()
 
+
+@pytest.mark.parametrize("offset", [0.0, -0.5, 0.5, -2.0, 2.0])
+def test_split_signal_cuts_exactly_at_each_boundary_within_its_snap(offset):
+    """A cut within the snap (1e-12 (1 + total)) of a boundary, the ends
+    included, falls on it: the segments before it are the head and the ones
+    after it the tail, unchanged. A cut two snaps off cuts the segment it
+    falls in into s - start and end - s; two snaps past either end raises."""
+    durations = (0.25, 0.5, 0.125)  # boundaries 0, 0.25, 0.75 and 0.875, exact sums
+    u = ControlSignal(tuple((d, [float(i)]) for i, d in enumerate(durations)))
+    segs = [(d, float(i)) for i, d in enumerate(durations)]
+    snap = flow._CUT_SNAP * (1.0 + u.total_duration)
+    starts = np.cumsum((0.0, *durations)).tolist()
+    for k, boundary in enumerate(starts):
+        s = boundary + offset * snap
+        if not -snap <= s <= starts[-1] + snap:
+            with pytest.raises(ValueError, match="outside"):
+                split_signal(u, s)
+            continue
+        head, tail = (([(d, float(v[0])) for d, v in part.segments]) for part in split_signal(u, s))
+        if abs(offset) <= 1.0:
+            assert (head, tail) == (segs[:k], segs[k:])
+        else:
+            j = k if offset > 0 else k - 1  # the segment the cut falls in
+            assert head == segs[:j] + [(s - starts[j], float(j))]
+            assert tail == [(starts[j + 1] - s, float(j))] + segs[j + 1:]
+
 def test_signal_validation():
     with pytest.raises(ValueError):
         ControlSignal(((0.0, [1.0]),))
@@ -1153,6 +1179,10 @@ def test_check_flow_formula_zero_fiber():
     sys = rotation_system()
     u = ControlSignal.constant([0.5], 1.0)
     assert check_flow_formula(sys, [1.0, 0.0], [0.0, 0.0], u, 1e-3) <= 1e-12
+
+
+def test_check_flow_formula_of_an_empty_signal_is_zero():
+    assert check_flow_formula(rotation_system(), [1.0, 0.0], [0.3, -0.7], ControlSignal.empty(), 1e-3) == 0.0
 
 
 def test_check_flow_formula_sphere():

@@ -457,3 +457,13 @@ def test_rank_report_json():
     lifted = lifted_rank_at([LinearField(ROT2)], TangentPoint([1.0, 0.0], [0.0, 1.0]),
                             2, Manifold.flat(2))
     assert lifted.to_json()["lifted"] is True
+
+
+def test_no_fields_have_rank_zero():
+    """No field gives no bracket column: rank 0, no singular value, and the
+    absolute threshold."""
+    m = Manifold.flat(2)
+    reports = rank_at((), [0.5, -0.5], 3, m), lifted_rank_at((), TangentPoint([0.5, -0.5], [1.0, 0.0]), 3, m)
+    for report, rows in zip(reports, (2, 4)):
+        assert (report.rank, report.singular_values.size) == (0, 0)
+        assert report.threshold_used == liealg.ABS_RANK_TOL and report.generated_vectors.shape == (rows, 0)

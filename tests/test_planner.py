@@ -27,11 +27,13 @@ from liftctl import (
     TangentPoint,
     UncontrollablePairError,
     check_fiber_reachability,
+    check_invariance,
     compose_chains,
     distance,
     integrate_base,
     integrate_lifted,
     plan_chain,
+    rank_at,
     reachable_sample,
     verify_chain,
 )
@@ -195,6 +197,51 @@ def test_sphere_rotation_same_point_is_an_empty_plan():
     assert duration == 0.0 and sig.segments == ()
 
 
+@pytest.mark.parametrize("make,message", [
+    # a drift with an offset, and a linear controlled field
+    (lambda: LinearGramianOracle.for_system(AffineSystem(
+        Manifold.flat(1), ConstantField([1.0]), (ConstantField([1.0]),), [[-1.0, 1.0]])),
+     "requires a linear (or zero) drift"),
+    (lambda: LinearGramianOracle.for_system(AffineSystem(
+        Manifold.flat(2), LinearField(ROT2), (LinearField(ROT2),), [[-1.0, 1.0]])),
+     "requires constant controlled fields"),
+    (lambda: SphereRotationOracle([(0, np.eye(3)), (1, L1)], [[-1.0, 1.0], [-1.0, 1.0]]),
+     "requires skew-symmetric generators"),
+    (lambda: SphereRotationOracle.for_system(two_axis_system(AXES_25, bounds=((0.0, 1.0), (-1.0, 1.0)))),
+     "needs symmetric control authority"),
+    (lambda: SphereRotationOracle.for_system(two_axis_system(AXES_25, 0.2 * L3)),
+     "requires a driftless system"),
+])
+def test_oracles_refuse_systems_they_cannot_steer(make, message):
+    with pytest.raises(SteeringFailure, match=re.escape(message)):
+        make()
+
+
+def test_search_within_its_tolerance_is_an_empty_plan():
+    oracle = CountingSearch(line_system())
+    duration, sig = oracle.solve(np.array([0.0]), np.array([0.5 * SearchOracle.steer_tol]))
+    assert (duration, sig.segments, oracle.evaluated) == (0.0, (), 0)
+
+
+@pytest.mark.parametrize("drift_exponent,message", [
+    (2 ** 63 - 1, "no plan$"),  # the brackets' exponents reach 2**63: the rank is not known
+    (3, "no plan; base rank 1 < 2 at the source$"),
+])
+def test_a_steering_failure_names_the_base_rank_only_where_it_is_known(drift_exponent, message):
+    """The failure names a base rank below n; where the bracket columns cannot
+    be evaluated, it keeps the oracle's words."""
+    class Refusing:
+        def solve(self, x, y):
+            raise SteeringFailure("no plan")
+
+    drift = PolynomialField([[(1.0, (0, 1))], [(-1.0, (drift_exponent, 0))]], 2)
+    forcing = PolynomialField([[], []] if drift_exponent == 3 else [[], [(1.0, (2, 0))]], 2)
+    sys = AffineSystem(Manifold.flat(2), drift, (forcing,), [[-1.0, 1.0]])
+    with pytest.raises(SteeringFailure, match=message):
+        plan_chain(sys, Refusing(), TangentPoint([0.5, 0.0], [0.0, 0.0]),
+                   TangentPoint([0.6, 0.0], [0.0, 0.0]), 0.25, 0.5)
+
+
 @pytest.mark.parametrize("drift", [np.zeros((3, 3)), 0.2 * L3], ids=["driftless", "drift"])
 def test_search_on_a_25_degree_sphere_system_misses_without_an_integration_error(drift):
     """Search candidates that drift off the sphere past DRIFT_TOL at their
@@ -228,7 +275,8 @@ def test_drifting_rows_score_nan_and_the_others_keep_their_ends():
 
 def test_search_oracle_line():
     sys = line_system()
-    oracle = SearchOracle(sys, t_max=3.0)
+    oracle = SearchOracle(sys)
+    oracle.t_max = 3.0
     duration, sig = oracle.solve(np.array([0.0]), np.array([1.0]))
     end = integrate_base(sys, [0.0], sig, 1e-2).final_state
     assert abs(end[0] - 1.0) <= 1e-3
@@ -340,7 +388,8 @@ def test_search_level_matches_one_at_a_time(make_sys, x, y):
     candidates = first_level_candidates(sys)
     errs = one_at_a_time_errors(
         sys, x, y, candidates, end_point=lambda sys, x, u, step: fiber_flows(sys, [u], step)(0, x, None)[0])
-    oracle = CountingSearch(sys, levels=1)
+    oracle = CountingSearch(sys)
+    oracle.levels = 1
     durations = np.array([t for t, _ in candidates])
     controls = np.array([u for _, u in candidates])
     batch = oracle._endpoint_errors(x, y, durations, controls)
@@ -349,7 +398,8 @@ def test_search_level_matches_one_at_a_time(make_sys, x, y):
     assert np.max(np.abs(batch - stepped) / np.maximum(1.0, np.abs(stepped))) <= 1e-12
 
     best = int(np.argmin(errs))
-    oracle = CountingSearch(sys, levels=1)
+    oracle = CountingSearch(sys)
+    oracle.levels = 1
     oracle.steer_tol = 2.0 * errs[best]  # accept the level's winner
     assert sys.manifold.base_distance(x, y) > oracle.steer_tol
     duration, sig = oracle.solve(x, y)
@@ -423,13 +473,16 @@ def test_search_budget_caps_candidates():
     sys = bilinear_rotation_system()
     x, y = np.array([1.0, 0.0]), np.array([0.2, 0.9])
     errs = one_at_a_time_errors(sys, x, y, first_level_candidates(sys)[:10])
-    oracle = CountingSearch(sys, budget=10)
+    oracle = CountingSearch(sys)
+    oracle.budget = 10
     oracle.steer_tol = 2.0 * errs.min()
     duration, _ = oracle.solve(x, y)
     assert oracle.evaluated == 10
     assert duration == first_level_candidates(sys)[int(np.argmin(errs))][0]
+    oracle = CountingSearch(sys)
+    oracle.budget = 10
     with pytest.raises(SteeringFailure):
-        CountingSearch(sys, budget=10).solve(x, y)
+        oracle.solve(x, y)
 
 
 class FlatSearch(SearchOracle):
@@ -452,8 +505,10 @@ class TieSearch(SearchOracle):
     """The first level scores its candidate 112 (the middle duration and
     control) 0.5 and the others 0.6; every later candidate scores 0.5."""
 
+    levels = 3
+
     def __init__(self, sys):
-        super().__init__(sys, levels=3)
+        super().__init__(sys)
         self.levels_seen = []
 
     def _endpoint_errors(self, x, y, durations, controls):
@@ -571,6 +626,52 @@ def test_plan_chain_solves_each_pair_once(make_oracle, source, target, t_min, n_
     chain = plan_chain(sys, oracle, source, target, 0.25, t_min)
     assert len(oracle.pairs) == len(set(oracle.pairs)) == n_pairs
     assert all(leg.duration > t_min for leg in chain.legs)
+
+
+class StubSolve:
+    """Records each (a, b) it is asked for, and plans `duration` s of control
+    1.0 between distinct points (unless `duration` is None) and nothing
+    between equal ones."""
+
+    def __init__(self, duration=0.5):
+        self.duration = duration
+        self.calls = []
+
+    def __call__(self, a, b):
+        self.calls.append((a.tolist(), b.tolist()))
+        if self.duration is None or np.array_equal(a, b):
+            return 0.0, ControlSignal.empty()
+        return self.duration, ControlSignal.constant([1.0], self.duration)
+
+
+def test_padded_plan_detours_on_flat_space_when_the_bases_coincide():
+    """With x = y every round trip y -> x -> y is empty, so each pads through
+    the detour point y + e1 instead."""
+    x = np.array([1.0, 2.0])
+    solve = StubSolve()
+    sig = planner._padded_plan(solve, Manifold.flat(2), x, x.copy(), 1.5, ControlSignal.empty())
+    round_trip = [([1.0, 2.0], [1.0, 2.0])] * 2 + [([1.0, 2.0], [2.0, 2.0]), ([2.0, 2.0], [1.0, 2.0])]
+    assert solve.calls == round_trip * 2
+    assert len(sig.segments) == 4 and sig.total_duration == 2.0
+
+
+@pytest.mark.parametrize("duration,y,min_leg,calls", [
+    (0.5, 1.0, 63.5, 128),
+    (0.5, 1.0, 64.0, 130),
+    (None, 0.0, 0.5, 260),  # every round trip is empty, through the detour point too
+])
+def test_padded_plan_gives_up_after_65_round_trips(duration, y, min_leg, calls):
+    """Each round trip adds 1 s: 64 of them pass a min_leg of 63.5, and a
+    min_leg of 64 raises after the 65th, however long the plan is by then."""
+    solve = StubSolve(duration)
+    pad = lambda: planner._padded_plan(solve, Manifold.flat(1), np.zeros(1), np.array([y]), min_leg,
+                                       ControlSignal.empty())
+    if min_leg == 63.5:
+        assert pad().total_duration == 64.0
+    else:
+        with pytest.raises(SteeringFailure, match="could not pad plan"):
+            pad()
+    assert len(solve.calls) == calls
 
 
 # --- reachable sets ----------------------------------------------------------
@@ -942,6 +1043,20 @@ def _two_chains(second_epsilon, second_source):
     (lambda: split_signal(ControlSignal.constant([0.5], 1.0), -0.5), "split time -0.5 outside"),
     (lambda: ControlSignal.empty().value_at(0.0), "empty signal has no values"),
     (lambda: generate_brackets(line_system().controlled, 0), "max_depth must be >= 1"),
+    (lambda: ControlSignal.constant([0.5], 1.0).value_at(1.5), "t=1.5 outside [0, 1.0]"),
+    (lambda: integrate_base(line_system(), [0.0], ControlSignal.constant([1.0], 0.1), 0.01).final_point,
+     "base trajectory has no fiber component"),
+    (lambda: check_invariance(line_system(), [0.0], 0.0, ControlSignal.constant([1.0], 1.0), 0.5,
+                              ControlSignal.constant([1.0], 1.0)), "t must equal the duration of u_sig"),
+    (lambda: reachable_sample(line_system(), TangentPoint([0.0], [0.0]), 1.0, 0, seed=0),
+     "n_samples must be >= 1"),
+    (lambda: PolynomialField([[(1.0, (0, 0))]], 2), "polynomial field needs one component per dimension"),
+    (lambda: LinearField([1.0, 2.0]), "linear field needs a square matrix"),
+    # the bracket table's errors other than the exponent limit keep their own words
+    pytest.param(lambda: rank_at((LinearField(ROT2),), [0.5, 0.5], 0, Manifold.flat(2)),
+                 "max_depth must be >= 1", id="rank_at-depth-0"),
+    (lambda: rank_at((LinearField(ROT2), LinearField(L3)), [0.5, 0.5], 2, Manifold.flat(2)),
+     "cannot bracket fields of dimensions 2 and 3"),
 ])
 def test_library_input_errors_are_value_errors(make, message):
     """Library inputs that no command can build fail with one ValueError
