@@ -242,10 +242,10 @@ def _suite_lift(defn: SystemDefinition) -> dict:
         x = defn.manifold.random_point(rng)
         samples.append(TangentPoint(x, defn.manifold.random_tangent(x, rng)))
     fields = (sys_.drift,) + sys_.controlled
-    pi_dev = max(check_pi_related(f, samples) for f in fields)
     # the depth-2 words are the pairs [fields[i], fields[j]], i < j
     bracket_dev = check_lift_algebra_identity(fields, samples, max_depth=2)
     algebra_dev = check_lift_algebra_identity(fields, samples[:10], max_depth=3)
+    pi_dev = max(check_pi_related(f, samples) for f in fields)  # the bracket checks' error comes first
     return {"pi_related": _check(pi_dev, 1e-12), "bracket_identity": _check(bracket_dev, 1e-10),
             "lift_algebra": _check(algebra_dev, 1e-8)}
 
@@ -328,9 +328,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    """Plan a chain and verify it, or verify a chain file; either way the
-    requirement is the caller's --eps and --T, and --source and --target
-    where given."""
+    """Plan a chain or read a chain file, then verify it by one verify_chain
+    call against the caller's --eps and --T, and --source and --target where
+    given: a planned chain's verification is the --verify-only report of it."""
     defn = SystemDefinition.load(args.definition)
     _positive_flag("--eps", args.eps)
     _positive_flag("--T", args.T)
@@ -340,23 +340,21 @@ def cmd_chain(args) -> int:
     target = _parse_tangent(args.target, defn.manifold, "--target") if args.target is not None else None
     if args.verify_only:
         chain = Chain.from_json(_read_json(args.verify_only, f"--verify-only {args.verify_only}"))
-        report = verify_chain(defn.system, chain, args.eps, args.T, source, target)
-        _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
-        return 0 if report.passed else 1
-    if source is None or target is None:
+    elif source is None or target is None:
         raise DefinitionError("--source/--target", "required unless --verify-only is given")
-    oracle = resolve_oracle(defn)
-    try:
-        chain = plan_chain(defn.system, oracle, source, target,
-                           args.eps, args.T, args.max_legs, defn.step, defn.seed)
-    except PlanningBudgetError as exc:
-        payload = {"error": str(exc), "partial_chain": exc.best_chain.to_json()}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return 1
-    report = verify_chain(defn.system, chain, args.eps, args.T)
-    payload = {"chain": chain.to_json(), "verification": report.to_json()}
+    else:
+        oracle = resolve_oracle(defn)
+        try:
+            chain = plan_chain(defn.system, oracle, source, target,
+                               args.eps, args.T, args.max_legs, defn.step, defn.seed)
+        except PlanningBudgetError as exc:
+            payload = {"error": str(exc), "partial_chain": exc.best_chain.to_json()}
+            _emit(json.dumps(payload, indent=2) + "\n", args.out)
+            return 1
+    report = verify_chain(defn.system, chain, args.eps, args.T, source, target).to_json()
+    payload = report if args.verify_only else {"chain": chain.to_json(), "verification": report}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0 if report.passed else 1
+    return 0 if report["passed"] else 1
 
 
 def cmd_larc(args) -> int:

@@ -22,6 +22,7 @@ import functools
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .manifold import TangentPoint, _number, json_numbers
 
 _FD_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -399,13 +400,16 @@ def flatten_lift(field: VectorField) -> VectorField:
 def check_pi_related(field: VectorField, samples) -> float:
     """Max over samples of |horizontal part of the lift - field at the base|.
 
-    Zero by construction; kept as an executable statement of the contract.
+    Zero by construction; kept as an executable statement of the contract. A
+    deviation that is not finite raises NonFiniteError naming its x and v.
     """
     lifted = complete_lift(field)
     worst = 0.0
     for p in samples:
         h, _ = lifted(p)
         dev = float(np.linalg.norm(h - field(p.x)))
+        if not np.isfinite(dev):  # max(worst, nan) would keep worst
+            raise NonFiniteError(f"pi-relatedness deviation is not finite at x={p.x.tolist()}, v={p.v.tolist()}")
         worst = max(worst, dev)
     return worst
 

@@ -190,8 +190,8 @@ def check_lift_algebra_identity(fields, samples, max_depth: int) -> float:
     flat = [flatten_lift(f) for f in fields]
     worst = 0.0
     for p in samples:
+        right = _columns(fields, max_depth, Manifold.flat(len(p.x)), p.x, p.v)  # first: it names x and v
         left = _columns(flat, max_depth, Manifold.flat(2 * len(p.x)), np.concatenate([p.x, p.v]))
-        right = _columns(fields, max_depth, Manifold.flat(len(p.x)), p.x, p.v)
         # the letters are both sides the same lift by definition
         for col in (left - right).T[len(fields):]:
             worst = max(worst, float(np.linalg.norm(col)))

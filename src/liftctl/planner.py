@@ -388,29 +388,23 @@ def compose_chains(first: Chain, second: Chain) -> Chain:
                  first.source, second.target, first.step, first.seed)
 
 
-def _detour_point(manifold: Manifold, x: np.ndarray) -> np.ndarray:
-    if manifold.is_flat:
-        d = x.copy()
-        d[0] += 1.0
-        return d
-    t = manifold.tangent_basis(x)[:, 0]
-    d = np.cos(0.5) * x + np.sin(0.5) * t
-    return d / np.linalg.norm(d)
-
-
 def _padded_plan(solve, manifold: Manifold, x: np.ndarray, y: np.ndarray,
                  min_leg: float, sig: ControlSignal) -> ControlSignal:
-    """sig, a plan ending at y, padded with round trips y -> x -> y (through
-    a detour point if empty, as when x and y coincide) until strictly longer
-    than min_leg; SteeringFailure after the 65th round trip, however long.
-    solve(a, b) is the oracle's plan from a to b."""
+    """sig, a plan ending at y, padded with round trips y -> x -> y until
+    strictly longer than min_leg; SteeringFailure after the 65th round trip,
+    however long. An empty round trip, as when x and y coincide, is replaced
+    by one through the detour point: y retracted along its first tangent
+    basis vector, 1 away on flat space and 0.5 rad away on S2 (a step of
+    tan(0.5)). solve(a, b) is the oracle's plan from a to b."""
     def round_trip(via):
         return solve(y, via)[1].segments + solve(via, y)[1].segments
 
+    detour = 1.0 if manifold.is_flat else math.tan(0.5)
     for _ in range(65):
         if sig.total_duration > min_leg:
             return sig
-        sig = ControlSignal(sig.segments + (round_trip(x) or round_trip(_detour_point(manifold, y))))
+        sig = ControlSignal(sig.segments + (round_trip(x) or round_trip(
+            manifold.retract(y, detour * manifold.tangent_basis(y)[:, 0]))))
     raise SteeringFailure("could not pad plan past the minimum leg duration")
 
 

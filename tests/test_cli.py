@@ -385,6 +385,51 @@ def test_double_integrator_chain_verifies(tmp_path, capsys):
     assert len(payload["chain"]["legs"]) <= 25
 
 
+# the double integrator, and rotations about two axes 25 degrees apart on S2
+DOUBLE_INTEGRATOR = {"schema_version": 1, "manifold": {"kind": "flat", "dim": 2},
+                     "drift": {"type": "linear", "matrix": [[0.0, 1.0], [0.0, 0.0]]},
+                     "controlled": [{"type": "constant", "vector": [0.0, 1.0]}],
+                     "bounds": [[-50.0, 50.0]], "metric": "flat_product", "step": 0.001, "seed": 0}
+SPHERE_25 = {"schema_version": 1, "manifold": {"kind": "sphere2"},
+             "controlled": [{"type": "linear", "matrix": [[0.0, -0.2687, -0.1204], [0.2687, 0.0, -0.8955],
+                                                         [0.1204, 0.8955, 0.0]]},
+                            {"type": "linear", "matrix": [[0.0, -0.2678, 0.8042], [0.2678, 0.0, -2.9609],
+                                                         [-0.8042, 2.9609, 0.0]]}],
+             "bounds": [[-1.0, 1.0], [-1.0, 1.0]], "step": 0.001, "seed": 0}
+
+
+@pytest.mark.parametrize("definition,eps,T,flags", [
+    (LINE, "0.05", "0.5", ["--source=0;0", "--target=3;-5"]),
+    (LINE, "0.25", "0.01", ["--source=0;0", "--target=1;0"]),
+    (LINE, "0.25", "1e-4", ["--source=0;0", "--target=1;0", "--max-legs=2000"]),
+    (FLAT, "0.1", "0.5", ["--source=1,0;0,0", "--target=0,1;1,1"]),
+    (SPHERE, "0.1", "0.5", ["--source=1,0,0;0,1,0", "--target=0,1,0;0,0,1"]),
+    (SPHERE_TWO_AXIS, "0.25", "0.5", ["--source=1,0,0;0,0.1,0", "--target=-1,0,0;0,0.1,0"]),
+    (SPHERE_TWO_AXIS, "0.25", "0.5", ["--source=0,0,1;0.9,0,0", "--target=0,1,0;0,0,-0.9"]),
+    (SPHERE_TWO_AXIS, "0.25", "0.5", ["--source=0,1,0;0.3,0,0", "--target=0,1,0;0,0,0.3"]),
+    (DOUBLE_INTEGRATOR, "0.25", "0.5", ["--source=0,0;1,0", "--target=1.5,0;0,1"]),
+    (SPHERE_25, "0.25", "0.5", ["--source=0,0,1;0.3,0,0", "--target=0.6,0,-0.8;0,0.3,0"]),
+    (DUFFING, "0.25", "0.5", ["--source=0.36470373,-0.89235796;-1.2963764,1.24837803",
+                              "--target=-0.55928025,-0.63125638;1.69337999,-0.89370241"]),
+], ids=["line", "line-T0.01", "line-T1e-4", "flat_rotation", "sphere_rotation", "antipodal",
+        "round-trip", "coincident-S2", "double_integrator", "sphere_25deg", "duffing"])
+def test_a_planned_chains_verification_is_the_verify_only_report_of_it(tmp_path, capsys, definition,
+                                                                       eps, T, flags):
+    """On every chain the CI plans, the planned payload's verification is
+    what --verify-only reports on its chain block: both are one verify_chain
+    call against the flags."""
+    if isinstance(definition, dict):
+        (tmp_path / "definition.json").write_text(json.dumps(definition))
+        definition = str(tmp_path / "definition.json")
+    code, out, _ = run_cli(["chain", definition, *flags, "--eps", eps, "--T", T], capsys)
+    payload = json.loads(out)
+    (tmp_path / "chain.json").write_text(json.dumps(payload["chain"]))
+    verified = run_cli(["chain", definition, "--verify-only", str(tmp_path / "chain.json"),
+                        "--eps", eps, "--T", T], capsys)
+    assert code == 0 and payload["verification"]["passed"] is True
+    assert verified == (0, json.dumps(payload["verification"], indent=2) + "\n", "")
+
+
 @pytest.mark.parametrize("path,named", [
     (("legs",), "legs"), (("epsilon",), "epsilon"), (("T",), "T"),
     (("source",), "source"), (("target",), "target"),
@@ -1247,6 +1292,17 @@ def test_a_bracket_exponent_past_int64_is_an_error_naming_the_depth(tmp_path, ca
         warnings.simplefilter("error")
         got, _, got_err = run_cli([args[0], str(tmp_path / "big.json"), *args[1:]], capsys)
     assert got == code and got_err.startswith(err) and got_err.count("\n") == (code != 0)
+
+
+def test_the_lift_suite_names_x_and_v_where_the_brackets_are_not_finite(tmp_path, capsys):
+    """The lift suite's bracket check names the sample it overflows at by x
+    and v, as larc --v does; it used to print the flattened (x, v) as x."""
+    data = json.loads(Path(DUFFING).read_text())
+    data["drift"] = {"type": "polynomial", "components": [[[1.0, [0, 1]]], [[-1.0, [2 ** 63 - 1, 0]]]]}
+    (tmp_path / "big.json").write_text(json.dumps(data))
+    assert run_cli(["check", str(tmp_path / "big.json"), "--suite", "lift"], capsys) == (
+        1, "", "error: bracket columns to depth 2 are not finite at x=[1.8267565599574231, "
+               "-3.0783319101980338], v=[0.9580639753088469, 0.06963722766094482]\n")
 
 
 def test_the_flow_suite_keeps_the_largest_projection_deviation(monkeypatch, capsys):

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from liftctl import (
     lie_bracket,
     vertical_lift_function,
 )
+from liftctl.cli import SystemDefinition
+from liftctl.errors import NonFiniteError
 from liftctl.fields import fd_jacobian, flatten_lift, polynomial_kernel
 from liftctl.flow import _stages
 
@@ -221,6 +225,27 @@ def test_check_pi_related_is_zero():
     custom = VectorField(lambda x: np.array([np.sin(x[0]), x[1] ** 2]))
     assert check_pi_related(custom, samples) == 0.0
     assert check_pi_related(fld, []) == 0.0
+
+
+def test_check_pi_related_raises_where_the_deviation_is_not_finite():
+    """The drift x1 d/dx0 - x0^(2**63 - 1) d/dx1 overflows at 34 of the lift
+    suite's 100 samples on duffing.json. max(worst, nan) kept worst, so the
+    check returned 0.0; it names the first such sample's x and v now."""
+    data = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "defs"
+                       / "duffing.json").read_text())
+    data["drift"] = {"type": "polynomial", "components": [[[1.0, [0, 1]]], [[-1.0, [2 ** 63 - 1, 0]]]]}
+    defn = SystemDefinition.from_dict(data)
+    rng = np.random.default_rng(defn.seed)  # the samples of cli._suite_lift
+    samples = []
+    for _ in range(100):
+        x = defn.manifold.random_point(rng)
+        samples.append(TangentPoint(x, defn.manifold.random_tangent(x, rng)))
+    first = samples[0]
+    with pytest.raises(NonFiniteError) as err:
+        check_pi_related(defn.system.drift, samples)
+    assert str(err.value) == ("pi-relatedness deviation is not finite at "
+                              f"x={first.x.tolist()}, v={first.v.tolist()}")
+    assert check_pi_related(defn.system.controlled[0], samples) == 0.0
 
 
 def test_check_bracket_identity_linear():

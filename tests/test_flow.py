@@ -185,6 +185,23 @@ def test_split_signal_cuts_exactly_at_each_boundary_within_its_snap(offset):
             assert head == segs[:j] + [(s - starts[j], float(j))]
             assert tail == [(starts[j + 1] - s, float(j))] + segs[j + 1:]
 
+
+def test_concat_and_shift_cut_by_split_signals_rule():
+    """concat and shift cut where split_signal cuts: a time half a snap below
+    0 is cut at 0 (each used to check its own window, and raised), and one
+    past the snap raises split_signal's ValueError."""
+    v = ControlSignal(((0.25, [1.0]), (0.5, [2.0])))
+    u = ControlSignal.constant([5.0], 3.0)
+    half_snap = 0.5 * flow._CUT_SNAP * (1.0 + v.total_duration)
+    assert concat(v, -half_snap, u).to_json() == u.to_json()
+    assert shift(v, -half_snap).to_json() == v.to_json()
+    assert shift(v, 0.75 + half_snap).to_json() == []
+    with pytest.raises(ValueError, match="^split time 1.0 outside"):
+        concat(v, 1.0, u)
+    with pytest.raises(ValueError, match="^split time -0.5 outside"):
+        shift(v, -0.5)
+
+
 def test_signal_validation():
     with pytest.raises(ValueError):
         ControlSignal(((0.0, [1.0]),))

@@ -655,6 +655,22 @@ def test_padded_plan_detours_on_flat_space_when_the_bases_coincide():
     assert len(sig.segments) == 4 and sig.total_duration == 2.0
 
 
+def test_padded_plan_detours_half_a_radian_on_the_sphere_when_the_bases_coincide():
+    """On S2 the detour point is y retracted along its first tangent basis
+    vector, 0.5 rad away: within 1e-15 of cos(0.5) y + sin(0.5) t."""
+    y = np.array([0.6, 0.0, 0.8])
+    m = Manifold.sphere2()
+    solve = StubSolve()
+    sig = planner._padded_plan(solve, m, y, y.copy(), 0.5, ControlSignal.empty())
+    t = m.tangent_basis(y)[:, 0]
+    detour = np.cos(0.5) * y + np.sin(0.5) * t
+    assert solve.calls[:2] == [(y.tolist(), y.tolist())] * 2
+    (a, d), (d_back, b) = solve.calls[2:]
+    assert a == b == y.tolist() and d == d_back
+    assert np.max(np.abs(np.array(d) - detour)) <= 1e-15
+    assert sig.total_duration == 1.0
+
+
 @pytest.mark.parametrize("duration,y,min_leg,calls", [
     (0.5, 1.0, 63.5, 128),
     (0.5, 1.0, 64.0, 130),
