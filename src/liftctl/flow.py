@@ -16,15 +16,15 @@ those of a batch, one of three ways.
   variational step is v -> M v. A run that records no rows takes a
   segment's k steps as the k-th power of [[M, c], [0, 1]] applied to (x, 1)
   by repeated squaring (Higham, Functions of Matrices, 2008, §4.1): the RK4
-  end point up to rounding. _power takes them for all segments of a list of
-  signals (fiber_flows) or of a batch (constant_control_endpoints). On the
-  sphere the end point is renormalized and its fiber re-projected once per
-  segment (scaling commutes with the linear map, and the per-step
-  projections remove only O(h^5) normal parts). It is taken there only when
-  g = ||M^T M - I||_F + ||c|| <= DRIFT_TOL (for a batch, for every row),
-  which bounds the drift |(||M y + c|| - 1)| <= |y^T (M^T M - I) y| + ||c||
-  of each step from a unit y; so only NaN raises, and every verdict is the
-  stepper's.
+  end point up to rounding. _powers takes them for all segments of a list of
+  signals (fiber_flows) or of a batch (constant_control_endpoints), so a
+  batch's row is bitwise its own run. On the sphere the end point is
+  renormalized and its fiber re-projected once per segment (scaling commutes
+  with the linear map, and the per-step projections remove only O(h^5)
+  normal parts). A segment takes its power there only when its own
+  g = ||M^T M - I||_F + ||c|| <= DRIFT_TOL, which bounds the drift
+  |(||M y + c|| - 1)| <= |y^T (M^T M - I) y| + ||c|| of each step from a
+  unit y; so only NaN raises, and every verdict is the stepper's.
 - Kernel loop. Every other polynomial segment, affine ones that record rows
   or whose power g does not certify included, runs the system's generated
   kernel (fields.polynomial_kernel): a loop over a segment's RK4 steps on
@@ -109,7 +109,7 @@ class ControlSignal:
         if not self.segments:
             raise ValueError("empty signal has no values")
         total = self.total_duration
-        if t < 0.0 or t > total + _CUT_SNAP * (1.0 + total):
+        if not 0.0 <= t <= total + _CUT_SNAP * (1.0 + total):  # NaN fails it
             raise ValueError(f"t={t} outside [0, {total}]")
         acc = 0.0
         for duration, value in self.segments:
@@ -158,7 +158,7 @@ def split_signal(u: ControlSignal, s: float) -> tuple[ControlSignal, ControlSign
     """
     total = u.total_duration
     snap = _CUT_SNAP * (1.0 + total)
-    if s < -snap or s > total + snap:
+    if not -snap <= s <= total + snap:  # NaN fails it
         raise ValueError(f"split time {s} outside [0, {total}]")
     s = min(max(s, 0.0), total)
     head, tail = [], []
@@ -382,7 +382,7 @@ def _to_sphere(x: np.ndarray, v, t, tol=DRIFT_TOL) -> tuple[np.ndarray, np.ndarr
         nrm = math.sqrt(x @ x)  # the value np.linalg.norm gives, at less cost
         x, drift = x / nrm, abs(nrm - 1.0)
     else:
-        nrm = _row_norms(np.linalg.norm(x, axis=1, keepdims=True), tol)
+        nrm = _row_norms(np.sqrt(_dots(x, x))[:, None], tol)  # each bitwise its row's math.sqrt
         x, drift = x / nrm, float(np.fmax.reduce(np.abs(nrm - 1.0), axis=None))
     _check_drift(drift, t, tol)
     if v is not None:
@@ -424,7 +424,7 @@ def _matrix_power(a: np.ndarray, k: int) -> np.ndarray:
     return result
 
 
-def _power(m: np.ndarray, c: np.ndarray, counts) -> np.ndarray:
+def _power(m: np.ndarray, c: np.ndarray, counts: list) -> np.ndarray:
     """The counts[r]-th powers of [[M_r, c_r], [0, 1]] of a stack of maps, as
     (B, n + 1, n + 1): one _matrix_power per distinct count (of the whole stack
     for one), so each is bitwise its single map's power. The one place powers are taken."""
@@ -432,10 +432,25 @@ def _power(m: np.ndarray, c: np.ndarray, counts) -> np.ndarray:
     power = np.zeros((len(m), n + 1, n + 1))
     power[:, :n, :n], power[:, :n, n], power[:, n, n] = m, c, 1.0
     distinct = sorted(set(counts))  # np.unique would import numpy.ma
+    grouped = np.array(counts) if len(distinct) > 1 else None
     for k in distinct:
-        rows = slice(None) if len(distinct) == 1 else [r for r, count in enumerate(counts) if count == k]
+        rows = slice(None) if grouped is None else np.flatnonzero(grouped == k)
         power[rows] = _matrix_power(power[rows], k)
     return power
+
+
+def _powers(sys: AffineSystem, values: np.ndarray, sizes: np.ndarray, counts: np.ndarray, on_sphere: bool):
+    """(rows, powers): the segments (values (B, m), step sizes and counts (B,))
+    that take a power, slice(None) for all, and their _power, from one stacked
+    pass of affine_parts and _step_map: every affine segment off the sphere, and
+    on it each whose own _drift_bound g <= DRIFT_TOL. The one place a segment is certified."""
+    parts = sys.affine_parts(values)
+    if parts is None:
+        return [], np.empty((0, sys.manifold.ambient_dim + 1, sys.manifold.ambient_dim + 1))
+    m, c = _step_map(*parts, sizes[:, None, None])
+    certified = [g <= DRIFT_TOL for g in _drift_bound(m, c)] if on_sphere else ()  # NaN fails it
+    rows = slice(None) if all(certified) else np.flatnonzero(certified)  # a slice indexes without copies
+    return rows, _power(m[rows], c[rows], counts[rows].tolist())
 
 
 def _stages(rhs, h, n_steps: int, x, v, t, rows, on_sphere: bool):
@@ -473,8 +488,7 @@ def _advance(sys: AffineSystem, uval: np.ndarray, h, n_steps: int, x: np.ndarray
     """n_steps RK4 steps of size h under the constant control uval, from one
     state x (n,) with fiber v None, (n,) or (n, k), extending rows unless
     None by the flat row (t, x.., v..) of every step, or from a stack of
-    rows x (B, n) with uval (B, m), h (B,) and v None; powers are taken by
-    its callers, fiber_flows and constant_control_endpoints:
+    rows x (B, n) with uval (B, m), h (B,) and v None (_powers takes powers):
     - a polynomial segment, on either manifold, is one call of the
       generated kernel loop (fields.polynomial_kernel), one per column of a
       fiber matrix (each gives the same state bitwise);
@@ -570,13 +584,12 @@ def fiber_flows(sys: AffineSystem, signals, step: float = DEFAULT_STEP):
     (None, a vector (n,) or an (n, k) matrix's columns, each checked as
     integrate_lifted checks its start) carried along: integrate_lifted's up to
     rounding, one base end for any fibers, for starts that come one at a time.
-    One stacked pass of affine_parts, _step_map, _drift_bound on S2 and _power
-    takes every certified affine segment's power, bitwise its own signal's; a
-    run applies them and steps the rest by _advance. One check_controls and
-    _grid pass checks every signal's segments; only if it refuses one does
-    _segments check each signal alone, to word its failure. A refused signal
-    adds no segment, and its run raises that error after the start's, whose
-    fiber columns are tested as one array (TangentPoint.validate words a failure)."""
+    One _powers pass takes every certified segment's power; a run applies them
+    and steps the rest by _advance. One check_controls and _grid pass checks
+    every signal's segments; only if it refuses one does _segments check each
+    signal alone, to word its failure. A refused signal adds no segment, and
+    its run raises that error after the start's, whose fiber columns are
+    tested as one array (TangentPoint.validate words a failure)."""
     every = [segment for u in signals for segment in u.segments]
     try:  # np.array refuses values of different lengths with a ValueError too
         sys.check_controls(np.array([value for _, value in every], ndmin=2))
@@ -594,12 +607,8 @@ def fiber_flows(sys: AffineSystem, signals, step: float = DEFAULT_STEP):
         except (ValueError, DefinitionError) as exc:
             plans.append(exc.with_traceback(None))
     on_sphere = sys.manifold.kind is ManifoldKind.SPHERE2
-    parts = sys.affine_parts(np.array([uval for uval, _, _ in segments])) if segments else None
-    powers = {}
-    if parts is not None:
-        m, c = _step_map(*parts, np.array([h for _, h, _ in segments])[:, None, None])
-        ok = [r for r, g in enumerate(_drift_bound(m, c)) if g <= DRIFT_TOL] if on_sphere else range(len(m))
-        powers = dict(zip(ok, _power(m[ok], c[ok], [segments[r][2] for r in ok])))
+    rows, powers = _powers(sys, *map(np.array, zip(*segments)), on_sphere) if segments else ([], [])
+    powers = dict(zip(np.arange(len(segments))[rows].tolist(), powers))
 
     def run(i: int, x0: np.ndarray, fibers) -> tuple[np.ndarray, np.ndarray | None]:
         x = np.array(sys.manifold.check_point(x0), dtype=float)
@@ -621,15 +630,13 @@ def fiber_flows(sys: AffineSystem, signals, step: float = DEFAULT_STEP):
 def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.ndarray,
                                durations, steps) -> np.ndarray:
     """Final base states from x0, row r under the constant control
-    controls[r] (controls (B, m)) held for durations[r] on the grid
-    integrate_base would use with step steps[r]; the batch is checked as a
+    controls[r] (controls (B, m)) held for durations[r] with step steps[r]:
+    row r ends bitwise where fiber_flows(sys, [ControlSignal.constant(
+    controls[r], durations[r])], steps[r]) ends, and is not finite where that
+    run raises (NaN for a drift off the sphere). The batch is checked as a
     ControlSignal and check_signal check one, and its steps and grid as
-    fiber_flows checks them, first. Affine rows take their step maps
-    in one stacked pass; rows sharing a step count are one _power where
-    _drift_bound certifies them all, else one _advance of a stacked state; a
-    batch of one count (every search level after the first) is not regrouped.
-    Off the sphere a row ends bitwise where a fiber_flows run ends, on it where
-    integrate_base does up to rounding, or NaN where that raises for drift.
+    fiber_flows checks them, first. The rows _powers certifies take their
+    powers in one stacked product; the others step by one _advance per count.
     """
     x = np.asarray(sys.manifold.check_point(x0), dtype=float)
     controls, durations, steps = (np.asarray(a, dtype=float) for a in (controls, durations, steps))
@@ -639,25 +646,19 @@ def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.n
                          f"lasts {durations[bad[0]]}")
     sys.check_controls(controls)
     counts, sizes = _grid(durations, steps)
-    on_sphere, parts = sys.manifold.kind is ManifoldKind.SPHERE2, sys.affine_parts(controls)
-    if parts is not None:
-        m, c = _step_map(*parts, sizes[:, None, None])
-        bounds = np.array(_drift_bound(m, c)) if on_sphere else None
-    ends = np.empty((len(durations), x.shape[0]))
-    distinct = sorted(set(counts.tolist()))  # np.unique would import numpy.ma
-    for k in distinct:
-        rows = slice(None) if len(distinct) == 1 else np.flatnonzero(counts == k)
-        if parts is not None and (bounds is None or bounds[rows].max() <= DRIFT_TOL):  # NaN fails it
-            power = _power(m[rows], c[rows], [int(k)] * len(ends[rows]))
-            ends[rows] = power[:, :-1, :-1] @ x + power[:, :-1, -1]  # each row as a fiber_flows run
-            if on_sphere:  # certified: only NaN raises
-                ends[rows] = _to_sphere(ends[rows], None, k * sizes[rows], math.inf)[0]
-        else:
-            try:
-                ends[rows] = _advance(sys, controls[rows], sizes[rows], int(k),
-                                      np.tile(x, (len(ends[rows]), 1)), None, 0.0, None, on_sphere)[0]
-            except IntegrationError:  # every row drifted off the sphere: all are misses
-                ends[rows] = np.nan
+    counts, on_sphere = counts.astype(int), sys.manifold.kind is ManifoldKind.SPHERE2
+    rows, powers = _powers(sys, controls, sizes, counts, on_sphere)
+    ends = np.full((len(durations), x.shape[0]), x)  # each row's start, until it ends
+    ends[rows] = powers[:, :-1, :-1] @ x + powers[:, :-1, -1]  # each row as a fiber_flows run
+    if on_sphere and len(powers):  # certified: only NaN raises
+        ends[rows] = _to_sphere(ends[rows], None, durations[rows], math.inf)[0]
+    counts[rows] = 0  # a powered row has no step left
+    for k in sorted(set(counts.tolist()) - {0}):  # np.unique would import numpy.ma
+        group = np.flatnonzero(counts == k)
+        try:
+            ends[group] = _advance(sys, controls[group], sizes[group], k, ends[group], None, 0.0, None, on_sphere)[0]
+        except IntegrationError:  # every row drifted off the sphere: all are misses
+            ends[group] = np.nan
     return ends
 
 
@@ -701,7 +702,7 @@ def check_invariance(sys: AffineSystem, x: np.ndarray, s: float,
     v_sig at the splice time; it fails across genuine switches.
     """
     t_req = float(t)
-    if abs(t_req - u_sig.total_duration) > 1e-9:
+    if not abs(t_req - u_sig.total_duration) <= 1e-9:  # NaN fails it
         raise ValueError("t must equal the duration of u_sig")
     y_s = integrate_base(sys, x, split_signal(v_sig, s)[0], step).final_state
     v_at_s = v_sig.value_at(min(s, v_sig.total_duration)) if v_sig.segments else u_sig.value_at(0.0)

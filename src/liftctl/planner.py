@@ -93,10 +93,9 @@ class LinearGramianOracle:
         self._full_exp = expm(self.a * self.horizon)
         self._gram = sum(g @ g.T for g in gammas)
         sigma = np.linalg.svd(self._gram, compute_uv=False)
-        if sigma[-1] < 1e-10 * sigma[0]:
-            raise UncontrollablePairError(
-                f"Gramian numerically singular: sigma_min/sigma_max = {sigma[-1] / sigma[0]:.2e}"
-            )
+        if not sigma[-1] > 1e-10 * sigma[0]:  # an all-zero Gramian fails it, as 0 > 0 is false
+            raise UncontrollablePairError(f"Gramian numerically singular: sigma_min {sigma[-1]:.2e} "
+                                          f"against sigma_max {sigma[0]:.2e}")
 
     @staticmethod
     def for_system(sys: AffineSystem, horizon: float = 1.0) -> "LinearGramianOracle":
@@ -190,12 +189,12 @@ class SearchOracle:
     Candidate plans are integrated with a step proportional to their duration,
     coarse enough to keep the search cheap and far below the steering
     tolerance in accuracy. Each grid level is one stacked pass: one
-    constant_control_endpoints call (for affine systems one matrix power of
-    the stack per step count; durations of at least 120 eval_step all take
-    120 steps) and one base_distance call over the end points (the finite
-    ones where a row diverged and scores NaN); the winner is the first strict
-    minimum of the endpoint error in t-major, u-minor order, as if the
-    candidates had been tried one at a time. Every range then shrinks around it.
+    constant_control_endpoints call, whose rows end bitwise where their own
+    plans run (durations of at least 120 eval_step all take 120 steps), and
+    one base_distance call over the end points (the finite ones where a row
+    diverged and scores NaN); the winner is the first strict minimum of the
+    endpoint error in t-major, u-minor order, as if the candidates had been
+    tried one at a time. Every range then shrinks around it.
     At most `budget` candidates over at most `levels` levels, durations up to
     `t_max`: class attributes, like `steer_tol` and `eval_step`.
     """

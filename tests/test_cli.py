@@ -1518,6 +1518,23 @@ def test_larc_at_an_overflowing_point_is_an_error(fiber, where):
     assert err == f"error: bracket columns to depth 3 are not finite at {where}\n"
 
 
+def test_a_zero_control_field_falls_back_to_the_search(tmp_path):
+    """A linear drift with only a zero controlled field has an all-zero
+    Gramian, which the Gramian oracle accepted; every chain then exited 2
+    with numpy's "Singular matrix", which names nothing. The oracle refuses
+    it now, and the search fails in one stderr line that names the base
+    rank, with warnings as errors."""
+    definition = tmp_path / "zero_field.json"
+    definition.write_text(json.dumps({
+        "schema_version": 1, "manifold": {"kind": "flat", "dim": 2},
+        "drift": {"type": "linear", "matrix": [[0.0, 1.0], [-1.0, 0.0]]},
+        "controlled": [{"type": "zero", "dim": 2}], "bounds": [[-1.0, 1.0]]}))
+    code, out, err = run_fresh_process(["-W", "error", "-m", "liftctl", "chain", str(definition),
+                                        "--source=0,0;0,0", "--target=1,0;0,0"])
+    assert (code, out) == (1, "")
+    assert err == "error: search budget exhausted: best endpoint error 1.000e+00; base rank 0 < 2 at the source\n"
+
+
 @pytest.mark.parametrize("source", ["1e100,0;0,0", "1e120,0;0,0"])
 def test_a_diverging_search_prints_only_its_error(source):
     """Every polynomial candidate from a huge source diverges. The search

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -189,7 +190,7 @@ def test_split_signal_cuts_exactly_at_each_boundary_within_its_snap(offset):
 def test_concat_and_shift_cut_by_split_signals_rule():
     """concat and shift cut where split_signal cuts: a time half a snap below
     0 is cut at 0 (each used to check its own window, and raised), and one
-    past the snap raises split_signal's ValueError."""
+    past the snap or NaN raises split_signal's ValueError."""
     v = ControlSignal(((0.25, [1.0]), (0.5, [2.0])))
     u = ControlSignal.constant([5.0], 3.0)
     half_snap = 0.5 * flow._CUT_SNAP * (1.0 + v.total_duration)
@@ -200,6 +201,11 @@ def test_concat_and_shift_cut_by_split_signals_rule():
         concat(v, 1.0, u)
     with pytest.raises(ValueError, match="^split time -0.5 outside"):
         shift(v, -0.5)
+    # a NaN time fails the window (concat returned u, and shift the empty signal)
+    with pytest.raises(ValueError, match=re.escape("split time nan outside [0, 0.75]")):
+        concat(v, np.nan, u)
+    with pytest.raises(ValueError, match=re.escape("split time nan outside [0, 0.75]")):
+        shift(v, np.nan)
 
 
 def test_signal_validation():
@@ -1062,28 +1068,49 @@ def test_fiber_flows_raise_a_refused_signals_error_when_it_runs(monkeypatch):
             fiber_flows(sys, [signals[2]], 1e-3)(0, x0, None)
 
 
+def sphere_drift_system():
+    """Rotations about z and x with bounds +-2 under a drift 0.1 L3: at the
+    search's longest step, 8 / 120, the corner u = (2, 2) is not certified."""
+    return AffineSystem(Manifold.sphere2(), LinearField(0.1 * L3), (LinearField(L3), LinearField(L1)),
+                        [[-2.0, 2.0], [-2.0, 2.0]])
+
+
 @pytest.mark.parametrize("case", [
     *(pytest.param(case, id=f"{case[0]}-{case[1]}") for case in ((1, False), (2, True), (3, False))),
     *(f"{prefix}{make.__name__}" for prefix in ("", "bare-") for make, _, _ in POLYNOMIAL_CASES[:2]),
+    "sphere_polynomial_system", "bare-sphere_polynomial_system", "sphere_drift_system",
 ])
 def test_batched_powers_match_fiber_flow_bitwise(case, monkeypatch):
-    """On flat space a batch of constant controls ends, row for row, bitwise
-    where fiber_flows ends under each row's constant control, with mixed step
-    counts: on affine systems (two channels, c != 0) by one stacked power per
-    step count and on polynomial systems by one segment loop call per step
-    count, neither of which takes the stages, and on their bare copies by the
-    stages."""
+    """A batch of constant controls ends, row for row, bitwise where
+    fiber_flows ends under each row's constant control, with mixed step
+    counts, on flat space and on S2: on affine systems (two channels,
+    c != 0) by one stacked power of the rows whose own drift bound certifies
+    them (every row off the sphere), on polynomial systems and for the other
+    rows by one segment loop call per step count, neither of which takes the
+    stages, and on the bare copies by the stages, whose S2 rows renormalize
+    bitwise as one state does. On S2 with a drift, the rows of 120 steps mix
+    a row that steps with rows that take a power."""
     if isinstance(case, tuple):
         rng = np.random.default_rng(40 + case[0])
         sys = random_affine_system(*case, rng)
         x0 = rng.normal(size=case[0])
+    elif case == "sphere_drift_system":
+        rng, sys, x0 = np.random.default_rng(7), sphere_drift_system(), np.array([0.6, 0.0, 0.8])
     else:
         rng = np.random.default_rng(len(case))
         make, x0, _ = next(c for c in POLYNOMIAL_CASES if c[0].__name__ == case.removeprefix("bare-"))
         sys = bare_copy(make()) if case.startswith("bare-") else make()
-    controls = rng.uniform(-1.0, 1.0, size=(12, sys.n_controls))
+    controls = rng.uniform(sys.bounds[:, 0], sys.bounds[:, 1], size=(12, sys.n_controls))
     durations = np.repeat([0.05, 0.3, 1.7, 0.3], 3)
+    if case == "sphere_drift_system":
+        controls[[6, 9]], durations[6:] = [[2.0, 2.0], [-2.0, 2.0]], np.repeat([8.0, 6.0], 3)
     steps = np.maximum(1e-2, durations / 120.0)
+    counts, sizes = flow._grid(durations, steps)
+    stepped = np.full(12, sys.affine_parts(controls[0]) is None)
+    if sys.manifold.kind is ManifoldKind.SPHERE2 and not stepped.all():
+        stepped = np.array([flow._drift_bound(*flow._step_map(*sys.affine_parts(u), h)) > flow.DRIFT_TOL
+                            for u, h in zip(controls, sizes)])
+        assert stepped.tolist() == [False] * 6 + [True] + [False] * 5
     calls = []
     with monkeypatch.context() as patch:
         if sys._polynomial_kernel is not None:
@@ -1093,7 +1120,7 @@ def test_batched_powers_match_fiber_flow_bitwise(case, monkeypatch):
                           (table, lambda *args: calls.append(args) or bind(*args)))
         ends = constant_control_endpoints(sys, x0, controls, durations, steps)
     kernel_runs = isinstance(case, str) and not case.startswith("bare-")
-    assert len(calls) == (len(np.unique(flow._grid(durations, steps)[0])) if kernel_runs else 0)
+    assert len(calls) == (len(set(counts[stepped].tolist())) if kernel_runs else 0)
     for end, u, t, step in zip(ends, controls, durations, steps):
         want, _ = fiber_flows(sys, [ControlSignal.constant(u, t)], step)(0, x0, None)
         assert np.array_equal(end, want)
@@ -1141,7 +1168,7 @@ def test_uncertified_search_rows_step():
     u = (2, 2), t = 8 at step 8/120 has a step map the drift bound does not
     certify, so it steps (a power raises off-manifold drift 2.271e-05) and
     ends where integrate_base does; so does a certified row in the same
-    batch, which steps with it."""
+    batch and of the same step count, which takes its own power."""
     sys = AffineSystem(Manifold.sphere2(), LinearField(0.1 * L3),
                        (LinearField(L3), LinearField(L1)), [[-2.0, 2.0], [-2.0, 2.0]])
     x0 = np.array([1.0, 0.0, 0.0])

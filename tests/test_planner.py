@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,18 @@ def test_gramian_singular_pair_raises():
     # second state unreachable: B only feeds the first component, A diagonal
     with pytest.raises(UncontrollablePairError):
         LinearGramianOracle(np.diag([1.0, 2.0]), np.array([[1.0], [0.0]]))
+
+
+def test_an_all_zero_gramian_is_singular():
+    """With B = 0 every singular value of the Gramian is 0, and the test
+    sigma_min < 1e-10 sigma_max read 0 < 0 and accepted it; its solve then
+    raised numpy's "Singular matrix". The error now names both singular
+    values without dividing 0 by 0, so no RuntimeWarning either."""
+    sys = AffineSystem(Manifold.flat(2), LinearField(ROT2), (ConstantField([0.0, 0.0]),), [[-1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UncontrollablePairError, match=re.escape("sigma_min 0.00e+00 against sigma_max 0.00e+00")):
+            LinearGramianOracle.for_system(sys)
 
 
 def test_sphere_rotation_steer_quarter_turn():
@@ -1064,6 +1077,14 @@ def _two_chains(second_epsilon, second_source):
      "base trajectory has no fiber component"),
     (lambda: check_invariance(line_system(), [0.0], 0.0, ControlSignal.constant([1.0], 1.0), 0.5,
                               ControlSignal.constant([1.0], 1.0)), "t must equal the duration of u_sig"),
+    # a NaN time fails every window test (each used to pass it)
+    pytest.param(lambda: split_signal(ControlSignal.constant([0.5], 1.0), math.nan),
+                 "split time nan outside [0, 1.0]", id="split_signal-nan"),
+    pytest.param(lambda: ControlSignal.constant([0.5], 1.0).value_at(math.nan), "t=nan outside [0, 1.0]",
+                 id="value_at-nan"),
+    pytest.param(lambda: check_invariance(line_system(), [0.0], 0.0, ControlSignal.constant([1.0], 1.0),
+                                          math.nan, ControlSignal.constant([1.0], 1.0)),
+                 "t must equal the duration of u_sig", id="check_invariance-nan"),
     (lambda: reachable_sample(line_system(), TangentPoint([0.0], [0.0]), 1.0, 0, seed=0),
      "n_samples must be >= 1"),
     (lambda: PolynomialField([[(1.0, (0, 0))]], 2), "polynomial field needs one component per dimension"),
