@@ -51,6 +51,7 @@ from .planner import (
     ChainLeg,
     FiberWitness,
     LinearGramianOracle,
+    PlanarSpiralOracle,
     SearchOracle,
     SphereRotationOracle,
     VerificationReport,

@@ -37,6 +37,7 @@ from .manifold import Manifold, TangentPoint, _entry, _number, _positive, _seed,
 from .planner import (
     Chain,
     LinearGramianOracle,
+    PlanarSpiralOracle,
     SearchOracle,
     SphereRotationOracle,
     plan_chain,
@@ -195,8 +196,11 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def resolve_oracle(defn: SystemDefinition):
-    """Pick a steering oracle for the system kind; fall back to grid search."""
-    for for_system in (LinearGramianOracle.for_system, SphereRotationOracle.for_system):
+    """Pick a steering oracle for the system kind: the Gramian oracle, then
+    the sphere rotation and planar spiral closed forms, each where it accepts
+    the system; fall back to grid search."""
+    for for_system in (LinearGramianOracle.for_system, SphereRotationOracle.for_system,
+                       PlanarSpiralOracle.for_system):
         try:
             return for_system(defn.system)
         except LiftctlError:

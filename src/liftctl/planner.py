@@ -1,6 +1,12 @@
 """Steering oracles, sampled reachable sets, and the constructive
 chain-controllability algorithm with an independent verifier.
 
+Oracles steer the base from x to y: the minimum-energy Gramian control of a
+linear system with constant inputs, and two closed forms, one rotation on a
+driftless two-axis sphere and one constant control on R^2 when every field
+is a I + b J; the grid search steers the rest, and the pairs the planar
+closed form cannot.
+
 A chain from p to q is a sequence of legs: flow the lifted system for longer
 than the minimum duration, then jump by at most epsilon (in the tangent metric)
 to the start of the next leg. The planner cuts the oracle's plan (one rotation,
@@ -77,21 +83,25 @@ class LinearGramianOracle:
         self.horizon = float(horizon)
         n = self.a.shape[0]
         h = self.horizon / self.n_segments
-        # one-step transition and the integral of the matrix exponential
-        aug = np.zeros((2 * n, 2 * n))
-        aug[:n, :n] = self.a * h
-        aug[:n, n:] = np.eye(n) * h
-        phi = expm(aug)
-        self._step_exp = phi[:n, :n]
-        step_int = phi[:n, n:]
-        gamma = step_int @ self.b
-        gammas = [gamma]
-        for _ in range(self.n_segments - 1):
-            gammas.append(self._step_exp @ gammas[-1])
-        gammas.reverse()  # gammas[k] = e^{A (T - t_{k+1})} S B
-        self._gammas = gammas
-        self._full_exp = expm(self.a * self.horizon)
-        self._gram = sum(g @ g.T for g in gammas)
+        # a fast drift overflows here; the Gramian's finiteness is checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            # one-step transition and the integral of the matrix exponential
+            aug = np.zeros((2 * n, 2 * n))
+            aug[:n, :n] = self.a * h
+            aug[:n, n:] = np.eye(n) * h
+            phi = expm(aug)
+            self._step_exp = phi[:n, :n]
+            step_int = phi[:n, n:]
+            gamma = step_int @ self.b
+            gammas = [gamma]
+            for _ in range(self.n_segments - 1):
+                gammas.append(self._step_exp @ gammas[-1])
+            gammas.reverse()  # gammas[k] = e^{A (T - t_{k+1})} S B
+            self._gammas = gammas
+            self._full_exp = expm(self.a * self.horizon)
+            self._gram = sum(g @ g.T for g in gammas)
+        if not np.isfinite(self._gram).all():
+            raise NonFiniteError(f"Gramian over {self.horizon:g} s is not finite")
         sigma = np.linalg.svd(self._gram, compute_uv=False)
         if not sigma[-1] > 1e-10 * sigma[0]:  # an all-zero Gramian fails it, as 0 > 0 is false
             raise UncontrollablePairError(f"Gramian numerically singular: sigma_min {sigma[-1]:.2e} "
@@ -181,6 +191,72 @@ class SphereRotationOracle:
         value[self.channels] = math.copysign(1.0, angle) * u + 0.0  # + 0.0: no -0.0 in a plan
         duration = abs(angle) / float(np.linalg.norm(w))
         return duration, ControlSignal.constant(value, duration)
+
+
+class PlanarSpiralOracle:
+    """Closed-form steering on R^2 when every field is linear and of the form
+    a I + b J, J the quarter turn (Elliott, *Bilinear Control Systems*, 2009,
+    ch. 2). These commute, so with z = x1 + i x2 a constant u multiplies z by
+    e^{(alpha + i beta) t}, alpha = a0 + a.u and beta = b0 + b.u for the
+    drift's pair (a0, b0). x reaches y iff alpha t = L = ln(|y| / |x|) and
+    beta t = theta + 2 pi k, theta the signed angle from x to y: in (u, s = 1/t)
+    the two linear equations a.u - L s = -a0 and b.u - theta_k s = -b0. Per
+    whole turn |k| <= turns, the least-norm solution is kept if it solves them
+    with s > 0, a finite t and u within the bounds; the shortest t wins. A pair
+    with no such turn, or with a point at the origin (fixed by every linear
+    field), is the search's, with its words on failure."""
+
+    turns = 8
+
+    def __init__(self, sys: AffineSystem, pairs):
+        # pairs: (a, b) of the drift, then of each controlled field
+        self.sys = sys
+        self.rhs = -np.asarray(pairs[0], dtype=float)
+        self.gains = np.asarray(pairs[1:], dtype=float).T  # rows a and b
+        if not self.gains.any():
+            raise SteeringFailure("spiral oracle needs a control with a nonzero gain")
+
+    @staticmethod
+    def for_system(sys: AffineSystem) -> "PlanarSpiralOracle":
+        if not sys.manifold.is_flat or sys.manifold.ambient_dim != 2:
+            raise SteeringFailure("spiral oracle requires flat R^2")
+        pairs = []
+        for fld in (sys.drift, *sys.controlled):
+            parts = fld.affine()
+            if parts is None or np.any(parts[1]):
+                raise SteeringFailure("spiral oracle requires linear fields")
+            (p, q), (r, s) = parts[0].tolist()
+            if max(abs(p - s), abs(q + r)) > 1e-10:
+                raise SteeringFailure("spiral oracle requires fields a I + b J")
+            pairs.append(((p + s) / 2.0, (r - q) / 2.0))
+        return PlanarSpiralOracle(sys, pairs)
+
+    def solve(self, x: np.ndarray, y: np.ndarray) -> tuple[float, ControlSignal]:
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if np.array_equal(x, y):
+            return 0.0, ControlSignal.empty()
+        rx, ry = math.hypot(*x.tolist()), math.hypot(*y.tolist())
+        if 0.0 < rx < math.inf and 0.0 < ry < math.inf:
+            (x1, x2), (y1, y2) = (x / rx).tolist(), (y / ry).tolist()
+            m = self.gains.shape[1]
+            mats = np.zeros((2 * self.turns + 1, 2, m + 1))
+            mats[:, :, :m] = self.gains
+            mats[:, 0, m] = math.log(rx) - math.log(ry)
+            mats[:, 1, m] = -math.atan2(x1 * y2 - x2 * y1, x1 * y1 + x2 * y2) \
+                - 2.0 * math.pi * np.arange(-self.turns, self.turns + 1)
+            sols = np.linalg.pinv(mats) @ self.rhs  # per turn, (u, s)
+            u, s = sols[:, :m], sols[:, m]
+            resid = np.abs((mats @ sols[:, :, None])[:, :, 0] - self.rhs).max(axis=1)
+            lo, hi = self.sys.bounds.T
+            with np.errstate(divide="ignore", over="ignore"):
+                t = 1.0 / s
+            fits = ((resid <= 1e-9 * (1.0 + np.abs(self.rhs).max())) & (s > 0.0) & np.isfinite(t)
+                    & ((lo - 1e-12 <= u) & (u <= hi + 1e-12)).all(axis=1))
+            if fits.any():
+                i = int(np.flatnonzero(fits)[np.argmin(t[fits])])
+                duration = float(t[i])
+                return duration, ControlSignal.constant(np.clip(u[i], lo, hi) + 0.0, duration)
+        return SearchOracle(self.sys).solve(x, y)
 
 
 class SearchOracle:

@@ -13,7 +13,10 @@ import pytest
 
 from liftctl import cli, flow
 from liftctl.cli import SystemDefinition, _parse_args, build_parser, main
+from liftctl.errors import PlanningBudgetError
 from liftctl.fields import PolynomialField, _poly_diff, polynomial_kernel
+from liftctl.manifold import TangentPoint
+from liftctl.planner import SearchOracle, plan_chain
 
 DEFS = Path(__file__).resolve().parent.parent / "defs"
 LINE = str(DEFS / "line_shift.json")
@@ -141,15 +144,19 @@ def test_chain_steering_failure_names_a_failed_base_rank(capsys):
                    "base rank 1 < 2 at the source\n")
 
 
-def test_chain_steering_failure_at_full_base_rank_keeps_its_message(capsys):
-    """A flat_rotation pair the search misses (perfbench/NOTES.md finding
-    3); the base rank there is 2, so the oracle's message stands alone."""
+def test_chain_steering_failure_at_full_base_rank_keeps_its_message(tmp_path, capsys):
+    """A pair the search misses on CI's 25-degree axes plus a drift of 0.2
+    times the z-rotation, where no closed form steers; the base rank there
+    is 2, so the oracle's message stands alone."""
+    definition = tmp_path / "sphere_25deg_drift.json"
+    definition.write_text(json.dumps({**SPHERE_25, "drift": {"type": "linear", "matrix": [
+        [0.0, -0.2, 0.0], [0.2, 0.0, 0.0], [0.0, 0.0, 0.0]]}}))
     code, _, err = run_cli([
-        "chain", FLAT, "--source=-1.6995941626036914,-0.16416732119517694;0.1,0.1",
-        "--target=-0.3818493401117616,1.6687812874762882;1,-0.5", "--eps", "0.25", "--T", "0.5",
+        "chain", str(definition), "--source=0,0,1;0.3,0,0", "--target=0.6,0,-0.8;0,0.3,0",
+        "--eps", "0.25", "--T", "0.5",
     ], capsys)
     assert code == 1
-    assert err == "error: search budget exhausted: best endpoint error 1.024e-03\n"
+    assert err == "error: search budget exhausted: best endpoint error 2.779e-02\n"
 
 
 def test_chain_verify_only_detects_corruption(tmp_path, capsys):
@@ -353,22 +360,37 @@ def test_jumps_allocated_by_least_squares_end_in_a_partial_chain(tmp_path, capsy
 
 
 @pytest.mark.parametrize("eps,legs", [(0.001, 65), (1e-4, 40)])
-def test_round_trips_stop_once_the_base_error_passes_eps(capsys, eps, legs):
+def test_round_trips_stop_once_the_base_error_passes_eps(eps, legs):
     """The search oracle steers flat_rotation's base to about 6e-4, and each
     round trip, flowed from where the last one ended, adds to that error.
     No fiber jump can close it, so planning stops at the first round trip
     that leaves it past eps_eff without shrinking it, and names it; at eps
     0.001 the chain used to walk 20,020 legs in 9.4 s, and at 1e-4 it ran
-    past 60 s."""
+    past 60 s. The CLI steers flat_rotation in closed form, so the search
+    is built here; PlanningBudgetError is the CLI's exit 1."""
+    defn = SystemDefinition.load(FLAT)
+    source = TangentPoint(np.array([1.0, 0.0]), np.zeros(2))
+    target = TangentPoint(np.array([0.0, 1.0]), np.ones(2))
     start = time.perf_counter()
-    code, out, _ = run_cli(["chain", FLAT, "--source=1,0;0,0", "--target=0,1;1,1",
-                            "--eps", str(eps), "--T", "0.5"], capsys)
+    with pytest.raises(PlanningBudgetError) as info:
+        plan_chain(defn.system, SearchOracle(defn.system), source, target, eps, 0.5,
+                   step=defn.step, seed=defn.seed)
     assert time.perf_counter() - start < 1.0
-    payload = json.loads(out)
-    head, _, tail = payload["error"].partition(" at the itinerary's end exceeds eps_eff ")
-    assert code == 1 and head.startswith(f"no chain within {legs} legs: base error ")
+    head, _, tail = str(info.value).partition(" at the itinerary's end exceeds eps_eff ")
+    assert head.startswith(f"no chain within {legs} legs: base error ")
     assert float(head.rsplit(" ", 1)[1]) > float(tail) == pytest.approx(eps)
-    assert len(payload["partial_chain"]["legs"]) == legs
+    assert len(info.value.best_chain.legs) == legs
+
+
+def test_flat_rotation_verifies_at_a_small_eps(capsys):
+    """The closed-form plan lands on the target base, so round trips add no
+    base error, and the pair whose search plan stopped at 65 legs (above)
+    verifies at eps 0.001."""
+    code, out, _ = run_cli(["chain", FLAT, "--source=1,0;0,0", "--target=0,1;1,1",
+                            "--eps", "0.001", "--T", "0.5"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["verification"]["passed"] is True
+    assert len(payload["chain"]["legs"]) == 1419
 
 
 def test_double_integrator_chain_verifies(tmp_path, capsys):
@@ -1533,6 +1555,24 @@ def test_a_zero_control_field_falls_back_to_the_search(tmp_path):
                                         "--source=0,0;0,0", "--target=1,0;0,0"])
     assert (code, out) == (1, "")
     assert err == "error: search budget exhausted: best endpoint error 1.000e+00; base rank 0 < 2 at the source\n"
+
+
+def test_a_gramian_that_is_not_finite_falls_back_to_the_search(tmp_path):
+    """Under a drift of 1000 I the Gramian overflows. The Gramian oracle
+    printed numpy's overflow warnings and exited 2 with "SVD did not
+    converge", which names nothing; it refuses a Gramian that is not finite
+    now, and the search fails in one stderr line, with warnings as errors."""
+    definition = tmp_path / "fast_drift.json"
+    definition.write_text(json.dumps({
+        "schema_version": 1, "manifold": {"kind": "flat", "dim": 2},
+        "drift": {"type": "linear", "matrix": [[1000.0, 0.0], [0.0, 1000.0]]},
+        "controlled": [{"type": "constant", "vector": [1.0, 0.0]},
+                       {"type": "constant", "vector": [0.0, 1.0]}],
+        "bounds": [[-10.0, 10.0], [-10.0, 10.0]]}))
+    code, out, err = run_fresh_process(["-W", "error", "-m", "liftctl", "chain", str(definition),
+                                        "--source=0,0;0,0", "--target=1,0;0,0"])
+    assert (code, out) == (1, "")
+    assert err == "error: search budget exhausted: best endpoint error 6.379e+02\n"
 
 
 @pytest.mark.parametrize("source", ["1e100,0;0,0", "1e120,0;0,0"])

@@ -20,6 +20,7 @@ from liftctl import (
     LinearField,
     LinearGramianOracle,
     Manifold,
+    PlanarSpiralOracle,
     PlanningBudgetError,
     PolynomialField,
     SearchOracle,
@@ -224,6 +225,19 @@ def test_sphere_rotation_same_point_is_an_empty_plan():
      "needs symmetric control authority"),
     (lambda: SphereRotationOracle.for_system(two_axis_system(AXES_25, 0.2 * L3)),
      "requires a driftless system"),
+    (lambda: PlanarSpiralOracle.for_system(sphere_system()), "requires flat R^2"),
+    (lambda: PlanarSpiralOracle.for_system(AffineSystem(
+        Manifold.flat(3), LinearField(np.zeros((3, 3))), (LinearField(np.eye(3)),), [[-1.0, 1.0]])),
+     "requires flat R^2"),
+    (lambda: PlanarSpiralOracle.for_system(AffineSystem(
+        Manifold.flat(2), ConstantField([1.0, 0.0]), (LinearField(np.eye(2)),), [[-1.0, 1.0]])),
+     "requires linear fields"),
+    (lambda: PlanarSpiralOracle.for_system(AffineSystem(
+        Manifold.flat(2), LinearField(ROT2), (LinearField([[0.0, 1.0], [0.0, 0.0]]),), [[-1.0, 1.0]])),
+     "requires fields a I + b J"),
+    (lambda: PlanarSpiralOracle.for_system(AffineSystem(
+        Manifold.flat(2), LinearField(ROT2), (LinearField(np.zeros((2, 2))),), [[-1.0, 1.0]])),
+     "needs a control with a nonzero gain"),
 ])
 def test_oracles_refuse_systems_they_cannot_steer(make, message):
     with pytest.raises(SteeringFailure, match=re.escape(message)):
@@ -337,6 +351,62 @@ def test_search_oracle_bilinear_rotation():
     _, sig = oracle.solve(x, y)
     end = integrate_base(sys, x, sig, 1e-2).final_state
     assert np.linalg.norm(end - y) <= 1e-3
+
+
+def spiral_system():
+    """A spiral drift 0.1 I + J with two controls, I and 0.2 I - 0.5 J."""
+    return AffineSystem(Manifold.flat(2), LinearField(0.1 * np.eye(2) + ROT2),
+                        (LinearField(np.eye(2)), LinearField(0.2 * np.eye(2) - 0.5 * ROT2)),
+                        [[-1.0, 1.0], [-0.5, 2.0]])
+
+
+@pytest.mark.parametrize("make_sys", [bilinear_rotation_system, spiral_system],
+                         ids=["flat_rotation", "two_controls"])
+def test_planar_spiral_plans_end_on_the_target(make_sys):
+    """One constant control inside the bounds per pair, whose run ends within
+    1e-9 of the target: the steering is exact, not a search's 1e-3."""
+    sys = make_sys()
+    oracle = PlanarSpiralOracle.for_system(sys)
+    lo, hi = sys.bounds.T
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        x, y = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2)
+        duration, sig = oracle.solve(x, y)
+        ((seg_t, u),) = sig.segments
+        assert seg_t == duration > 0.0 and np.all((lo <= u) & (u <= hi))
+        end, _ = fiber_flows(sys, [sig], 1e-3)(0, x, np.zeros(2))
+        assert np.linalg.norm(end - y) <= 1e-9
+
+
+def test_planar_spiral_same_point_is_an_empty_plan():
+    x = np.array([0.3, -0.4])
+    duration, sig = PlanarSpiralOracle.for_system(bilinear_rotation_system()).solve(x, x)
+    assert duration == 0.0 and sig.segments == ()
+
+
+def test_planar_spiral_steers_into_the_origin_by_the_search():
+    """The origin is fixed by every linear field, so no closed form reaches
+    it; the pair is the search's, which ends within its tolerance of it, and
+    the chain verifies in 2 legs."""
+    sys = bilinear_rotation_system()
+    x, origin = np.array([1.0, 0.0]), np.zeros(2)
+    duration, sig = PlanarSpiralOracle.for_system(sys).solve(x, origin)
+    searched = SearchOracle(sys).solve(x, origin)
+    assert (duration, sig.to_json()) == (searched[0], searched[1].to_json())
+    chain = plan_chain(sys, PlanarSpiralOracle.for_system(sys), TangentPoint(x, np.zeros(2)),
+                       TangentPoint(origin, np.zeros(2)), 0.25, 0.5)
+    assert verify_chain(sys, chain).passed and len(chain.legs) == 2
+
+
+def test_planar_spiral_failures_keep_the_search_words():
+    """Bounds that admit no constant control for the pair: the search's
+    failure, as the search alone would raise it."""
+    sys = AffineSystem(Manifold.flat(2), LinearField(ROT2), (LinearField(np.eye(2)),), [[0.0, 0.01]])
+    x, y = np.array([1.0, 0.0]), np.array([0.0, 0.5])
+    with pytest.raises(SteeringFailure) as searched:
+        SearchOracle(sys).solve(x, y)
+    with pytest.raises(SteeringFailure, match=f"^{re.escape(str(searched.value))}$"):
+        PlanarSpiralOracle.for_system(sys).solve(x, y)
 
 
 def test_plan_chain_with_search_oracle():

@@ -13,20 +13,27 @@ planner fails by a named planning error, never by a usage error.
 - Flat R^n, n = 2 to 6, with a skew drift and one control that excites a
   single invariant block of it: Kalman rank below n (Sontag, Mathematical
   Control Theory, 1998, ch. 3), so no Gramian oracle is built.
+- Flat R^2, defs/flat_rotation.json: dx/dt = J x + u x with |u| <= 2, J the
+  quarter turn. J and I commute, so the base is controllable off the origin
+  and each pair is steered by one constant control in closed form (Elliott,
+  Bilinear Control Systems, 2009, ch. 2).
 - On every generated system, a lifted run from the zero section stays on it
   with v = 0 exactly: the fiber flow is linear (the paper's lift).
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from liftctl import (
     LinearGramianOracle,
+    PlanarSpiralOracle,
     PlanningBudgetError,
     TangentPoint,
     UncontrollablePairError,
+    integrate_base,
     integrate_lifted,
     plan_chain,
     verify_chain,
@@ -86,6 +93,36 @@ def test_every_pair_verifies_on_a_driftless_two_axis_sphere(degrees):
     for _ in range(12):
         source, target = random_pair(rng, defn.manifold, 0.3)
         chain = plan_chain(defn.system, oracle, source, target, EPS, T, step=defn.step)
+        report = verify_chain(defn.system, chain)
+        assert report.passed, (source, target, report.messages)
+
+
+def _fiber(rng: np.random.Generator) -> np.ndarray:
+    """A standard normal direction in R^2 with a norm uniform in [0, 1]."""
+    z = rng.standard_normal(2)
+    return z / np.linalg.norm(z) * rng.uniform()
+
+
+@pytest.mark.parametrize("reachable", [False, True], ids=["random", "reachable"])
+def test_every_pair_verifies_on_flat_rotation(reachable):
+    """12 seeded pairs: bases uniform in [-1, 1]^2, then fibers; for the
+    reachable kind, pair k's target base is where the k-th sampled signal of
+    3 s takes the source base. The CLI's oracle steers each in closed form,
+    and every chain verifies (the grid search verified 8 random and 9
+    reachable pairs)."""
+    defn = SystemDefinition.load(str(Path(__file__).resolve().parent.parent / "defs"
+                                     / "flat_rotation.json"))
+    oracle = resolve_oracle(defn)
+    assert isinstance(oracle, PlanarSpiralOracle)
+    rng = np.random.default_rng(2026)
+    for k in range(12):
+        x, y = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2)
+        v, w = _fiber(rng), _fiber(rng)
+        if reachable:
+            signal = sample_control_signals(defn.system.bounds, 3.0, 1, k)[0]
+            y = integrate_base(defn.system, x, signal, defn.step).states[-1]
+        source, target = TangentPoint(x, v), TangentPoint(y, w)
+        chain = plan_chain(defn.system, oracle, source, target, EPS, T, step=defn.step, seed=defn.seed)
         report = verify_chain(defn.system, chain)
         assert report.passed, (source, target, report.messages)
 
