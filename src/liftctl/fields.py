@@ -254,8 +254,10 @@ def polynomial_kernel(fields, n: int, drift_tol=None):
 
         def power(i, e):  # y[i] ** e by squaring, in O(log e) lines
             if e > 1 and (i, e) not in powers:
-                half = power(i, e // 2)
-                lines.append(f"p{s}_{i}_{e} = {half}*{half}" + (f"*{y[i]}" if e % 2 else ""))
+                # an odd power is the even one below it, half*half, times y: the same
+                # products as half*half*y, so x^2 and x^3 share their square
+                lines.append(f"p{s}_{i}_{e} = " + (f"{power(i, e - 1)}*{y[i]}" if e % 2
+                                                   else f"{power(i, e // 2)}*{power(i, e // 2)}"))
                 powers[i, e] = f"p{s}_{i}_{e}"
             return powers[i, e] if e > 1 else y[i]
 

@@ -35,7 +35,8 @@ those of a batch, one of three ways.
 - Stages. Bare-callable fields step through rhs and rhs_jacobian in
   _stages, the reference that the kernel tests compare against.
 
-Every run records its rows as one flat list of floats.
+Every recorded run keeps its rows as one flat list of floats, the one store
+of its Trajectory, which builds arrays only when they are read.
 """
 
 from __future__ import annotations
@@ -306,34 +307,60 @@ class AffineSystem:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Integration output on a fixed grid; fibers is None for base runs."""
+    """Integration output on a fixed grid, stored as the run records it: one
+    flat list of Python floats, the row (t, x_1.., v_1..) of every grid node,
+    with dim base coordinates per row and as many fiber ones when lifted.
+    times, states and fibers (None for base runs) are column views of one
+    array built from the rows on first read."""
 
-    times: np.ndarray
-    states: np.ndarray
-    fibers: np.ndarray | None
+    rows: list
+    dim: int
+    lifted: bool
     control: ControlSignal
     max_drift: float = 0.0
 
     @property
+    def _width(self) -> int:
+        return 1 + (2 if self.lifted else 1) * self.dim
+
+    @functools.cached_property
+    def _table(self) -> np.ndarray:
+        return np.array(self.rows).reshape(-1, self._width)
+
+    @property
+    def times(self) -> np.ndarray:
+        return self._table[:, 0]
+
+    @property
+    def states(self) -> np.ndarray:
+        return self._table[:, 1:self.dim + 1]
+
+    @property
+    def fibers(self) -> np.ndarray | None:
+        return self._table[:, self.dim + 1:] if self.lifted else None
+
+    @property
     def final_state(self) -> np.ndarray:
-        return self.states[-1]
+        start = len(self.rows) - self._width + 1
+        return np.array(self.rows[start:start + self.dim])
 
     @property
     def final_point(self) -> TangentPoint:
-        if self.fibers is None:
+        if not self.lifted:
             raise ValueError("base trajectory has no fiber component")
-        return TangentPoint(self.states[-1], self.fibers[-1])
+        return TangentPoint(self.final_state, np.array(self.rows[-self.dim:]))
 
     def write_csv(self, stream) -> None:
-        table = np.hstack([self.times[:, None], self.states, *([] if self.fibers is None else [self.fibers])])
-        n, kinds = self.states.shape[1], "x" if self.fibers is None else "xv"
-        stream.write(",".join(["t", *(f"{c}{i + 1}" for c in kinds for i in range(n))]) + "\n")
-        # Python floats format about twice as fast as numpy scalars, to the
-        # same bytes, and one %-format of a whole block of rows is cheaper
-        # than a join per row; a block at a time keeps memory small
-        row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
-        for block in np.split(table, range(256, table.shape[0], 256)):
-            stream.write(row_format * block.shape[0] % tuple(block.ravel().tolist()))
+        """The header, then one line of %.17g values per row, read straight
+        from the rows: one %-format of a whole block of 256 rows is cheaper
+        than a join per row, and a block at a time keeps memory small."""
+        width, kinds = self._width, "xv" if self.lifted else "x"
+        stream.write(",".join(["t", *(f"{c}{i + 1}" for c in kinds for i in range(self.dim))]) + "\n")
+        row_format = ",".join(["%.17g"] * width) + "\n"
+        block = 256 * width
+        for start in range(0, len(self.rows), block):
+            values = tuple(self.rows[start:start + block])
+            stream.write(row_format * (len(values) // width) % values)
 
     def to_json(self) -> dict:
         return {
@@ -503,7 +530,9 @@ def _advance(sys: AffineSystem, uval: np.ndarray, h, n_steps: int, x: np.ndarray
             rhs = lambda y, lifted: (sys.rhs(y, uval), sys.rhs_jacobian(y, uval) if lifted else None)
         return _stages(rhs, h, n_steps, x, v, t, rows, on_sphere)
     table, bind = sys._polynomial_kernel
-    coeffs = np.insert(uval, 0, 1.0, axis=-1) @ table
+    # a coefficient past the float range makes the run not finite, which _integrate names
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.insert(uval, 0, 1.0, axis=-1) @ table
     # on Python floats, or on the numpy columns of a batch's rows
     base, lifted = (bind(h, coeffs.T, lambda s: _row_norms(np.sqrt(s)),
                          lambda d: np.fmax.reduce(np.abs(d))) if batch
@@ -549,14 +578,11 @@ def _integrate(sys: AffineSystem, plan, x: np.ndarray, v, rows, on_sphere: bool)
 
 def _recorded_run(sys: AffineSystem, x: np.ndarray, v, u: ControlSignal, step: float) -> Trajectory:
     """The run from the validated start (x, v), each segment stepped (it
-    builds no map), its flat rows read as one table of which times, states
-    and fibers are column views."""
+    builds no map), as the Trajectory of its flat rows."""
     rows = [0.0, *x.tolist(), *([] if v is None else v.tolist())]
     plan = [(*segment, None) for segment in _segments(sys, u, step)]
     _, _, max_drift = _integrate(sys, plan, x, v, rows, sys.manifold.kind is ManifoldKind.SPHERE2)
-    n = x.shape[0]
-    table = np.array(rows).reshape(-1, n + 1 if v is None else 2 * n + 1)
-    return Trajectory(table[:, 0], table[:, 1:n + 1], None if v is None else table[:, n + 1:], u, max_drift)
+    return Trajectory(rows, x.shape[0], v is not None, u, max_drift)
 
 
 def integrate_base(sys: AffineSystem, x0: np.ndarray, u: ControlSignal,
@@ -706,14 +732,16 @@ def check_invariance(sys: AffineSystem, x: np.ndarray, s: float,
         raise ValueError("t must equal the duration of u_sig")
     y_s = integrate_base(sys, x, split_signal(v_sig, s)[0], step).final_state
     v_at_s = v_sig.value_at(min(s, v_sig.total_duration)) if v_sig.segments else u_sig.value_at(0.0)
-    w0 = sys.manifold.project_tangent(y_s, sys.rhs(y_s, v_at_s))  # a copy on flat space
+    with np.errstate(over="ignore", invalid="ignore"):  # integrate_lifted names a fiber that is not finite
+        w0 = sys.manifold.project_tangent(y_s, sys.rhs(y_s, v_at_s))  # a copy on flat space
     left = integrate_lifted(sys, TangentPoint(y_s, w0), u_sig, step).final_point
 
     w_sig = concat(v_sig, s, u_sig)
     right_traj = integrate_base(sys, x, w_sig, step)
     y_end = right_traj.final_state
     w_end_value = w_sig.value_at(w_sig.total_duration)
-    fiber_right = sys.manifold.project_tangent(y_end, sys.rhs(y_end, w_end_value))
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite value is an infinite deviation
+        fiber_right = sys.manifold.project_tangent(y_end, sys.rhs(y_end, w_end_value))
 
     base_dev = sys.manifold.base_distance(left.x, y_end)
     fiber_dev = float(np.linalg.norm(left.v - fiber_right))

@@ -1336,7 +1336,8 @@ def test_the_flow_suite_keeps_the_largest_projection_deviation(monkeypatch, caps
         traj = flow.integrate_lifted(*args)
         lifted_runs.append(traj)
         delta = (1e-3, 1e-6, 0.0)[len(lifted_runs) - 1]
-        return dataclasses.replace(traj, states=traj.states + delta)
+        table = np.column_stack([traj.times, traj.states + delta, traj.fibers])
+        return dataclasses.replace(traj, rows=table.ravel().tolist())
 
     monkeypatch.setattr(cli, "integrate_lifted", perturbed)
     code, out, _ = run_cli(["check", FLAT, "--suite", "flow"], capsys)
@@ -1573,6 +1574,26 @@ def test_a_gramian_that_is_not_finite_falls_back_to_the_search(tmp_path):
                                         "--source=0,0;0,0", "--target=1,0;0,0"])
     assert (code, out) == (1, "")
     assert err == "error: search budget exhausted: best endpoint error 6.379e+02\n"
+
+
+@pytest.mark.parametrize("args,err", [
+    (["simulate", "--x0=1", "--control=[[0.5,[1e300]]]"], "error: state or fiber not finite at t=0.5000000000000003"),
+    (["check", "--suite", "flow"], "error: state or fiber not finite at t=0.7691896682823518"),
+    (["check", "--suite", "invariance"], "error: fiber vector [inf] has a non-finite coordinate"),
+])
+def test_a_coefficient_past_the_float_range_prints_only_its_error(tmp_path, args, err):
+    """A control gain of 1e300 times a value of 1e300 overflows the kernel's
+    coefficient row (simulate, the flow suite) and the invariance check's
+    field value: each printed numpy's RuntimeWarning before its named error,
+    and ended in a traceback with warnings as errors."""
+    definition = tmp_path / "huge_gain.json"
+    definition.write_text(json.dumps({
+        "schema_version": 1, "manifold": {"kind": "flat", "dim": 1},
+        "drift": {"type": "polynomial", "components": [[[1.0, [1]]]]},
+        "controlled": [{"type": "polynomial", "components": [[[1e300, [1]]]]}],
+        "bounds": [[-1e300, 1e300]], "seed": 1}))
+    code, out, stderr = run_fresh_process(["-W", "error", "-m", "liftctl", args[0], str(definition), *args[1:]])
+    assert (code, out, stderr) == (1, "", err + "\n")
 
 
 @pytest.mark.parametrize("source", ["1e100,0;0,0", "1e120,0;0,0"])

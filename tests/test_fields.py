@@ -423,6 +423,54 @@ def test_polynomial_partials_serve_brackets_lifts_and_tables(case):
     assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
 
 
+def _squaring_power(y, e):
+    """y ** e, e >= 1, by the squaring recursion half * half (* y): the
+    products the generated kernels take, odd powers included."""
+    if e == 1:
+        return y
+    half = _squaring_power(y, e // 2)
+    return half * half * y if e % 2 else half * half
+
+
+def test_kernel_loops_take_powers_by_the_squaring_recursion_bitwise():
+    """The generated base and lifted loops of c x^e on R^1, e = 0 to 9, give
+    bitwise the rows of two RK4 steps written here with the squaring
+    recursion's powers, from seeded random starts. A unit step keeps each
+    stage's last bits in the end point."""
+    rng = np.random.default_rng(17)
+    h = 1.0
+    h2, h6 = 0.5 * h, h / 6.0
+    for e in range(10):
+        fld = PolynomialField([[(float(rng.uniform(-2.0, 2.0)), (e,))]], 1)
+        table, bind = polynomial_kernel([fld], 1)
+        c, d = (table[0].tolist() + [0.0])[:2]  # the slots of c x^e and of its derivative d x^(e-1)
+
+        def k(y):
+            return c * _squaring_power(y, e) if e else c
+
+        def kv(y, w):
+            return 0.0 if e == 0 else (d * _squaring_power(y, e - 1) if e > 1 else d) * w
+
+        base, lifted = bind(h, table[0].tolist(), math.sqrt, abs)
+        for x0, v0 in rng.uniform(-1.0, 1.0, (8, 2)).tolist():
+            x, v, t, want = x0, v0, 0.0, []
+            for _ in range(2):
+                k1, kv1 = k(x), kv(x, v)
+                y2, w2 = x + h2 * k1, v + h2 * kv1
+                k2, kv2 = k(y2), kv(y2, w2)
+                y3, w3 = x + h2 * k2, v + h2 * kv2
+                k3, kv3 = k(y3), kv(y3, w3)
+                y4, w4 = x + h * k3, v + h * kv3
+                k4, kv4 = k(y4), kv(y4, w4)
+                x, v = x + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), v + h6 * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
+                t = t + h
+                want += [t, x, v]
+            rows = []
+            assert lifted(2, 0.0, rows, x0, v0) == ((x,), (v,), t, 0.0)
+            assert np.array(rows).tobytes() == np.array(want).tobytes()
+            assert base(2, 0.0, None, x0) == ((x,), None, t, 0.0)
+
+
 def _fd_map(y):
     return np.array([np.sin(y[0]) * y[1], np.exp(y[1] - y[2]), y[0] ** 3 + y[2]])
 

@@ -44,6 +44,7 @@ from liftctl.flow import (
 FLAT_ROTATION = str(Path(__file__).resolve().parent.parent / "defs" / "flat_rotation.json")
 SPHERE_ROTATION = str(Path(__file__).resolve().parent.parent / "defs" / "sphere_rotation.json")
 DUFFING = str(Path(__file__).resolve().parent.parent / "perfbench" / "defs" / "duffing.json")
+SPHERE_TWO_AXIS = str(Path(__file__).resolve().parent.parent / "perfbench" / "defs" / "sphere_two_axis.json")
 ROT2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 L3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 L1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
@@ -1356,8 +1357,7 @@ def test_csv_bytes_match_row_join_writer(lifted):
     rng = np.random.default_rng(11)
     for rows in (3, 257, 600):
         values = rng.choice(edge, size=(rows, 5))
-        traj = Trajectory(values[:, 0], values[:, 1:3], values[:, 3:] if lifted else None,
-                          ControlSignal.empty())
+        traj = Trajectory(values[:, :5 if lifted else 3].ravel().tolist(), 2, lifted, ControlSignal.empty())
         buf = io.StringIO()
         traj.write_csv(buf)
         header, body = buf.getvalue().split("\n", 1)
@@ -1378,8 +1378,53 @@ def test_csv_bytes_match_per_value_writer(lifted):
     p0 = TangentPoint([1.0, 0.0], [0.0, 1.0])
     runs = [integrate_lifted(rotation_system(), p0, u, 1e-3) if lifted
             else integrate_base(rotation_system(), p0.x, u, 1e-3),
-            Trajectory(np.array([0.0, 1e-3, 0.1, 2.5]), odd, odd[::-1] if lifted else None, u)]
+            Trajectory(np.column_stack([[0.0, 1e-3, 0.1, 2.5], odd, *([odd[::-1]] if lifted else [])]).ravel().tolist(),
+                       2, lifted, u)]
     for traj in runs:
         buf = io.StringIO()
         traj.write_csv(buf)
         assert buf.getvalue() == per_value_csv(traj)
+
+
+@pytest.mark.parametrize("definition,x0,v0,control", [
+    (DUFFING, "0.4,-0.3", "1,0.5", [[0.3, [0.7]], [0.25, [-0.4]]]),
+    (DUFFING, "0.4,-0.3", "1,0.5", []),
+    (SPHERE_TWO_AXIS, "0.6,0,0.8", "0.8,0.3,-0.6", [[0.3, [0.7, -0.2]], [0.25, [-0.4, 0.9]]]),
+    (SPHERE_TWO_AXIS, "0.6,0,0.8", "0.8,0.3,-0.6", []),
+])
+@pytest.mark.parametrize("lifted", [False, True])
+def test_simulate_prints_its_rows_value_by_value(definition, x0, v0, control, lifted, capsys):
+    """A run keeps its flat rows; times, states and fibers are bitwise the
+    columns of np.array(rows). simulate prints per_value_csv of the run, and
+    as JSON the run's values one at a time, on flat space and S2, base and
+    lifted, over two segments and the empty control (one row). write_csv
+    reads the rows alone: it gives the same bytes before the arrays are
+    read as after."""
+    import io
+
+    from liftctl.cli import main
+
+    defn = SystemDefinition.load(definition)
+    u = ControlSignal.from_json(control)
+    x = np.array(x0.split(","), dtype=float)
+    fresh, traj = [integrate_lifted(defn.system, TangentPoint(x, np.array(v0.split(","), dtype=float)), u, defn.step)
+                   if lifted else integrate_base(defn.system, x, u, defn.step) for _ in range(2)]
+    n = x.shape[0]
+    table = np.array(traj.rows).reshape(-1, (2 if lifted else 1) * n + 1)
+    assert traj.times.tobytes() == table[:, 0].tobytes() and traj.states.tobytes() == table[:, 1:n + 1].tobytes()
+    assert (traj.fibers.tobytes() == table[:, n + 1:].tobytes()) if lifted else traj.fibers is None
+    assert table.shape[0] == (551 if control else 1)
+    bufs = [io.StringIO(), io.StringIO()]
+    fresh.write_csv(bufs[0])
+    assert "_table" not in fresh.__dict__
+    traj.write_csv(bufs[1])
+    assert bufs[0].getvalue() == bufs[1].getvalue() == per_value_csv(traj)
+    argv = ["simulate", definition, f"--x0={x0}", f"--control={json.dumps(control)}",
+            *([f"--lifted={v0}"] if lifted else [])]
+    assert main([*argv, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == per_value_csv(traj)
+    assert main([*argv, "--format", "json"]) == 0
+    want = {"times": [float(t) for t in traj.times], "states": [[float(c) for c in row] for row in traj.states],
+            "fibers": None if traj.fibers is None else [[float(c) for c in row] for row in traj.fibers],
+            "control": u.to_json(), "max_drift": traj.max_drift}
+    assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
