@@ -188,9 +188,14 @@ def _parse_control(text: str, system: AffineSystem) -> ControlSignal:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write text to the --out file, or to stdout when there is none; a file
+    that cannot be written raises DefinitionError naming --out."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DefinitionError("--out", f"cannot write file: {exc}") from exc
     else:
         _sys.stdout.write(text)
 
@@ -386,7 +391,9 @@ def cmd_larc(args) -> int:
 
 
 # Each subcommand: its help, its handler and its arguments, as the
-# (flags, options) of each add_argument call, in help order.
+# (flags, options) of each add_argument call, in help order. _read_argv reads
+# a plain argv straight from it, and build_parser builds the whole parser
+# from it for every other argv.
 _COMMANDS = {
     "simulate": ("integrate the base or lifted system", cmd_simulate, (
         (("definition",), {}),
@@ -422,22 +429,14 @@ _COMMANDS = {
 }
 
 
-def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    for flags, options in _COMMANDS[name][2]:
-        parser.add_argument(*flags, **options)
-    parser.set_defaults(func=_COMMANDS[name][1])
-    return parser
-
-
 def _formatter():
     """argparse's HelpFormatter at its own width, read once, not per add_argument."""
     return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand. main parses an argv that starts with a
-    subcommand by that one's own parser, with the same prog and arguments as
-    here, and falls back to this one for other argvs and leftover arguments."""
+    """The parser of every subcommand: main parses by it each argv that
+    _read_argv declines, and words its help and usage errors."""
     parser = argparse.ArgumentParser(
         prog="liftctl",
         description="Simulate affine control systems on manifolds, their tangent-bundle "
@@ -445,21 +444,60 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=_formatter(),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_text, formatter_class=parser.formatter_class), name)
+    for name, (help_text, func, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text, formatter_class=parser.formatter_class)
+        for flags, options in arguments:
+            command.add_argument(*flags, **options)
+        command.set_defaults(func=func)
     return parser
 
 
+def _read_argv(argv: list):
+    """build_parser().parse_args(argv) less `command`, read straight from
+    _COMMANDS, for an argv in plain form; None for any other argv.
+
+    Plain form is the subcommand, its one positional, then options spelled
+    in full, each as --flag=value (value not exactly --, which argparse
+    drops from the value on some Python versions) or --flag value (value
+    not starting with -). Each value passes its option's type and choices,
+    every required option is given, and a repeated flag takes its last
+    value. Abbreviations, --, separate values starting with -, help and
+    every usage error are build_parser's."""
+    if len(argv) < 2 or argv[0] not in _COMMANDS or argv[1].startswith("-"):
+        return None
+    _, func, (((positional,), _), *arguments) = _COMMANDS[argv[0]]
+    options = {flags[0]: opts for flags, opts in arguments}
+    given, i = {}, 2
+    while i < len(argv):
+        flag, eq, value = argv[i].partition("=")
+        if not eq:
+            if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+                return None
+            i, value = i + 1, argv[i + 1]
+        opts = options.get(flag)
+        if opts is None or value == "--":
+            return None
+        try:
+            given[flag] = opts.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in opts and given[flag] not in opts["choices"]:
+            return None
+        i += 1
+    if any(opts.get("required") and flag not in given for flag, opts in options.items()):
+        return None
+    return argparse.Namespace(**{positional: argv[1]}, func=func, **{
+        flag[2:].replace("-", "_"): given.get(flag, opts.get("default")) for flag, opts in options.items()})
+
+
 def _parse_args(argv: list) -> argparse.Namespace:
-    """build_parser().parse_args(argv), less `command` for an argv that starts
-    with a subcommand and leaves nothing over, which that one's parser parses."""
-    if argv[:1] and argv[0] in _COMMANDS:
-        parser = _add_command(argparse.ArgumentParser(prog=f"liftctl {argv[0]}",
-                                                      formatter_class=_formatter()), argv[0])
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+    """build_parser().parse_args(argv) less `command`: by _read_argv, which
+    builds no parser, for an argv in plain form, as every benchmark op is."""
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
+        del args.command
+    return args
 
 
 def main(argv=None) -> int:

@@ -239,12 +239,29 @@ def polynomial_kernel(fields, n: int, drift_tol=None):
         return None
     # per field: its n components, then its n * n partials row by row
     polys = [[*fld.components, *(p for row in fld._partials for p in row)] for fld in fields]
-    slots = list(dict.fromkeys((i, e) for fp in polys for i, poly in enumerate(fp) for _, e in poly))
+    slots = tuple(dict.fromkeys((i, e) for fp in polys for i, poly in enumerate(fp) for _, e in poly))
     index = {slot: k for k, slot in enumerate(slots)}
     table = np.zeros((len(fields), len(slots)))
     for f, fld_polys in enumerate(polys):
         for i, poly in enumerate(fld_polys):
             table[f, [index[i, e] for _, e in poly]] = [coeff for coeff, _ in poly]
+    return table, _compiled_bind(slots, n, drift_tol)
+
+
+@functools.cache
+def _compiled_bind(slots: tuple, n: int, drift_tol):
+    """The bind function of polynomial_kernel's loops over the monomial slots.
+    Their source holds no coefficient, only the slots, n and drift_tol, so
+    systems that share them, such as every load of one definition, build
+    and compile it once per process."""
+    scope: dict = {}
+    exec(compile(_kernel_source(slots, n, drift_tol), "<polynomial kernel>", "exec"), scope)
+    return scope["bind"]
+
+
+def _kernel_source(slots: tuple, n: int, drift_tol) -> str:
+    """The source of polynomial_kernel's bind for slot k = (i, e): the
+    monomial of exponents e in component or partial i."""
     terms = [[k for k, (p, _) in enumerate(slots) if p == i] for i in range(n + n * n)]
     x, v, base, lifted = [f"x{i}" for i in range(n)], [f"v{i}" for i in range(n)], [], []
     for s, scale in enumerate(("", "h2", "h2", "h"), 1):  # RK4 stage s from k{s-1}
@@ -294,19 +311,8 @@ def polynomial_kernel(fields, n: int, drift_tol=None):
                 + "".join(f"            {line}\n" for line in sphere)
                 + f"            if rows is not None:\n                rows += (t, {state})\n"
                 f"        return {out}worst\n")
-    source = ("def bind(h, c, sqrt, peak):\n" + loop("base", base, (x, "k"))
-              + loop("lifted", lifted, (x, "k"), (v, "kv")) + "    return base, lifted\n")
-    return table, _compiled_bind(source)
-
-
-@functools.cache
-def _compiled_bind(source: str):
-    """The bind function of a generated kernel source. The source holds no
-    coefficient, only the monomial slots, so systems that share them, such
-    as every load of one definition, compile it once per process."""
-    scope: dict = {}
-    exec(compile(source, "<polynomial kernel>", "exec"), scope)
-    return scope["bind"]
+    return ("def bind(h, c, sqrt, peak):\n" + loop("base", base, (x, "k"))
+            + loop("lifted", lifted, (x, "k"), (v, "kv")) + "    return base, lifted\n")
 
 
 class ScalarField:

@@ -1,7 +1,9 @@
 import argparse
 import dataclasses
+import itertools
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftctl import cli, flow
 from liftctl.cli import SystemDefinition, _parse_args, build_parser, main
@@ -24,7 +28,8 @@ FLAT = str(DEFS / "flat_rotation.json")
 SPHERE = str(DEFS / "sphere_rotation.json")
 DUFFING = str(DEFS.parent / "perfbench" / "defs" / "duffing.json")
 SPHERE_TWO_AXIS = str(DEFS.parent / "perfbench" / "defs" / "sphere_two_axis.json")
-SRC = DEFS.parent / "src"
+REPO = DEFS.parent
+SRC = REPO / "src"
 
 
 def run_cli(args, capsys):
@@ -1064,10 +1069,9 @@ def test_usage_errors_and_help_between_calls_change_nothing(capsys):
     ["larc", "-h", "--point"], ["larc", FLAT, "--point", "1,1", "--h"],
 ])
 def test_main_prints_what_the_whole_parser_prints(capsys, argv):
-    """main builds only the parser of the subcommand its argv starts with,
-    and the whole parser for leftover arguments. Its help, usage errors and
-    exit codes are those of the parser of every subcommand, top-level usage
-    included."""
+    """Every argv that _read_argv declines goes to the whole parser, so
+    main's help, usage errors and exit codes are those of the parser of
+    every subcommand, top-level usage included."""
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     captured = capsys.readouterr()
@@ -1081,13 +1085,157 @@ def test_main_prints_what_the_whole_parser_prints(capsys, argv):
     ["simulate", FLAT, "--x0", "1,0", "--format", "json", "--format", "csv"],
 ])
 def test_main_parses_what_the_whole_parser_parses(argv):
-    """An argv that starts with a subcommand and leaves nothing over is
-    parsed by that subcommand's parser alone into the whole parser's
-    namespace, less `command`: abbreviations, --flag=value, negative
-    numbers after `=` and repeated flags (the last wins) included."""
+    """An argv that parses is parsed into the whole parser's namespace, less
+    `command`: abbreviations, --flag=value, negative numbers after `=` and
+    repeated flags (the last wins) included."""
     want = vars(build_parser().parse_args(argv))
     assert want.pop("command") == argv[0]
     assert vars(_parse_args(argv)) == want
+
+
+def _whole_parse(argv):
+    """vars(build_parser().parse_args(argv)) less `command`, each value by
+    its repr, so that NaN equals NaN."""
+    got = vars(build_parser().parse_args(argv))
+    assert got.pop("command") == argv[0]
+    return {name: repr(value) for name, value in got.items()}
+
+
+_ODD_FLAGS = ("-h", "--help", "--", "-", "--dep", "--ver", "--p", "--bogus", "-x")
+_VALUES = ("", "--", "-", "-0.5,1", "-2", "nan", "x", "1 2", "1,1", "3", "0.5", "csv", "json",
+           *cli._SUITES)
+_GOOD = {float: ("0.5", "1e-3", "nan", "3"), int: ("3", "1", "007"), str: ("1,1", "0,1", "x", "1 2", "@f")}
+
+
+@st.composite
+def _argvs(draw, command):
+    """argvs of a subcommand: its table's flags, the required ones more
+    often, in the = form and the space form with values that their type and
+    choices take or odd ones, and in a third of them one odd flag or stray
+    word among them."""
+    arguments = cli._COMMANDS[command][2][1:]
+    required = [argument for argument in arguments if argument[1].get("required")]
+    chosen = required * draw(st.sampled_from((1, 1, 0)))
+    chosen += draw(st.lists(st.sampled_from(arguments), max_size=4))
+    argv = [command, *draw(st.sampled_from(([FLAT], [FLAT], [], ["-"], [""], ["x=y"])))]
+    for (flag,), opts in draw(st.permutations(chosen)):
+        good = opts.get("choices") or _GOOD[opts.get("type", str)]
+        value = draw(st.sampled_from(good if draw(st.booleans()) else _VALUES))
+        argv += draw(st.sampled_from(([flag, value], [f"{flag}={value}"])))
+    if draw(st.sampled_from((False, False, True))):
+        odd, value = draw(st.sampled_from(_ODD_FLAGS)), draw(st.sampled_from(_VALUES))
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at] = draw(st.sampled_from(([odd], [value], [odd, value], [f"{odd}={value}"])))
+    return argv
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_the_table_reader_reads_what_the_whole_parser_parses(command, data):
+    """Whenever _read_argv reads an argv, the whole parser parses it into the
+    same namespace, less `command`."""
+    argv = data.draw(_argvs(command))
+    args = cli._read_argv(argv)
+    if args is not None:
+        try:
+            want = _whole_parse(argv)
+        except SystemExit:
+            pytest.fail(f"the reader read {argv}, which the whole parser refuses")
+        assert {name: repr(value) for name, value in vars(args).items()} == want
+
+
+def _workload_ops(count, seeds=(1, 2, 3)):
+    """The first `count` benchmark ops of every workload at each seed."""
+    workloads = runpy.run_path(str(REPO / "perfbench" / "workloads.py"))
+    return [op for name in workloads["WORKLOADS"] for seed in seeds
+            for op in itertools.islice(workloads["operations"](name, seed), count)]
+
+
+# The argv of each `python -m liftctl` command in the CI workflow, with its
+# shell variables filled in.
+CI_ARGVS = [
+    ["chain", "defs/line_shift.json", "--source=0;0", "--target=3;-5", "--eps", "0.05", "--T", "0.5"],
+    ["chain", "defs/line_shift.json", "--source=0;0", "--target=1;0", "--max-legs=2000", "--eps", "0.25",
+     "--T", "1e-4"],
+    ["chain", "defs/line_shift.json", "--verify-only", "chains/line_shift.json", "--eps", "0.25", "--T", "1e-4"],
+    ["chain", "chains/flat_rotation_close.json", "--source=-1.6995941626036914,-0.16416732119517694;0.1,0.1",
+     "--target=-0.3818493401117616,1.6687812874762882;1,-0.5", "--eps", "0.25", "--T", "0.5"],
+    ["chain", "defs/line_shift.json", "--verify-only", "chains/line_shift.tiny_step.json"],
+    ["simulate", "defs/line_shift.json", "--x0=0", "--control=[[1,[0]]]", "--step", "1e-320"],
+    ["simulate", "negative_dim.json", "--x0=0", "--control=[[1, [0.5]]]"],
+    ["larc", "big/exponent.json", "--point=0.5,0"], ["check", "big/exponent.json", "--suite", "lift"],
+    ["chain", "big/bracket.json", "--source=0.5,0;0,0", "--target=0.6,0;0,0"],
+    ["chain", "defs/line_shift.json", "--source=1e300;0", "--target=0;1", "--eps", "0.25", "--T", "0.5"],
+    ["larc", "perfbench/defs/duffing.json", "--point=1e100,0", "--depth", "3"],
+    ["larc", "perfbench/defs/duffing.json", "--point=1e100,0", "--v=1,0", "--depth", "3"],
+    ["simulate", "defs/sphere_rotation.json", "--x0=1,0,0", "--control=[[3.141592653589793, [1.0]]]"],
+    ["simulate", "defs/flat_rotation.json", "--x0=1,0", "--lifted=0,1", "--control=[[0.5, [0.3]]]",
+     "--format=json"],
+    ["check", "defs/flat_rotation.json", "--suite=flow"],
+    ["chain", "defs/flat_rotation.json", "--source=1,0;0,0", "--target=0,1;1,1", "--eps=0.1", "--T=0.5"],
+    ["larc", "defs/flat_rotation.json", "--point=1,1", "--v=0,1"],
+    ["larc", "defs/flat_rotation.json", "--point", "1,1", "--v", "0,1"],
+    ["simulate", "defs/flat_rotation.json", "--x0=1,0", "--control=[[0.5, [0.3]]]", "--format", "json",
+     "--format", "csv"],
+    ["simulate", "perfbench/defs/duffing.json", "--x0=0.4,-0.3", "--control=[[1.5, [0.7]], [2.5, [-0.4]]]",
+     "--lifted=1,0.5", "--format", "csv"],
+    ["simulate", "sphere.json", "--x0=0.6,0,0.8", "--control=[[1.5, [0.7, -0.2]]]", "--lifted=0.8,0.3,-0.6",
+     "--format", "json"],
+    ["simulate", "huge_gain.json", "--x0=1", "--control=[[0.5,[1e300]]]"],
+    ["check", "defs/line_shift.json", "--suite", "rank"],
+    ["chain", "sphere.json", "--eps", "0.25", "--T", "0.5", "--source=1,0,0;0,1,0",
+     "--target=0,0.6,0.8;0.3,0,0"],
+    ["chain", "sphere.json", "--eps", "0.25", "--T", "0.5", "--verify-only", "out/chain.json"],
+    ["larc", "defs/sphere_rotation.json", "--point=0.6,0,0.8", "--v=0.8,0.3,-0.6", "--depth", "6"],
+]
+
+
+@pytest.mark.parametrize("argv", [*(op.argv for op in _workload_ops(1, seeds=(1,))), *CI_ARGVS],
+                         ids=lambda argv: " ".join(argv)[:60])
+def test_the_table_reader_reads_every_benchmark_and_ci_argv(argv):
+    """The plain argvs that the benchmark and CI run are read from the table,
+    into the whole parser's namespace: the fast path is not declined."""
+    args = cli._read_argv(argv)
+    assert args is not None
+    assert {name: repr(value) for name, value in vars(args).items()} == _whole_parse(argv)
+
+
+def test_no_benchmark_op_builds_a_parser(monkeypatch, tmp_path, capsys):
+    """The first 30 ops of every workload at seeds 1-3 parse with no
+    ArgumentParser built, and the first op of each, and the checker's
+    --verify-only call, run so."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ArgumentParser was built")
+    ops, firsts = _workload_ops(30), [op.argv for op in _workload_ops(1, seeds=(1,))]
+    monkeypatch.chdir(REPO)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    for op in ops:
+        assert cli._parse_args(op.argv).func.__name__ == f"cmd_{op.argv[0]}"
+    for argv in firsts:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        if argv[0] == "chain":
+            path = tmp_path / "chain.json"
+            path.write_text(json.dumps(json.loads(out)["chain"]))
+            code, _, err = run_cli(["chain", argv[1], "--verify-only", str(path)], capsys)
+            assert (code, err) == (0, "")
+    with pytest.raises(AssertionError, match="ArgumentParser"):
+        main(["larc", "--help"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", FLAT, "--x0=1,0"], ["check", LINE, "--suite=rank"],
+    ["chain", LINE, "--source=0;0", "--target=0;1"], ["larc", FLAT, "--point=1,1"],
+])
+@pytest.mark.parametrize("missing_dir", [True, False])
+def test_an_out_file_that_cannot_be_written_is_named(tmp_path, capsys, argv, missing_dir):
+    """--out in a missing directory, or naming a directory, is a usage error
+    naming the flag in one stderr line, exit 2."""
+    out = tmp_path / "missing" / "x.json" if missing_dir else tmp_path
+    code, stdout, err = run_cli([*argv, f"--out={out}"], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: --out: cannot write file: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("verify_only", [False, True])

@@ -32,7 +32,7 @@ from liftctl import (
     shift,
 )
 from liftctl import fields, flow
-from liftctl.cli import SystemDefinition
+from liftctl.cli import SystemDefinition, main
 from liftctl.flow import (
     _advance,
     _power,
@@ -778,6 +778,29 @@ def test_kernel_source_compiles_once_per_process(monkeypatch):
     assert kernels[0][1] is kernels[1][1]
 
 
+def test_kernel_source_is_built_once_per_process(monkeypatch, capsys):
+    """The source depends only on the monomial slots, n and drift_tol, so a
+    second load of duffing.json builds only its slot and coefficient tables:
+    no source, the same bind, and a byte-identical lifted CSV."""
+    fields._compiled_bind.cache_clear()
+    builds = []
+
+    def counting_source(*args):
+        builds.append(args)
+        return source(*args)
+    source = fields._kernel_source
+    monkeypatch.setattr(fields, "_kernel_source", counting_source)
+    argv = ["simulate", DUFFING, "--x0=0.4,-0.3", "--lifted=1,0.5", "--control=[[1.5, [0.7]]]"]
+    outputs, binds = [], []
+    for _ in range(2):
+        binds.append(SystemDefinition.load(DUFFING).system._polynomial_kernel[1])
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(builds) == 1
+    assert binds[0] is binds[1]
+    assert outputs[0] == outputs[1] and outputs[0].startswith("t,x1,x2,v1,v2\n")
+
+
 @pytest.mark.parametrize("make_sys", [
     sphere_bilinear_system,
     lambda: stage_copy(sphere_bilinear_system()),
@@ -1401,8 +1424,6 @@ def test_simulate_prints_its_rows_value_by_value(definition, x0, v0, control, li
     reads the rows alone: it gives the same bytes before the arrays are
     read as after."""
     import io
-
-    from liftctl.cli import main
 
     defn = SystemDefinition.load(definition)
     u = ControlSignal.from_json(control)
