@@ -492,10 +492,16 @@ def _read_argv(argv: list):
 
 def _parse_args(argv: list) -> argparse.Namespace:
     """build_parser().parse_args(argv) less `command`: by _read_argv, which
-    builds no parser, for an argv in plain form, as every benchmark op is."""
+    builds no parser, for an argv in plain form, as every benchmark op is.
+    An option whose value is `--`, which argparse stores as [] on Python
+    3.10-3.12 (`--out=--`) and as '--' on 3.13, is a usage error."""
     args = _read_argv(argv)
     if args is None:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        for (flag,), _ in _COMMANDS[args.command][2][1:]:
+            if getattr(args, flag[2:].replace("-", "_")) in ([], "--"):
+                parser.error(f"argument {flag}: expected one argument")
         del args.command
     return args
 

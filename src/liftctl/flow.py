@@ -37,6 +37,9 @@ those of a batch, one of three ways.
 
 Every recorded run keeps its rows as one flat list of floats, the one store
 of its Trajectory, which builds arrays only when they are read.
+
+_expm is the package's one matrix exponential (Higham's 2005 scaling and
+squaring in numpy), which the Gramian oracle steers linear systems with.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DefinitionError, IntegrationError
+from .errors import DefinitionError, IntegrationError, NonFiniteError
 from .fields import VectorField, polynomial_kernel
 from .manifold import POINT_TOL, Manifold, ManifoldKind, TangentPoint, _dots, json_numbers
 
@@ -425,6 +428,51 @@ def _step_map(a: np.ndarray, b: np.ndarray, h: float) -> tuple[np.ndarray, np.nd
     ha = h * a  # for a stack, h (B, 1, 1): each map as the single call makes it
     s = h * (eye + ha @ (0.5 * eye + ha @ (eye / 6.0 + ha / 24.0)))
     return eye + s @ a, (s @ b[..., None])[..., 0]
+
+
+# Higham (2005): per degree m, the 1-norm theta_m up to which the [m/m] Pade
+# approximant r_m(A) is e^A to double precision, and its coefficients b_0..b_m
+_PADE = (
+    (1.495585217958292e-2, (120., 60., 12., 1.)),
+    (2.539398330063230e-1, (30240., 15120., 3360., 420., 30., 1.)),
+    (9.504178996162932e-1, (17297280., 8648640., 1995840., 277200., 25200., 1512., 56., 1.)),
+    (2.097847961257068e0, (17643225600., 8821612800., 2075673600., 302702400., 30270240.,
+                           2162160., 110880., 3960., 90., 1.)),
+    (5.371920351148152e0, (64764752532480000., 32382376266240000., 7771770303897600.,
+                           1187353796428800., 129060195264000., 10559470521600., 670442572800.,
+                           33522128640., 1323241920., 40840800., 960960., 16380., 182., 1.)),
+)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^a of a square float matrix by Higham's (2005) scaling and squaring: the
+    [m/m] Pade approximant of the least degree m in 3, 5, 7, 9 whose theta_m
+    bounds ||a||_1, else that of degree 13 of a / 2^s, with the least s >= 0
+    that brings it within theta_13, squared s times. A 1-norm that is not
+    finite raises NonFiniteError; a result may overflow to inf."""
+    norm = float(np.linalg.norm(a, 1))
+    if not math.isfinite(norm):
+        raise NonFiniteError(f"matrix exponential of a matrix with 1-norm {norm}")
+    theta, b = next((p for p in _PADE if norm <= p[0]), _PADE[-1])
+    s = math.ceil(math.log2(norm / theta)) if norm > theta else 0
+    a = a / 2.0 ** s
+    eye = np.eye(len(a))
+    a2 = a @ a
+    if len(b) < 14:
+        powers = [eye, a2]
+        while len(powers) < len(b) // 2:
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(c * p for c, p in zip(b[1::2], powers))
+        v = sum(c * p for c, p in zip(b[::2], powers))
+    else:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def _drift_bound(m: np.ndarray, c: np.ndarray):

@@ -45,6 +45,7 @@ from .flow import (
     DEFAULT_STEP,
     AffineSystem,
     ControlSignal,
+    _expm,
     constant_control_endpoints,
     fiber_flows,
     split_signal,
@@ -76,8 +77,6 @@ class LinearGramianOracle:
     n_segments = 64
 
     def __init__(self, a_matrix, b_matrix, horizon: float = 1.0):
-        # imported here, its only use: no other command pays scipy's start-up cost
-        from scipy.linalg import expm
         self.a = np.asarray(a_matrix, dtype=float)
         self.b = np.asarray(b_matrix, dtype=float)
         self.horizon = float(horizon)
@@ -89,7 +88,7 @@ class LinearGramianOracle:
             aug = np.zeros((2 * n, 2 * n))
             aug[:n, :n] = self.a * h
             aug[:n, n:] = np.eye(n) * h
-            phi = expm(aug)
+            phi = _expm(aug)
             self._step_exp = phi[:n, :n]
             step_int = phi[:n, n:]
             gamma = step_int @ self.b
@@ -98,7 +97,7 @@ class LinearGramianOracle:
                 gammas.append(self._step_exp @ gammas[-1])
             gammas.reverse()  # gammas[k] = e^{A (T - t_{k+1})} S B
             self._gammas = gammas
-            self._full_exp = expm(self.a * self.horizon)
+            self._full_exp = _expm(self.a * self.horizon)
             self._gram = sum(g @ g.T for g in gammas)
         if not np.isfinite(self._gram).all():
             raise NonFiniteError(f"Gramian over {self.horizon:g} s is not finite")

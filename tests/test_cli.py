@@ -1225,6 +1225,26 @@ def test_no_benchmark_op_builds_a_parser(monkeypatch, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["larc", FLAT, "--point=--"], ["larc", FLAT, "--point=1,1", "--v=--"],
+    ["larc", FLAT, "--point=1,1", "--depth=--"], ["larc", FLAT, "--point=1,1", "--out=--"],
+    ["simulate", FLAT, "--x0=--"], ["simulate", FLAT, "--x0=1,0", "--step=--"],
+    ["simulate", FLAT, "--x0=1,0", "--format=--"], ["check", FLAT, "--suite=--"],
+    ["chain", LINE, "--source=--", "--target=0;1"], ["chain", LINE, "--verify-only=--"],
+    ["chain", LINE, "--source=0;0", "--target=0;1", "--max-legs=--"],
+], ids=lambda argv: argv[-1] if argv[-1].endswith("--") else argv[-2])
+def test_a_double_dash_value_is_a_usage_error_naming_the_flag(capsys, argv):
+    """argparse stores `--flag=--` as [] on Python 3.10-3.12, type and choices
+    unchecked, and as '--' on 3.13: --point=-- ended in a traceback, --out=--
+    wrote the report to stdout and --verify-only=-- planned. Each is a usage
+    error now, exit 2, in one error line that names the flag."""
+    flag = next(arg for arg in argv if arg.endswith("=--")).split("=")[0]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"error: argument {flag}: " in errors[0]
+
+
+@pytest.mark.parametrize("argv", [
     ["simulate", FLAT, "--x0=1,0"], ["check", LINE, "--suite=rank"],
     ["chain", LINE, "--source=0;0", "--target=0;1"], ["larc", FLAT, "--point=1,1"],
 ])
@@ -1595,36 +1615,48 @@ def run_fresh_process(args):
 CALLS_THEN_LOADED_MODULES = """
 import contextlib, io, json, sys
 import liftctl.cli
-codes = [sorted(sys.modules)]
+codes, outs, loaded = [], [], [sorted(sys.modules)]
 for argv in json.loads(sys.argv[1]):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         codes.append(liftctl.cli.main(argv))
-print(json.dumps([codes, buf.getvalue(), sorted(sys.modules)]))
+    outs.append(buf.getvalue())
+    loaded.append(sorted(sys.modules))
+print(json.dumps([codes, outs, loaded]))
 """
 
 
-def test_commands_that_build_no_gramian_oracle_never_import_scipy():
-    """Only LinearGramianOracle calls scipy (expm, when it is built), so
-    importing liftctl.cli and running simulate, the four check suites, larc
-    and chains planned by search (flat and S2) or by the closed-form rotation
-    oracle leave scipy unloaded. Its import used to cost every call."""
+def test_no_command_imports_scipy(tmp_path, capsys):
+    """liftctl's one matrix exponential is flow._expm, in numpy, so importing
+    liftctl.cli and running simulate, larc, the four check suites and chains
+    planned by the Gramian oracle, by search (flat and S2) or by the
+    closed-form rotation oracle, and a Gramian chain's --verify-only, leave
+    scipy unloaded; every chain verifies. Its import used to cost every
+    call, and then every Gramian chain. Only the check suites, run last,
+    sample, and so import numpy.random."""
+    code, out, _ = run_cli(["chain", LINE, "--source=0;0", "--target=3;-5"], capsys)
+    assert code == 0
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(json.loads(out)["chain"]))
     argvs = [
+        ["chain", LINE, "--source=0;0", "--target=3;-5"],
+        ["chain", LINE, f"--verify-only={chain}"],
         ["simulate", FLAT, "--x0=1,0", "--lifted=0,1", "--control=[[0.5, [0.3]]]"],
         ["simulate", SPHERE, "--x0=1,0,0", "--control=[[3.141592653589793, [1.0]]]"],
-        *(["check", FLAT, f"--suite={suite}"] for suite in ("lift", "flow", "invariance", "rank")),
         ["larc", FLAT, "--point=1,1", "--v=0,1"],
         ["chain", FLAT, "--source=1,0;0,0", "--target=0,1;1,1", "--eps=0.1", "--T=0.5"],
         ["chain", SPHERE, "--source=1,0,0;0,1,0", "--target=0,1,0;0,0,1"],
         ["chain", SPHERE_TWO_AXIS, "--source=1,0,0;0,0.1,0", "--target=0,1,0;0,0,0.1"],
     ]
-    code, out, err = run_fresh_process(["-c", CALLS_THEN_LOADED_MODULES, json.dumps(argvs)])
+    checks = [["check", FLAT, f"--suite={suite}"] for suite in ("lift", "flow", "invariance", "rank")]
+    code, out, err = run_fresh_process(["-c", CALLS_THEN_LOADED_MODULES, json.dumps(argvs + checks)])
     assert (code, err) == (0, "")
-    (after_import, *codes), last, after_calls = json.loads(out)
-    assert codes == [0] * len(argvs)
-    assert json.loads(last)["verification"]["passed"]
-    assert "numpy" in after_import and "scipy" not in after_import
-    assert "scipy" not in after_calls
+    codes, outs, loaded = json.loads(out)
+    assert codes == [0] * len(argvs + checks)
+    reports = [json.loads(text) for argv, text in zip(argvs, outs) if argv[0] == "chain"]
+    assert len(reports) == 5 and all(report.get("verification", report)["passed"] is True for report in reports)
+    assert "numpy" in loaded[0] and "scipy" not in loaded[0]
+    assert "numpy.random" not in loaded[len(argvs)] and "scipy" not in loaded[-1]
 
 
 def test_sphere_commands_never_import_numpy_random(tmp_path, capsys):
@@ -1647,18 +1679,9 @@ def test_sphere_commands_never_import_numpy_random(tmp_path, capsys):
     ]
     code, out, err = run_fresh_process(["-c", CALLS_THEN_LOADED_MODULES, json.dumps(argvs)])
     assert (code, err) == (0, "")
-    (after_import, *codes), last, after_calls = json.loads(out)
-    assert codes == [0] * len(argvs) and json.loads(last)["passed"]
-    assert "numpy.random" not in after_import and "numpy.random" not in after_calls
-
-
-def test_a_gramian_chain_imports_scipy_and_verifies():
-    code, out, err = run_fresh_process(["-c", CALLS_THEN_LOADED_MODULES, json.dumps(
-        [["chain", LINE, "--source=0;0", "--target=3;-5"]])])
-    assert (code, err) == (0, "")
-    (after_import, chain_code), last, after_calls = json.loads(out)
-    assert "scipy" not in after_import and "scipy" in after_calls
-    assert chain_code == 0 and json.loads(last)["verification"]["passed"]
+    codes, outs, loaded = json.loads(out)
+    assert codes == [0] * len(argvs) and json.loads(outs[-1])["passed"]
+    assert "numpy.random" not in loaded[0] and "numpy.random" not in loaded[-1]
 
 
 def test_search_and_sphere_chains_never_import_numpy_ma():
@@ -1672,9 +1695,9 @@ def test_search_and_sphere_chains_never_import_numpy_ma():
     ]
     code, out, err = run_fresh_process(["-c", CALLS_THEN_LOADED_MODULES, json.dumps(argvs)])
     assert (code, err) == (0, "")
-    (after_import, *codes), last, after_calls = json.loads(out)
-    assert codes == [0] * len(argvs) and json.loads(last)["verification"]["passed"]
-    assert "numpy.ma" not in after_import and "numpy.ma" not in after_calls
+    codes, outs, loaded = json.loads(out)
+    assert codes == [0] * len(argvs) and json.loads(outs[-1])["verification"]["passed"]
+    assert "numpy.ma" not in loaded[0] and "numpy.ma" not in loaded[-1]
 
 
 @pytest.mark.parametrize("fiber,where", [([], "x=[1e+100, 0.0]"),
@@ -1706,22 +1729,26 @@ def test_a_zero_control_field_falls_back_to_the_search(tmp_path):
     assert err == "error: search budget exhausted: best endpoint error 1.000e+00; base rank 0 < 2 at the source\n"
 
 
-def test_a_gramian_that_is_not_finite_falls_back_to_the_search(tmp_path):
+@pytest.mark.parametrize("drift,best", [([[1000.0, 0.0], [0.0, 1000.0]], "6.379e+02"),
+                                        ([[1e308, 0.0], [1e308, 0.0]], "inf")], ids=["1000I", "1e308"])
+def test_a_gramian_that_is_not_finite_falls_back_to_the_search(tmp_path, drift, best):
     """Under a drift of 1000 I the Gramian overflows. The Gramian oracle
     printed numpy's overflow warnings and exited 2 with "SVD did not
     converge", which names nothing; it refuses a Gramian that is not finite
-    now, and the search fails in one stderr line, with warnings as errors."""
+    now, and the search fails in one stderr line, with warnings as errors.
+    A drift whose 1-norm overflows is refused by the matrix exponential,
+    before its scaling count, which would be infinite."""
     definition = tmp_path / "fast_drift.json"
     definition.write_text(json.dumps({
         "schema_version": 1, "manifold": {"kind": "flat", "dim": 2},
-        "drift": {"type": "linear", "matrix": [[1000.0, 0.0], [0.0, 1000.0]]},
+        "drift": {"type": "linear", "matrix": drift},
         "controlled": [{"type": "constant", "vector": [1.0, 0.0]},
                        {"type": "constant", "vector": [0.0, 1.0]}],
         "bounds": [[-10.0, 10.0], [-10.0, 10.0]]}))
     code, out, err = run_fresh_process(["-W", "error", "-m", "liftctl", "chain", str(definition),
                                         "--source=0,0;0,0", "--target=1,0;0,0"])
     assert (code, out) == (1, "")
-    assert err == "error: search budget exhausted: best endpoint error 6.379e+02\n"
+    assert err == f"error: search budget exhausted: best endpoint error {best}\n"
 
 
 @pytest.mark.parametrize("args,err", [

@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -1029,6 +1030,26 @@ def test_power_helper_is_bitwise_numpys_matrix_power(n):
         assert np.array_equal(got, np.linalg.matrix_power(stack, k)), k
         for r in (0, 5):  # each row is its own 2-D matrix's power
             assert np.array_equal(got[r], np.linalg.matrix_power(stack[r], k)), (k, r)
+
+
+def test_expm_matches_a_40_digit_reference():
+    """flow._expm against mpmath's expm at 40 digits on 48 seeded matrices (n
+    in {2, 3, 4, 6}, standard normal times 0.01 to 30) and one small enough
+    for degree 3: the set reaches each Pade degree and the squaring branch.
+    Its worst relative 1-norm error measured 7.9e-15 (scipy's expm: 3.4e-12);
+    the zero matrix gives the identity exactly."""
+    rng = np.random.default_rng(3)
+    cases = [rng.standard_normal((n, n)) * scale for n in (2, 3, 4, 6) for scale in np.geomspace(0.01, 30, 12)]
+    cases.append(np.array([[0.0, 0.005], [-0.005, 0.003]]))
+    thetas = [theta for theta, _ in flow._PADE]
+    branches = {int(np.searchsorted(thetas, np.linalg.norm(a, 1))) for a in cases}
+    assert branches == set(range(len(thetas) + 1))  # the last past theta_13: a / 2^s, s > 0
+    with mpmath.workdps(40):
+        for a in cases:
+            want = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+            error = np.linalg.norm(flow._expm(a) - want, 1) / np.linalg.norm(want, 1)
+            assert error < 2e-14, a
+    assert np.array_equal(flow._expm(np.zeros((3, 3))), np.eye(3))
 
 
 def test_fiber_flows_raise_a_refused_signals_error_when_it_runs(monkeypatch):
