@@ -10,12 +10,10 @@ Exit codes: 0 success, 1 domain/planning failure, 2 usage/parse failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import io
 import json
 import math
 import os
-import shutil
 import sys as _sys
 from dataclasses import dataclass
 
@@ -243,9 +241,8 @@ def _check(deviation, tolerance) -> dict:
     return {"deviation": deviation, "tolerance": tolerance, "pass": deviation <= tolerance}
 
 
-def _suite_lift(defn: SystemDefinition) -> dict:
+def _suite_lift(defn: SystemDefinition, rng) -> dict:
     sys_ = defn.system
-    rng = np.random.default_rng(defn.seed)
     samples = []
     for _ in range(100):
         x = defn.manifold.random_point(rng)
@@ -266,9 +263,8 @@ def _random_signal(rng, bounds) -> ControlSignal:
         for _ in range(int(rng.integers(1, 4)))))
 
 
-def _suite_flow(defn: SystemDefinition) -> dict:
+def _suite_flow(defn: SystemDefinition, rng) -> dict:
     sys_ = defn.system
-    rng = np.random.default_rng(defn.seed)
     tol = 1e-6 if defn.manifold.is_flat else 1e-4
     worst_formula = 0.0
     worst_bitwise = 0.0
@@ -283,9 +279,8 @@ def _suite_flow(defn: SystemDefinition) -> dict:
     return {"flow_formula": _check(worst_formula, tol), "projection_identity": _check(worst_bitwise, 0.0)}
 
 
-def _suite_invariance(defn: SystemDefinition) -> dict:
+def _suite_invariance(defn: SystemDefinition, rng) -> dict:
     sys_ = defn.system
-    rng = np.random.default_rng(defn.seed)
     tol = 1e-6 if defn.manifold.is_flat else 1e-4
     worst_base = 0.0
     worst_fiber = 0.0
@@ -304,9 +299,8 @@ def _suite_invariance(defn: SystemDefinition) -> dict:
     return {"invariance_base": _check(worst_base, tol), "invariance_fiber": _check(worst_fiber, tol)}
 
 
-def _suite_rank(defn: SystemDefinition) -> dict:
+def _suite_rank(defn: SystemDefinition, rng) -> dict:
     sys_ = defn.system
-    rng = np.random.default_rng(defn.seed)
     fields = (sys_.drift,) + sys_.controlled
     n = defn.manifold.intrinsic_dim
     reports = []
@@ -329,7 +323,8 @@ _SUITES = {"lift": _suite_lift, "flow": _suite_flow, "invariance": _suite_invari
 
 def cmd_check(args) -> int:
     defn = SystemDefinition.load(args.definition)
-    results = _SUITES[args.suite](defn)
+    # a generator per call: nothing carries over from one main call to the next
+    results = _SUITES[args.suite](defn, np.random.default_rng(defn.seed))
     passed = all(entry["pass"] for entry in results.values())
     report = {"suite": args.suite, "seed": defn.seed, "passed": passed, "checks": results}
     _emit(json.dumps(report, indent=2) + "\n", args.out)
@@ -429,11 +424,6 @@ _COMMANDS = {
 }
 
 
-def _formatter():
-    """argparse's HelpFormatter at its own width, read once, not per add_argument."""
-    return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand: main parses by it each argv that
     _read_argv declines, and words its help and usage errors."""
@@ -441,11 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="liftctl",
         description="Simulate affine control systems on manifolds, their tangent-bundle "
                     "lifts, and certified chain plans between tangent points.",
-        formatter_class=_formatter(),
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, func, arguments) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_text, formatter_class=parser.formatter_class)
+        command = sub.add_parser(name, help=help_text)
         for flags, options in arguments:
             command.add_argument(*flags, **options)
         command.set_defaults(func=func)

@@ -69,6 +69,9 @@ _TANGENCY_POINTS = np.array([  # see AffineSystem._check_tangency
     [-0.10270781988280928, -0.5519030398183312, 0.8275591449402306],
     [0.6493986411967777, 0.44477291007163877, -0.6168131510256447],
 ])
+# 16 eps: the rounding of x . X(x), relative to sum_i |x_i| |X_i(x)|, is about
+# 1.5 eps for the dot product of three terms, plus the rounding of X(x) itself
+_TANGENCY_ROUNDING = 2.0 ** -48
 
 # Snap tolerance for cutting a signal at a segment boundary; keeps
 # shift(concat(v, s, u), s) == u exact.
@@ -195,7 +198,8 @@ def shift(u: ControlSignal, s: float) -> ControlSignal:
 
 @dataclass(frozen=True)
 class AffineSystem:
-    """drift + sum_i u_i * controlled_i on a manifold, with box control bounds."""
+    """drift + sum_i u_i * controlled_i on a manifold, with box control bounds;
+    on_sphere, whether that is S2 (runs renormalize there), is set once here."""
 
     manifold: Manifold
     drift: VectorField
@@ -212,20 +216,26 @@ class AffineSystem:
             raise ValueError("control bounds must be finite")
         if (bounds[:, 0] > bounds[:, 1]).any():
             raise ValueError("control bounds must satisfy lo <= hi")
-        if self.manifold.kind is ManifoldKind.SPHERE2:
+        object.__setattr__(self, "on_sphere", self.manifold.kind is ManifoldKind.SPHERE2)
+        if self.on_sphere:
             self._check_tangency()
 
     def _check_tangency(self):
         """A DefinitionError naming drift or controlled[i] unless every field is
-        tangent to the sphere, |x . X(x)| <= 1e-8, at the 8 _TANGENCY_POINTS
-        (bitwise the normalized rows of default_rng(20248).standard_normal((8, 3)),
-        stored so that a load imports no numpy.random), all in one pass, an affine
-        field as x A^T + b; the first failure, point-major, field-minor, is named."""
+        tangent to the sphere, |x . X(x)| <= 1e-8 + _TANGENCY_ROUNDING *
+        sum_i |x_i| |X_i(x)| < inf, at the 8 _TANGENCY_POINTS (bitwise the
+        normalized rows of default_rng(20248).standard_normal((8, 3)), stored so
+        that a load imports no numpy.random), all in one pass, an affine field
+        as x A^T + b; the first failure, point-major, field-minor, is named. The
+        rounding allowance, which a fast exact rotation needs, is worked out
+        only for the entries that fail the plain 1e-8 test."""
         points, fields = _TANGENCY_POINTS, (self.drift, *self.controlled)
-        errs = np.array([np.abs(_dots(points, points @ parts[0].T + parts[1] if (parts := fld.affine())
-                                      else np.array([fld(x) for x in points]))) for fld in fields])
-        bad = np.argwhere(~(errs.T <= 1e-8))  # written so that a NaN fails it
-        if bad.size:
+        values = [points @ parts[0].T + parts[1] if (parts := fld.affine())
+                  else np.array([fld(x) for x in points]) for fld in fields]
+        errs = np.array([np.abs(_dots(points, value)) for value in values])
+        bad = [(x, f) for x, f in np.argwhere(~(errs.T <= 1e-8)).tolist()  # written so that a NaN fails it
+               if not errs[f, x] <= 1e-8 + _TANGENCY_ROUNDING * (abs(points[x]) @ abs(values[f][x])) < math.inf]
+        if bad:
             x, f = bad[0]
             raise DefinitionError("drift" if f == 0 else f"controlled[{f - 1}]", f"field {fields[f].name!r} "
                                   f"not tangent to the sphere: |x.X(x)|={errs[f, x]:.2e}")
@@ -303,9 +313,8 @@ class AffineSystem:
     @functools.cached_property
     def _polynomial_kernel(self):
         """fields.polynomial_kernel of the fields; on S2 its loops renormalize."""
-        on_sphere = self.manifold.kind is ManifoldKind.SPHERE2
         return polynomial_kernel((self.drift, *self.controlled), self.manifold.ambient_dim,
-                                 DRIFT_TOL if on_sphere else None)
+                                 DRIFT_TOL if self.on_sphere else None)
 
 
 @dataclass(frozen=True)
@@ -514,7 +523,7 @@ def _power(m: np.ndarray, c: np.ndarray, counts: list) -> np.ndarray:
     return power
 
 
-def _powers(sys: AffineSystem, values: np.ndarray, sizes: np.ndarray, counts: np.ndarray, on_sphere: bool):
+def _powers(sys: AffineSystem, values: np.ndarray, sizes: np.ndarray, counts: np.ndarray):
     """(rows, powers): the segments (values (B, m), step sizes and counts (B,))
     that take a power, slice(None) for all, and their _power, from one stacked
     pass of affine_parts and _step_map: every affine segment off the sphere, and
@@ -523,7 +532,7 @@ def _powers(sys: AffineSystem, values: np.ndarray, sizes: np.ndarray, counts: np
     if parts is None:
         return [], np.empty((0, sys.manifold.ambient_dim + 1, sys.manifold.ambient_dim + 1))
     m, c = _step_map(*parts, sizes[:, None, None])
-    certified = [g <= DRIFT_TOL for g in _drift_bound(m, c)] if on_sphere else ()  # NaN fails it
+    certified = [g <= DRIFT_TOL for g in _drift_bound(m, c)] if sys.on_sphere else ()  # NaN fails it
     rows = slice(None) if all(certified) else np.flatnonzero(certified)  # a slice indexes without copies
     return rows, _power(m[rows], c[rows], counts[rows].tolist())
 
@@ -558,8 +567,7 @@ def _stages(rhs, h, n_steps: int, x, v, t, rows, on_sphere: bool):
     return x, v, t, max_drift
 
 
-def _advance(sys: AffineSystem, uval: np.ndarray, h, n_steps: int, x: np.ndarray, v, t, rows,
-             on_sphere: bool):
+def _advance(sys: AffineSystem, uval: np.ndarray, h, n_steps: int, x: np.ndarray, v, t, rows):
     """n_steps RK4 steps of size h under the constant control uval, from one
     state x (n,) with fiber v None, (n,) or (n, k), extending rows unless
     None by the flat row (t, x.., v..) of every step, or from a stack of
@@ -576,7 +584,7 @@ def _advance(sys: AffineSystem, uval: np.ndarray, h, n_steps: int, x: np.ndarray
             rhs, h = (lambda y, _: (np.array([sys.rhs(z, u) for z, u in zip(y, uval)]), None)), h[:, None]
         else:
             rhs = lambda y, lifted: (sys.rhs(y, uval), sys.rhs_jacobian(y, uval) if lifted else None)
-        return _stages(rhs, h, n_steps, x, v, t, rows, on_sphere)
+        return _stages(rhs, h, n_steps, x, v, t, rows, sys.on_sphere)
     table, bind = sys._polynomial_kernel
     # a coefficient past the float range makes the run not finite, which _integrate names
     with np.errstate(over="ignore", invalid="ignore"):
@@ -602,7 +610,7 @@ def _segments(sys: AffineSystem, u: ControlSignal, step: float) -> list:
     return list(zip([value for _, value in u.segments], sizes.tolist(), counts.astype(int).tolist()))
 
 
-def _integrate(sys: AffineSystem, plan, x: np.ndarray, v, rows, on_sphere: bool):
+def _integrate(sys: AffineSystem, plan, x: np.ndarray, v, rows):
     """Run from the validated start (x, v) over plan's segments (value, h, k,
     power): x <- P x + c and v <- P v by a certified power, else _advance,
     which extends rows unless None. Returns the end (x, v) and the largest
@@ -611,12 +619,12 @@ def _integrate(sys: AffineSystem, plan, x: np.ndarray, v, rows, on_sphere: bool)
     n, t, max_drift = x.shape[0], 0.0, 0.0
     for uval, h, n_steps, power in plan:
         if power is None:
-            x, v, t, drift = _advance(sys, uval, h, n_steps, x, v, t, rows, on_sphere)
+            x, v, t, drift = _advance(sys, uval, h, n_steps, x, v, t, rows)
             max_drift = max(max_drift, drift)
         else:
             x = power[:n, :n] @ x + power[:n, n]
             v, t = None if v is None else power[:n, :n] @ v, t + n_steps * h
-            if on_sphere:  # certified: only NaN raises
+            if sys.on_sphere:  # certified: only NaN raises
                 x, v, _ = _to_sphere(x, v, t, math.inf)
         if not (all(map(math.isfinite, x.tolist()))
                 and (v is None or all(map(math.isfinite, v.ravel().tolist())))):
@@ -629,7 +637,7 @@ def _recorded_run(sys: AffineSystem, x: np.ndarray, v, u: ControlSignal, step: f
     builds no map), as the Trajectory of its flat rows."""
     rows = [0.0, *x.tolist(), *([] if v is None else v.tolist())]
     plan = [(*segment, None) for segment in _segments(sys, u, step)]
-    _, _, max_drift = _integrate(sys, plan, x, v, rows, sys.manifold.kind is ManifoldKind.SPHERE2)
+    _, _, max_drift = _integrate(sys, plan, x, v, rows)
     return Trajectory(rows, x.shape[0], v is not None, u, max_drift)
 
 
@@ -680,8 +688,7 @@ def fiber_flows(sys: AffineSystem, signals, step: float = DEFAULT_STEP):
             segments += segs
         except (ValueError, DefinitionError) as exc:
             plans.append(exc.with_traceback(None))
-    on_sphere = sys.manifold.kind is ManifoldKind.SPHERE2
-    rows, powers = _powers(sys, *map(np.array, zip(*segments)), on_sphere) if segments else ([], [])
+    rows, powers = _powers(sys, *map(np.array, zip(*segments))) if segments else ([], [])
     powers = dict(zip(np.arange(len(segments))[rows].tolist(), powers))
 
     def run(i: int, x0: np.ndarray, fibers) -> tuple[np.ndarray, np.ndarray | None]:
@@ -695,8 +702,7 @@ def fiber_flows(sys: AffineSystem, signals, step: float = DEFAULT_STEP):
                     TangentPoint(x, column).validate(sys.manifold)
         if isinstance(plans[i], Exception):
             raise plans[i]
-        return _integrate(sys, [(*segments[r], powers.get(r)) for r in plans[i]], x, fibers, None,
-                          on_sphere)[:2]
+        return _integrate(sys, [(*segments[r], powers.get(r)) for r in plans[i]], x, fibers, None)[:2]
 
     return run
 
@@ -720,17 +726,17 @@ def constant_control_endpoints(sys: AffineSystem, x0: np.ndarray, controls: np.n
                          f"lasts {durations[bad[0]]}")
     sys.check_controls(controls)
     counts, sizes = _grid(durations, steps)
-    counts, on_sphere = counts.astype(int), sys.manifold.kind is ManifoldKind.SPHERE2
-    rows, powers = _powers(sys, controls, sizes, counts, on_sphere)
+    counts = counts.astype(int)
+    rows, powers = _powers(sys, controls, sizes, counts)
     ends = np.full((len(durations), x.shape[0]), x)  # each row's start, until it ends
     ends[rows] = powers[:, :-1, :-1] @ x + powers[:, :-1, -1]  # each row as a fiber_flows run
-    if on_sphere and len(powers):  # certified: only NaN raises
+    if sys.on_sphere and len(powers):  # certified: only NaN raises
         ends[rows] = _to_sphere(ends[rows], None, durations[rows], math.inf)[0]
     counts[rows] = 0  # a powered row has no step left
     for k in sorted(set(counts.tolist()) - {0}):  # np.unique would import numpy.ma
         group = np.flatnonzero(counts == k)
         try:
-            ends[group] = _advance(sys, controls[group], sizes[group], k, ends[group], None, 0.0, None, on_sphere)[0]
+            ends[group] = _advance(sys, controls[group], sizes[group], k, ends[group], None, 0.0, None)[0]
         except IntegrationError:  # every row drifted off the sphere: all are misses
             ends[group] = np.nan
     return ends

@@ -51,7 +51,7 @@ from .flow import (
     split_signal,
 )
 from .liealg import DEFAULT_DEPTH, rank_at
-from .manifold import Manifold, ManifoldKind, TangentPoint, _cross, _entry, _number, _positive, _seed
+from .manifold import Manifold, TangentPoint, _cross, _entry, _number, _positive, _seed
 from .sasaki import distance, fiber_segment_point
 
 SEARCH_STEER_TOL = 1e-3
@@ -163,7 +163,7 @@ class SphereRotationOracle:
 
     @staticmethod
     def for_system(sys: AffineSystem) -> "SphereRotationOracle":
-        if sys.manifold.kind is not ManifoldKind.SPHERE2:
+        if not sys.on_sphere:
             raise SteeringFailure("rotation oracle requires the sphere")
         drift = sys.drift.affine()
         if drift is None or np.any(drift[0]) or np.any(drift[1]):

@@ -1540,18 +1540,16 @@ def test_an_oversized_dimension_is_named_before_it_is_allocated(tmp_path, capsys
 
 
 def test_help_and_usage_errors_are_those_of_the_default_formatter(monkeypatch, capsys):
-    """Parsers read the terminal width once per call, not once per argument;
-    each subcommand's help, the whole parser's and usage errors are what
-    argparse's default HelpFormatter prints, at 60 columns and at 200."""
+    """The parser words each subcommand's help, the whole parser's and usage
+    errors by argparse's default HelpFormatter, which reads the terminal
+    width: they differ at 60 columns and at 200."""
+    assert cli.build_parser().formatter_class is argparse.HelpFormatter
     argvs = [[name, "--help"] for name in ("simulate", "check", "chain", "larc")]
     argvs += [["--help"], ["larc", FLAT], ["larc", FLAT, "--point", "1,1", "extra"]]
     printed = {}
     for columns in ("60", "200"):
         monkeypatch.setenv("COLUMNS", columns)
         printed[columns] = [run_cli(argv, capsys) for argv in argvs]
-        with monkeypatch.context() as default:
-            default.setattr(cli, "_formatter", lambda: argparse.HelpFormatter)
-            assert printed[columns] == [run_cli(argv, capsys) for argv in argvs]
     assert printed["60"] != printed["200"]
 
 
@@ -1781,3 +1779,48 @@ def test_a_diverging_search_prints_only_its_error(source):
     code, out, err = run_fresh_process(["-m", "liftctl", "chain", DUFFING,
                                         f"--source={source}", "--target=0,1;1,1"])
     assert (code, out, err) == (1, "", "error: search budget exhausted: best endpoint error inf\n")
+
+
+def _fast_rotation(tmp_path, drift) -> str:
+    """An S2 definition with the given linear drift and one x-rotation control."""
+    definition = tmp_path / "fast_rotation.json"
+    definition.write_text(json.dumps({
+        "schema_version": 1, "manifold": {"kind": "sphere2"},
+        "drift": {"type": "linear", "matrix": drift},
+        "controlled": [{"type": "linear", "matrix": [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]}],
+        "bounds": [[-1.0, 1.0]]}))
+    return str(definition)
+
+
+def _z_rotation(rate: float) -> list:
+    return [[0.0, -rate, 0.0], [rate, 0.0, 0.0], [0.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("rate,code,err", [
+    (1e9, 0, ""),
+    (1e12, 0, ""),
+    (1e300, 1, "error: bracket columns to depth 4 are not finite at x=[1.0, 0.0, 0.0]\n"),
+])
+def test_a_fast_exact_rotation_loads_on_the_sphere(tmp_path, capsys, rate, code, err):
+    """A skew drift is exactly tangent, but the rounding of x . X(x) grows
+    with the rate: at 1e9 it is 8.6e-8, and the load was refused as not
+    tangent against a fixed 1e-8. The rounding allowance passes it, and larc
+    reports, or names the bracket columns that overflow at 1e300."""
+    got, out, stderr = run_cli(["larc", _fast_rotation(tmp_path, _z_rotation(rate)), "--point=1,0,0"], capsys)
+    assert (got, stderr) == (code, err)
+    assert bool(out) == (code == 0)
+
+
+@pytest.mark.parametrize("args,err", [
+    (["simulate", "--x0=1,0,0", "--control=[[1,[0.5]]]"], "error: off-manifold drift 4.167e+22 at t=0.001"),
+    (["chain", "--source=1,0,0;0,1,0", "--target=0,1,0;0,0,1"],
+     "error: search budget exhausted: best endpoint error inf; base rank 1 < 2 at the source"),
+    (["check", "--suite", "flow"], "error: off-manifold drift 1.139e+22 at t=0.000999526546379936"),
+], ids=["simulate", "chain", "check-flow"])
+def test_a_fast_rotation_fails_to_step_in_one_line(tmp_path, args, err):
+    """The 1e9 rotation loads, but one step of 1e-3 turns it 1e6 rad: each
+    command that steps it names the drift or the failed search in one stderr
+    line, exit 1, with warnings as errors."""
+    definition = _fast_rotation(tmp_path, _z_rotation(1e9))
+    code, out, stderr = run_fresh_process(["-W", "error", "-m", "liftctl", args[0], definition, *args[1:]])
+    assert (code, out, stderr) == (1, "", err + "\n")

@@ -231,13 +231,15 @@ def test_signal_validation():
 def per_point_tangency(fields):
     """The DefinitionError text of the sphere's tangency rule taken point by
     point: the first of 8 seeded random_point draws and, at each, the first
-    field with |x . X(x)| > 1e-8 or NaN; None when every field passes."""
+    field with |x . X(x)| > 1e-8 + 16 eps sum_i |x_i| |X_i(x)|, NaN, or an
+    infinite allowance; None when every field passes."""
     rng, sphere = np.random.default_rng(20248), Manifold.sphere2()
     for _ in range(8):
         x = sphere.random_point(rng)
         for f, fld in enumerate(fields):
-            err = abs(x @ fld(x))
-            if not err <= 1e-8:
+            value = fld(x)
+            err = abs(x @ value)
+            if not err <= 1e-8 + 16 * np.finfo(float).eps * (np.abs(x) @ np.abs(value)) < np.inf:
                 entry = "drift" if f == 0 else f"controlled[{f - 1}]"
                 return f"{entry}: field {fld.name!r} not tangent to the sphere: |x.X(x)|={err:.2e}"
     return None
@@ -286,6 +288,25 @@ def test_sphere_tangency_check_draws_random_points_bitwise():
                  (LinearField(L3),), [[-1.0, 1.0]])
     points = [Manifold.sphere2().random_point(rng) for _ in range(8)]
     assert len(seen) == 8 and all(np.array_equal(a, b) for a, b in zip(seen, points))
+
+
+@pytest.mark.parametrize("rate", [1e9, 1e12, 1e300])
+@pytest.mark.parametrize("make", [LinearField, lambda a: VectorField(lambda x: a @ x)], ids=["linear", "callable"])
+def test_sphere_tangency_check_allows_the_rounding_of_fast_rotations(rate, make):
+    """An exact rotation at rate 1e9 and faster has |x . X(x)| past 1e-8 by
+    rounding alone; the check passes it, as the per-point rule does, and
+    still refuses a radial field, the rotation with a normal part of 1e-13
+    of its rate (about 450 eps), and a field whose allowance is infinite."""
+    turn = np.array([[0.0, -rate, 0.0], [rate, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    rotation, radial = make(turn), make(np.diag([rate, rate, rate]))
+    nearly = make(turn + np.diag([1e-13 * rate] * 3))
+    infinite = VectorField(lambda x: np.array([np.inf, 0.0, 0.0]))
+    assert per_point_tangency((rotation, LinearField(L1))) is None
+    AffineSystem(Manifold.sphere2(), rotation, (LinearField(L1),), [[-1.0, 1.0]])
+    for fields in [(rotation, radial), (rotation, nearly), (rotation, LinearField(L1), infinite)]:
+        with pytest.raises(DefinitionError) as info:
+            AffineSystem(Manifold.sphere2(), fields[0], fields[1:], [[-1.0, 1.0]] * (len(fields) - 1))
+        assert str(info.value) == per_point_tangency(fields)
 
 
 # --- integration -----------------------------------------------------------
@@ -817,10 +838,10 @@ def test_nan_state_on_sphere_raises(make_sys):
     sys = make_sys()
     h, m = 1e-3, sys.n_controls
     with pytest.raises(IntegrationError):
-        _advance(sys, np.zeros(m), h, 10, np.array([np.nan, 0.0, 0.0]), None, 0.0, [], True)
+        _advance(sys, np.zeros(m), h, 10, np.array([np.nan, 0.0, 0.0]), None, 0.0, [])
     with pytest.raises(IntegrationError):
         _advance(sys, np.outer([0.5, -0.5], np.ones(m)), np.full(2, h), 10,
-                 np.tile([np.nan, 0.0, 0.0], (2, 1)), None, 0.0, None, True)
+                 np.tile([np.nan, 0.0, 0.0], (2, 1)), None, 0.0, None)
 
 
 @pytest.mark.parametrize("manifold", [Manifold.flat(3), Manifold.sphere2()])
